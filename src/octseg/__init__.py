@@ -1,8 +1,9 @@
 """octseg: depth-weighted 3D boundary segmentation for retinal OCT volumes."""
 
 from .analysis import ThicknessMap, export_surface_mesh, thickness_map
-from .enhance import DegenerateNormalizationWarning, DepthWeight, depth_weight, enhance
+from .enhance import DegenerateNormalizationWarning, DepthWeight, enhance
 from .filters import (
+    FilterBank,
     Kernel3D,
     SeparableKernel,
     convolve_direct,

@@ -22,6 +22,13 @@ class DegenerateNormalizationWarning(RuntimeWarning):
     """Raised when a min-max rescale sees a flat field (max == min)."""
 
 
+_FLAT_MESSAGES = (
+    "derivative volume is flat over the search region; its contribution is zero",
+    "smoothed volume is flat over the search region; its contribution is zero",
+    "enhanced volume is flat over the search region",
+)
+
+
 @dataclass(frozen=True)
 class DepthWeight:
     """Per-depth multiplier, linear in the depth index.
@@ -48,46 +55,39 @@ class DepthWeight:
         return np.float32(self.nz) - k
 
 
-def depth_weight(k: int, weight: DepthWeight) -> float:
-    """Weight value at one depth index (bounds-checked)."""
-    if not 0 <= k < weight.nz:
-        raise ValueError(f"depth index {k} outside [0, {weight.nz})")
-    if weight.direction == "favor_deep":
-        return float(k + 1)
-    return float(weight.nz - k)
+def unit_scale(values: np.ndarray, select: np.ndarray | None = None) -> bool:
+    """Min-max rescale an array in place using extrema over ``select`` (or all).
 
-
-def unit_scale(
-    values: np.ndarray, select: np.ndarray | None = None
-) -> tuple[np.ndarray, bool]:
-    """Min-max rescale an array using extrema over ``select`` (or all voxels).
-
-    Returns (scaled, degenerate).  A flat field has no contrast to rescale;
-    it comes back as all zeros with the degenerate flag set.
+    Returns the degenerate flag: a flat field has no contrast to rescale, so
+    it is zeroed and True is returned.
     """
     ref = values if select is None else values[select]
     lo = ref.min()
     hi = ref.max()
     if not hi > lo:
-        return np.zeros_like(values), True
-    return (values - lo) / (hi - lo), False
+        values.fill(0)
+        return True
+    values -= lo
+    values /= hi - lo
+    return False
 
 
 def enhance(
     diff: Volume,
     smooth: Volume,
     weight: DepthWeight,
+    sign: int = 1,
     clamp_negative: bool = True,
     select: np.ndarray | None = None,
-    normalize_output: bool = True,
 ) -> Volume:
     """Fuse a derivative volume and a smoothed volume into a boundary score.
 
-    Each input is min-max rescaled (the derivative after optional clamping
-    of negative responses), summed, multiplied by the depth weight along z,
-    and by default rescaled once more so scores live in [0, 1].  When a
-    boolean ``select`` mask is given, all rescale extrema are taken over the
-    selected voxels only, so excluded regions cannot distort the scaling.
+    Each input is min-max rescaled (the derivative after multiplying by
+    ``sign``, -1 for a bright-below boundary, and clamping negative
+    responses if asked), summed, weighted by depth along z, and rescaled
+    once more so scores live in [0, 1].  A boolean ``select`` mask restricts
+    all rescale extrema to the selected voxels, so excluded regions cannot
+    distort the scaling.  The work is done in place on two fresh arrays.
 
     A flat field at any rescale step triggers DegenerateNormalizationWarning;
     if both inputs are flat the result is identically zero.
@@ -98,24 +98,19 @@ def enhance(
         raise ValueError(f"depth weight built for nz={weight.nz}, volume has nz={diff.nz}")
     if select is not None and select.shape != diff.dims:
         raise ValueError(f"select mask shape {select.shape} != volume dims {diff.dims}")
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
 
-    d = np.maximum(diff.data, 0) if clamp_negative else diff.data
-    d_scaled, d_flat = unit_scale(d, select)
-    s_scaled, s_flat = unit_scale(smooth.data, select)
-    for flat, label in ((d_flat, "derivative"), (s_flat, "smoothed")):
-        if flat:
-            warnings.warn(
-                f"{label} volume is flat over the search region; its contribution is zero",
-                DegenerateNormalizationWarning,
-                stacklevel=2,
-            )
-    combined = weight.weights()[None, None, :] * (d_scaled + s_scaled)
-    if normalize_output:
-        combined, out_flat = unit_scale(combined, select)
-        if out_flat:
-            warnings.warn(
-                "enhanced volume is flat over the search region",
-                DegenerateNormalizationWarning,
-                stacklevel=2,
-            )
-    return Volume(combined, diff.spacing)
+    score = sign * diff.data
+    if clamp_negative:
+        np.maximum(score, 0, out=score)
+    smoothed = smooth.data.copy()
+    flat = [unit_scale(score, select), unit_scale(smoothed, select)]
+    score += smoothed
+    del smoothed
+    score *= weight.weights()[None, None, :]
+    flat.append(unit_scale(score, select))
+    for is_flat, message in zip(flat, _FLAT_MESSAGES):
+        if is_flat:
+            warnings.warn(message, DegenerateNormalizationWarning, stacklevel=2)
+    return Volume(score, diff.spacing)

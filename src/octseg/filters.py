@@ -2,10 +2,10 @@
 
 All filters run in correlation orientation (no kernel flip) and replicate
 edge samples at the borders, so a flat region produces no spurious response
-near the volume faces.  ``convolve_separable`` is the fast path used by the
-pipeline; ``convolve_direct`` applies a dense kernel by explicit summation
-over taps and exists as an independent reference for cross-checking the
-separable implementation.
+near the volume faces.  ``convolve_separable`` is the fast path, which the
+pipeline calls through a ``FilterBank`` that keeps each field it computes;
+``convolve_direct`` sums a dense kernel over its taps and exists as an
+independent reference for cross-checking the separable implementation.
 """
 
 from __future__ import annotations
@@ -62,16 +62,14 @@ class Kernel3D:
         object.__setattr__(self, "coeffs", c)
 
 
-def make_derivative_kernel(
-    half_width: int, polarity: str = "bright_above", lateral: int = 3
-) -> SeparableKernel:
+def make_derivative_kernel(half_width: int, lateral: int = 3) -> SeparableKernel:
     """Depth edge detector: difference of means above and below each voxel.
 
     The depth taps put +1/m on the m samples above (shallower than) the
     center, 0 at the center, and -1/m on the m samples below, so the
-    response is positive where intensity drops with depth ("bright_above").
-    "bright_below" negates the taps.  Laterally the response is averaged
-    over an odd ``lateral`` x ``lateral`` window.
+    response is positive where intensity drops with depth; a boundary that
+    is bright below negates the response.  Laterally the response is
+    averaged over an odd ``lateral`` x ``lateral`` window.
     """
     m = int(half_width)
     if m < 1:
@@ -82,10 +80,6 @@ def make_derivative_kernel(
     kz = np.zeros(2 * m + 1, dtype=np.float64)
     kz[:m] = 1.0 / m
     kz[m + 1 :] = -1.0 / m
-    if polarity == "bright_below":
-        kz = -kz
-    elif polarity != "bright_above":
-        raise ValueError(f"polarity must be 'bright_above' or 'bright_below', got {polarity!r}")
     lat = np.full(lateral, 1.0 / lateral, dtype=np.float64)
     return SeparableKernel(kx=lat, ky=lat, kz=kz)
 
@@ -121,8 +115,6 @@ def _correlate_axis(arr: np.ndarray, taps: np.ndarray, axis: int, threads: int) 
     neighborhood (and the same arithmetic) as the unsplit call.  Results are
     therefore bitwise identical for any thread count.
     """
-    if taps.size == 1:
-        return arr * arr.dtype.type(taps[0])
     hw = taps.size // 2
     parts = 1
     if threads > 1:
@@ -145,35 +137,60 @@ def _correlate_axis(arr: np.ndarray, taps: np.ndarray, axis: int, threads: int) 
     return out
 
 
-def convolve_separable(
-    volume: Volume, kernel: SeparableKernel, border: str = "replicate", threads: int = 1
-) -> Volume:
+def convolve_separable(volume: Volume, kernel: SeparableKernel, threads: int = 1) -> Volume:
     """Filter a volume with an outer-product kernel, one axis at a time.
 
+    Passes run along z, x, then y, skipping an axis whose taps are [1.0].
     Output dtype follows the input dtype.  A kernel longer than the volume
     along any axis is rejected.
     """
-    if border != "replicate":
-        raise ValueError(f"unsupported border mode {border!r}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    _check_extents(
-        (kernel.kx.size, kernel.ky.size, kernel.kz.size), volume.dims
-    )
+    _check_extents((kernel.kx.size, kernel.ky.size, kernel.kz.size), volume.dims)
     out = volume.data
     for axis, taps in ((2, kernel.kz), (0, kernel.kx), (1, kernel.ky)):
-        out = _correlate_axis(out, taps, axis, threads)
-    return Volume(out, volume.spacing)
+        if taps.tolist() != [1.0]:
+            out = _correlate_axis(out, taps, axis, threads)
+    return Volume(out.copy() if out is volume.data else out, volume.spacing)
 
 
-def convolve_direct(volume: Volume, kernel: Kernel3D, border: str = "replicate") -> Volume:
+class FilterBank:
+    """The filtered fields of one volume, each computed on first use and kept.
+
+    Every field is bitwise equal to ``convolve_separable`` with the matching
+    kernel; derivatives of one half-width share their depth pass.  Fields
+    are shared between callers, so their arrays are made read-only.
+    """
+
+    def __init__(self, volume: Volume, threads: int = 1):
+        self.volume = volume
+        self.threads = threads
+        self._fields: dict[tuple, Volume] = {}
+
+    def _field(self, key: tuple, source: Volume, kx, ky, kz) -> Volume:
+        if key not in self._fields:
+            field = convolve_separable(source, SeparableKernel(kx, ky, kz), self.threads)
+            field.data.flags.writeable = False
+            self._fields[key] = field
+        return self._fields[key]
+
+    def smoothing(self, radius: int) -> Volume:
+        k = make_smoothing_kernel(radius)
+        return self._field(("smoothing", radius), self.volume, k.kx, k.ky, k.kz)
+
+    def derivative(self, half_width: int, lateral: int) -> Volume:
+        """Bright-above depth derivative, averaged over a lateral box."""
+        k = make_derivative_kernel(half_width, lateral)
+        depth = self._field(("depth", half_width), self.volume, [1.0], [1.0], k.kz)
+        return self._field(("derivative", half_width, lateral), depth, k.kx, k.ky, [1.0])
+
+
+def convolve_direct(volume: Volume, kernel: Kernel3D) -> Volume:
     """Reference dense correlation: pad with edge replication, sum over taps.
 
     Accumulates in float64 regardless of input dtype, then casts back.
     Intended for small volumes; cost grows with kernel volume.
     """
-    if border != "replicate":
-        raise ValueError(f"unsupported border mode {border!r}")
     c = kernel.coeffs
     _check_extents(c.shape, volume.dims)
     hx, hy, hz = (s // 2 for s in c.shape)

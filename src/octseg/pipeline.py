@@ -3,12 +3,14 @@
 One boundary is found in one sweep: depth-derivative filtering, box
 smoothing, depth-weighted fusion, then a per-column argmax inside the
 current search window.  There is no iterative refinement of candidates;
-each enhanced volume is built once and read once.  The cascade runs RPE
-first on the whole volume, then removes the RPE and everything below it
-from the search window (with a safety margin) before finding IS/OS, and
-repeats that truncation above IS/OS before finding ILM.  A final
-projection step restores the anatomical depth ordering in any column
-where the three estimates disagree.
+each enhanced volume is built once and read once.  One ``FilterBank`` per
+volume computes each distinct field once; polarity is the sign ``enhance``
+gives the bank's bright-above derivative, so ILM reuses RPE's.  The
+cascade runs RPE first on the whole volume, then removes the RPE and
+everything below it from the search window (with a safety margin) before
+finding IS/OS, and repeats that truncation above IS/OS before finding ILM.
+A final projection step restores the anatomical depth ordering in any
+column where the three estimates disagree.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .enhance import DepthWeight, enhance
-from .filters import convolve_separable, make_derivative_kernel, make_smoothing_kernel
+from .filters import FilterBank
 from .surfaces import (
     SearchMask,
     Surface,
@@ -212,9 +214,11 @@ def segment_boundary(
     profile: BoundaryProfile,
     mask: SearchMask | None = None,
     threads: int = 1,
+    bank: FilterBank | None = None,
 ) -> BoundaryResult:
     """Locate one boundary surface in a single enhance-and-extract pass.
 
+    Fields come from ``bank``, which must hold ``volume`` (None builds one).
     Returns a total surface (every column carries a depth) plus a report
     with per-stage wall times and counters.  A flat enhanced volume (e.g.
     from constant input) is flagged degenerate rather than raised; any
@@ -222,6 +226,8 @@ def segment_boundary(
     """
     t0 = time.perf_counter()
     nx, ny, nz = volume.dims
+    if bank is None:
+        bank = FilterBank(volume, threads)
     if mask is None:
         mask = SearchMask.full(nx, ny, nz)
     report = BoundaryReport(name=profile.name)
@@ -239,20 +245,16 @@ def segment_boundary(
         report.stage_s[stage] = time.perf_counter() - t
         return out
 
-    deriv_kernel = make_derivative_kernel(
-        profile.derivative_half_width, profile.polarity, profile.lateral_width
-    )
-    smooth_kernel = make_smoothing_kernel(profile.smoothing_radius)
     weight = DepthWeight(profile.weight_direction, nz)
     select = None if mask.is_full else mask.as_bool()
 
-    deriv = run("derivative", lambda: convolve_separable(volume, deriv_kernel, threads=threads))
-    smooth = run("smoothing", lambda: convolve_separable(volume, smooth_kernel, threads=threads))
+    half_width, lateral = profile.derivative_half_width, profile.lateral_width
+    sign = 1 if profile.polarity == "bright_above" else -1
+    deriv = run("derivative", lambda: bank.derivative(half_width, lateral))
+    smooth = run("smoothing", lambda: bank.smoothing(profile.smoothing_radius))
     enhanced = run(
         "enhance",
-        lambda: enhance(
-            deriv, smooth, weight, clamp_negative=profile.clamp_negative, select=select
-        ),
+        lambda: enhance(deriv, smooth, weight, sign, profile.clamp_negative, select),
     )
     report.enhance_passes += 1
     report.degenerate = not bool(enhanced.data.any())
@@ -324,30 +326,28 @@ def segment_retina(
     the previously found surface minus its truncation margin, which removes
     the strong already-found step from the candidate set.  Truncation is
     skipped after a degenerate (flat) result since the surface carries no
-    information.  Returns surfaces keyed "ilm", "isos", "rpe" (depth order
-    restored in every column) and per-boundary reports in execution order.
+    information.  All three draw on one filter bank.  Returns surfaces keyed
+    "ilm", "isos", "rpe" (depth order restored in every column) and
+    per-boundary reports in execution order.
     """
     t0 = time.perf_counter()
     if config is None:
         config = PipelineConfig.default()
     nx, ny, nz = volume.dims
     full = SearchMask.full(nx, ny, nz)
+    bank = FilterBank(volume, threads)
 
-    rpe_res = segment_boundary(volume, config.rpe, full, threads)
+    rpe_res = segment_boundary(volume, config.rpe, full, bank=bank)
     if rpe_res.report.degenerate:
         isos_mask = full
     else:
-        isos_mask = truncate_above_surface(
-            full, rpe_res.surface, config.isos.truncation_margin, "keep_above"
-        )
-    isos_res = segment_boundary(volume, config.isos, isos_mask, threads)
+        isos_mask = truncate_above_surface(full, rpe_res.surface, config.isos.truncation_margin)
+    isos_res = segment_boundary(volume, config.isos, isos_mask, bank=bank)
     if isos_res.report.degenerate:
         ilm_mask = isos_mask
     else:
-        ilm_mask = truncate_above_surface(
-            full, isos_res.surface, config.ilm.truncation_margin, "keep_above"
-        )
-    ilm_res = segment_boundary(volume, config.ilm, ilm_mask, threads)
+        ilm_mask = truncate_above_surface(full, isos_res.surface, config.ilm.truncation_margin)
+    ilm_res = segment_boundary(volume, config.ilm, ilm_mask, bank=bank)
 
     ilm_s, isos_s, rpe_s, n_fixed = enforce_ordering(
         ilm_res.surface, isos_res.surface, rpe_res.surface

@@ -204,15 +204,12 @@ def inpaint_and_smooth(
     return Surface(z=z, valid=np.ones_like(surface.valid))
 
 
-def truncate_above_surface(
-    mask: SearchMask, surface: Surface, margin: int, side: str = "keep_above"
-) -> SearchMask:
-    """Narrow a search mask using an already-extracted reference surface.
+def truncate_above_surface(mask: SearchMask, surface: Surface, margin: int) -> SearchMask:
+    """Narrow a search mask to the part above an already-extracted surface.
 
-    "keep_above" caps each column at round(z) - margin (exclusive), removing
-    the reference boundary and everything below it; "keep_below" raises the
-    floor to round(z) + margin.  The window only ever narrows.  The
-    reference surface must be total (all cells valid).
+    Each column is capped at round(z) - margin (exclusive), removing the
+    reference boundary and everything below it.  The window only ever
+    narrows.  The reference surface must be total (all cells valid).
     """
     if not surface.valid.all():
         raise ValueError("reference surface must be fully valid")
@@ -223,18 +220,8 @@ def truncate_above_surface(
     margin = int(margin)
     if margin < 0:
         raise ValueError(f"margin must be >= 0, got {margin}")
-    zr = np.rint(surface.z).astype(np.int64)
-    if side == "keep_above":
-        cap = np.clip(zr - margin, 0, mask.nz).astype(np.int32)
-        return SearchMask(
-            k_lo=mask.k_lo.copy(), k_hi=np.minimum(mask.k_hi, cap), nz=mask.nz
-        )
-    if side == "keep_below":
-        floor = np.clip(zr + margin, 0, mask.nz).astype(np.int32)
-        return SearchMask(
-            k_lo=np.maximum(mask.k_lo, floor), k_hi=mask.k_hi.copy(), nz=mask.nz
-        )
-    raise ValueError(f"side must be 'keep_above' or 'keep_below', got {side!r}")
+    cap = np.clip(np.rint(surface.z).astype(np.int64) - margin, 0, mask.nz).astype(np.int32)
+    return SearchMask(k_lo=mask.k_lo.copy(), k_hi=np.minimum(mask.k_hi, cap), nz=mask.nz)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from octseg.enhance import (
     DegenerateNormalizationWarning,
     DepthWeight,
-    depth_weight,
     enhance,
     unit_scale,
 )
@@ -17,14 +16,14 @@ from octseg.volume import Volume
 
 class TestDepthWeight:
     def test_favor_deep_endpoints(self):
-        w = DepthWeight("favor_deep", 480)
-        assert depth_weight(0, w) == 1.0
-        assert depth_weight(479, w) == 480.0
+        w = DepthWeight("favor_deep", 480).weights()
+        assert w[0] == 1.0
+        assert w[479] == 480.0
 
     def test_favor_shallow_endpoints(self):
-        w = DepthWeight("favor_shallow", 480)
-        assert depth_weight(0, w) == 480.0
-        assert depth_weight(479, w) == 1.0
+        w = DepthWeight("favor_shallow", 480).weights()
+        assert w[0] == 480.0
+        assert w[479] == 1.0
 
     def test_weights_always_positive(self):
         for direction in ("favor_deep", "favor_shallow"):
@@ -33,11 +32,11 @@ class TestDepthWeight:
             assert w.shape == (33,)
 
     def test_out_of_range_index_rejected(self):
-        w = DepthWeight("favor_deep", 10)
-        with pytest.raises(ValueError):
-            depth_weight(10, w)
-        with pytest.raises(ValueError):
-            depth_weight(-1, w)
+        # one weight per depth plane: index nz is past the last one
+        w = DepthWeight("favor_deep", 10).weights()
+        assert w.shape == (10,)
+        with pytest.raises(IndexError):
+            w[10]
 
     def test_bad_direction_rejected(self):
         with pytest.raises(ValueError):
@@ -53,22 +52,20 @@ class TestDepthWeight:
 class TestUnitScale:
     def test_maps_to_unit_interval(self):
         arr = np.array([3.0, 5.0, 7.0])
-        out, flat = unit_scale(arr)
-        assert not flat
-        assert np.allclose(out, [0.0, 0.5, 1.0])
+        assert not unit_scale(arr)
+        assert np.allclose(arr, [0.0, 0.5, 1.0])
 
     def test_flat_input_flagged(self):
-        out, flat = unit_scale(np.full((2, 2), 4.0))
-        assert flat
-        assert np.array_equal(out, np.zeros((2, 2)))
+        arr = np.full((2, 2), 4.0)
+        assert unit_scale(arr)
+        assert np.array_equal(arr, np.zeros((2, 2)))
 
     def test_selection_controls_extrema(self):
         arr = np.array([0.0, 10.0, 100.0])
         sel = np.array([True, True, False])
-        out, flat = unit_scale(arr, sel)
-        assert not flat
-        assert out[1] == 1.0  # max over selection, not over everything
-        assert out[2] == 10.0  # outside selection values may exceed 1
+        assert not unit_scale(arr, sel)
+        assert arr[1] == 1.0  # max over selection, not over everything
+        assert arr[2] == 10.0  # outside selection values may exceed 1
 
 
 class TestEnhance:
@@ -86,14 +83,15 @@ class TestEnhance:
     def test_weighted_sum_value(self):
         d, s = self._volumes(d_at=0.2, s_at=0.1, at=2)
         w = DepthWeight("favor_deep", 5)
-        out = enhance(d, s, w, normalize_output=False)
-        assert np.isclose(out.data[1, 1, 2], 3.0 * 0.3, atol=1e-6)
+        out = enhance(d, s, w)
+        # raw score 3 * (0.2 + 0.1) over the raw maximum 1 * (1 + 1) at (0, 0, 0)
+        assert np.isclose(out.data[1, 1, 2], 3.0 * 0.3 / 2.0, atol=1e-6)
 
     def test_plane_zero_not_erased(self):
         d, s = self._volumes()
         w = DepthWeight("favor_deep", 5)
-        out = enhance(d, s, w, normalize_output=False)
-        assert out.data[0, 0, 0] == pytest.approx(2.0, abs=1e-6)  # w(0)=1, D+S=2
+        out = enhance(d, s, w)
+        assert out.data[0, 0, 0] == 1.0  # w(0)=1, D+S=2 is the maximum
 
     def test_equal_peaks_resolved_by_weight(self):
         # two columns with identical fused peaks at different depths: the
@@ -104,11 +102,9 @@ class TestEnhance:
         s[0, 0, 0] = 1e-9  # keep the smoothed field non-flat
         d[0, 0, 10] = 1.0
         d[1, 0, 40] = 1.0
-        out_deep = enhance(Volume(d), Volume(s.copy()), DepthWeight("favor_deep", nz),
-                           normalize_output=False)
+        out_deep = enhance(Volume(d), Volume(s.copy()), DepthWeight("favor_deep", nz))
         assert out_deep.data[1, 0, 40] > out_deep.data[0, 0, 10]
-        out_shallow = enhance(Volume(d), Volume(s.copy()), DepthWeight("favor_shallow", nz),
-                              normalize_output=False)
+        out_shallow = enhance(Volume(d), Volume(s.copy()), DepthWeight("favor_shallow", nz))
         assert out_shallow.data[0, 0, 10] > out_shallow.data[1, 0, 40]
 
     def test_output_normalized_range(self):
@@ -127,11 +123,11 @@ class TestEnhance:
         s = np.zeros((1, 1, 4))
         s[0, 0, 3] = 1.0
         out = enhance(Volume(d), Volume(s), DepthWeight("favor_deep", 4),
-                      clamp_negative=True, normalize_output=False)
+                      clamp_negative=True)
         # with clamping the -5 cell contributes nothing
         assert out.data[0, 0, 1] == 0.0
         out2 = enhance(Volume(d), Volume(s), DepthWeight("favor_deep", 4),
-                       clamp_negative=False, normalize_output=False)
+                       clamp_negative=False)
         assert out2.data[0, 0, 1] == 0.0  # after min-max it becomes the floor
         # without clamping the zero background sits above the floor and
         # picks up weight; with clamping it stays at exactly zero
@@ -154,6 +150,11 @@ class TestEnhance:
         with pytest.raises(ValueError):
             enhance(Volume(np.zeros((2, 2, 3))), Volume(np.zeros((2, 2, 3))),
                     DepthWeight("favor_deep", 5))
+
+    def test_bad_sign_rejected(self):
+        with pytest.raises(ValueError):
+            enhance(Volume(np.zeros((2, 2, 3))), Volume(np.zeros((2, 2, 3))),
+                    DepthWeight("favor_deep", 3), sign=0)
 
     @given(st.integers(0, 2**31 - 1), st.integers(-5, 5))
     @settings(max_examples=25, deadline=None)

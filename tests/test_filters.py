@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from octseg.enhance import DepthWeight, enhance
 from octseg.filters import (
+    FilterBank,
     Kernel3D,
     SeparableKernel,
     convolve_direct,
@@ -27,22 +29,24 @@ def random_odd(rng, lo, hi):
 
 class TestKernels:
     def test_derivative_taps_m1(self):
-        k = make_derivative_kernel(1, "bright_above", lateral=1)
+        k = make_derivative_kernel(1, lateral=1)
         assert np.array_equal(k.kz, [1.0, 0.0, -1.0])
         assert np.array_equal(k.kx, [1.0])
 
     def test_derivative_taps_m2_bright_below(self):
-        k = make_derivative_kernel(2, "bright_below", lateral=3)
-        assert np.array_equal(k.kz, [-0.5, -0.5, 0.0, 0.5, 0.5])
+        # a bright-below boundary uses the same bright-above taps; its sign
+        # is applied to the response, not to the kernel
+        k = make_derivative_kernel(2, lateral=3)
+        assert np.array_equal(k.kz, [0.5, 0.5, 0.0, -0.5, -0.5])
         assert np.allclose(k.kx, [1 / 3, 1 / 3, 1 / 3])
 
     def test_derivative_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            make_derivative_kernel(0, "bright_above")
+            make_derivative_kernel(0)
         with pytest.raises(ValueError):
-            make_derivative_kernel(2, "bright_above", lateral=4)
+            make_derivative_kernel(2, lateral=4)
         with pytest.raises(ValueError):
-            make_derivative_kernel(2, "sideways")
+            make_derivative_kernel(2, lateral=0)
 
     def test_smoothing_taps(self):
         k = make_smoothing_kernel(1)
@@ -72,7 +76,7 @@ class TestSeparable:
     def test_zero_sum_depth_taps_on_constant(self):
         v = Volume(np.full((6, 6, 12), 0.7, dtype=np.float32))
         for m in (1, 3):
-            k = make_derivative_kernel(m, "bright_above", lateral=3)
+            k = make_derivative_kernel(m, lateral=3)
             out = convolve_separable(v, k)
             assert np.abs(out.data).max() <= 1e-6
 
@@ -95,11 +99,6 @@ class TestSeparable:
         with pytest.raises(ValueError):
             convolve_separable(v, make_smoothing_kernel(2))  # extent 5 > 3
 
-    def test_unsupported_border_rejected(self):
-        v = Volume(np.zeros((3, 3, 3)))
-        with pytest.raises(ValueError):
-            convolve_separable(v, make_smoothing_kernel(1), border="wrap")
-
     def test_replicated_border_no_fade(self):
         # smoothing a constant must stay constant right up to the faces
         v = Volume(np.full((4, 4, 8), 1.0))
@@ -113,7 +112,7 @@ class TestSeparable:
         a, b = float(2.0**pa), float(2.0**pb)
         u = rng.random((4, 5, 7))
         w = rng.random((4, 5, 7))
-        k = make_derivative_kernel(2, "bright_above", lateral=3)
+        k = make_derivative_kernel(2, lateral=3)
         lhs = convolve_separable(Volume(a * u + b * w), k).data
         rhs = a * convolve_separable(Volume(u), k).data + b * convolve_separable(Volume(w), k).data
         assert np.allclose(lhs, rhs, atol=1e-6 * max(a + b, 1.0))
@@ -121,7 +120,7 @@ class TestSeparable:
     def test_threaded_matches_serial_bitwise(self):
         rng = np.random.default_rng(4)
         v = random_volume(rng, (32, 7, 20), np.float32)
-        for kernel in (make_smoothing_kernel(2), make_derivative_kernel(3, "bright_above")):
+        for kernel in (make_smoothing_kernel(2), make_derivative_kernel(3)):
             ref = convolve_separable(v, kernel, threads=1)
             for threads in (2, 3, 8):
                 out = convolve_separable(v, kernel, threads=threads)
@@ -170,8 +169,8 @@ class TestSeparableAgainstDirect:
         rng = np.random.default_rng(6)
         v = random_volume(rng, (10, 9, 16))
         for kernel in (
-            make_derivative_kernel(3, "bright_above", lateral=3),
-            make_derivative_kernel(2, "bright_below", lateral=5),
+            make_derivative_kernel(3, lateral=3),
+            make_derivative_kernel(2, lateral=5),
             make_smoothing_kernel(2),
         ):
             fast = convolve_separable(v, kernel)
@@ -190,24 +189,58 @@ class TestStepResponse:
         # attain its maximum at the first dark voxel (tied with k=49, where
         # the same windows apply)
         v = self._step_volume()
-        k = make_derivative_kernel(5, "bright_above", lateral=3)
+        k = make_derivative_kernel(5, lateral=3)
         r = convolve_separable(v, k).data[2, 1]
         assert r[50] == r.max()
         assert r[49] == r[50]
         assert set(np.flatnonzero(r == r.max())) <= {49, 50}
 
     def test_bright_below_is_negated(self):
-        v = self._step_volume()
-        ka = make_derivative_kernel(4, "bright_above", lateral=1)
-        kb = make_derivative_kernel(4, "bright_below", lateral=1)
-        ra = convolve_separable(v, ka).data
-        rb = convolve_separable(v, kb).data
-        assert np.allclose(ra, -rb, atol=1e-12)
+        # enhancing with sign -1 is enhancing the negated derivative
+        rng = np.random.default_rng(7)
+        v = Volume(rng.random((6, 5, 40)).astype(np.float32))
+        bank = FilterBank(v)
+        deriv, smooth = bank.derivative(4, 3), bank.smoothing(2)
+        w = DepthWeight("favor_shallow", 40)
+        negated = Volume(-deriv.data)
+        assert np.array_equal(
+            enhance(deriv, smooth, w, sign=-1).data, enhance(negated, smooth, w).data
+        )
+        with pytest.raises(ValueError):
+            deriv.data[0, 0, 0] = 0.0  # shared fields are read-only
 
     def test_rising_step_drives_bright_below(self):
         data = np.zeros((3, 3, 60))
         data[:, :, 30:] = 1.0  # dark above, bright below
-        k = make_derivative_kernel(5, "bright_below", lateral=3)
+        k = make_derivative_kernel(5, lateral=3)
         r = convolve_separable(Volume(data), k).data[1, 1]
-        assert r[30] == r.max()
-        assert r.max() > 0
+        # the bright-above taps respond negatively; sign -1 makes it a peak
+        assert r[30] == r.min()
+        assert r.min() < 0
+
+
+class TestFilterBank:
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=30, deadline=None)
+    def test_fields_bitwise_equal_convolve_separable(self, seed, dtype):
+        rng = np.random.default_rng(seed)
+        dims = (int(rng.integers(4, 12)), int(rng.integers(3, 8)), int(rng.integers(5, 20)))
+        v = random_volume(rng, dims, dtype)
+        radius = int(rng.integers(0, (min(dims) - 1) // 2 + 1))
+        half_width = int(rng.integers(1, (dims[2] - 1) // 2 + 1))
+        laterals = [2 * int(rng.integers(0, (min(dims[:2]) + 1) // 2)) + 1 for _ in range(2)]
+        for threads in (1, 2):
+            bank = FilterBank(v, threads)
+            ref = convolve_separable(v, make_smoothing_kernel(radius), threads=threads)
+            assert np.array_equal(bank.smoothing(radius).data, ref.data)
+            for lateral in laterals:
+                k = make_derivative_kernel(half_width, lateral)
+                ref = convolve_separable(v, k, threads=threads)
+                assert np.array_equal(bank.derivative(half_width, lateral).data, ref.data)
+
+    def test_each_field_computed_once(self):
+        v = random_volume(np.random.default_rng(8), (8, 6, 24), np.float32)
+        bank = FilterBank(v)
+        assert bank.smoothing(2) is bank.smoothing(2)
+        assert bank.derivative(3, 3) is bank.derivative(3, 3)
+        assert bank.derivative(3, 3) is not bank.derivative(3, 5)

@@ -5,7 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from octseg import filters
 from octseg.enhance import DegenerateNormalizationWarning
+from octseg.filters import FilterBank
 from octseg.phantom import PhantomSpec, generate_phantom, surface_error
 from octseg.pipeline import (
     BoundaryProfile,
@@ -92,6 +94,20 @@ class TestSegmentBoundary:
         b = segment_boundary(vol, BRIGHT_ABOVE).surface.z
         assert np.array_equal(a, b)
 
+    def test_shared_bank_matches_one_off_bank(self):
+        vol, _ = two_layer_volume()
+        bank = FilterBank(vol)
+        below = dataclasses.replace(BRIGHT_ABOVE, polarity="bright_below")
+        for profile in (BRIGHT_ABOVE, below):
+            shared = segment_boundary(vol, profile, bank=bank).surface.z
+            assert np.array_equal(shared, segment_boundary(vol, profile).surface.z)
+
+    def test_filter_failure_names_boundary_and_stage(self):
+        vol, _ = two_layer_volume(nx=8, ny=6, nz=64)
+        wide = dataclasses.replace(BRIGHT_ABOVE, smoothing_radius=4)  # 9 > ny
+        with pytest.raises(PipelineError, match="step.*'smoothing'"):
+            segment_boundary(vol, wide, bank=FilterBank(vol))
+
 
 class TestCascade:
     def test_noiseless_phantom_all_boundaries(self):
@@ -139,6 +155,25 @@ class TestCascade:
         b = segment_retina(vol, threads=4)
         for key in ("ilm", "isos", "rpe"):
             assert np.array_equal(a.surfaces[key].z, b.surfaces[key].z)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_default_config_makes_eight_axis_passes(self, monkeypatch, threads):
+        # one shared smoothing (3 passes), one depth pass, and lateral x/y
+        # passes for widths 3 (RPE, ILM) and 9 (IS/OS)
+        calls = []
+        correlate = filters._correlate_axis
+
+        def counted(arr, taps, axis, threads):
+            calls.append(axis)
+            return correlate(arr, taps, axis, threads)
+
+        monkeypatch.setattr(filters, "_correlate_axis", counted)
+        vol, _ = generate_phantom(PhantomSpec.default(dims=(48, 12, 96)))
+        res = segment_retina(vol, threads=threads)
+        assert len(calls) == 8
+        assert sorted(calls) == [0, 0, 0, 1, 1, 1, 2, 2]
+        for r in res.reports:
+            assert r.enhance_passes == r.argmax_passes == 1
 
     def test_degenerate_cascade_returns_flagged_result(self):
         vol = Volume(np.full((24, 12, 40), 0.25, dtype=np.float32))

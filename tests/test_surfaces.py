@@ -179,7 +179,7 @@ class TestTruncate:
     def test_keep_above_excludes_reference_minus_margin(self):
         mask = SearchMask.full(1, 1, 480)
         ref = Surface.full(np.array([[200.0]]))
-        out = truncate_above_surface(mask, ref, margin=3, side="keep_above")
+        out = truncate_above_surface(mask, ref, margin=3)
         assert out.k_hi[0, 0] == 197
         assert out.k_lo[0, 0] == 0
 
@@ -191,17 +191,10 @@ class TestTruncate:
         s = argmax_per_ascan(v, mask)
         assert s.z[0, 0] != 2.0  # the reference depth itself is out of range
 
-    def test_keep_below_raises_floor(self):
-        mask = SearchMask.full(1, 1, 100)
-        ref = Surface.full(np.array([[40.0]]))
-        out = truncate_above_surface(mask, ref, margin=5, side="keep_below")
-        assert out.k_lo[0, 0] == 45
-        assert out.k_hi[0, 0] == 100
-
     def test_never_widens(self):
         mask = SearchMask(k_lo=np.array([[10]]), k_hi=np.array([[20]]), nz=100)
         ref = Surface.full(np.array([[90.0]]))
-        out = truncate_above_surface(mask, ref, margin=1, side="keep_above")
+        out = truncate_above_surface(mask, ref, margin=1)
         assert out.k_hi[0, 0] == 20  # cap above the window leaves it alone
         assert out.k_lo[0, 0] == 10
 
