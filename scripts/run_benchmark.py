@@ -1,10 +1,12 @@
 """Time the full three-boundary segmentation on a synthetic volume.
 
 Generates a speckled phantom at clinical scan dimensions, runs the
-cascade, and prints a per-stage timing table from the run reports.
+cascade, and prints a per-stage timing table from the run reports and the
+process's peak resident set size.
 """
 
 import argparse
+import resource
 import time
 
 from octseg.phantom import PhantomSpec, generate_phantom, surface_error
@@ -62,6 +64,9 @@ def main():
     print(f"{'boundary total':<16}{cells}")
     print(f"\npipeline total {best.total_wall_s:.3f}s, "
           f"ordering fixed {best.ordering_fixed_columns} columns")
+    # ru_maxrss is in KiB on Linux; it covers phantom generation too
+    peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"peak RSS {peak_mib:.1f} MiB (ru_maxrss, phantom generation included)")
 
     print("\naccuracy vs ground truth (voxels):")
     for key in ("ilm", "isos", "rpe"):

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .filters import _map_slabs, _slab_bounds
+from .surfaces import SearchMask
 from .volume import Volume
 
 
@@ -55,21 +57,46 @@ class DepthWeight:
         return np.float32(self.nz) - k
 
 
-def unit_scale(values: np.ndarray, select: np.ndarray | None = None) -> bool:
-    """Min-max rescale an array in place using extrema over ``select`` (or all).
+def _window_index(k_lo: np.ndarray, k_hi: np.ndarray, depth: int) -> np.ndarray | None:
+    """``reduceat`` indexes of the non-empty windows of a block of columns.
 
-    Returns the degenerate flag: a flat field has no contrast to rescale, so
-    it is zeroed and True is returned.
+    The block is read flat with ``depth`` samples per column; window c is
+    reduced at even position 2c of the result.  None means every window is
+    the whole column, so a plain reduction does.
     """
-    ref = values if select is None else values[select]
-    lo = ref.min()
-    hi = ref.max()
-    if not hi > lo:
+    if (k_lo == 0).all() and (k_hi == depth).all():
+        return None
+    base = np.arange(k_lo.size, dtype=np.intp).reshape(k_lo.shape) * depth
+    keep = k_lo < k_hi
+    idx = np.stack([(base + k_lo)[keep], (base + k_hi)[keep]], axis=-1).ravel()
+    # the end of a window at the end of the block is implied
+    return idx[:-1] if idx.size and idx[-1] == k_lo.size * depth else idx
+
+
+def _extrema(values: np.ndarray, idx: np.ndarray | None):
+    """(min, max) of a contiguous block over the windows of ``idx``, or None
+    when it has no window."""
+    flat = values.reshape(-1)
+    if idx is None:
+        return flat.min(), flat.max()
+    if idx.size == 0:
+        return None
+    return np.minimum.reduceat(flat, idx)[::2].min(), np.maximum.reduceat(flat, idx)[::2].max()
+
+
+def _merge(parts) -> tuple:
+    """Overall (min, max) of per-slab extrema, skipping slabs without a window."""
+    found = [p for p in parts if p is not None]
+    return np.min([p[0] for p in found]), np.max([p[1] for p in found])
+
+
+def _rescale(values: np.ndarray, lo, hi) -> None:
+    """Min-max rescale in place with extrema taken elsewhere; a flat range zeroes."""
+    if hi > lo:
+        values -= lo
+        values /= hi - lo
+    else:
         values.fill(0)
-        return True
-    values -= lo
-    values /= hi - lo
-    return False
 
 
 def enhance(
@@ -78,16 +105,23 @@ def enhance(
     weight: DepthWeight,
     sign: int = 1,
     clamp_negative: bool = True,
-    select: np.ndarray | None = None,
+    mask: SearchMask | None = None,
+    threads: int = 1,
 ) -> Volume:
     """Fuse a derivative volume and a smoothed volume into a boundary score.
 
     Each input is min-max rescaled (the derivative after multiplying by
     ``sign``, -1 for a bright-below boundary, and clamping negative
     responses if asked), summed, weighted by depth along z, and rescaled
-    once more so scores live in [0, 1].  A boolean ``select`` mask restricts
-    all rescale extrema to the selected voxels, so excluded regions cannot
-    distort the scaling.  The work is done in place on two fresh arrays.
+    once more so scores live in [0, 1].  All rescale extrema come from the
+    voxels inside ``mask``'s per-column windows (None: the whole volume), so
+    excluded regions cannot distort the scaling.
+
+    Only the depth band [z0, z1) that holds every window is scored
+    (``mask.to_band()``): the result has depth z1 - z0, and scores outside
+    a column's window are not meaningful.  The work runs on x-slabs, on up
+    to ``threads`` threads; each voxel gets the same arithmetic at any
+    thread count.
 
     A flat field at any rescale step triggers DegenerateNormalizationWarning;
     if both inputs are flat the result is identically zero.
@@ -96,21 +130,52 @@ def enhance(
         raise ValueError(f"dims mismatch: {diff.dims} vs {smooth.dims}")
     if weight.nz != diff.nz:
         raise ValueError(f"depth weight built for nz={weight.nz}, volume has nz={diff.nz}")
-    if select is not None and select.shape != diff.dims:
-        raise ValueError(f"select mask shape {select.shape} != volume dims {diff.dims}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be 1 or -1, got {sign!r}")
+    nx, ny, nz = diff.dims
+    if mask is None:
+        mask = SearchMask.full(nx, ny, nz)
+    if mask.nz != nz or mask.k_lo.shape != (nx, ny):
+        raise ValueError(
+            f"mask geometry {mask.k_lo.shape}x{mask.nz} does not match volume {diff.dims}"
+        )
+    z0, band = mask.to_band()
+    z1 = z0 + band.nz
+    slabs = _slab_bounds((nx, ny, band.nz), threads)
 
-    score = sign * diff.data
+    def input_extrema(lo, hi):
+        idx = _window_index(mask.k_lo[lo:hi], mask.k_hi[lo:hi], nz)
+        return _extrema(diff.data[lo:hi], idx), _extrema(smooth.data[lo:hi], idx)
+
+    found = _map_slabs(input_extrema, slabs, threads)
+    # sign and clamp are monotone maps, so they carry the derivative's
+    # extrema over exactly (a negative sign swaps which one is the min)
+    d_range = np.array(_merge(d for d, _ in found)) * sign
     if clamp_negative:
-        np.maximum(score, 0, out=score)
-    smoothed = smooth.data.copy()
-    flat = [unit_scale(score, select), unit_scale(smoothed, select)]
-    score += smoothed
-    del smoothed
-    score *= weight.weights()[None, None, :]
-    flat.append(unit_scale(score, select))
-    for is_flat, message in zip(flat, _FLAT_MESSAGES):
-        if is_flat:
+        np.maximum(d_range, 0, out=d_range)
+    d_lo, d_hi = d_range.min(), d_range.max()
+    s_lo, s_hi = _merge(s for _, s in found)
+
+    score = np.empty((nx, ny, band.nz), dtype=diff.data.dtype)
+    w = weight.weights()[z0:z1]
+
+    def fuse(lo, hi):
+        out = score[lo:hi]
+        np.multiply(diff.data[lo:hi, :, z0:z1], sign, out=out)
+        if clamp_negative:
+            np.maximum(out, 0, out=out)
+        _rescale(out, d_lo, d_hi)
+        smoothed = smooth.data[lo:hi, :, z0:z1].copy()
+        _rescale(smoothed, s_lo, s_hi)
+        out += smoothed
+        out *= w
+        return _extrema(out, _window_index(band.k_lo[lo:hi], band.k_hi[lo:hi], band.nz))
+
+    e_lo, e_hi = _merge(_map_slabs(fuse, slabs, threads))
+    _map_slabs(lambda lo, hi: _rescale(score[lo:hi], e_lo, e_hi), slabs, threads)
+    for flat, message in zip(
+        (not d_hi > d_lo, not s_hi > s_lo, not e_hi > e_lo), _FLAT_MESSAGES
+    ):
+        if flat:
             warnings.warn(message, DegenerateNormalizationWarning, stacklevel=2)
     return Volume(score, diff.spacing)

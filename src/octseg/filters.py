@@ -107,6 +107,31 @@ def _chunk_bounds(n: int, parts: int) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 
+# x-slabs of enhance and extract hold about this many voxels: their scratch
+# arrays stay small next to the volume, yet each numpy call is long enough
+# that a second thread pays off (at 1 << 16 two threads gained nothing)
+_SLAB_VOXELS = 1 << 18
+
+
+def _slab_bounds(dims, threads: int) -> list[tuple[int, int]]:
+    """x-slabs of a (nx, ny, nz) array: at least ``threads`` of them, each
+    near ``_SLAB_VOXELS`` voxels, down to one x index."""
+    nx, ny, nz = dims
+    parts = max(threads, -(-nx * ny * nz // _SLAB_VOXELS))
+    return _chunk_bounds(nx, min(parts, nx))
+
+
+def _map_slabs(fn, bounds: list[tuple[int, int]], threads: int) -> list:
+    """Call ``fn(lo, hi)`` for each slab on up to ``threads`` threads.
+
+    Results come back in slab order, and an exception in any slab is raised.
+    """
+    if threads <= 1 or len(bounds) <= 1:
+        return [fn(lo, hi) for lo, hi in bounds]
+    with ThreadPoolExecutor(max_workers=min(threads, len(bounds))) as pool:
+        return list(pool.map(lambda span: fn(*span), bounds))
+
+
 def _correlate_axis(arr: np.ndarray, taps: np.ndarray, axis: int, threads: int) -> np.ndarray:
     """One replicate-border correlation pass, optionally split into x slabs.
 
@@ -132,8 +157,7 @@ def _correlate_axis(arr: np.ndarray, taps: np.ndarray, axis: int, threads: int) 
         else:
             out[lo:hi] = ndimage.correlate1d(arr[lo:hi], taps, axis=axis, mode="nearest")
 
-    with ThreadPoolExecutor(max_workers=parts) as pool:
-        list(pool.map(lambda span: run(*span), _chunk_bounds(arr.shape[0], parts)))
+    _map_slabs(run, _chunk_bounds(arr.shape[0], parts), parts)
     return out
 
 
@@ -166,6 +190,12 @@ class FilterBank:
         self.volume = volume
         self.threads = threads
         self._fields: dict[tuple, Volume] = {}
+
+    def check_fits(self, half_width: int, lateral: int, radius: int) -> None:
+        """Raise ValueError if a derivative or smoothing kernel of these
+        sizes is longer than the volume along some axis."""
+        for k in (make_derivative_kernel(half_width, lateral), make_smoothing_kernel(radius)):
+            _check_extents((k.kx.size, k.ky.size, k.kz.size), self.volume.dims)
 
     def _field(self, key: tuple, source: Volume, kx, ky, kz) -> Volume:
         if key not in self._fields:

@@ -3,7 +3,8 @@
 One boundary is found in one sweep: depth-derivative filtering, box
 smoothing, depth-weighted fusion, then a per-column argmax inside the
 current search window.  There is no iterative refinement of candidates;
-each enhanced volume is built once and read once.  One ``FilterBank`` per
+each enhanced volume is built once and read once, and it covers only the
+depth band that the search windows span.  One ``FilterBank`` per
 volume computes each distinct field once; polarity is the sign ``enhance``
 gives the bank's bright-above derivative, so ILM reuses RPE's.  The
 cascade runs RPE first on the whole volume, then removes the RPE and
@@ -246,20 +247,27 @@ def segment_boundary(
         return out
 
     weight = DepthWeight(profile.weight_direction, nz)
-    select = None if mask.is_full else mask.as_bool()
-
     half_width, lateral = profile.derivative_half_width, profile.lateral_width
     sign = 1 if profile.polarity == "bright_above" else -1
     deriv = run("derivative", lambda: bank.derivative(half_width, lateral))
     smooth = run("smoothing", lambda: bank.smoothing(profile.smoothing_radius))
     enhanced = run(
         "enhance",
-        lambda: enhance(deriv, smooth, weight, sign, profile.clamp_negative, select),
+        lambda: enhance(
+            deriv, smooth, weight, sign, profile.clamp_negative, mask, threads
+        ),
     )
     report.enhance_passes += 1
     report.degenerate = not bool(enhanced.data.any())
 
-    raw = run("extract", lambda: argmax_per_ascan(enhanced, mask))
+    def extract() -> Surface:
+        # scores cover only the depth band of the windows; shift back to volume depth
+        z0, band = mask.to_band()
+        surface = argmax_per_ascan(enhanced, band, threads)
+        surface.z += z0
+        return surface
+
+    raw = run("extract", extract)
     report.argmax_passes += 1
     kept = run(
         "outlier_reject",
@@ -328,7 +336,8 @@ def segment_retina(
     skipped after a degenerate (flat) result since the surface carries no
     information.  All three draw on one filter bank.  Returns surfaces keyed
     "ilm", "isos", "rpe" (depth order restored in every column) and
-    per-boundary reports in execution order.
+    per-boundary reports in execution order.  A volume smaller than one of
+    the profiles' kernels raises ValueError before any stage runs.
     """
     t0 = time.perf_counter()
     if config is None:
@@ -336,18 +345,23 @@ def segment_retina(
     nx, ny, nz = volume.dims
     full = SearchMask.full(nx, ny, nz)
     bank = FilterBank(volume, threads)
+    for p in (config.rpe, config.isos, config.ilm):
+        try:
+            bank.check_fits(p.derivative_half_width, p.lateral_width, p.smoothing_radius)
+        except ValueError as e:
+            raise ValueError(f"{p.name}: {e}") from None
 
-    rpe_res = segment_boundary(volume, config.rpe, full, bank=bank)
+    rpe_res = segment_boundary(volume, config.rpe, full, threads, bank)
     if rpe_res.report.degenerate:
         isos_mask = full
     else:
         isos_mask = truncate_above_surface(full, rpe_res.surface, config.isos.truncation_margin)
-    isos_res = segment_boundary(volume, config.isos, isos_mask, bank=bank)
+    isos_res = segment_boundary(volume, config.isos, isos_mask, threads, bank)
     if isos_res.report.degenerate:
         ilm_mask = isos_mask
     else:
         ilm_mask = truncate_above_surface(full, isos_res.surface, config.ilm.truncation_margin)
-    ilm_res = segment_boundary(volume, config.ilm, ilm_mask, bank=bank)
+    ilm_res = segment_boundary(volume, config.ilm, ilm_mask, threads, bank)
 
     ilm_s, isos_s, rpe_s, n_fixed = enforce_ordering(
         ilm_res.surface, isos_res.surface, rpe_res.surface

@@ -11,7 +11,6 @@ or a raw little-endian float32 grid with NaN marking invalid cells.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
+from .filters import _map_slabs, _slab_bounds
 from .volume import Volume
 
 
@@ -96,17 +96,32 @@ class SearchMask:
     def column_valid(self) -> np.ndarray:
         return self.k_lo < self.k_hi
 
-    def as_bool(self) -> np.ndarray:
-        """Materialize the mask as a boolean (nx, ny, nz) array."""
-        k = np.arange(self.nz, dtype=np.int32)[None, None, :]
-        return (k >= self.k_lo[:, :, None]) & (k < self.k_hi[:, :, None])
+    def to_band(self) -> tuple[int, "SearchMask"]:
+        """The depth band [z0, z1) that holds every non-empty window.
+
+        Returns z0 and this mask shifted into the band: a mask of depth
+        z1 - z0 whose windows are these minus z0 (empty ones stay empty).
+        """
+        searched = self.column_valid()
+        if not searched.any():
+            raise ValueError("search mask has no non-empty window")
+        z0 = int(self.k_lo[searched].min())
+        depth = int(self.k_hi[searched].max()) - z0
+        return z0, SearchMask(
+            k_lo=np.clip(self.k_lo - z0, 0, depth),
+            k_hi=np.clip(self.k_hi - z0, 0, depth),
+            nz=depth,
+        )
 
 
-def argmax_per_ascan(intensity: Volume, mask: SearchMask | None = None) -> Surface:
+def argmax_per_ascan(
+    intensity: Volume, mask: SearchMask | None = None, threads: int = 1
+) -> Surface:
     """First index of the maximum along depth, per column, within the mask.
 
     Ties resolve to the shallowest tied index.  Columns whose window is
-    empty come back invalid.
+    empty come back invalid.  The search runs on x-slabs, on up to
+    ``threads`` threads.
     """
     nx, ny, nz = intensity.dims
     if mask is None:
@@ -115,12 +130,37 @@ def argmax_per_ascan(intensity: Volume, mask: SearchMask | None = None) -> Surfa
         raise ValueError(
             f"mask geometry {mask.k_lo.shape}x{mask.nz} does not match volume {intensity.dims}"
         )
-    scores = np.where(mask.as_bool(), intensity.data, -np.inf)
-    idx = scores.argmax(axis=2)
+    idx = np.empty((nx, ny), dtype=np.intp)
+    k = np.arange(nz, dtype=np.int32)
+    full = mask.is_full
+
+    def pick(lo: int, hi: int) -> None:
+        scores = intensity.data[lo:hi]
+        if not full:
+            window = (k >= mask.k_lo[lo:hi, :, None]) & (k < mask.k_hi[lo:hi, :, None])
+            scores = np.where(window, scores, -np.inf)
+        idx[lo:hi] = scores.argmax(axis=2)
+
+    _map_slabs(pick, _slab_bounds(intensity.dims, threads), threads)
     valid = mask.column_valid()
     z = idx.astype(np.float64)
     z[~valid] = np.nan
     return Surface(z=z, valid=valid)
+
+
+def _local_median(z: np.ndarray, window: int) -> np.ndarray:
+    """Median of the finite cells in each window x window tile (NaN outside
+    the grid); NaN where a tile has none.  Equals ``np.nanmedian``."""
+    h = window // 2
+    padded = np.pad(z, h, mode="constant", constant_values=np.nan)
+    tiles = sliding_window_view(padded, (window, window)).reshape(*z.shape, -1)
+    # NaNs sort last, so the n finite values of a tile lead its sorted row;
+    # an all-NaN tile reads two NaNs
+    ordered = np.sort(tiles, axis=-1)
+    n = np.count_nonzero(~np.isnan(ordered), axis=-1)[..., None]
+    lower = np.take_along_axis(ordered, np.maximum(n - 1, 0) // 2, axis=-1)
+    upper = np.take_along_axis(ordered, n // 2, axis=-1)
+    return ((lower + upper) / 2)[..., 0]
 
 
 def reject_outliers(surface: Surface, tau: float, window: int = 5) -> Surface:
@@ -135,14 +175,8 @@ def reject_outliers(surface: Surface, tau: float, window: int = 5) -> Surface:
     window = int(window)
     if window < 3 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 3, got {window}")
-    h = window // 2
     z = np.where(surface.valid, surface.z, np.nan)
-    padded = np.pad(z, h, mode="constant", constant_values=np.nan)
-    tiles = sliding_window_view(padded, (window, window))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN tiles
-        med = np.nanmedian(tiles, axis=(-2, -1))
-    deviation = np.abs(z - med)
+    deviation = np.abs(z - _local_median(z, window))
     keep = surface.valid & ~(deviation > tau)
     return Surface(z=np.where(keep, surface.z, np.nan), valid=keep)
 
@@ -259,7 +293,7 @@ def load_surface(path, fmt: str = "csv", dims: tuple[int, int] | None = None) ->
     """
     path = Path(path)
     if fmt == "csv":
-        xs, ys, zs, vs = [], [], [], []
+        xs, ys, zs, vs, lines = [], [], [], [], []
         with open(path, "r", encoding="utf-8", newline="") as f:
             reader = csv.reader(f)
             header = next(reader, None)
@@ -274,10 +308,21 @@ def load_surface(path, fmt: str = "csv", dims: tuple[int, int] | None = None) ->
                 ys.append(int(row[1]))
                 zs.append(float(row[2]))
                 vs.append(int(row[3]) != 0)
+                lines.append(reader.line_num)
         if not xs:
             raise ValueError(f"{path}: surface file has no data rows")
-        nx = max(xs) + 1
-        ny = max(ys) + 1
+        xs, ys = np.array(xs), np.array(ys)
+        negative = np.flatnonzero((xs < 0) | (ys < 0))
+        if negative.size:
+            i = negative[0]
+            raise ValueError(f"{path}: line {lines[i]}: negative x,y = {xs[i]},{ys[i]}")
+        nx = int(xs.max()) + 1
+        ny = int(ys.max()) + 1
+        repeated = np.ones(xs.size, dtype=bool)
+        repeated[np.unique(xs * ny + ys, return_index=True)[1]] = False
+        if repeated.any():
+            i = np.flatnonzero(repeated)[0]
+            raise ValueError(f"{path}: line {lines[i]}: repeats x,y = {xs[i]},{ys[i]}")
         if len(xs) != nx * ny:
             raise ValueError(f"{path}: expected {nx * ny} rows, got {len(xs)}")
         z = np.full((nx, ny), np.nan)

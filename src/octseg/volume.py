@@ -184,12 +184,26 @@ def normalize_intensities(arr: np.ndarray) -> np.ndarray:
     return (arr - lo) / np.float32(hi - lo)
 
 
+def _check_finite(data: np.ndarray, path) -> None:
+    """Reject NaN or infinite samples, naming how many and the first one."""
+    # a float64 sum of finite float32 samples cannot overflow, so it is
+    # finite exactly when every sample is
+    if np.isfinite(data.sum(dtype=np.float64)):
+        return
+    bad = ~np.isfinite(data)
+    x, y, z = np.unravel_index(np.flatnonzero(bad)[0], data.shape)
+    raise ValueError(
+        f"{path}: {np.count_nonzero(bad)} non-finite voxel(s), "
+        f"first at (x, y, z) = ({x}, {y}, {z})"
+    )
+
+
 def load_volume(path, meta: VolumeMeta) -> Volume:
     """Read a raw volume file into the canonical (nx, ny, nz) float layout.
 
     u8 samples are scaled by 1/255; float samples are normalized into [0, 1]
     only if they fall outside that range.  The file's byte length must match
-    the sidecar dims exactly.
+    the sidecar dims exactly, and a NaN or infinite sample raises ValueError.
     """
     path = Path(path)
     actual = path.stat().st_size
@@ -203,7 +217,9 @@ def load_volume(path, meta: VolumeMeta) -> Volume:
     if meta.dtype == "u8":
         data = arr.astype(np.float32) / np.float32(255.0)
     else:
-        data = normalize_intensities(arr.astype(np.float32))
+        data = arr.astype(np.float32)
+        _check_finite(data, path)
+        data = normalize_intensities(data)
     spacing = None
     if meta.spacing_um is not None:
         spacing = tuple(meta.spacing_um[perm[i]] for i in range(3))

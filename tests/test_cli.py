@@ -114,6 +114,28 @@ class TestSegmentCmd:
         report = json.loads((tmp_path / "seg/report.json").read_text())
         assert report["degenerate"] is True
 
+    def test_non_finite_voxel_is_usage_error(self, tmp_path, capsys):
+        data = np.random.default_rng(0).random((64, 16, 128), dtype=np.float32)
+        data[10, 3, 77] = np.nan
+        data.astype("<f4").tofile(tmp_path / "v.raw")
+        VolumeMeta(dims=(64, 16, 128), dtype="f32", order="xyz").save(tmp_path / "v.json")
+        rc = main(["segment", "--in", str(tmp_path / "v.raw"), "--meta", str(tmp_path / "v.json"),
+                   "--out-dir", str(tmp_path / "seg")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "1 non-finite voxel(s), first at (x, y, z) = (10, 3, 77)" in err
+        assert not (tmp_path / "seg/report.json").exists()
+
+    def test_volume_smaller_than_a_kernel_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "v.raw").write_bytes(bytes(range(96)))
+        VolumeMeta(dims=(4, 4, 6), dtype="u8", order="xyz").save(tmp_path / "v.json")
+        rc = main(["segment", "--in", str(tmp_path / "v.raw"), "--meta", str(tmp_path / "v.json"),
+                   "--out-dir", str(tmp_path / "seg")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "RPE: kernel extent 11 exceeds volume size 6 along z" in err
+        assert not (tmp_path / "seg/report.json").exists()
+
     def test_config_override_echoed(self, phantom_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"rpe": {"outlier_tau": 9.0}}))

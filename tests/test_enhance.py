@@ -1,16 +1,21 @@
 """Depth weighting and the derivative+intensity fusion."""
 
+import tracemalloc
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from octseg import filters
 from octseg.enhance import (
     DegenerateNormalizationWarning,
     DepthWeight,
     enhance,
-    unit_scale,
 )
+from octseg.surfaces import SearchMask, argmax_per_ascan
 from octseg.volume import Volume
 
 
@@ -50,22 +55,32 @@ class TestDepthWeight:
 
 
 class TestUnitScale:
+    """The min-max rescales inside enhance."""
+
     def test_maps_to_unit_interval(self):
-        arr = np.array([3.0, 5.0, 7.0])
-        assert not unit_scale(arr)
-        assert np.allclose(arr, [0.0, 0.5, 1.0])
+        d = np.array([3.0, 5.0, 7.0])[None, None, :]
+        s = np.array([0.0, 0.0, 1.0])[None, None, :]
+        out = enhance(Volume(d), Volume(s), DepthWeight("favor_deep", 3))
+        # (d, s) rescale to (0, .5, 1) and (0, 0, 1); weights 1, 2, 3
+        assert np.allclose(out.data[0, 0], [0.0, 1.0 / 6.0, 1.0])
 
     def test_flat_input_flagged(self):
-        arr = np.full((2, 2), 4.0)
-        assert unit_scale(arr)
-        assert np.array_equal(arr, np.zeros((2, 2)))
+        d = np.full((1, 1, 3), 4.0)
+        s = np.array([0.0, 0.5, 1.0])[None, None, :]
+        with pytest.warns(DegenerateNormalizationWarning, match="derivative") as rec:
+            out = enhance(Volume(d), Volume(s), DepthWeight("favor_deep", 3))
+        assert len(rec) == 1  # only the derivative was flat
+        assert np.allclose(out.data[0, 0], [0.0, 1.0 / 3.0, 1.0])
 
     def test_selection_controls_extrema(self):
-        arr = np.array([0.0, 10.0, 100.0])
-        sel = np.array([True, True, False])
-        assert not unit_scale(arr, sel)
-        assert arr[1] == 1.0  # max over selection, not over everything
-        assert arr[2] == 10.0  # outside selection values may exceed 1
+        d = np.array([100.0, 0.0, 10.0, 1000.0])[None, None, :]
+        s = np.array([5.0, 0.0, 1.0, -7.0])[None, None, :]
+        mask = SearchMask(k_lo=np.array([[1]]), k_hi=np.array([[3]]), nz=4)
+        out = enhance(Volume(d), Volume(s), DepthWeight("favor_deep", 4), mask=mask)
+        # extrema over the window only: the 100, 1000, 5 and -7 outside it
+        # would otherwise squeeze the window's values towards zero
+        assert out.data.shape == (1, 1, 2)
+        assert np.array_equal(out.data[0, 0], [0.0, 1.0])
 
 
 class TestEnhance:
@@ -169,3 +184,130 @@ class TestEnhance:
         a = enhance(Volume(d), Volume(s), w)
         b = enhance(Volume(gain * d), Volume(gain * s), w)
         assert np.array_equal(a.data.argmax(axis=2), b.data.argmax(axis=2))
+
+
+def reference_score_and_extract(diff, smooth, weights, sign, clamp, k_lo, k_hi):
+    """Full-volume enhance + extract: rescale extrema gathered through a
+    boolean (nx, ny, nz) window mask, argmax over the masked volume."""
+    k = np.arange(diff.shape[2])
+    inside = (k >= k_lo[:, :, None]) & (k < k_hi[:, :, None])
+
+    def rescale(v):
+        lo, hi = v[inside].min(), v[inside].max()
+        if not hi > lo:
+            v.fill(0)
+            return True
+        v -= lo
+        v /= hi - lo
+        return False
+
+    score = sign * diff
+    if clamp:
+        np.maximum(score, 0, out=score)
+    smoothed = smooth.copy()
+    flat = [rescale(score), rescale(smoothed)]
+    score += smoothed
+    score *= weights[None, None, :]
+    flat.append(rescale(score))
+    z = np.where(inside, score, -np.inf).argmax(axis=2).astype(np.float64)
+    valid = k_lo < k_hi
+    z[~valid] = np.nan
+    return z, valid, flat, not score.any()
+
+
+@st.composite
+def scoring_cases(draw):
+    nx, ny, nz = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def field(flat):
+        if flat:
+            return np.full((nx, ny, nz), rng.integers(-3, 4) / 4, dtype=np.float32)
+        # quarter steps make ties, so the shallowest-tie rule is exercised
+        return (rng.integers(-8, 9, (nx, ny, nz)) / 4).astype(np.float32)
+
+    diff, smooth = field(draw(st.booleans())), field(draw(st.booleans()))
+    a = rng.integers(0, nz + 1, (nx, ny))
+    b = rng.integers(0, nz + 1, (nx, ny))
+    k_lo, k_hi = np.minimum(a, b), np.maximum(a, b)
+    k_hi[rng.random((nx, ny)) < 0.2] = 0  # some empty columns
+    c = draw(st.integers(0, nx * ny - 1))  # at least one searched column
+    k_lo.flat[c], k_hi.flat[c] = draw(st.integers(0, nz - 1)), nz
+    k_hi.flat[c] -= draw(st.integers(0, nz - 1 - k_lo.flat[c]))
+    return (diff, smooth, draw(st.sampled_from(["favor_deep", "favor_shallow"])),
+            draw(st.sampled_from([1, -1])), draw(st.booleans()), k_lo, k_hi)
+
+
+class TestBandScoring:
+    """enhance + argmax_per_ascan on the window band, in x-slabs."""
+
+    @pytest.mark.parametrize("threads,slab_voxels", [(1, None), (2, None), (1, 1), (2, 1)])
+    @given(case=scoring_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal_to_full_volume_reference(self, threads, slab_voxels, case):
+        diff, smooth, direction, sign, clamp, k_lo, k_hi = case
+        nz = diff.shape[2]
+        weight = DepthWeight(direction, nz)
+        z_ref, valid_ref, flat_ref, degenerate_ref = reference_score_and_extract(
+            diff.copy(), smooth.copy(), weight.weights(), sign, clamp, k_lo, k_hi
+        )
+        mask = SearchMask(k_lo=k_lo, k_hi=k_hi, nz=nz)
+        slab = filters._SLAB_VOXELS if slab_voxels is None else slab_voxels
+        with mock.patch.object(filters, "_SLAB_VOXELS", slab), \
+                warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            out = enhance(Volume(diff), Volume(smooth), weight, sign, clamp, mask, threads)
+            z0, band = mask.to_band()
+            surface = argmax_per_ascan(out, band, threads)
+        assert out.nz == band.nz
+        assert np.array_equal(surface.z + z0, z_ref, equal_nan=True)
+        assert np.array_equal(surface.valid, valid_ref)
+        flagged = [str(w.message) for w in rec
+                   if issubclass(w.category, DegenerateNormalizationWarning)]
+        expected = [m for m, f in zip(
+            ["derivative", "smoothed", "enhanced"], flat_ref) if f]
+        assert [m.split()[0] for m in flagged] == expected
+        assert (not out.data.any()) == degenerate_ref
+
+    def test_inputs_left_untouched(self):
+        rng = np.random.default_rng(3)
+        d = rng.standard_normal((4, 3, 10)).astype(np.float32)
+        s = rng.random((4, 3, 10)).astype(np.float32)
+        d0, s0 = d.copy(), s.copy()
+        mask = SearchMask(k_lo=np.full((4, 3), 2), k_hi=np.full((4, 3), 7), nz=10)
+        enhance(Volume(d), Volume(s), DepthWeight("favor_deep", 10), -1, True, mask, 2)
+        assert np.array_equal(d, d0) and np.array_equal(s, s0)
+
+    def test_no_window_rejected(self):
+        mask = SearchMask(k_lo=np.zeros((2, 2)), k_hi=np.zeros((2, 2)), nz=3)
+        with pytest.raises(ValueError, match="no non-empty window"):
+            enhance(Volume(np.zeros((2, 2, 3))), Volume(np.zeros((2, 2, 3))),
+                    DepthWeight("favor_deep", 3), mask=mask)
+
+    def test_mask_geometry_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="mask geometry"):
+            enhance(Volume(np.zeros((2, 2, 3))), Volume(np.zeros((2, 2, 3))),
+                    DepthWeight("favor_deep", 3), mask=SearchMask.full(2, 2, 4))
+
+    def test_masked_peak_memory_below_one_volume(self):
+        # windows of at most half the depth: the band output and slab
+        # scratch together stay under one float volume (a full-volume
+        # score with a boolean mask and a masked copy needs about 2.7);
+        # the volume spans several slabs, as real volumes do
+        nx, ny, nz = 128, 64, 256
+        assert nx * ny * nz >= 8 * filters._SLAB_VOXELS
+        rng = np.random.default_rng(0)
+        diff = Volume(rng.standard_normal((nx, ny, nz), dtype=np.float32))
+        smooth = Volume(rng.random((nx, ny, nz), dtype=np.float32))
+        k_hi = rng.integers(nz // 4, nz // 2 + 1, (nx, ny))
+        mask = SearchMask(k_lo=np.zeros((nx, ny)), k_hi=k_hi, nz=nz)
+        weight = DepthWeight("favor_deep", nz)
+        tracemalloc.start()
+        try:
+            out = enhance(diff, smooth, weight, -1, True, mask)
+            z0, band = mask.to_band()
+            argmax_per_ascan(out, band)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < diff.data.nbytes

@@ -175,6 +175,17 @@ class TestCascade:
         for r in res.reports:
             assert r.enhance_passes == r.argmax_passes == 1
 
+    def test_volume_smaller_than_a_kernel_rejected_before_any_stage(self, monkeypatch):
+        passes = []
+        monkeypatch.setattr(filters, "_correlate_axis", lambda *a: passes.append(a))
+        vol = Volume(np.random.default_rng(0).random((4, 4, 6), dtype=np.float32))
+        with pytest.raises(ValueError, match="RPE: kernel extent 11 exceeds volume size 6 along z"):
+            segment_retina(vol)
+        assert passes == []
+        # IS/OS has the widest lateral box (9) of the default profiles
+        with pytest.raises(ValueError, match="IS/OS: kernel extent 9 exceeds volume size 8 along x"):
+            segment_retina(Volume(np.zeros((8, 12, 40), dtype=np.float32)))
+
     def test_degenerate_cascade_returns_flagged_result(self):
         vol = Volume(np.full((24, 12, 40), 0.25, dtype=np.float32))
         with pytest.warns(DegenerateNormalizationWarning):

@@ -1,7 +1,11 @@
 """Surface extraction, outlier rejection, inpainting, masks, and file formats."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octseg.surfaces import (
     SearchMask,
@@ -14,6 +18,7 @@ from octseg.surfaces import (
     save_surface,
     truncate_above_surface,
 )
+from octseg.surfaces import _local_median
 from octseg.volume import Volume
 
 
@@ -57,8 +62,9 @@ class TestSearchMask:
     def test_full_covers_everything(self):
         m = SearchMask.full(3, 2, 7)
         assert m.is_full
-        assert m.as_bool().all()
         assert m.column_valid().all()
+        z0, band = m.to_band()
+        assert z0 == 0 and band.nz == 7 and band.is_full
 
     def test_bounds_validated(self):
         with pytest.raises(ValueError):
@@ -66,9 +72,27 @@ class TestSearchMask:
         with pytest.raises(ValueError):
             SearchMask(k_lo=np.array([[0]]), k_hi=np.array([[4]]), nz=3)
 
-    def test_as_bool_half_open(self):
+    def test_band_half_open(self):
         m = SearchMask(k_lo=np.array([[1]]), k_hi=np.array([[3]]), nz=4)
-        assert np.array_equal(m.as_bool()[0, 0], [False, True, True, False])
+        z0, band = m.to_band()
+        # the window holds depths 1 and 2, not 3
+        assert (z0, band.nz) == (1, 2)
+        assert (band.k_lo[0, 0], band.k_hi[0, 0]) == (0, 2)
+        v = column_volume([0.0, 1.0, 2.0, 3.0])
+        assert argmax_per_ascan(v, m).z[0, 0] == 2.0
+
+    def test_band_spans_searched_columns_only(self):
+        m = SearchMask(k_lo=np.array([[3], [5], [0]]), k_hi=np.array([[6], [9], [0]]), nz=12)
+        z0, band = m.to_band()
+        assert (z0, band.nz) == (3, 6)
+        assert np.array_equal(band.k_lo[:, 0], [0, 2, 0])
+        assert np.array_equal(band.k_hi[:, 0], [3, 6, 0])
+        assert np.array_equal(band.column_valid(), m.column_valid())
+
+    def test_band_of_empty_mask_rejected(self):
+        m = SearchMask(k_lo=np.array([[2]]), k_hi=np.array([[2]]), nz=4)
+        with pytest.raises(ValueError, match="no non-empty window"):
+            m.to_band()
 
 
 class TestRejectOutliers:
@@ -119,6 +143,28 @@ class TestRejectOutliers:
         assert (~out.valid[spike_mask]).mean() >= 0.99
         clean_kept = out.valid & ~spike_mask
         assert np.array_equal(out.z[clean_kept], spiked[clean_kept])
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nx=st.integers(1, 12),
+        ny=st.integers(1, 12),
+        window=st.sampled_from([3, 5, 7]),
+        invalid=st.floats(0.0, 1.0),
+        integral=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_local_median_equals_nanmedian(self, seed, nx, ny, window, invalid, integral):
+        rng = np.random.default_rng(seed)
+        z = rng.integers(0, 40, (nx, ny)).astype(np.float64) if integral \
+            else rng.random((nx, ny)) * 300.0
+        z[rng.random((nx, ny)) < invalid] = np.nan
+        h = window // 2
+        padded = np.pad(z, h, mode="constant", constant_values=np.nan)
+        tiles = np.lib.stride_tricks.sliding_window_view(padded, (window, window))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN tiles
+            expected = np.nanmedian(tiles, axis=(-2, -1))
+        assert np.array_equal(_local_median(z, window), expected, equal_nan=True)
 
     def test_parameter_validation(self):
         s = Surface.full(np.zeros((3, 3)))
@@ -261,6 +307,19 @@ class TestSurfaceFiles:
         save_surface(Surface.full(np.zeros((2, 2))), p, fmt="f32")
         with pytest.raises(ValueError):
             load_surface(p, fmt="f32")
+
+    def test_csv_negative_index_rejected(self, tmp_path):
+        p = tmp_path / "neg.csv"
+        p.write_text("x,y,z,valid\n1,0,5.0,1\n-1,0,6.0,1\n")
+        with pytest.raises(ValueError, match="line 3: negative x,y = -1,0"):
+            load_surface(p)
+
+    def test_csv_repeated_cell_rejected(self, tmp_path):
+        # the repeated 1,0 stands in for the missing 1,1, so the row count fits
+        p = tmp_path / "dup.csv"
+        p.write_text("x,y,z,valid\n0,0,1.0,1\n1,0,2.0,1\n0,1,3.0,1\n1,0,4.0,1\n")
+        with pytest.raises(ValueError, match="line 5: repeats x,y = 1,0"):
+            load_surface(p)
 
     def test_csv_header_enforced(self, tmp_path):
         p = tmp_path / "bad.csv"

@@ -76,6 +76,17 @@ class TestLoad:
         with pytest.raises(OSError):
             load_volume(tmp_path / "absent.raw", meta)
 
+    def test_non_finite_samples_rejected(self, tmp_path):
+        arr = np.zeros((5, 3, 4), dtype="<f4")  # file order zxy: (nz, nx, ny)
+        arr[4, 2, 1] = np.inf
+        arr[2, 1, 3] = np.nan
+        arr[3, 1, 3] = -np.inf
+        p = write_raw(tmp_path / "v.raw", arr)
+        meta = VolumeMeta(dims=(5, 3, 4), dtype="f32", order="zxy")
+        # the first bad voxel in (x, y, z) order is x=1, y=3, z=2
+        with pytest.raises(ValueError, match=r"3 non-finite voxel\(s\), first at \(x, y, z\) = \(1, 3, 2\)"):
+            load_volume(p, meta)
+
     def test_axis_permutation_zxy(self, tmp_path):
         # file stores depth slowest; loader must land values at [x, y, z]
         rng = np.random.default_rng(0)
