@@ -1,14 +1,21 @@
 """Time the full three-boundary segmentation on a synthetic volume.
 
 Generates a speckled phantom at clinical scan dimensions, runs the
-cascade, and prints a per-stage timing table from the run reports and the
-process's peak resident set size.
+cascade, and prints a per-stage timing table from the run reports, the
+process's peak resident set size, and the cold-start cost that every CLI
+call pays: the wall time of a child process that only imports octseg.cli.
 """
 
 import argparse
+import os
 import resource
+import statistics
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import octseg
 from octseg.phantom import PhantomSpec, generate_phantom, surface_error
 from octseg.pipeline import segment_retina
 
@@ -21,6 +28,17 @@ def parse_dims(text):
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("dims must look like 300x99x480")
     return tuple(parts)
+
+
+def cli_import_s(runs=5):
+    """Median wall time of a fresh ``python -c "import octseg.cli"``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(octseg.__file__).resolve().parents[1]))
+    walls = []
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import octseg.cli"], env=env, check=True)
+        walls.append(time.perf_counter() - t0)
+    return statistics.median(walls)
 
 
 def main():
@@ -67,6 +85,8 @@ def main():
     # ru_maxrss is in KiB on Linux; it covers phantom generation too
     peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS {peak_mib:.1f} MiB (ru_maxrss, phantom generation included)")
+    print(f"CLI start-up {cli_import_s():.3f}s "
+          "(median of 5 child processes running `import octseg.cli`)")
 
     print("\naccuracy vs ground truth (voxels):")
     for key in ("ilm", "isos", "rpe"):

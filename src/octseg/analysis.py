@@ -50,19 +50,22 @@ def thickness_map(ilm: Surface, rpe: Surface, dz_um: float | None = None) -> Thi
 
 def save_thickness_csv(tm: ThicknessMap, path) -> None:
     """CSV dump, y-major rows; a thickness_um column appears when available."""
+    # float64 columns as nested Python floats, whose repr round-trips exactly
+    px = np.asarray(tm.px, dtype=np.float64).T.tolist()
     with open(path, "w", encoding="utf-8", newline="") as f:
         if tm.um is None:
             f.write("x,y,thickness_px\n")
-            for y in range(tm.ny):
-                for x in range(tm.nx):
-                    f.write(f"{x},{y},{float(tm.px[x, y])!r}\n")
+            f.writelines(
+                f"{x},{y},{p!r}\n" for y, row in enumerate(px) for x, p in enumerate(row)
+            )
         else:
+            um = np.asarray(tm.um, dtype=np.float64).T.tolist()
             f.write("x,y,thickness_px,thickness_um\n")
-            for y in range(tm.ny):
-                for x in range(tm.nx):
-                    f.write(
-                        f"{x},{y},{float(tm.px[x, y])!r},{float(tm.um[x, y])!r}\n"
-                    )
+            f.writelines(
+                f"{x},{y},{p!r},{u!r}\n"
+                for y, (p_row, u_row) in enumerate(zip(px, um))
+                for x, (p, u) in enumerate(zip(p_row, u_row))
+            )
 
 
 def save_thickness_pgm(tm: ThicknessMap, path, sidecar_path=None) -> None:

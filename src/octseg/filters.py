@@ -4,17 +4,19 @@ All filters run in correlation orientation (no kernel flip) and replicate
 edge samples at the borders, so a flat region produces no spurious response
 near the volume faces.  ``convolve_separable`` is the fast path, which the
 pipeline calls through a ``FilterBank`` that keeps each field it computes;
-``convolve_direct`` sums a dense kernel over its taps and exists as an
-independent reference for cross-checking the separable implementation.
+its one-axis passes are a numpy correlation that reproduces the summation
+order of ``scipy.ndimage.correlate1d`` bit for bit.  ``convolve_direct``
+sums a dense kernel over its taps and exists as an independent reference
+for cross-checking the separable implementation.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .volume import Volume
 
@@ -132,6 +134,79 @@ def _map_slabs(fn, bounds: list[tuple[int, int]], threads: int) -> list:
         return list(pool.map(lambda span: fn(*span), bounds))
 
 
+# blocks of one correlation pass hold about this many samples, so the float64
+# scratch stays in cache (with 1 << 18 the 8 passes of a 300x99x480 run took
+# a quarter longer than with scipy; at 1 << 15 to 1 << 16 they are on par)
+_BLOCK_SAMPLES = 1 << 16
+
+
+def _correlate1d(arr: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
+    """Correlate ``arr`` with odd-length ``taps`` along ``axis``, replicating
+    the edge samples, and return an array of the input's dtype.
+
+    Sums run in float64 in the order ``scipy.ndimage.correlate1d`` uses, so
+    results are bitwise equal to it: taps symmetric or antisymmetric within
+    DBL_EPSILON start from the centre term and add each mirrored pair,
+    summed or differenced before it is weighted, from the outermost pair
+    inwards; other taps start from the last term and add the rest in order.
+    The axis is processed in blocks of about ``_BLOCK_SAMPLES`` samples.
+    """
+    w = np.asarray(taps, dtype=np.float64)
+    h = w.size // 2
+    right, left = w[h + 1 :], w[:h][::-1]
+    eps = np.finfo(np.float64).eps
+    # written as "not > eps" so that NaN taps test as scipy's do
+    if not np.any(np.abs(right - left) > eps):
+        pair = np.add
+    elif not np.any(np.abs(right + left) > eps):
+        pair = np.subtract
+    else:
+        pair = None
+    out = np.empty(arr.shape, dtype=arr.dtype)
+    n = arr.shape[axis]
+    outer, inner = math.prod(arr.shape[:axis]), math.prod(arr.shape[axis + 1 :])
+    src = arr.reshape(outer, n, inner)
+    dst = out.reshape(outer, n, inner)
+    # a block is bo x (n + 2h) x bi padded samples, laid out flat: the
+    # samples j places from every output are then one contiguous run, and
+    # the runs' ends, which straddle two lines, are computed and dropped
+    bi = min(inner, max(1, _BLOCK_SAMPLES // (n + 2 * h)))
+    bo = min(outer, max(1, _BLOCK_SAMPLES // ((n + 2 * h) * bi)))
+    pad_buf = np.empty(bo * (n + 2 * h) * bi)
+    acc_buf = np.empty_like(pad_buf)
+    tmp_buf = np.empty_like(pad_buf)
+    for o0 in range(0, outer, bo):
+        o1 = min(o0 + bo, outer)
+        for i0 in range(0, inner, bi):
+            i1 = min(i0 + bi, inner)
+            block = (o1 - o0, n + 2 * h, i1 - i0)
+            size = math.prod(block)
+            pad = pad_buf[:size].reshape(block)
+            pad[:, h : h + n] = src[o0:o1, :, i0:i1]
+            pad[:, :h] = pad[:, h : h + 1]
+            pad[:, h + n :] = pad[:, h + n - 1 : h + n]
+            step = i1 - i0
+            run = size - 2 * h * step
+            acc, tmp = acc_buf[:run], tmp_buf[:run]
+
+            def x(j):  # the samples j places from each output sample
+                return pad_buf[(h + j) * step : (h + j) * step + run]
+
+            if pair is not None:
+                np.multiply(x(0), w[h], out=acc)
+                for j in range(h, 0, -1):
+                    pair(x(-j), x(j), out=tmp)
+                    tmp *= w[h - j]
+                    acc += tmp
+            else:
+                np.multiply(x(h), w[2 * h], out=acc)
+                for j in range(-h, h):
+                    np.multiply(x(j), w[h + j], out=tmp)
+                    acc += tmp
+            dst[o0:o1, :, i0:i1] = acc_buf[:size].reshape(block)[:, :n]
+    return out
+
+
 def _correlate_axis(arr: np.ndarray, taps: np.ndarray, axis: int, threads: int) -> np.ndarray:
     """One replicate-border correlation pass, optionally split into x slabs.
 
@@ -145,17 +220,17 @@ def _correlate_axis(arr: np.ndarray, taps: np.ndarray, axis: int, threads: int) 
     if threads > 1:
         parts = min(threads, arr.shape[0] // (hw + 1))
     if parts <= 1:
-        return ndimage.correlate1d(arr, taps, axis=axis, mode="nearest")
+        return _correlate1d(arr, taps, axis)
     out = np.empty_like(arr)
 
     def run(lo: int, hi: int) -> None:
         if axis == 0:
             a = max(0, lo - hw)
             b = min(arr.shape[0], hi + hw)
-            res = ndimage.correlate1d(arr[a:b], taps, axis=0, mode="nearest")
+            res = _correlate1d(arr[a:b], taps, 0)
             out[lo:hi] = res[lo - a : lo - a + (hi - lo)]
         else:
-            out[lo:hi] = ndimage.correlate1d(arr[lo:hi], taps, axis=axis, mode="nearest")
+            out[lo:hi] = _correlate1d(arr[lo:hi], taps, axis)
 
     _map_slabs(run, _chunk_bounds(arr.shape[0], parts), parts)
     return out

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -39,6 +40,16 @@ from .volume import Volume
 
 class PipelineError(RuntimeError):
     """A segmentation stage failed; the message names boundary and stage."""
+
+
+# BoundaryProfile's annotations (strings under postponed evaluation) mapped
+# to the values they accept and how an error names them
+_FIELD_KINDS = {
+    "str": (str, "a string"),
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a number"),
+    "bool": (bool, "true or false"),
+}
 
 
 @dataclass(frozen=True)
@@ -65,6 +76,12 @@ class BoundaryProfile:
     truncation_margin: int = 10
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kind, what = _FIELD_KINDS[f.type]
+            # bool is an int subclass: only a bool field takes true/false
+            if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
         if self.polarity not in ("bright_above", "bright_below"):
             raise ValueError(f"bad polarity {self.polarity!r}")
         if self.weight_direction not in ("favor_deep", "favor_shallow"):
@@ -75,7 +92,7 @@ class BoundaryProfile:
             raise ValueError("lateral_width must be odd and >= 1")
         if self.smoothing_radius < 0:
             raise ValueError("smoothing_radius must be >= 0")
-        if self.outlier_tau <= 0:
+        if not self.outlier_tau > 0:
             raise ValueError("outlier_tau must be positive")
         if self.median_window < 3 or self.median_window % 2 == 0:
             raise ValueError("median_window must be odd and >= 3")
@@ -129,7 +146,7 @@ class PipelineConfig:
                 raise ValueError(f"config entry {key!r} must be an object")
             try:
                 profiles[key] = dataclasses.replace(_DEFAULT_PROFILES[key], **overrides)
-            except TypeError as e:
+            except (TypeError, ValueError) as e:
                 raise ValueError(f"bad config entry for {key!r}: {e}") from e
         return cls(**profiles)
 

@@ -16,9 +16,8 @@ from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import ndimage
 
-from .filters import _map_slabs, _slab_bounds
+from .filters import _correlate1d, _map_slabs, _slab_bounds
 from .volume import Volume
 
 
@@ -231,8 +230,7 @@ def inpaint_and_smooth(
     if smooth_radius > 0:
         n = 2 * smooth_radius + 1
         box = np.full(n, 1.0 / n, dtype=np.float64)
-        z = ndimage.correlate1d(z, box, axis=0, mode="nearest")
-        z = ndimage.correlate1d(z, box, axis=1, mode="nearest")
+        z = _correlate1d(_correlate1d(z, box, 0), box, 1)
     if max_z is not None:
         z = np.clip(z, 0.0, max_z)
     return Surface(z=z, valid=np.ones_like(surface.valid))
@@ -273,12 +271,14 @@ def save_surface(surface: Surface, path, fmt: str = "csv") -> None:
     """
     path = Path(path)
     if fmt == "csv":
+        zs, valid = surface.z.T.tolist(), surface.valid.T.astype(np.uint8).tolist()
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write("x,y,z,valid\n")
-            for y in range(surface.ny):
-                for x in range(surface.nx):
-                    zv = float(surface.z[x, y])
-                    f.write(f"{x},{y},{zv!r},{int(surface.valid[x, y])}\n")
+            f.writelines(
+                f"{x},{y},{zv!r},{v}\n"
+                for y, (z_row, v_row) in enumerate(zip(zs, valid))
+                for x, (zv, v) in enumerate(zip(z_row, v_row))
+            )
     elif fmt == "f32":
         grid = np.where(surface.valid, surface.z, np.nan).astype("<f4")
         np.ascontiguousarray(grid.T).tofile(path)

@@ -13,6 +13,8 @@ permutes into the canonical layout.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +40,15 @@ class SizeMismatchError(ValueError):
         self.actual = actual
 
 
+def _triple_of(value, kind) -> bool:
+    """True for a list or tuple of three numbers of ``kind``, bools excluded."""
+    return (
+        isinstance(value, (list, tuple))
+        and len(value) == 3
+        and all(isinstance(v, kind) and not isinstance(v, bool) for v in value)
+    )
+
+
 @dataclass(frozen=True)
 class VolumeMeta:
     """Sidecar metadata describing a raw volume file.
@@ -54,19 +65,21 @@ class VolumeMeta:
     spacing_um: tuple[float, float, float] | None = None
 
     def __post_init__(self):
-        if len(self.dims) != 3 or any(int(d) < 1 for d in self.dims):
+        if not _triple_of(self.dims, numbers.Integral) or any(d < 1 for d in self.dims):
             raise ValueError(f"dims must be three positive ints, got {self.dims!r}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if self.dtype not in ("u8", "f32"):
             raise ValueError(f"dtype must be 'u8' or 'f32', got {self.dtype!r}")
         if self.endian not in ("le", "be"):
             raise ValueError(f"endian must be 'le' or 'be', got {self.endian!r}")
-        if sorted(self.order) != sorted(_AXES):
+        if not isinstance(self.order, str) or sorted(self.order) != sorted(_AXES):
             raise ValueError(
                 f"order must be a permutation of 'xyz', got {self.order!r}"
             )
         if self.spacing_um is not None:
-            if len(self.spacing_um) != 3 or any(s <= 0 for s in self.spacing_um):
+            if not _triple_of(self.spacing_um, numbers.Real) or not all(
+                0 < s < math.inf for s in self.spacing_um
+            ):
                 raise ValueError(
                     f"spacing_um must be three positive floats, got {self.spacing_um!r}"
                 )
@@ -93,11 +106,7 @@ class VolumeMeta:
             raise ValueError(f"unknown sidecar keys: {sorted(extra)}")
         if "dims" not in d:
             raise ValueError("sidecar is missing required key 'dims'")
-        kwargs = dict(d)
-        kwargs["dims"] = tuple(kwargs["dims"])
-        if kwargs.get("spacing_um") is not None:
-            kwargs["spacing_um"] = tuple(kwargs["spacing_um"])
-        return cls(**kwargs)
+        return cls(**d)
 
     @classmethod
     def from_json(cls, path) -> "VolumeMeta":

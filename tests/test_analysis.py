@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from octseg.analysis import (
+    ThicknessMap,
     export_surface_mesh,
     save_thickness_csv,
     save_thickness_pgm,
@@ -78,6 +79,22 @@ class TestThicknessFiles:
         lines = p.read_text().strip().split("\n")
         assert lines[0] == "x,y,thickness_px,thickness_um"
         assert lines[1] == "0,0,20.0,100.0"
+
+    @pytest.mark.parametrize("with_um", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    def test_csv_bytes_equal_per_cell_reference(self, tmp_path, with_um, dtype):
+        rng = np.random.default_rng(3)
+        px = (rng.standard_normal((5, 3)) * 1e3).astype(dtype)
+        um = px * np.float32(3.9) if with_um else None
+        tm = ThicknessMap(px=px, um=um)
+        p = tmp_path / "t.csv"
+        save_thickness_csv(tm, p)
+        ref = ["x,y,thickness_px" + (",thickness_um" if with_um else "") + "\n"]
+        for y in range(3):
+            for x in range(5):
+                cells = [float(px[x, y])] + ([float(um[x, y])] if with_um else [])
+                ref.append(f"{x},{y}," + ",".join(repr(c) for c in cells) + "\n")
+        assert p.read_text() == "".join(ref)
 
     def test_pgm_scaling_and_sidecar(self, tmp_path):
         px = np.array([[0.0, 50.0], [100.0, 25.0]])

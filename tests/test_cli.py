@@ -1,10 +1,15 @@
 """Command-line interface: workflows, exit codes, environment defaults."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import octseg
 from octseg.cli import ENV_THREADS, EXIT_OK, EXIT_PIPELINE, EXIT_USAGE, main
 from octseg.phantom import PhantomSpec
 from octseg.surfaces import load_surface
@@ -136,6 +141,34 @@ class TestSegmentCmd:
         assert "RPE: kernel extent 11 exceeds volume size 6 along z" in err
         assert not (tmp_path / "seg/report.json").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("dims", 5), ("dims", [8.7, 8, 16]), ("dims", [True, 8, 16]),
+        ("spacing_um", 3), ("spacing_um", [1.0, "2", 3.0]), ("order", 5),
+    ])
+    def test_sidecar_type_error_is_usage_error(self, tmp_path, capsys, key, value):
+        (tmp_path / "v.raw").write_bytes(bytes(8 * 8 * 16))
+        sidecar = {"dims": [8, 8, 16], "dtype": "u8", "order": "xyz", key: value}
+        (tmp_path / "v.json").write_text(json.dumps(sidecar))
+        rc = main(["segment", "--in", str(tmp_path / "v.raw"), "--meta", str(tmp_path / "v.json"),
+                   "--out-dir", str(tmp_path / "seg")])
+        assert rc == EXIT_USAGE
+        assert f"error: {key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("derivative_half_width", 2.5), ("truncation_margin", 3.7), ("lateral_width", 2.5),
+        ("smoothing_radius", True), ("clamp_negative", "no"), ("clamp_negative", 1),
+        ("outlier_tau", "15"), ("outlier_tau", False), ("name", 7),
+    ])
+    def test_config_type_error_is_usage_error(self, phantom_dir, tmp_path, capsys, field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"isos": {field: value}}))
+        rc = main(["segment", "--in", str(phantom_dir / "volume.raw"),
+                   "--meta", str(phantom_dir / "volume.json"),
+                   "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
+        assert rc == EXIT_USAGE
+        assert f"bad config entry for 'isos': {field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "x/report.json").exists()
+
     def test_config_override_echoed(self, phantom_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"rpe": {"outlier_tau": 9.0}}))
@@ -261,6 +294,31 @@ class TestRenderCmd:
                    "--surfaces", str(tmp_path), "--slice", "0",
                    "--out", str(tmp_path / "b.ppm")])
         assert rc == EXIT_USAGE
+
+
+def test_no_command_imports_scipy(phantom_dir, tmp_path):
+    """segment, thickness and render run on numpy alone: scipy stays unloaded."""
+    seg = tmp_path / "seg"
+    vol = ["--in", str(phantom_dir / "volume.raw"), "--meta", str(phantom_dir / "volume.json")]
+    commands = [
+        ["segment", *vol, "--out-dir", str(seg), "--threads", "2"],
+        ["thickness", "--ilm", str(seg / "ilm.csv"), "--rpe", str(seg / "rpe.csv"),
+         "--out", str(tmp_path / "thick")],
+        ["render", *vol, "--surfaces", str(seg), "--slice", "3", "--out", str(tmp_path / "b.ppm")],
+    ]
+    code = (
+        "import json, sys\n"
+        "from octseg.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(octseg.__file__).resolve().parents[1]))
+    p = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+                       capture_output=True, text=True, timeout=300)
+    assert p.returncode == 0, p.stderr
+    codes, scipy_modules = json.loads(p.stdout.strip().splitlines()[-1])
+    assert codes == [EXIT_OK] * 3
+    assert scipy_modules == []
 
 
 class TestParser:

@@ -1,11 +1,16 @@
 """Filtering: separable fast path against the dense reference, kernel taps,
-border behavior, and the boundary detector's step response."""
+border behavior, the boundary detector's step response, and the one-axis
+correlation against scipy's."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from octseg import filters
 from octseg.enhance import DepthWeight, enhance
 from octseg.filters import (
     FilterBank,
@@ -244,3 +249,45 @@ class TestFilterBank:
         assert bank.smoothing(2) is bank.smoothing(2)
         assert bank.derivative(3, 3) is bank.derivative(3, 3)
         assert bank.derivative(3, 3) is not bank.derivative(3, 5)
+
+
+@st.composite
+def correlation_cases(draw):
+    """An array, an axis and odd-length taps, some longer than the axis."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shape = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3).map(tuple))
+    values = st.floats(-1e3, 1e3, width=32 if dtype == np.float32 else 64)
+    arr = draw(hnp.arrays(dtype, shape, elements=values))
+    axis = draw(st.integers(0, len(shape) - 1))
+    h = draw(st.integers(0, shape[axis] + 2))
+    kind = draw(st.sampled_from(["box", "derivative", "random", "identity",
+                                 "near_symmetric", "near_antisymmetric"]))
+    if kind == "box":
+        taps = np.full(2 * h + 1, 1.0 / (2 * h + 1))
+    elif kind == "derivative":
+        taps = filters.make_derivative_kernel(max(h, 1), lateral=1).kz
+    elif kind == "identity":
+        taps = np.array([1.0])
+    else:
+        taps = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=2 * h + 1,
+                                      max_size=2 * h + 1)))
+        if kind != "random":
+            # mirrored, then nudged by less than DBL_EPSILON: scipy still
+            # takes the paired summation, weighted by the left half
+            sign = 1.0 if kind == "near_symmetric" else -1.0
+            taps = taps * 1e-3
+            taps[h + 1 :] = sign * taps[:h][::-1] + 1e-17
+    return arr, axis, taps
+
+
+class TestCorrelate1d:
+    @given(correlation_cases(), st.sampled_from([1, 5, 64, filters._BLOCK_SAMPLES]))
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_to_scipy(self, case, block):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        arr, axis, taps = case
+        ref = ndimage.correlate1d(arr, taps, axis=axis, mode="nearest")
+        with mock.patch.object(filters, "_BLOCK_SAMPLES", block):
+            out = filters._correlate1d(arr, taps, axis)
+        assert out.dtype == arr.dtype and out.shape == arr.shape
+        assert out.tobytes() == ref.tobytes()

@@ -285,6 +285,26 @@ class TestConfig:
         p.write_text(json.dumps(cfg.to_dict()))
         assert PipelineConfig.from_json(p) == cfg
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("derivative_half_width", 2.5, "derivative_half_width must be an integer, got 2.5"),
+        ("truncation_margin", 3.7, "truncation_margin must be an integer, got 3.7"),
+        ("lateral_width", 2.5, "lateral_width must be an integer, got 2.5"),
+        ("median_window", True, "median_window must be an integer, got True"),
+        ("clamp_negative", "no", "clamp_negative must be true or false, got 'no'"),
+        ("clamp_negative", 0, "clamp_negative must be true or false, got 0"),
+        ("outlier_tau", "15", "outlier_tau must be a number, got '15'"),
+        ("outlier_tau", True, "outlier_tau must be a number, got True"),
+        ("outlier_tau", float("nan"), "outlier_tau must be positive"),
+        ("polarity", None, "polarity must be a string, got None"),
+    ])
+    def test_field_types_checked(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^bad config entry for 'rpe': {message}$"):
+            PipelineConfig.from_dict({"rpe": {field: value}})
+
+    def test_integral_and_real_values_accepted(self):
+        cfg = PipelineConfig.from_dict({"rpe": {"outlier_tau": 9, "smoothing_radius": np.int64(2)}})
+        assert cfg.rpe.outlier_tau == 9 and cfg.rpe.smoothing_radius == 2
+
     def test_profile_validation(self):
         with pytest.raises(ValueError):
             BoundaryProfile(name="x", polarity="both", weight_direction="favor_deep")

@@ -258,6 +258,21 @@ class TestTruncate:
 
 
 class TestSurfaceFiles:
+    @given(st.integers(1, 7), st.integers(1, 7), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_csv_bytes_equal_per_cell_reference(self, tmp_path_factory, nx, ny, data):
+        depths = st.one_of(st.floats(allow_nan=False), st.sampled_from([-0.0, 1e-300, 2.0**60]))
+        z = np.array(data.draw(st.lists(depths, min_size=nx * ny, max_size=nx * ny)))
+        valid = np.array(data.draw(st.lists(st.booleans(), min_size=nx * ny, max_size=nx * ny)))
+        s = Surface(z=z.reshape(nx, ny), valid=valid.reshape(nx, ny))
+        p = tmp_path_factory.mktemp("csv") / "s.csv"
+        save_surface(s, p)
+        ref = "x,y,z,valid\n" + "".join(
+            f"{x},{y},{float(s.z[x, y])!r},{int(s.valid[x, y])}\n"
+            for y in range(ny) for x in range(nx)
+        )
+        assert p.read_bytes() == ref.encode()
+
     def test_csv_single_cell_exact_line(self, tmp_path):
         p = tmp_path / "s.csv"
         save_surface(Surface.full(np.array([[3.5]])), p)

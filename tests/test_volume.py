@@ -42,6 +42,21 @@ class TestMeta:
         with pytest.raises(ValueError):
             VolumeMeta(dims=(2, 0, 2))
 
+    @pytest.mark.parametrize("key, value", [
+        ("dims", 5), ("dims", [8.7, 8, 16]), ("dims", [8, 8]), ("dims", [8, False, 16]),
+        ("spacing_um", 3), ("spacing_um", [1.0, "2", 3.0]), ("spacing_um", [1.0, float("nan"), 3.0]),
+        ("order", 5), ("order", ["x", "y", "z"]),
+    ])
+    def test_rejects_mistyped_sidecar_value(self, key, value):
+        d = {"dims": [8, 8, 16], key: value}
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            VolumeMeta.from_dict(d)
+
+    def test_sidecar_lists_become_tuples(self):
+        meta = VolumeMeta.from_dict({"dims": [8, 8, 16], "spacing_um": [1, 2.5, 3]})
+        assert meta.dims == (8, 8, 16)
+        assert meta.spacing_um == (1.0, 2.5, 3.0)
+
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
             VolumeMeta.from_dict({"dims": [2, 2, 2], "flavor": "salted"})
