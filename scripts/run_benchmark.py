@@ -19,8 +19,8 @@ import octseg
 from octseg.phantom import PhantomSpec, generate_phantom, surface_error
 from octseg.pipeline import segment_retina
 
-STAGES = ("derivative", "smoothing", "enhance", "extract",
-          "outlier_reject", "regularize")
+# one row per key of a boundary report's stage_s ("enhance" scores and picks)
+STAGES = ("derivative", "smoothing", "enhance", "outlier_reject", "regularize")
 
 
 def parse_dims(text):
@@ -75,7 +75,7 @@ def main():
     print(header)
     print("-" * len(header))
     for stage in STAGES:
-        cells = "".join(f"{r.stage_s.get(stage, 0.0):>10.3f}" for r in best.reports)
+        cells = "".join(f"{r.stage_s[stage]:>10.3f}" for r in best.reports)
         print(f"{stage:<16}{cells}")
     print("-" * len(header))
     cells = "".join(f"{r.wall_s:>10.3f}" for r in best.reports)

@@ -6,6 +6,8 @@ rescaled) depth derivative with the rescaled smoothed intensity and then
 multiplies by a depth weight.  Weights grow with depth to prefer the deeper
 of two otherwise similar candidates (outer boundaries) or shrink with depth
 to prefer the shallower one (inner boundaries).
+The score lives only one x-slab at a time: each slab is picked, one depth
+per column, as soon as it is scored, and ``enhance`` returns the picks.
 """
 
 from __future__ import annotations
@@ -16,12 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import _map_slabs, _slab_bounds
-from .surfaces import SearchMask
+from .surfaces import SearchMask, Surface, argmax_per_ascan
 from .volume import Volume
 
 
 class DegenerateNormalizationWarning(RuntimeWarning):
-    """Raised when a min-max rescale sees a flat field (max == min)."""
+    """Warned when an input field or the weighted score is flat (max == min)."""
 
 
 _FLAT_MESSAGES = (
@@ -107,24 +109,24 @@ def enhance(
     clamp_negative: bool = True,
     mask: SearchMask | None = None,
     threads: int = 1,
-) -> Volume:
-    """Fuse a derivative volume and a smoothed volume into a boundary score.
+) -> tuple[Surface, bool]:
+    """Score a derivative and a smoothed volume and pick one depth per column.
 
     Each input is min-max rescaled (the derivative after multiplying by
     ``sign``, -1 for a bright-below boundary, and clamping negative
-    responses if asked), summed, weighted by depth along z, and rescaled
-    once more so scores live in [0, 1].  All rescale extrema come from the
-    voxels inside ``mask``'s per-column windows (None: the whole volume), so
-    excluded regions cannot distort the scaling.
+    responses if asked), summed and weighted by depth along z.  All rescale
+    extrema come from the voxels inside ``mask``'s per-column windows (None:
+    the whole volume), so excluded regions cannot distort the scaling.  Each
+    column picks the first maximum of its score inside its window
+    (``argmax_per_ascan``); a column with an empty window comes back invalid.
 
     Only the depth band [z0, z1) that holds every window is scored
-    (``mask.to_band()``): the result has depth z1 - z0, and scores outside
-    a column's window are not meaningful.  The work runs on x-slabs, on up
-    to ``threads`` threads; each voxel gets the same arithmetic at any
-    thread count.
-
-    A flat field at any rescale step triggers DegenerateNormalizationWarning;
-    if both inputs are flat the result is identically zero.
+    (``mask.to_band()``), one x-slab of scratch at a time, on up to
+    ``threads`` threads; each voxel gets the same arithmetic at any thread
+    count.  Returns the surface in volume depth and whether the score is
+    flat over the windows (then each column picks the top of its window).
+    A flat field at any step triggers DegenerateNormalizationWarning; a flat
+    input contributes zero.
     """
     if diff.dims != smooth.dims:
         raise ValueError(f"dims mismatch: {diff.dims} vs {smooth.dims}")
@@ -155,27 +157,29 @@ def enhance(
         np.maximum(d_range, 0, out=d_range)
     d_lo, d_hi = d_range.min(), d_range.max()
     s_lo, s_hi = _merge(s for _, s in found)
-
-    score = np.empty((nx, ny, band.nz), dtype=diff.data.dtype)
     w = weight.weights()[z0:z1]
 
-    def fuse(lo, hi):
-        out = score[lo:hi]
-        np.multiply(diff.data[lo:hi, :, z0:z1], sign, out=out)
+    def score_and_pick(lo, hi):
+        window = SearchMask(k_lo=band.k_lo[lo:hi], k_hi=band.k_hi[lo:hi], nz=band.nz)
+        score = np.empty((hi - lo, ny, band.nz), dtype=diff.data.dtype)
+        np.multiply(diff.data[lo:hi, :, z0:z1], sign, out=score)
         if clamp_negative:
-            np.maximum(out, 0, out=out)
-        _rescale(out, d_lo, d_hi)
+            np.maximum(score, 0, out=score)
+        _rescale(score, d_lo, d_hi)
         smoothed = smooth.data[lo:hi, :, z0:z1].copy()
         _rescale(smoothed, s_lo, s_hi)
-        out += smoothed
-        out *= w
-        return _extrema(out, _window_index(band.k_lo[lo:hi], band.k_hi[lo:hi], band.nz))
+        score += smoothed
+        del smoothed  # freed before the pick makes its masked copy
+        score *= w
+        extrema = _extrema(score, _window_index(window.k_lo, window.k_hi, band.nz))
+        return extrema, argmax_per_ascan(Volume(score), window)
 
-    e_lo, e_hi = _merge(_map_slabs(fuse, slabs, threads))
-    _map_slabs(lambda lo, hi: _rescale(score[lo:hi], e_lo, e_hi), slabs, threads)
-    for flat, message in zip(
-        (not d_hi > d_lo, not s_hi > s_lo, not e_hi > e_lo), _FLAT_MESSAGES
-    ):
-        if flat:
+    parts = _map_slabs(score_and_pick, slabs, threads)
+    e_lo, e_hi = _merge(e for e, _ in parts)
+    flat = not e_hi > e_lo
+    for is_flat, message in zip((not d_hi > d_lo, not s_hi > s_lo, flat), _FLAT_MESSAGES):
+        if is_flat:
             warnings.warn(message, DegenerateNormalizationWarning, stacklevel=2)
-    return Volume(score, diff.spacing)
+    # picks index the band; shift them back to volume depth
+    z = np.concatenate([picked.z for _, picked in parts]) + z0
+    return Surface(z=z, valid=mask.column_valid()), flat

@@ -109,9 +109,9 @@ def _chunk_bounds(n: int, parts: int) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 
-# x-slabs of enhance and extract hold about this many voxels: their scratch
-# arrays stay small next to the volume, yet each numpy call is long enough
-# that a second thread pays off (at 1 << 16 two threads gained nothing)
+# x-slabs that enhance scores and picks hold about this many voxels: their
+# scratch arrays stay small next to the volume, yet each numpy call is long
+# enough that a second thread pays off (at 1 << 16 two threads gained nothing)
 _SLAB_VOXELS = 1 << 18
 
 

@@ -12,16 +12,35 @@ the bands.  Multiplicative speckle uses unit-mean Gamma noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+import math
+import numbers
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
 from .surfaces import Surface
-from .volume import Volume
+from .volume import Volume, _triple_of
+
+
+def _check_number(name: str, value, kind=numbers.Real) -> None:
+    """Reject a spec value that is not a finite number of ``kind`` (bools excluded)."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        what = "an integer" if kind is numbers.Integral else "a number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+class _Numbers:
+    """Base of the specs made only of numbers: rejects any other field value."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            _check_number(f.name, getattr(self, f.name))
 
 
 @dataclass(frozen=True)
-class SurfaceSpec:
+class SurfaceSpec(_Numbers):
     """Height field z(x, y) = base + dip + undulation, in voxels."""
 
     base_depth: float
@@ -47,7 +66,7 @@ class SurfaceSpec:
 
 
 @dataclass(frozen=True)
-class LesionSpec:
+class LesionSpec(_Numbers):
     """Local deformation: IS/OS and RPE move by shift * profile(x, y) and the
     gap between the bright bands changes intensity by delta * profile.
 
@@ -74,7 +93,7 @@ class LesionSpec:
 
 
 @dataclass(frozen=True)
-class LayerIntensities:
+class LayerIntensities(_Numbers):
     """Mean reflectance per layer, all in [0, 1].  The gap between the
     IS/OS and RPE bands reuses the inner-retina level."""
 
@@ -85,6 +104,7 @@ class LayerIntensities:
     choroid: float = 0.20
 
     def __post_init__(self):
+        super().__post_init__()
         for name, v in asdict(self).items():
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"intensity {name}={v} outside [0, 1]")
@@ -117,11 +137,16 @@ class PhantomSpec:
     dtype: str = "u8"
 
     def __post_init__(self):
-        if len(self.dims) != 3 or any(int(d) < 1 for d in self.dims):
+        if not _triple_of(self.dims, numbers.Integral) or any(d < 1 for d in self.dims):
             raise ValueError(f"dims must be three positive ints, got {self.dims!r}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if self.dims[2] < 8:
             raise ValueError(f"need at least 8 depth planes, got {self.dims[2]}")
+        _check_number("isos_band_thickness", self.isos_band_thickness)
+        _check_number("rpe_band_thickness", self.rpe_band_thickness)
+        if self.speckle_looks is not None:
+            _check_number("speckle_looks", self.speckle_looks)
+        _check_number("seed", self.seed, numbers.Integral)
         if self.isos_band_thickness < 1 or self.rpe_band_thickness < 1:
             raise ValueError("band thicknesses must be >= 1 voxel")
         if self.speckle_looks is not None and self.speckle_looks < 1:
@@ -181,16 +206,19 @@ class PhantomSpec:
         for key in ("dims", "ilm", "isos", "rpe"):
             if key not in d:
                 raise ValueError(f"phantom spec is missing required key {key!r}")
-        kwargs = dict(d)
-        kwargs["dims"] = tuple(kwargs["dims"])
-        for key in ("ilm", "isos", "rpe"):
-            kwargs[key] = SurfaceSpec(**kwargs[key])
-        if kwargs.get("intensities") is not None:
-            kwargs["intensities"] = LayerIntensities(**kwargs["intensities"])
-        else:
-            kwargs.pop("intensities", None)
-        if kwargs.get("lesion") is not None:
-            kwargs["lesion"] = LesionSpec(**kwargs["lesion"])
+        # a null intensities or lesion means the default (no lesion)
+        kwargs = {k: v for k, v in d.items()
+                  if v is not None or k not in ("intensities", "lesion")}
+        for key, kind in (("ilm", SurfaceSpec), ("isos", SurfaceSpec), ("rpe", SurfaceSpec),
+                          ("intensities", LayerIntensities), ("lesion", LesionSpec)):
+            if key not in kwargs:
+                continue
+            if not isinstance(kwargs[key], dict):
+                raise ValueError(f"phantom spec entry {key!r} must be an object")
+            try:
+                kwargs[key] = kind(**kwargs[key])
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"phantom spec entry {key!r}: {e}") from None
         return cls(**kwargs)
 
     def to_dict(self) -> dict:

@@ -1,17 +1,20 @@
 """Single-pass boundary segmentation and the three-boundary cascade.
 
 One boundary is found in one sweep: depth-derivative filtering, box
-smoothing, depth-weighted fusion, then a per-column argmax inside the
+smoothing, then depth-weighted fusion with a per-column argmax inside the
 current search window.  There is no iterative refinement of candidates;
-each enhanced volume is built once and read once, and it covers only the
-depth band that the search windows span.  One ``FilterBank`` per
-volume computes each distinct field once; polarity is the sign ``enhance``
-gives the bank's bright-above derivative, so ILM reuses RPE's.  The
-cascade runs RPE first on the whole volume, then removes the RPE and
-everything below it from the search window (with a safety margin) before
-finding IS/OS, and repeats that truncation above IS/OS before finding ILM.
-A final projection step restores the anatomical depth ordering in any
-column where the three estimates disagree.
+``enhance`` scores the depth band that the search windows span one x-slab
+at a time and picks each slab as it is scored, so no score volume is kept.
+Each stage's wall time goes to the boundary's report, and a failing stage
+is raised as a PipelineError naming the boundary and the stage.  One
+``FilterBank`` per volume computes each distinct field once; polarity is
+the sign ``enhance`` gives the bank's bright-above derivative, so ILM
+reuses RPE's.  The cascade runs RPE first on the whole volume, then
+removes the RPE and everything below it from the search window (with a
+safety margin) before finding IS/OS, and repeats that truncation above
+IS/OS before finding ILM.  A final projection step restores the
+anatomical depth ordering in any column where the three estimates
+disagree.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import dataclasses
 import json
 import numbers
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +34,6 @@ from .surfaces import (
     SearchMask,
     Surface,
     fill_from_neighbors,
-    argmax_per_ascan,
     inpaint_and_smooth,
     reject_outliers,
     truncate_above_surface,
@@ -101,9 +104,6 @@ class BoundaryProfile:
         if self.truncation_margin < 0:
             raise ValueError("truncation_margin must be >= 0")
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 _DEFAULT_PROFILES = {
     "rpe": BoundaryProfile(
@@ -159,11 +159,7 @@ class PipelineConfig:
         return cls.from_dict(d)
 
     def to_dict(self) -> dict:
-        return {
-            "rpe": self.rpe.to_dict(),
-            "isos": self.isos.to_dict(),
-            "ilm": self.ilm.to_dict(),
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -181,17 +177,21 @@ class BoundaryReport:
     columns_searched: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "wall_s": self.wall_s,
-            "stage_s": dict(self.stage_s),
-            "rejected_points": self.rejected_points,
-            "enhance_passes": self.enhance_passes,
-            "argmax_passes": self.argmax_passes,
-            "degenerate": self.degenerate,
-            "columns_total": self.columns_total,
-            "columns_searched": self.columns_searched,
-        }
+        return dataclasses.asdict(self)
+
+
+@contextmanager
+def _stage(report: BoundaryReport, name: str):
+    """Time one stage into ``report.stage_s[name]``; re-raise its failure as
+    a PipelineError naming the boundary and the stage."""
+    t = time.perf_counter()
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as e:
+        raise PipelineError(f"{report.name}: stage {name!r}: {e}") from e
+    report.stage_s[name] = time.perf_counter() - t
 
 
 @dataclass
@@ -234,13 +234,14 @@ def segment_boundary(
     threads: int = 1,
     bank: FilterBank | None = None,
 ) -> BoundaryResult:
-    """Locate one boundary surface in a single enhance-and-extract pass.
+    """Locate one boundary surface in a single enhance pass.
 
     Fields come from ``bank``, which must hold ``volume`` (None builds one).
     Returns a total surface (every column carries a depth) plus a report
-    with per-stage wall times and counters.  A flat enhanced volume (e.g.
-    from constant input) is flagged degenerate rather than raised; any
-    stage failure raises PipelineError naming the boundary and stage.
+    with per-stage wall times and counters; the ``enhance`` stage scores
+    and picks.  A flat enhanced score (e.g. from constant input) is flagged
+    degenerate rather than raised; any stage failure raises PipelineError
+    naming the boundary and stage.
     """
     t0 = time.perf_counter()
     nx, ny, nz = volume.dims
@@ -252,51 +253,23 @@ def segment_boundary(
     report.columns_total = nx * ny
     report.columns_searched = int(mask.column_valid().sum())
 
-    def run(stage, fn):
-        t = time.perf_counter()
-        try:
-            out = fn()
-        except PipelineError:
-            raise
-        except Exception as e:
-            raise PipelineError(f"{profile.name}: stage {stage!r}: {e}") from e
-        report.stage_s[stage] = time.perf_counter() - t
-        return out
-
     weight = DepthWeight(profile.weight_direction, nz)
-    half_width, lateral = profile.derivative_half_width, profile.lateral_width
     sign = 1 if profile.polarity == "bright_above" else -1
-    deriv = run("derivative", lambda: bank.derivative(half_width, lateral))
-    smooth = run("smoothing", lambda: bank.smoothing(profile.smoothing_radius))
-    enhanced = run(
-        "enhance",
-        lambda: enhance(
+    with _stage(report, "derivative"):
+        deriv = bank.derivative(profile.derivative_half_width, profile.lateral_width)
+    with _stage(report, "smoothing"):
+        smooth = bank.smoothing(profile.smoothing_radius)
+    with _stage(report, "enhance"):
+        raw, report.degenerate = enhance(
             deriv, smooth, weight, sign, profile.clamp_negative, mask, threads
-        ),
-    )
+        )
     report.enhance_passes += 1
-    report.degenerate = not bool(enhanced.data.any())
-
-    def extract() -> Surface:
-        # scores cover only the depth band of the windows; shift back to volume depth
-        z0, band = mask.to_band()
-        surface = argmax_per_ascan(enhanced, band, threads)
-        surface.z += z0
-        return surface
-
-    raw = run("extract", extract)
     report.argmax_passes += 1
-    kept = run(
-        "outlier_reject",
-        lambda: reject_outliers(raw, profile.outlier_tau, profile.median_window),
-    )
+    with _stage(report, "outlier_reject"):
+        kept = reject_outliers(raw, profile.outlier_tau, profile.median_window)
     report.rejected_points = int(raw.valid.sum() - kept.valid.sum())
-    final = run(
-        "regularize",
-        lambda: inpaint_and_smooth(
-            kept, profile.surface_smooth_radius, max_z=float(nz - 1)
-        ),
-    )
+    with _stage(report, "regularize"):
+        final = inpaint_and_smooth(kept, profile.surface_smooth_radius, max_z=float(nz - 1))
     report.wall_s = time.perf_counter() - t0
     return BoundaryResult(surface=final, report=report)
 
@@ -317,29 +290,26 @@ def enforce_ordering(
     for s in surfs:
         if not s.valid.all():
             raise ValueError("ordering projection expects total surfaces")
-    first_bad = None
+
+    def misordered():
+        return ~((surfs[0].z <= surfs[1].z) & (surfs[1].z <= surfs[2].z))
+
+    bad = misordered()
+    n_bad = int(bad.sum())
     for _ in range(4):
-        ordered = (surfs[0].z <= surfs[1].z) & (surfs[1].z <= surfs[2].z)
-        bad = ~ordered
-        if first_bad is None:
-            first_bad = bad.copy()
-        if not bad.any():
-            break
-        if bad.all():
-            stacked = np.sort(np.stack([s.z for s in surfs]), axis=0)
-            for i, s in enumerate(surfs):
-                s.z[:] = stacked[i]
+        if bad.all() or not bad.any():
             break
         for s in surfs:
             s.z[bad] = np.nan
             s.z[:] = fill_from_neighbors(s.z)
-    else:
+        bad = misordered()
+    if bad.any():
         stacked = np.sort(np.stack([s.z for s in surfs]), axis=0)
-        for i, s in enumerate(surfs):
-            s.z[:] = stacked[i]
+        for s, z in zip(surfs, stacked):
+            s.z[:] = z
     for s in surfs:
         s.valid[:] = True
-    return surfs[0], surfs[1], surfs[2], int(first_bad.sum())
+    return surfs[0], surfs[1], surfs[2], n_bad
 
 
 def segment_retina(

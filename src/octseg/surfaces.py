@@ -1,8 +1,8 @@
 """Boundary surfaces over the (x, y) grid and the operators that clean them.
 
 A surface stores one depth value per A-scan column plus a validity flag;
-invalid cells carry NaN.  Extraction is a per-column argmax of the enhanced
-volume restricted to a per-column depth window (SearchMask).  Cleanup is a
+invalid cells carry NaN.  Extraction is a per-column argmax of a boundary
+score restricted to a per-column depth window (SearchMask).  Cleanup is a
 median-deviation outlier test, diffusion inpainting of the holes, and a
 small lateral box smoothing.  File formats: CSV with an x,y,z,valid header,
 or a raw little-endian float32 grid with NaN marking invalid cells.
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .filters import _correlate1d, _map_slabs, _slab_bounds
+from .filters import _correlate1d
 from .volume import Volume
 
 
@@ -113,14 +113,11 @@ class SearchMask:
         )
 
 
-def argmax_per_ascan(
-    intensity: Volume, mask: SearchMask | None = None, threads: int = 1
-) -> Surface:
+def argmax_per_ascan(intensity: Volume, mask: SearchMask | None = None) -> Surface:
     """First index of the maximum along depth, per column, within the mask.
 
     Ties resolve to the shallowest tied index.  Columns whose window is
-    empty come back invalid.  The search runs on x-slabs, on up to
-    ``threads`` threads.
+    empty come back invalid.
     """
     nx, ny, nz = intensity.dims
     if mask is None:
@@ -129,20 +126,13 @@ def argmax_per_ascan(
         raise ValueError(
             f"mask geometry {mask.k_lo.shape}x{mask.nz} does not match volume {intensity.dims}"
         )
-    idx = np.empty((nx, ny), dtype=np.intp)
-    k = np.arange(nz, dtype=np.int32)
-    full = mask.is_full
-
-    def pick(lo: int, hi: int) -> None:
-        scores = intensity.data[lo:hi]
-        if not full:
-            window = (k >= mask.k_lo[lo:hi, :, None]) & (k < mask.k_hi[lo:hi, :, None])
-            scores = np.where(window, scores, -np.inf)
-        idx[lo:hi] = scores.argmax(axis=2)
-
-    _map_slabs(pick, _slab_bounds(intensity.dims, threads), threads)
+    scores = intensity.data
+    if not mask.is_full:
+        k = np.arange(nz, dtype=np.int32)
+        window = (k >= mask.k_lo[:, :, None]) & (k < mask.k_hi[:, :, None])
+        scores = np.where(window, scores, -np.inf)
     valid = mask.column_valid()
-    z = idx.astype(np.float64)
+    z = scores.argmax(axis=2).astype(np.float64)
     z[~valid] = np.nan
     return Surface(z=z, valid=valid)
 

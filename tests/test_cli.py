@@ -59,6 +59,19 @@ class TestPhantomCmd:
         p.write_text(json.dumps(d))
         assert main(["phantom", "--spec", str(p), "--out", str(tmp_path / "x")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("key,value", [
+        ("dims", 5), ("dims", [32.5, 8, 64]), ("seed", "a"), ("speckle_looks", "x"),
+        ("isos_band_thickness", "3"), ("lesion", 5), ("ilm", 3),
+        ("isos_band_thickness", float("nan")), ("speckle_looks", float("inf")),
+    ])
+    def test_mistyped_entry_is_usage_error(self, tmp_path, capsys, key, value):
+        d = PhantomSpec.default(dims=(32, 8, 64), speckle_looks=2).to_dict()
+        d[key] = value
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(d))
+        assert main(["phantom", "--spec", str(p), "--out", str(tmp_path / "x")]) == EXIT_USAGE
+        assert key in capsys.readouterr().err
+
 
 class TestSegmentCmd:
     def test_full_run_outputs(self, phantom_dir, tmp_path):

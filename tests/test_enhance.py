@@ -15,7 +15,7 @@ from octseg.enhance import (
     DepthWeight,
     enhance,
 )
-from octseg.surfaces import SearchMask, argmax_per_ascan
+from octseg.surfaces import SearchMask
 from octseg.volume import Volume
 
 
@@ -54,107 +54,107 @@ class TestDepthWeight:
         assert (np.diff(shallow) < 0).all()
 
 
+def pick(d, s, direction="favor_deep", **kwargs):
+    """Run enhance on plain arrays; return the picked depths and the flat flag."""
+    surface, flat = enhance(Volume(d), Volume(s), DepthWeight(direction, d.shape[2]), **kwargs)
+    return surface.z, flat
+
+
+def column(*values):
+    return np.array(values, dtype=np.float64)[None, None, :]
+
+
 class TestUnitScale:
-    """The min-max rescales inside enhance."""
+    """The min-max rescales inside enhance, seen through the picks."""
 
     def test_maps_to_unit_interval(self):
-        d = np.array([3.0, 5.0, 7.0])[None, None, :]
-        s = np.array([0.0, 0.0, 1.0])[None, None, :]
-        out = enhance(Volume(d), Volume(s), DepthWeight("favor_deep", 3))
-        # (d, s) rescale to (0, .5, 1) and (0, 0, 1); weights 1, 2, 3
-        assert np.allclose(out.data[0, 0], [0.0, 1.0 / 6.0, 1.0])
+        # rescaled: d (0, 1, .5), s (0, 0, 1); weights 1, 2, 3 score (0, 2, 4.5).
+        # Unscaled, the derivative's thousands would drown the smoothed field
+        # (pick 1), and an unscaled smoothed field would lose to it (pick 1).
+        z, flat = pick(column(0.0, 2000.0, 1000.0), column(0.0, 0.0, 1e-3))
+        assert z[0, 0] == 2.0 and not flat
 
     def test_flat_input_flagged(self):
+        # a flat derivative contributes zero: (1, .4, 0) weighted 1, 2, 3
+        # scores (1, .8, 0); a contribution of 1 would make it (2, 2.8, 3)
         d = np.full((1, 1, 3), 4.0)
-        s = np.array([0.0, 0.5, 1.0])[None, None, :]
         with pytest.warns(DegenerateNormalizationWarning, match="derivative") as rec:
-            out = enhance(Volume(d), Volume(s), DepthWeight("favor_deep", 3))
+            z, flat = pick(d, column(1.0, 0.4, 0.0))
         assert len(rec) == 1  # only the derivative was flat
-        assert np.allclose(out.data[0, 0], [0.0, 1.0 / 3.0, 1.0])
+        assert z[0, 0] == 0.0 and not flat
 
     def test_selection_controls_extrema(self):
-        d = np.array([100.0, 0.0, 10.0, 1000.0])[None, None, :]
-        s = np.array([5.0, 0.0, 1.0, -7.0])[None, None, :]
+        # extrema over the window [1, 3) only: both fields span [0, 1] there,
+        # so weights 2, 3 make depth 2 win.  A large value outside the window
+        # would squeeze the window's smoothed values (first case) or its
+        # derivative values (second case) to ~0, and depth 1 would win.
         mask = SearchMask(k_lo=np.array([[1]]), k_hi=np.array([[3]]), nz=4)
-        out = enhance(Volume(d), Volume(s), DepthWeight("favor_deep", 4), mask=mask)
-        # extrema over the window only: the 100, 1000, 5 and -7 outside it
-        # would otherwise squeeze the window's values towards zero
-        assert out.data.shape == (1, 1, 2)
-        assert np.array_equal(out.data[0, 0], [0.0, 1.0])
+        for d, s in (
+            (column(0.0, 1.0, 0.0, 0.0), column(1000.0, 0.0, 1.0, 0.0)),
+            (column(1000.0, 0.0, 1.0, 0.0), column(0.0, 1.0, 0.0, 0.0)),
+        ):
+            z, flat = pick(d, s, mask=mask)
+            assert z[0, 0] == 2.0 and not flat
 
 
 class TestEnhance:
-    def _volumes(self, nz=5, d_at=0.2, s_at=0.1, at=2):
+    def _volumes(self, d_col, s_col):
         # derivative and smoothed volumes whose normalization is identity:
-        # both span [0, 1] exactly via corner pixels away from the probe
+        # both span [0, 1] exactly via a corner column away from the probe
+        nz = len(d_col)
         d = np.zeros((2, 2, nz), dtype=np.float64)
         s = np.zeros((2, 2, nz), dtype=np.float64)
         d[0, 0, 0] = 1.0
         s[0, 0, 0] = 1.0
-        d[1, 1, at] = d_at
-        s[1, 1, at] = s_at
-        return Volume(d), Volume(s)
+        d[1, 1] = d_col
+        s[1, 1] = s_col
+        return d, s
 
     def test_weighted_sum_value(self):
-        d, s = self._volumes(d_at=0.2, s_at=0.1, at=2)
-        w = DepthWeight("favor_deep", 5)
-        out = enhance(d, s, w)
-        # raw score 3 * (0.2 + 0.1) over the raw maximum 1 * (1 + 1) at (0, 0, 0)
-        assert np.isclose(out.data[1, 1, 2], 3.0 * 0.3 / 2.0, atol=1e-6)
+        # depths 1..3 score 2 * .6, 3 * .35 and 4 * (.2 + .15): only the
+        # weighted sum picks depth 3 (unweighted: 1, derivative or smoothed
+        # alone: 1 or 2)
+        d, s = self._volumes([0, 0.6, 0, 0.2, 0], [0, 0, 0.35, 0.15, 0])
+        z, flat = pick(d, s)
+        assert z[1, 1] == 3.0 and not flat
 
     def test_plane_zero_not_erased(self):
-        d, s = self._volumes()
-        w = DepthWeight("favor_deep", 5)
-        out = enhance(d, s, w)
-        assert out.data[0, 0, 0] == 1.0  # w(0)=1, D+S=2 is the maximum
+        # w(0) = 1: the fused 2 at depth 0 beats 2 * .8 at depth 1
+        d, s = self._volumes([1, 0.4, 0], [1, 0.4, 0])
+        z, _ = pick(d, s)
+        assert z[1, 1] == 0.0
 
     def test_equal_peaks_resolved_by_weight(self):
-        # two columns with identical fused peaks at different depths: the
-        # deep-favoring weight must make the deeper one score higher
+        # one column with identical fused peaks at two depths: the weight
+        # decides which one wins
         nz = 64
-        d = np.zeros((2, 1, nz))
-        s = np.zeros((2, 1, nz))
-        s[0, 0, 0] = 1e-9  # keep the smoothed field non-flat
-        d[0, 0, 10] = 1.0
-        d[1, 0, 40] = 1.0
-        out_deep = enhance(Volume(d), Volume(s.copy()), DepthWeight("favor_deep", nz))
-        assert out_deep.data[1, 0, 40] > out_deep.data[0, 0, 10]
-        out_shallow = enhance(Volume(d), Volume(s.copy()), DepthWeight("favor_shallow", nz))
-        assert out_shallow.data[0, 0, 10] > out_shallow.data[1, 0, 40]
-
-    def test_output_normalized_range(self):
-        rng = np.random.default_rng(0)
-        d = Volume(rng.standard_normal((4, 4, 12)))
-        s = Volume(rng.random((4, 4, 12)))
-        out = enhance(d, s, DepthWeight("favor_deep", 12))
-        assert out.data.min() == 0.0
-        assert out.data.max() == 1.0
-        assert np.isfinite(out.data).all()
+        d = np.zeros((1, 1, nz))
+        s = np.zeros((1, 1, nz))
+        d[0, 0, [10, 40]] = 1.0
+        s[0, 0, [10, 40]] = 1.0
+        assert pick(d, s, "favor_deep")[0][0, 0] == 40.0
+        assert pick(d, s, "favor_shallow")[0][0, 0] == 10.0
 
     def test_negative_derivative_clamped(self):
-        d = np.zeros((1, 1, 4))
-        d[0, 0, 1] = -5.0
-        d[0, 0, 2] = 1.0
-        s = np.zeros((1, 1, 4))
-        s[0, 0, 3] = 1.0
-        out = enhance(Volume(d), Volume(s), DepthWeight("favor_deep", 4),
-                      clamp_negative=True)
-        # with clamping the -5 cell contributes nothing
-        assert out.data[0, 0, 1] == 0.0
-        out2 = enhance(Volume(d), Volume(s), DepthWeight("favor_deep", 4),
-                       clamp_negative=False)
-        assert out2.data[0, 0, 1] == 0.0  # after min-max it becomes the floor
-        # without clamping the zero background sits above the floor and
-        # picks up weight; with clamping it stays at exactly zero
-        assert out.data[0, 0, 0] == 0.0
-        assert out2.data[0, 0, 0] > 0.0
+        # with clamping the -5 cell only sets the floor at zero, and the
+        # joint peak at depth 1 wins; without it the zero background sits
+        # 5/6 above the floor and the growing weights pick the deepest plane
+        d = column(-5.0, 1.0, 0, 0, 0, 0, 0, 0)
+        s = column(0.0, 1.0, 0, 0, 0, 0, 0, 0)
+        assert pick(d, s, clamp_negative=True)[0][0, 0] == 1.0
+        assert pick(d, s, clamp_negative=False)[0][0, 0] == 7.0
 
     def test_flat_inputs_warn_and_zero(self):
-        d = Volume(np.zeros((2, 2, 3)))
-        s = Volume(np.full((2, 2, 3), 0.5))
-        with pytest.warns(DegenerateNormalizationWarning):
-            out = enhance(d, s, DepthWeight("favor_deep", 3))
-        assert np.array_equal(out.data, np.zeros((2, 2, 3)))
+        # both fields flat contribute zero: the score is flat, each column
+        # picks the top of its window, and all three steps warn
+        d = np.zeros((2, 2, 5))
+        s = np.full((2, 2, 5), 0.5)
+        mask = SearchMask(k_lo=np.array([[0, 1], [2, 3]]), k_hi=np.full((2, 2), 5), nz=5)
+        with pytest.warns(DegenerateNormalizationWarning) as rec:
+            z, flat = pick(d, s, mask=mask)
+        assert flat
+        assert np.array_equal(z, mask.k_lo)
+        assert [str(w.message).split()[0] for w in rec] == ["derivative", "smoothed", "enhanced"]
 
     def test_dims_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -180,10 +180,9 @@ class TestEnhance:
         gain = float(2.0**exp)
         d = rng.standard_normal((3, 3, 16))
         s = rng.random((3, 3, 16))
-        w = DepthWeight("favor_deep", 16)
-        a = enhance(Volume(d), Volume(s), w)
-        b = enhance(Volume(gain * d), Volume(gain * s), w)
-        assert np.array_equal(a.data.argmax(axis=2), b.data.argmax(axis=2))
+        z_a, flat_a = pick(d, s)
+        z_b, flat_b = pick(gain * d, gain * s)
+        assert np.array_equal(z_a, z_b) and flat_a == flat_b
 
 
 def reference_score_and_extract(diff, smooth, weights, sign, clamp, k_lo, k_hi):
@@ -192,27 +191,31 @@ def reference_score_and_extract(diff, smooth, weights, sign, clamp, k_lo, k_hi):
     k = np.arange(diff.shape[2])
     inside = (k >= k_lo[:, :, None]) & (k < k_hi[:, :, None])
 
+    def is_flat(v):
+        return not v[inside].max() > v[inside].min()
+
     def rescale(v):
         lo, hi = v[inside].min(), v[inside].max()
         if not hi > lo:
             v.fill(0)
-            return True
+            return
         v -= lo
         v /= hi - lo
-        return False
 
     score = sign * diff
     if clamp:
         np.maximum(score, 0, out=score)
     smoothed = smooth.copy()
-    flat = [rescale(score), rescale(smoothed)]
+    flat = [is_flat(score), is_flat(smoothed)]
+    rescale(score)
+    rescale(smoothed)
     score += smoothed
     score *= weights[None, None, :]
-    flat.append(rescale(score))
+    flat.append(is_flat(score))
     z = np.where(inside, score, -np.inf).argmax(axis=2).astype(np.float64)
     valid = k_lo < k_hi
     z[~valid] = np.nan
-    return z, valid, flat, not score.any()
+    return z, valid, flat
 
 
 @st.composite
@@ -239,7 +242,7 @@ def scoring_cases(draw):
 
 
 class TestBandScoring:
-    """enhance + argmax_per_ascan on the window band, in x-slabs."""
+    """enhance scores and picks the window band in x-slabs."""
 
     @pytest.mark.parametrize("threads,slab_voxels", [(1, None), (2, None), (1, 1), (2, 1)])
     @given(case=scoring_cases())
@@ -248,7 +251,7 @@ class TestBandScoring:
         diff, smooth, direction, sign, clamp, k_lo, k_hi = case
         nz = diff.shape[2]
         weight = DepthWeight(direction, nz)
-        z_ref, valid_ref, flat_ref, degenerate_ref = reference_score_and_extract(
+        z_ref, valid_ref, flat_ref = reference_score_and_extract(
             diff.copy(), smooth.copy(), weight.weights(), sign, clamp, k_lo, k_hi
         )
         mask = SearchMask(k_lo=k_lo, k_hi=k_hi, nz=nz)
@@ -256,18 +259,17 @@ class TestBandScoring:
         with mock.patch.object(filters, "_SLAB_VOXELS", slab), \
                 warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
-            out = enhance(Volume(diff), Volume(smooth), weight, sign, clamp, mask, threads)
-            z0, band = mask.to_band()
-            surface = argmax_per_ascan(out, band, threads)
-        assert out.nz == band.nz
-        assert np.array_equal(surface.z + z0, z_ref, equal_nan=True)
+            surface, flat = enhance(
+                Volume(diff), Volume(smooth), weight, sign, clamp, mask, threads
+            )
+        assert np.array_equal(surface.z, z_ref, equal_nan=True)
         assert np.array_equal(surface.valid, valid_ref)
         flagged = [str(w.message) for w in rec
                    if issubclass(w.category, DegenerateNormalizationWarning)]
         expected = [m for m, f in zip(
             ["derivative", "smoothed", "enhanced"], flat_ref) if f]
         assert [m.split()[0] for m in flagged] == expected
-        assert (not out.data.any()) == degenerate_ref
+        assert flat == flat_ref[2]
 
     def test_inputs_left_untouched(self):
         rng = np.random.default_rng(3)
@@ -290,10 +292,10 @@ class TestBandScoring:
                     DepthWeight("favor_deep", 3), mask=SearchMask.full(2, 2, 4))
 
     def test_masked_peak_memory_below_one_volume(self):
-        # windows of at most half the depth: the band output and slab
-        # scratch together stay under one float volume (a full-volume
-        # score with a boolean mask and a masked copy needs about 2.7);
-        # the volume spans several slabs, as real volumes do
+        # windows of at most half the depth, on a volume of at least 8
+        # slabs: scoring and picking hold about 2.4 slabs of scratch at a
+        # time (score, the pick's masked copy and its window), where a
+        # band-sized score array alone took half a volume, 4 slabs here
         nx, ny, nz = 128, 64, 256
         assert nx * ny * nz >= 8 * filters._SLAB_VOXELS
         rng = np.random.default_rng(0)
@@ -304,10 +306,8 @@ class TestBandScoring:
         weight = DepthWeight("favor_deep", nz)
         tracemalloc.start()
         try:
-            out = enhance(diff, smooth, weight, -1, True, mask)
-            z0, band = mask.to_band()
-            argmax_per_ascan(out, band)
+            enhance(diff, smooth, weight, -1, True, mask)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < diff.data.nbytes
+        assert peak < 3 * filters._SLAB_VOXELS * diff.data.itemsize

@@ -208,9 +208,10 @@ class TestStepResponse:
         deriv, smooth = bank.derivative(4, 3), bank.smoothing(2)
         w = DepthWeight("favor_shallow", 40)
         negated = Volume(-deriv.data)
-        assert np.array_equal(
-            enhance(deriv, smooth, w, sign=-1).data, enhance(negated, smooth, w).data
-        )
+        below, flat = enhance(deriv, smooth, w, sign=-1)
+        expected, expected_flat = enhance(negated, smooth, w)
+        assert np.array_equal(below.z, expected.z) and flat == expected_flat
+        assert not np.array_equal(below.z, enhance(deriv, smooth, w)[0].z)
         with pytest.raises(ValueError):
             deriv.data[0, 0, 0] = 0.0  # shared fields are read-only
 

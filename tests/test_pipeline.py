@@ -51,8 +51,7 @@ class TestSegmentBoundary:
         assert not res.report.degenerate
         assert res.report.wall_s > 0
         assert set(res.report.stage_s) == {
-            "derivative", "smoothing", "enhance", "extract",
-            "outlier_reject", "regularize",
+            "derivative", "smoothing", "enhance", "outlier_reject", "regularize",
         }
         assert res.report.columns_total == 48 * 12
         assert res.report.columns_searched == 48 * 12
@@ -202,7 +201,12 @@ class TestCascade:
         assert d["total_wall_s"] > 0
         assert len(d["boundaries"]) == 3
         assert d["config"]["rpe"]["polarity"] == "bright_above"
+        assert list(d["config"]) == ["rpe", "isos", "ilm"]
         for b in d["boundaries"]:
+            assert list(b) == [
+                "name", "wall_s", "stage_s", "rejected_points", "enhance_passes",
+                "argmax_passes", "degenerate", "columns_total", "columns_searched",
+            ]
             assert b["enhance_passes"] == 1
             assert b["argmax_passes"] == 1
             assert b["wall_s"] >= 0
