@@ -41,18 +41,10 @@ def cli_import_s(runs=5):
     return statistics.median(walls)
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--dims", type=parse_dims, default=(300, 99, 480),
-                        help="volume dimensions as NXxNYxNZ (default 300x99x480)")
-    parser.add_argument("--looks", type=int, default=4,
-                        help="speckle looks, 0 for noiseless (default 4)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--repeat", type=int, default=3,
-                        help="number of timed runs (default 3)")
-    args = parser.parse_args()
-
+def timed_runs(args):
+    """Segment a phantom ``args.repeat`` times; the fastest run and the truth."""
+    if args.repeat < 1:
+        raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
     looks = args.looks if args.looks > 0 else None
     spec = PhantomSpec.default(dims=args.dims, seed=args.seed, speckle_looks=looks)
 
@@ -69,6 +61,25 @@ def main():
               f"(threads={args.threads})")
         if best is None or result.total_wall_s < best.total_wall_s:
             best = result
+    return best, truth
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--dims", type=parse_dims, default=(300, 99, 480),
+                        help="volume dimensions as NXxNYxNZ (default 300x99x480)")
+    parser.add_argument("--looks", type=int, default=4,
+                        help="speckle looks, 0 for noiseless (default 4)")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--repeat", type=int, default=3,
+                        help="number of timed runs (default 3)")
+    args = parser.parse_args()
+    try:
+        best, truth = timed_runs(args)
+    except ValueError as e:  # bad dims, thread count or repeat count
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
     print()
     header = f"{'stage':<16}" + "".join(f"{r.name:>10}" for r in best.reports)
@@ -93,7 +104,8 @@ def main():
         err = surface_error(best.surfaces[key], getattr(truth, key))
         print(f"  {key:<5} rms={err.rms:.3f}  mean_abs={err.mean_abs:.3f}  "
               f"max_abs={err.max_abs:.3f}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -120,34 +120,43 @@ def enhance(
     column picks the first maximum of its score inside its window
     (``argmax_per_ascan``); a column with an empty window comes back invalid.
 
-    Only the depth band [z0, z1) that holds every window is scored
-    (``mask.to_band()``), one x-slab of scratch at a time, on up to
-    ``threads`` threads; each voxel gets the same arithmetic at any thread
-    count.  Returns the surface in volume depth and whether the score is
-    flat over the windows (then each column picks the top of its window).
-    A flat field at any step triggers DegenerateNormalizationWarning; a flat
-    input contributes zero.
+    ``weight`` has the volume's depth; the fields may stop short of it, at
+    any depth that covers the depth band [z0, z1) that holds every window
+    (``mask.to_band()``).  Only that band is scored, one x-slab of scratch
+    at a time, on up to ``threads`` threads; each voxel gets the same
+    arithmetic at any thread count.  Returns the surface in volume depth
+    and whether the score is flat over the windows (then each column picks
+    the top of its window).  A flat field at any step triggers
+    DegenerateNormalizationWarning; a flat input contributes zero.
     """
-    if diff.dims != smooth.dims:
+    if diff.dims[:2] != smooth.dims[:2]:
         raise ValueError(f"dims mismatch: {diff.dims} vs {smooth.dims}")
-    if weight.nz != diff.nz:
-        raise ValueError(f"depth weight built for nz={weight.nz}, volume has nz={diff.nz}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be 1 or -1, got {sign!r}")
-    nx, ny, nz = diff.dims
+    nx, ny, nz = diff.nx, diff.ny, weight.nz
+    if max(diff.nz, smooth.nz) > nz:
+        raise ValueError(
+            f"depth weight built for nz={weight.nz}, fields have nz={diff.nz}, {smooth.nz}"
+        )
     if mask is None:
         mask = SearchMask.full(nx, ny, nz)
     if mask.nz != nz or mask.k_lo.shape != (nx, ny):
         raise ValueError(
-            f"mask geometry {mask.k_lo.shape}x{mask.nz} does not match volume {diff.dims}"
+            f"mask geometry {mask.k_lo.shape}x{mask.nz} does not match volume {(nx, ny, nz)}"
         )
     z0, band = mask.to_band()
     z1 = z0 + band.nz
+    if min(diff.nz, smooth.nz) < z1:
+        raise ValueError(
+            f"fields of depth {diff.nz}, {smooth.nz} do not cover the search band [{z0}, {z1})"
+        )
     slabs = _slab_bounds((nx, ny, band.nz), threads)
 
     def input_extrema(lo, hi):
-        idx = _window_index(mask.k_lo[lo:hi], mask.k_hi[lo:hi], nz)
-        return _extrema(diff.data[lo:hi], idx), _extrema(smooth.data[lo:hi], idx)
+        k_lo, k_hi = mask.k_lo[lo:hi], mask.k_hi[lo:hi]
+        return tuple(
+            _extrema(f.data[lo:hi], _window_index(k_lo, k_hi, f.nz)) for f in (diff, smooth)
+        )
 
     found = _map_slabs(input_extrema, slabs, threads)
     # sign and clamp are monotone maps, so they carry the derivative's

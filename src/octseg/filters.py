@@ -2,10 +2,14 @@
 
 All filters run in correlation orientation (no kernel flip) and replicate
 edge samples at the borders, so a flat region produces no spurious response
-near the volume faces.  ``convolve_separable`` is the fast path, which the
-pipeline calls through a ``FilterBank`` that keeps each field it computes;
-its one-axis passes are a numpy correlation that reproduces the summation
-order of ``scipy.ndimage.correlate1d`` bit for bit.  ``convolve_direct``
+near the volume faces.  ``convolve_separable`` is the fast path: one pass
+over x-slabs that runs a slab's z, x and y correlations back to back and
+writes it into the output, so no volume-sized intermediate exists, and
+that can stop at a given depth.  Its one-axis correlation reproduces the
+summation order of ``scipy.ndimage.correlate1d`` bit for bit.  The
+pipeline reads fields through a ``FilterBank``, which computes each once,
+drops it after its last planned reader and computes a field with a single
+reader only down to the depth that reader needs.  ``convolve_direct``
 sums a dense kernel over its taps and exists as an independent reference
 for cross-checking the separable implementation.
 """
@@ -13,6 +17,8 @@ for cross-checking the separable implementation.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -207,64 +213,102 @@ def _correlate1d(arr: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _correlate_axis(arr: np.ndarray, taps: np.ndarray, axis: int, threads: int) -> np.ndarray:
-    """One replicate-border correlation pass, optionally split into x slabs.
-
-    Slabs along axis 0 are extended by the kernel half-width when the pass
-    itself runs along axis 0, so every output element sees exactly the same
-    neighborhood (and the same arithmetic) as the unsplit call.  Results are
-    therefore bitwise identical for any thread count.
-    """
-    hw = taps.size // 2
-    parts = 1
-    if threads > 1:
-        parts = min(threads, arr.shape[0] // (hw + 1))
-    if parts <= 1:
-        return _correlate1d(arr, taps, axis)
-    out = np.empty_like(arr)
-
-    def run(lo: int, hi: int) -> None:
-        if axis == 0:
-            a = max(0, lo - hw)
-            b = min(arr.shape[0], hi + hw)
-            res = _correlate1d(arr[a:b], taps, 0)
-            out[lo:hi] = res[lo - a : lo - a + (hi - lo)]
-        else:
-            out[lo:hi] = _correlate1d(arr[lo:hi], taps, axis)
-
-    _map_slabs(run, _chunk_bounds(arr.shape[0], parts), parts)
-    return out
+# x-slabs of one fused filter pass hold about this many voxels.  The x pass
+# also computes the slab's halo planes and drops them, so a narrow slab
+# wastes work; a wide one holds more scratch while the cascade's fields are
+# alive (at 1 << 20 a 300x99x480 run peaked at 2.76 float volumes above its
+# input, at 1 << 19 at 2.69, in about the same time)
+_FILTER_SLAB_VOXELS = 1 << 19
 
 
-def convolve_separable(volume: Volume, kernel: SeparableKernel, threads: int = 1) -> Volume:
-    """Filter a volume with an outer-product kernel, one axis at a time.
+def convolve_separable(
+    volume: Volume, kernel: SeparableKernel, threads: int = 1, depth: int | None = None
+) -> Volume:
+    """Filter a volume with an outer-product kernel in one pass over x-slabs.
 
-    Passes run along z, x, then y, skipping an axis whose taps are [1.0].
-    Output dtype follows the input dtype.  A kernel longer than the volume
-    along any axis is rejected.
+    Each slab runs the z, x and y correlations in that order, skipping an
+    axis whose taps are [1.0], and writes its planes straight into the
+    output; the z-filtered planes of the x halo are carried from one slab
+    to the next.  Threads take contiguous x ranges, and each recomputes the
+    halo at its start.  Every output sees the same neighbourhood and the
+    same arithmetic as whole-axis passes, so results are bitwise equal to
+    them at any thread count.  With ``depth``, only the planes z < depth
+    are computed, from the input cropped ``kz.size // 2`` planes below
+    them.  Output dtype follows the input dtype.  A kernel longer than the
+    volume along any axis is rejected.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    nx, ny, nz = volume.dims
+    depth = nz if depth is None else depth
+    if not 1 <= depth <= nz:
+        raise ValueError(f"depth must be between 1 and {nz}, got {depth}")
     _check_extents((kernel.kx.size, kernel.ky.size, kernel.kz.size), volume.dims)
-    out = volume.data
-    for axis, taps in ((2, kernel.kz), (0, kernel.kx), (1, kernel.ky)):
-        if taps.tolist() != [1.0]:
-            out = _correlate_axis(out, taps, axis, threads)
-    return Volume(out.copy() if out is volume.data else out, volume.spacing)
+    kx, ky, kz = (None if t.tolist() == [1.0] else t for t in (kernel.kx, kernel.ky, kernel.kz))
+    hx = 0 if kx is None else kx.size // 2
+    src = volume.data[:, :, : min(nz, depth + kernel.kz.size // 2)]
+    out = np.empty((nx, ny, depth), dtype=src.dtype)
+    width = max(1, _FILTER_SLAB_VOXELS // (ny * depth))
+    step = max(1, _BLOCK_SAMPLES // (ny * depth))
+
+    def lateral(planes: np.ndarray, first: int, s0: int, s1: int) -> None:
+        # x then y pass of z-filtered planes, planes[first] being plane s0;
+        # the y pass writes about one block of _correlate1d's at a time.
+        # The x output dies on return, before the next slab's is allocated
+        if kx is not None:
+            planes = _correlate1d(planes, kx, 0)
+        for c0 in range(s0, s1, step):
+            c1 = min(c0 + step, s1)
+            rows = planes[first + c0 - s0 : first + c1 - s0]
+            out[c0:c1] = rows if ky is None else _correlate1d(rows, ky, 1)
+
+    def run(lo: int, hi: int) -> None:
+        # z-filtered planes [a, b) of the current slab's x neighbourhood
+        held = np.empty((min(width + 2 * hx, nx), ny, depth), dtype=src.dtype)
+        a = b = 0  # nothing held yet
+        for s0 in range(lo, hi, width):
+            s1 = min(s0 + width, hi)
+            na, nb = max(0, s0 - hx), min(nx, s1 + hx)
+            if b > na:
+                held[: b - na] = held[na - a : b - a]
+            fresh = max(b, na)
+            if nb > fresh:
+                planes = src[fresh:nb]
+                if kz is not None:
+                    planes = _correlate1d(planes, kz, 2)
+                held[fresh - na : nb - na] = planes[:, :, :depth]
+                del planes  # freed before the x pass allocates its output
+            a, b = na, nb
+            lateral(held[: b - a], s0 - a, s0, s1)
+
+    _map_slabs(run, _chunk_bounds(nx, min(threads, nx)), threads)
+    return Volume(out, volume.spacing)
 
 
 class FilterBank:
-    """The filtered fields of one volume, each computed on first use and kept.
+    """The filtered fields of one volume, each computed once.
 
     Every field is bitwise equal to ``convolve_separable`` with the matching
-    kernel; derivatives of one half-width share their depth pass.  Fields
-    are shared between callers, so their arrays are made read-only.
+    kernel.  ``plan`` lists what the bank's readers will ask for, one
+    (derivative half-width, lateral width, smoothing radius) per reader.  A
+    planned field is dropped once its last reader has taken it, and a field
+    with one reader left is computed only down to the depth that reader
+    asks for: a field read more than once spans the whole depth, since the
+    later readers' depths are not known yet.  Unplanned fields are kept at
+    full depth.  Fields are shared between callers, so their arrays are
+    made read-only.
     """
 
-    def __init__(self, volume: Volume, threads: int = 1):
+    def __init__(
+        self, volume: Volume, threads: int = 1, plan: Iterable[tuple[int, int, int]] = ()
+    ):
         self.volume = volume
         self.threads = threads
         self._fields: dict[tuple, Volume] = {}
+        self._readers: Counter = Counter()
+        for half_width, lateral, radius in plan:
+            self._readers[("derivative", half_width, lateral)] += 1
+            self._readers[("smoothing", radius)] += 1
 
     def check_fits(self, half_width: int, lateral: int, radius: int) -> None:
         """Raise ValueError if a derivative or smoothing kernel of these
@@ -272,22 +316,28 @@ class FilterBank:
         for k in (make_derivative_kernel(half_width, lateral), make_smoothing_kernel(radius)):
             _check_extents((k.kx.size, k.ky.size, k.kz.size), self.volume.dims)
 
-    def _field(self, key: tuple, source: Volume, kx, ky, kz) -> Volume:
-        if key not in self._fields:
-            field = convolve_separable(source, SeparableKernel(kx, ky, kz), self.threads)
+    def _field(self, key: tuple, kernel: SeparableKernel, depth: int | None) -> Volume:
+        left = self._readers.get(key)  # planned reads still to come; None: unplanned
+        last = left is not None and left <= 1
+        field = self._fields.pop(key, None)
+        if field is None:
+            field = convolve_separable(self.volume, kernel, self.threads, depth if last else None)
             field.data.flags.writeable = False
+        if not last:
             self._fields[key] = field
-        return self._fields[key]
+        if left:
+            self._readers[key] = left - 1
+        return field
 
-    def smoothing(self, radius: int) -> Volume:
-        k = make_smoothing_kernel(radius)
-        return self._field(("smoothing", radius), self.volume, k.kx, k.ky, k.kz)
+    def smoothing(self, radius: int, depth: int | None = None) -> Volume:
+        """Box-smoothed intensity; ``depth``: the planes the caller reads."""
+        return self._field(("smoothing", radius), make_smoothing_kernel(radius), depth)
 
-    def derivative(self, half_width: int, lateral: int) -> Volume:
-        """Bright-above depth derivative, averaged over a lateral box."""
-        k = make_derivative_kernel(half_width, lateral)
-        depth = self._field(("depth", half_width), self.volume, [1.0], [1.0], k.kz)
-        return self._field(("derivative", half_width, lateral), depth, k.kx, k.ky, [1.0])
+    def derivative(self, half_width: int, lateral: int, depth: int | None = None) -> Volume:
+        """Bright-above depth derivative, averaged over a lateral box;
+        ``depth``: the planes the caller reads."""
+        kernel = make_derivative_kernel(half_width, lateral)
+        return self._field(("derivative", half_width, lateral), kernel, depth)
 
 
 def convolve_direct(volume: Volume, kernel: Kernel3D) -> Volume:

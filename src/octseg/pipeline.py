@@ -9,7 +9,11 @@ Each stage's wall time goes to the boundary's report, and a failing stage
 is raised as a PipelineError naming the boundary and the stage.  One
 ``FilterBank`` per volume computes each distinct field once; polarity is
 the sign ``enhance`` gives the bank's bright-above derivative, so ILM
-reuses RPE's.  The cascade runs RPE first on the whole volume, then
+reuses RPE's.  ``segment_retina`` hands the bank the fields each boundary
+will read, so a field is freed after its last reader, and a field with one
+reader (IS/OS's wider derivative by default) is computed only down to the
+end of that boundary's search band, which is read before the derivative
+stage.  The cascade runs RPE first on the whole volume, then
 removes the RPE and everything below it from the search window (with a
 safety margin) before finding IS/OS, and repeats that truncation above
 IS/OS before finding ILM.  A final projection step restores the
@@ -180,6 +184,17 @@ class BoundaryReport:
         return dataclasses.asdict(self)
 
 
+def _filter_sizes(profile: BoundaryProfile) -> tuple[int, int, int]:
+    """What a boundary reads from the filter bank: derivative half-width,
+    lateral width and smoothing radius."""
+    return profile.derivative_half_width, profile.lateral_width, profile.smoothing_radius
+
+
+def _check_threads(threads) -> None:
+    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+
+
 @contextmanager
 def _stage(report: BoundaryReport, name: str):
     """Time one stage into ``report.stage_s[name]``; re-raise its failure as
@@ -243,10 +258,11 @@ def segment_boundary(
     degenerate rather than raised; any stage failure raises PipelineError
     naming the boundary and stage.
     """
+    _check_threads(threads)
     t0 = time.perf_counter()
     nx, ny, nz = volume.dims
     if bank is None:
-        bank = FilterBank(volume, threads)
+        bank = FilterBank(volume, threads, [_filter_sizes(profile)])
     if mask is None:
         mask = SearchMask.full(nx, ny, nz)
     report = BoundaryReport(name=profile.name)
@@ -256,13 +272,16 @@ def segment_boundary(
     weight = DepthWeight(profile.weight_direction, nz)
     sign = 1 if profile.polarity == "bright_above" else -1
     with _stage(report, "derivative"):
-        deriv = bank.derivative(profile.derivative_half_width, profile.lateral_width)
+        z0, band = mask.to_band()
+        depth = z0 + band.nz  # enhance reads no plane below the search band
+        deriv = bank.derivative(profile.derivative_half_width, profile.lateral_width, depth)
     with _stage(report, "smoothing"):
-        smooth = bank.smoothing(profile.smoothing_radius)
+        smooth = bank.smoothing(profile.smoothing_radius, depth)
     with _stage(report, "enhance"):
         raw, report.degenerate = enhance(
             deriv, smooth, weight, sign, profile.clamp_negative, mask, threads
         )
+    del deriv, smooth  # a field the bank no longer keeps is freed here
     report.enhance_passes += 1
     report.argmax_passes += 1
     with _stage(report, "outlier_reject"):
@@ -326,15 +345,17 @@ def segment_retina(
     per-boundary reports in execution order.  A volume smaller than one of
     the profiles' kernels raises ValueError before any stage runs.
     """
+    _check_threads(threads)
     t0 = time.perf_counter()
     if config is None:
         config = PipelineConfig.default()
     nx, ny, nz = volume.dims
     full = SearchMask.full(nx, ny, nz)
-    bank = FilterBank(volume, threads)
-    for p in (config.rpe, config.isos, config.ilm):
+    profiles = (config.rpe, config.isos, config.ilm)
+    bank = FilterBank(volume, threads, [_filter_sizes(p) for p in profiles])
+    for p in profiles:
         try:
-            bank.check_fits(p.derivative_half_width, p.lateral_width, p.smoothing_radius)
+            bank.check_fits(*_filter_sizes(p))
         except ValueError as e:
             raise ValueError(f"{p.name}: {e}") from None
 

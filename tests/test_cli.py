@@ -132,6 +132,17 @@ class TestSegmentCmd:
         report = json.loads((tmp_path / "seg/report.json").read_text())
         assert report["degenerate"] is True
 
+    def test_empty_search_window_is_pipeline_error(self, phantom_dir, tmp_path, capsys):
+        # a margin deeper than the volume leaves IS/OS no window above the RPE
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"isos": {"truncation_margin": 500}}))
+        rc = main(["segment", "--in", str(phantom_dir / "volume.raw"),
+                   "--meta", str(phantom_dir / "volume.json"),
+                   "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
+        assert rc == EXIT_PIPELINE
+        err = capsys.readouterr().err
+        assert err.startswith("error: IS/OS: ") and "no non-empty window" in err
+
     def test_non_finite_voxel_is_usage_error(self, tmp_path, capsys):
         data = np.random.default_rng(0).random((64, 16, 128), dtype=np.float32)
         data[10, 3, 77] = np.nan

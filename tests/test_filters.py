@@ -2,6 +2,7 @@
 border behavior, the boundary detector's step response, and the one-axis
 correlation against scipy's."""
 
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -225,24 +226,43 @@ class TestStepResponse:
         assert r.min() < 0
 
 
+def whole_axis_reference(volume, kernel, depth=None):
+    """``_correlate1d`` over whole axes in z, x, y order, cut to ``depth``."""
+    out = volume.data
+    for axis, taps in ((2, kernel.kz), (0, kernel.kx), (1, kernel.ky)):
+        out = filters._correlate1d(out, taps, axis)
+    return out[:, :, :depth]
+
+
 class TestFilterBank:
-    @given(st.integers(0, 2**31 - 1), st.sampled_from([np.float32, np.float64]))
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([np.float32, np.float64]),
+           st.sampled_from([1, None]))
     @settings(max_examples=30, deadline=None)
-    def test_fields_bitwise_equal_convolve_separable(self, seed, dtype):
+    def test_fields_bitwise_equal_convolve_separable(self, seed, dtype, slab_voxels):
+        # the fused slab pass against whole-axis passes: threads 1 and 2,
+        # 1-plane slabs (slab_voxels=1) and the default, full and cut depths
         rng = np.random.default_rng(seed)
         dims = (int(rng.integers(4, 12)), int(rng.integers(3, 8)), int(rng.integers(5, 20)))
         v = random_volume(rng, dims, dtype)
         radius = int(rng.integers(0, (min(dims) - 1) // 2 + 1))
         half_width = int(rng.integers(1, (dims[2] - 1) // 2 + 1))
         laterals = [2 * int(rng.integers(0, (min(dims[:2]) + 1) // 2)) + 1 for _ in range(2)]
-        for threads in (1, 2):
-            bank = FilterBank(v, threads)
-            ref = convolve_separable(v, make_smoothing_kernel(radius), threads=threads)
-            assert np.array_equal(bank.smoothing(radius).data, ref.data)
-            for lateral in laterals:
-                k = make_derivative_kernel(half_width, lateral)
-                ref = convolve_separable(v, k, threads=threads)
-                assert np.array_equal(bank.derivative(half_width, lateral).data, ref.data)
+        depth = int(rng.integers(1, dims[2] + 1))
+        slab = filters._FILTER_SLAB_VOXELS if slab_voxels is None else slab_voxels
+        with mock.patch.object(filters, "_FILTER_SLAB_VOXELS", slab):
+            for threads in (1, 2):
+                kernel = make_smoothing_kernel(radius)
+                ref = whole_axis_reference(v, kernel)
+                assert convolve_separable(v, kernel, threads).data.tobytes() == ref.tobytes()
+                bank = FilterBank(v, threads)
+                assert bank.smoothing(radius).data.tobytes() == ref.tobytes()
+                for lateral in laterals:
+                    kernel = make_derivative_kernel(half_width, lateral)
+                    ref = whole_axis_reference(v, kernel, depth)
+                    cut = convolve_separable(v, kernel, threads, depth).data
+                    assert cut.dtype == dtype and cut.tobytes() == ref.tobytes()
+                    full = bank.derivative(half_width, lateral).data
+                    assert full[:, :, :depth].tobytes() == ref.tobytes()
 
     def test_each_field_computed_once(self):
         v = random_volume(np.random.default_rng(8), (8, 6, 24), np.float32)
@@ -250,6 +270,29 @@ class TestFilterBank:
         assert bank.smoothing(2) is bank.smoothing(2)
         assert bank.derivative(3, 3) is bank.derivative(3, 3)
         assert bank.derivative(3, 3) is not bank.derivative(3, 5)
+
+    def test_plan_drops_each_field_after_its_last_reader(self):
+        v = random_volume(np.random.default_rng(9), (8, 6, 24), np.float32)
+        # two readers of derivative(3, 3), one of derivative(3, 5), three of smoothing(1)
+        bank = FilterBank(v, plan=[(3, 3, 1), (3, 5, 1), (3, 3, 1)])
+        first = bank.derivative(3, 3, 10)
+        assert first.nz == 24  # read again later, so it spans the whole depth
+        only = bank.derivative(3, 5, 10)
+        assert only.nz == 10  # its one reader reads no plane below 10
+        ref = whole_axis_reference(v, make_derivative_kernel(3, 5), 10)
+        assert only.data.tobytes() == ref.tobytes()
+        assert bank.derivative(3, 3, 7) is first
+        smooth = bank.smoothing(1)
+        assert bank.smoothing(1) is smooth and bank.smoothing(1) is smooth
+        fields = [weakref.ref(f) for f in (first, only, smooth)]
+        del first, only, smooth
+        assert [f() for f in fields] == [None, None, None]
+
+    def test_depth_out_of_range_rejected(self):
+        v = random_volume(np.random.default_rng(10), (4, 4, 8), np.float32)
+        for depth in (0, 9):
+            with pytest.raises(ValueError, match="depth"):
+                convolve_separable(v, make_smoothing_kernel(1), depth=depth)
 
 
 @st.composite

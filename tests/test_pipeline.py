@@ -1,11 +1,12 @@
 """Single-boundary extraction, the cascade, ordering, and run reports."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from octseg import filters
+from octseg import filters, pipeline
 from octseg.enhance import DegenerateNormalizationWarning
 from octseg.filters import FilterBank
 from octseg.phantom import PhantomSpec, generate_phantom, surface_error
@@ -156,27 +157,35 @@ class TestCascade:
             assert np.array_equal(a.surfaces[key].z, b.surfaces[key].z)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_default_config_makes_eight_axis_passes(self, monkeypatch, threads):
-        # one shared smoothing (3 passes), one depth pass, and lateral x/y
-        # passes for widths 3 (RPE, ILM) and 9 (IS/OS)
-        calls = []
-        correlate = filters._correlate_axis
+    def test_default_config_computes_each_field_once(self, monkeypatch, threads):
+        # derivative(5, 3) for RPE and ILM, smoothing(3) for all three, and
+        # derivative(5, 9) for IS/OS alone, down to the end of its band
+        fields, reads = [], []
+        convolve, score = filters.convolve_separable, pipeline.enhance
 
-        def counted(arr, taps, axis, threads):
-            calls.append(axis)
-            return correlate(arr, taps, axis, threads)
+        def counted(volume, kernel, threads=1, depth=None):
+            out = convolve(volume, kernel, threads, depth)
+            fields.append((kernel.kx.size, kernel.kz.size, out.nz))
+            return out
 
-        monkeypatch.setattr(filters, "_correlate_axis", counted)
+        def banded(diff, smooth, weight, sign, clamp_negative, mask, threads):
+            z0, band = mask.to_band()
+            reads.append((diff.nz, z0 + band.nz))
+            return score(diff, smooth, weight, sign, clamp_negative, mask, threads)
+
+        monkeypatch.setattr(filters, "convolve_separable", counted)
+        monkeypatch.setattr(pipeline, "enhance", banded)
         vol, _ = generate_phantom(PhantomSpec.default(dims=(48, 12, 96)))
         res = segment_retina(vol, threads=threads)
-        assert len(calls) == 8
-        assert sorted(calls) == [0, 0, 0, 1, 1, 1, 2, 2]
+        isos_depth, isos_band_end = reads[1]  # the cascade runs RPE, IS/OS, ILM
+        assert isos_depth == isos_band_end < 96
+        assert sorted(fields) == [(3, 11, 96), (7, 7, 96), (9, 11, isos_depth)]
         for r in res.reports:
             assert r.enhance_passes == r.argmax_passes == 1
 
     def test_volume_smaller_than_a_kernel_rejected_before_any_stage(self, monkeypatch):
         passes = []
-        monkeypatch.setattr(filters, "_correlate_axis", lambda *a: passes.append(a))
+        monkeypatch.setattr(filters, "_correlate1d", lambda *a: passes.append(a))
         vol = Volume(np.random.default_rng(0).random((4, 4, 6), dtype=np.float32))
         with pytest.raises(ValueError, match="RPE: kernel extent 11 exceeds volume size 6 along z"):
             segment_retina(vol)
@@ -184,6 +193,33 @@ class TestCascade:
         # IS/OS has the widest lateral box (9) of the default profiles
         with pytest.raises(ValueError, match="IS/OS: kernel extent 9 exceeds volume size 8 along x"):
             segment_retina(Volume(np.zeros((8, 12, 40), dtype=np.float32)))
+
+    @pytest.mark.parametrize("threads", [0, -1, 1.5, True])
+    def test_bad_thread_count_rejected_before_any_stage(self, monkeypatch, threads):
+        passes = []
+        monkeypatch.setattr(filters, "_correlate1d", lambda *a: passes.append(a))
+        vol, _ = two_layer_volume(nx=16, ny=8, nz=64)
+        with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+            segment_retina(vol, threads=threads)
+        with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+            segment_boundary(vol, BRIGHT_ABOVE, threads=threads)
+        assert passes == []
+
+    def test_peak_memory_at_most_2_75_volumes_above_input(self):
+        # fields live only while a reader needs them, and IS/OS's derivative
+        # only spans its search band: while IS/OS runs, RPE's derivative
+        # (kept for ILM), the smoothing, about 0.54 of a derivative and one
+        # filter slab's scratch are held (2.69 volumes measured; keeping
+        # every field at full depth peaked at 5.04)
+        vol, _ = generate_phantom(PhantomSpec.default(dims=(300, 99, 480), seed=0,
+                                                      speckle_looks=4))
+        tracemalloc.start()
+        try:
+            segment_retina(vol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * vol.data.nbytes
 
     def test_degenerate_cascade_returns_flagged_result(self):
         vol = Volume(np.full((24, 12, 40), 0.25, dtype=np.float32))

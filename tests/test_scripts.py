@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import octseg
 from octseg.phantom import PhantomSpec, generate_phantom
 from octseg.pipeline import segment_retina
@@ -12,13 +14,16 @@ from octseg.pipeline import segment_retina
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def test_run_benchmark_prints_every_stage_of_the_reports():
+def run_benchmark(*args):
     env = dict(os.environ, PYTHONPATH=str(Path(octseg.__file__).resolve().parents[1]))
-    p = subprocess.run(
-        [sys.executable, str(SCRIPTS / "run_benchmark.py"),
-         "--dims", "40x12x96", "--looks", "0", "--repeat", "1"],
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_benchmark.py"), *args],
         env=env, capture_output=True, text=True, timeout=300,
     )
+
+
+def test_run_benchmark_prints_every_stage_of_the_reports():
+    p = run_benchmark("--dims", "40x12x96", "--looks", "0", "--repeat", "1")
     assert p.returncode == 0, p.stderr
     lines = p.stdout.splitlines()
     header = next(i for i, line in enumerate(lines) if line.startswith("stage "))
@@ -27,3 +32,16 @@ def test_run_benchmark_prints_every_stage_of_the_reports():
     volume, _ = generate_phantom(PhantomSpec.default(dims=(40, 12, 96)))
     for report in segment_retina(volume).reports:
         assert sorted(rows) == sorted(report.stage_s), report.name
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--dims", "40x8x96"], "IS/OS: kernel extent 9 exceeds volume size 8 along y"),
+    (["--dims", "0x8x96"], "dims must be three positive ints"),
+    (["--dims", "40x12x96", "--repeat", "0"], "--repeat must be >= 1, got 0"),
+    (["--dims", "40x12x96", "--threads", "0"], "threads must be an integer >= 1, got 0"),
+], ids=["volume-narrower-than-kernel", "zero-dim", "zero-repeat", "zero-threads"])
+def test_run_benchmark_usage_errors_exit_2_with_one_line(args, message):
+    p = run_benchmark(*args, "--looks", "0")
+    assert p.returncode == 2
+    assert p.stderr.startswith("error: ") and p.stderr.count("\n") == 1
+    assert message in p.stderr
