@@ -9,8 +9,8 @@ file readable by standard viewers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -42,8 +42,8 @@ def thickness_map(ilm: Surface, rpe: Surface, dz_um: float | None = None) -> Thi
     px = rpe.z - ilm.z
     um = None
     if dz_um is not None:
-        if dz_um <= 0:
-            raise ValueError(f"dz_um must be positive, got {dz_um}")
+        if not 0 < dz_um < math.inf:
+            raise ValueError(f"dz_um must be positive and finite, got {dz_um}")
         um = px * float(dz_um)
     return ThicknessMap(px=px, um=um)
 
@@ -68,14 +68,13 @@ def save_thickness_csv(tm: ThicknessMap, path) -> None:
             )
 
 
-def save_thickness_pgm(tm: ThicknessMap, path, sidecar_path=None) -> None:
-    """8-bit binary PGM preview plus a JSON sidecar with the scaling.
+def save_thickness_pgm(tm: ThicknessMap, path) -> None:
+    """8-bit binary PGM preview plus a JSON sidecar at ``<path>.json``.
 
     Gray 0 maps to the map minimum and 255 to the maximum; a constant map
     renders as all zeros.  The sidecar records min/max so gray values can be
     mapped back to thicknesses.  Image rows run over y, columns over x.
     """
-    path = Path(path)
     lo = float(tm.px.min())
     hi = float(tm.px.max())
     if hi > lo:
@@ -91,8 +90,7 @@ def save_thickness_pgm(tm: ThicknessMap, path, sidecar_path=None) -> None:
         "max_thickness_px": hi,
         "gray_to_px": "thickness = min + gray / 255 * (max - min)",
     }
-    sp = sidecar_path if sidecar_path is not None else Path(f"{path}.json")
-    with open(sp, "w", encoding="utf-8") as f:
+    with open(f"{path}.json", "w", encoding="utf-8") as f:
         json.dump(sidecar, f, indent=2)
         f.write("\n")
 

@@ -81,11 +81,7 @@ def cmd_segment(args) -> int:
 
 
 def cmd_phantom(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as f:
-        d = json.load(f)
-    if not isinstance(d, dict):
-        raise ValueError(f"{args.spec}: phantom spec must be a JSON object")
-    spec = PhantomSpec.from_dict(d)
+    spec = PhantomSpec.from_json(args.spec)
     volume, truth = generate_phantom(spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -97,9 +93,7 @@ def cmd_phantom(args) -> int:
     )
     for name, surf in truth.as_dict().items():
         save_surface(surf, out_dir / f"truth_{name}.csv", fmt="csv")
-    with open(out_dir / "spec.json", "w", encoding="utf-8") as f:
-        json.dump(spec.to_dict(), f, indent=2)
-        f.write("\n")
+    spec.save(out_dir / "spec.json")
     return EXIT_OK
 
 

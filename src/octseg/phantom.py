@@ -7,40 +7,23 @@ frequency lateral undulation.  The IS/OS and RPE interfaces carry thin
 bright bands on their deep side (IS/OS) and shallow side (RPE), so the
 interface itself is the intensity step a detector should find.  An optional
 lesion locally shifts the two outer interfaces and darkens the gap between
-the bands.  Multiplicative speckle uses unit-mean Gamma noise.
+the bands.  Multiplicative speckle uses unit-mean Gamma noise.  The specs
+are checked ``records.Record``s.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .records import Record
 from .surfaces import Surface
-from .volume import Volume, _triple_of
-
-
-def _check_number(name: str, value, kind=numbers.Real) -> None:
-    """Reject a spec value that is not a finite number of ``kind`` (bools excluded)."""
-    if not isinstance(value, kind) or isinstance(value, bool):
-        what = "an integer" if kind is numbers.Integral else "a number"
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-class _Numbers:
-    """Base of the specs made only of numbers: rejects any other field value."""
-
-    def __post_init__(self):
-        for f in fields(self):
-            _check_number(f.name, getattr(self, f.name))
+from .volume import Volume, VolumeMeta
 
 
 @dataclass(frozen=True)
-class SurfaceSpec(_Numbers):
+class SurfaceSpec(Record):
     """Height field z(x, y) = base + dip + undulation, in voxels."""
 
     base_depth: float
@@ -66,7 +49,7 @@ class SurfaceSpec(_Numbers):
 
 
 @dataclass(frozen=True)
-class LesionSpec(_Numbers):
+class LesionSpec(Record):
     """Local deformation: IS/OS and RPE move by shift * profile(x, y) and the
     gap between the bright bands changes intensity by delta * profile.
 
@@ -93,7 +76,7 @@ class LesionSpec(_Numbers):
 
 
 @dataclass(frozen=True)
-class LayerIntensities(_Numbers):
+class LayerIntensities(Record):
     """Mean reflectance per layer, all in [0, 1].  The gap between the
     IS/OS and RPE bands reuses the inner-retina level."""
 
@@ -103,8 +86,7 @@ class LayerIntensities(_Numbers):
     rpe_band: float = 0.90
     choroid: float = 0.20
 
-    def __post_init__(self):
-        super().__post_init__()
+    def check(self):
         for name, v in asdict(self).items():
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"intensity {name}={v} outside [0, 1]")
@@ -123,7 +105,9 @@ class GroundTruth:
 
 
 @dataclass(frozen=True)
-class PhantomSpec:
+class PhantomSpec(Record):
+    _label = "phantom spec"
+
     dims: tuple[int, int, int]
     ilm: SurfaceSpec
     isos: SurfaceSpec
@@ -136,23 +120,14 @@ class PhantomSpec:
     lesion: LesionSpec | None = None
     dtype: str = "u8"
 
-    def __post_init__(self):
-        if not _triple_of(self.dims, numbers.Integral) or any(d < 1 for d in self.dims):
-            raise ValueError(f"dims must be three positive ints, got {self.dims!r}")
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+    def check(self):
+        VolumeMeta(dims=self.dims, dtype=self.dtype)  # the sidecar it is written with
         if self.dims[2] < 8:
             raise ValueError(f"need at least 8 depth planes, got {self.dims[2]}")
-        _check_number("isos_band_thickness", self.isos_band_thickness)
-        _check_number("rpe_band_thickness", self.rpe_band_thickness)
-        if self.speckle_looks is not None:
-            _check_number("speckle_looks", self.speckle_looks)
-        _check_number("seed", self.seed, numbers.Integral)
         if self.isos_band_thickness < 1 or self.rpe_band_thickness < 1:
             raise ValueError("band thicknesses must be >= 1 voxel")
         if self.speckle_looks is not None and self.speckle_looks < 1:
             raise ValueError(f"speckle looks must be >= 1, got {self.speckle_looks}")
-        if self.dtype not in ("u8", "f32"):
-            raise ValueError(f"dtype must be 'u8' or 'f32', got {self.dtype!r}")
 
     @classmethod
     def default(
@@ -190,41 +165,6 @@ class PhantomSpec:
             seed=seed,
             lesion=lesion,
         )
-
-    # -- JSON plumbing ------------------------------------------------------
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PhantomSpec":
-        known = {
-            "dims", "ilm", "isos", "rpe", "intensities",
-            "isos_band_thickness", "rpe_band_thickness",
-            "speckle_looks", "seed", "lesion", "dtype",
-        }
-        extra = set(d) - known
-        if extra:
-            raise ValueError(f"unknown phantom spec keys: {sorted(extra)}")
-        for key in ("dims", "ilm", "isos", "rpe"):
-            if key not in d:
-                raise ValueError(f"phantom spec is missing required key {key!r}")
-        # a null intensities or lesion means the default (no lesion)
-        kwargs = {k: v for k, v in d.items()
-                  if v is not None or k not in ("intensities", "lesion")}
-        for key, kind in (("ilm", SurfaceSpec), ("isos", SurfaceSpec), ("rpe", SurfaceSpec),
-                          ("intensities", LayerIntensities), ("lesion", LesionSpec)):
-            if key not in kwargs:
-                continue
-            if not isinstance(kwargs[key], dict):
-                raise ValueError(f"phantom spec entry {key!r} must be an object")
-            try:
-                kwargs[key] = kind(**kwargs[key])
-            except (TypeError, ValueError) as e:
-                raise ValueError(f"phantom spec entry {key!r}: {e}") from None
-        return cls(**kwargs)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["dims"] = list(self.dims)
-        return d
 
     # -- geometry -----------------------------------------------------------
 

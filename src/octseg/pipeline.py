@@ -18,13 +18,13 @@ removes the RPE and everything below it from the search window (with a
 safety margin) before finding IS/OS, and repeats that truncation above
 IS/OS before finding ILM.  A final projection step restores the
 anatomical depth ordering in any column where the three estimates
-disagree.
+disagree.  ``BoundaryProfile`` and ``PipelineConfig`` are checked
+``records.Record``s.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import numbers
 import time
 from contextlib import contextmanager
@@ -34,6 +34,7 @@ import numpy as np
 
 from .enhance import DepthWeight, enhance
 from .filters import FilterBank
+from .records import Record
 from .surfaces import (
     SearchMask,
     Surface,
@@ -49,18 +50,8 @@ class PipelineError(RuntimeError):
     """A segmentation stage failed; the message names boundary and stage."""
 
 
-# BoundaryProfile's annotations (strings under postponed evaluation) mapped
-# to the values they accept and how an error names them
-_FIELD_KINDS = {
-    "str": (str, "a string"),
-    "int": (numbers.Integral, "an integer"),
-    "float": (numbers.Real, "a number"),
-    "bool": (bool, "true or false"),
-}
-
-
 @dataclass(frozen=True)
-class BoundaryProfile:
+class BoundaryProfile(Record):
     """Everything needed to segment one boundary.
 
     polarity describes the intensity step at the boundary ("bright_above"
@@ -82,13 +73,7 @@ class BoundaryProfile:
     surface_smooth_radius: int = 2
     truncation_margin: int = 10
 
-    def __post_init__(self):
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            kind, what = _FIELD_KINDS[f.type]
-            # bool is an int subclass: only a bool field takes true/false
-            if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
-                raise ValueError(f"{f.name} must be {what}, got {value!r}")
+    def check(self):
         if self.polarity not in ("bright_above", "bright_below"):
             raise ValueError(f"bad polarity {self.polarity!r}")
         if self.weight_direction not in ("favor_deep", "favor_shallow"):
@@ -126,8 +111,11 @@ _DEFAULT_PROFILES = {
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    """Profiles for the three boundaries, keyed by their cascade role."""
+class PipelineConfig(Record):
+    """Profiles for the three boundaries, keyed by their cascade role; in
+    JSON each holds overrides of that boundary's default profile."""
+
+    _label = "config"
 
     rpe: BoundaryProfile = _DEFAULT_PROFILES["rpe"]
     isos: BoundaryProfile = _DEFAULT_PROFILES["isos"]
@@ -136,34 +124,6 @@ class PipelineConfig:
     @classmethod
     def default(cls) -> "PipelineConfig":
         return cls()
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PipelineConfig":
-        """Build from nested dict; each boundary key holds partial overrides."""
-        extra = set(d) - {"rpe", "isos", "ilm"}
-        if extra:
-            raise ValueError(f"unknown config keys: {sorted(extra)}")
-        profiles = {}
-        for key in ("rpe", "isos", "ilm"):
-            overrides = d.get(key, {})
-            if not isinstance(overrides, dict):
-                raise ValueError(f"config entry {key!r} must be an object")
-            try:
-                profiles[key] = dataclasses.replace(_DEFAULT_PROFILES[key], **overrides)
-            except (TypeError, ValueError) as e:
-                raise ValueError(f"bad config entry for {key!r}: {e}") from e
-        return cls(**profiles)
-
-    @classmethod
-    def from_json(cls, path) -> "PipelineConfig":
-        with open(path, "r", encoding="utf-8") as f:
-            d = json.load(f)
-        if not isinstance(d, dict):
-            raise ValueError(f"{path}: config must be a JSON object")
-        return cls.from_dict(d)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclass

@@ -137,19 +137,30 @@ def argmax_per_ascan(intensity: Volume, mask: SearchMask | None = None) -> Surfa
     return Surface(z=z, valid=valid)
 
 
+# cells per block of x rows in _local_median: its scratch is about 18 bytes
+# per tap and cell, so a block's, not the surface's, size bounds it
+_MEDIAN_BLOCK_CELLS = 2**14
+
+
 def _local_median(z: np.ndarray, window: int) -> np.ndarray:
     """Median of the finite cells in each window x window tile (NaN outside
     the grid); NaN where a tile has none.  Equals ``np.nanmedian``."""
     h = window // 2
     padded = np.pad(z, h, mode="constant", constant_values=np.nan)
-    tiles = sliding_window_view(padded, (window, window)).reshape(*z.shape, -1)
-    # NaNs sort last, so the n finite values of a tile lead its sorted row;
-    # an all-NaN tile reads two NaNs
-    ordered = np.sort(tiles, axis=-1)
-    n = np.count_nonzero(~np.isnan(ordered), axis=-1)[..., None]
-    lower = np.take_along_axis(ordered, np.maximum(n - 1, 0) // 2, axis=-1)
-    upper = np.take_along_axis(ordered, n // 2, axis=-1)
-    return ((lower + upper) / 2)[..., 0]
+    out = np.empty(z.shape, dtype=padded.dtype)
+    nx, ny = z.shape
+    rows = max(1, _MEDIAN_BLOCK_CELLS // ny)
+    for x0 in range(0, nx, rows):
+        x1 = min(x0 + rows, nx)
+        tiles = sliding_window_view(padded[x0:x1 + 2 * h], (window, window))
+        # NaNs sort last, so the n finite values of a tile lead its sorted
+        # row; an all-NaN tile reads two NaNs
+        ordered = np.sort(tiles.reshape(x1 - x0, ny, -1), axis=-1)
+        n = np.count_nonzero(~np.isnan(ordered), axis=-1)[..., None]
+        lower = np.take_along_axis(ordered, np.maximum(n - 1, 0) // 2, axis=-1)
+        upper = np.take_along_axis(ordered, n // 2, axis=-1)
+        out[x0:x1] = ((lower + upper) / 2)[..., 0]
+    return out
 
 
 def reject_outliers(surface: Surface, tau: float, window: int = 5) -> Surface:
@@ -292,33 +303,41 @@ def load_surface(path, fmt: str = "csv", dims: tuple[int, int] | None = None) ->
             for row in reader:
                 if not row:
                     continue
-                if len(row) != 4:
-                    raise ValueError(f"{path}: malformed row {row}")
-                xs.append(int(row[0]))
-                ys.append(int(row[1]))
-                zs.append(float(row[2]))
-                vs.append(int(row[3]) != 0)
+                try:
+                    x, y, depth, flag = row
+                    xs.append(int(x))
+                    ys.append(int(y))
+                    zs.append(float(depth))
+                    vs.append(int(flag))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}: malformed row {row}"
+                    ) from None
                 lines.append(reader.line_num)
         if not xs:
             raise ValueError(f"{path}: surface file has no data rows")
-        xs, ys = np.array(xs), np.array(ys)
-        negative = np.flatnonzero((xs < 0) | (ys < 0))
-        if negative.size:
-            i = negative[0]
-            raise ValueError(f"{path}: line {lines[i]}: negative x,y = {xs[i]},{ys[i]}")
+        xs, ys, zs, vs = np.array(xs), np.array(ys), np.array(zs), np.array(vs)
         nx = int(xs.max()) + 1
         ny = int(ys.max()) + 1
         repeated = np.ones(xs.size, dtype=bool)
         repeated[np.unique(xs * ny + ys, return_index=True)[1]] = False
-        if repeated.any():
-            i = np.flatnonzero(repeated)[0]
-            raise ValueError(f"{path}: line {lines[i]}: repeats x,y = {xs[i]},{ys[i]}")
+        # the first failing check, in this order, names the line it fails on
+        for bad, message in (
+            ((xs < 0) | (ys < 0), "negative x,y = {x},{y}"),
+            (repeated, "repeats x,y = {x},{y}"),
+            ((vs != 0) & (vs != 1), "valid must be 0 or 1, got {v}"),
+            ((vs == 1) & ~np.isfinite(zs), "valid cell has non-finite z = {z}"),
+        ):
+            if bad.any():
+                i = np.flatnonzero(bad)[0]
+                detail = message.format(x=xs[i], y=ys[i], z=zs[i], v=vs[i])
+                raise ValueError(f"{path}: line {lines[i]}: {detail}")
         if len(xs) != nx * ny:
             raise ValueError(f"{path}: expected {nx * ny} rows, got {len(xs)}")
         z = np.full((nx, ny), np.nan)
         valid = np.zeros((nx, ny), dtype=bool)
         z[xs, ys] = zs
-        valid[xs, ys] = vs
+        valid[xs, ys] = vs == 1
         return Surface(z=z, valid=valid)
     if fmt == "f32":
         if dims is None:

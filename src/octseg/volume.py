@@ -7,18 +7,18 @@ keeps depth innermost, so ``data[x, y, :]`` is one contiguous A-scan.
 
 Raw files on disk may store the axes in any order; a JSON sidecar declares
 the file's dims, element type, endianness, and axis order, and the loader
-permutes into the canonical layout.
+permutes into the canonical layout.  ``VolumeMeta``, the sidecar, is a
+checked ``records.Record``.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .records import Record
 
 _AXES = "xyz"
 _NUMPY_DTYPES = {
@@ -40,17 +40,8 @@ class SizeMismatchError(ValueError):
         self.actual = actual
 
 
-def _triple_of(value, kind) -> bool:
-    """True for a list or tuple of three numbers of ``kind``, bools excluded."""
-    return (
-        isinstance(value, (list, tuple))
-        and len(value) == 3
-        and all(isinstance(v, kind) and not isinstance(v, bool) for v in value)
-    )
-
-
 @dataclass(frozen=True)
-class VolumeMeta:
+class VolumeMeta(Record):
     """Sidecar metadata describing a raw volume file.
 
     ``dims`` and ``spacing_um`` are given in *file* axis order; ``order``
@@ -58,33 +49,28 @@ class VolumeMeta:
     axis is depth).
     """
 
+    _label = "sidecar"
+
     dims: tuple[int, int, int]
     dtype: str = "u8"
     endian: str = "le"
     order: str = "zxy"
     spacing_um: tuple[float, float, float] | None = None
 
-    def __post_init__(self):
-        if not _triple_of(self.dims, numbers.Integral) or any(d < 1 for d in self.dims):
+    def check(self):
+        if any(d < 1 for d in self.dims):
             raise ValueError(f"dims must be three positive ints, got {self.dims!r}")
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if self.dtype not in ("u8", "f32"):
             raise ValueError(f"dtype must be 'u8' or 'f32', got {self.dtype!r}")
         if self.endian not in ("le", "be"):
             raise ValueError(f"endian must be 'le' or 'be', got {self.endian!r}")
-        if not isinstance(self.order, str) or sorted(self.order) != sorted(_AXES):
+        if sorted(self.order) != sorted(_AXES):
             raise ValueError(
                 f"order must be a permutation of 'xyz', got {self.order!r}"
             )
-        if self.spacing_um is not None:
-            if not _triple_of(self.spacing_um, numbers.Real) or not all(
-                0 < s < math.inf for s in self.spacing_um
-            ):
-                raise ValueError(
-                    f"spacing_um must be three positive floats, got {self.spacing_um!r}"
-                )
-            object.__setattr__(
-                self, "spacing_um", tuple(float(s) for s in self.spacing_um)
+        if self.spacing_um is not None and not all(s > 0 for s in self.spacing_um):
+            raise ValueError(
+                f"spacing_um must be three positive floats, got {self.spacing_um!r}"
             )
 
     @property
@@ -98,39 +84,8 @@ class VolumeMeta:
             n *= d
         return n * self.itemsize
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "VolumeMeta":
-        known = {"dims", "dtype", "endian", "order", "spacing_um"}
-        extra = set(d) - known
-        if extra:
-            raise ValueError(f"unknown sidecar keys: {sorted(extra)}")
-        if "dims" not in d:
-            raise ValueError("sidecar is missing required key 'dims'")
-        return cls(**d)
-
-    @classmethod
-    def from_json(cls, path) -> "VolumeMeta":
-        with open(path, "r", encoding="utf-8") as f:
-            d = json.load(f)
-        if not isinstance(d, dict):
-            raise ValueError(f"{path}: sidecar must be a JSON object")
-        return cls.from_dict(d)
-
     def to_dict(self) -> dict:
-        d = {
-            "dims": list(self.dims),
-            "dtype": self.dtype,
-            "endian": self.endian,
-            "order": self.order,
-        }
-        if self.spacing_um is not None:
-            d["spacing_um"] = list(self.spacing_um)
-        return d
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2)
-            f.write("\n")
+        return {k: v for k, v in super().to_dict().items() if v is not None}
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,15 +197,6 @@ def save_volume(volume: Volume, path, dtype: str = "f32", meta_path=None) -> Vol
     Returns the sidecar metadata; the sidecar lands at ``meta_path`` or
     ``<path>.json`` by default.
     """
-    if dtype not in ("u8", "f32"):
-        raise ValueError(f"dtype must be 'u8' or 'f32', got {dtype!r}")
-    path = Path(path)
-    data = volume.data
-    if dtype == "u8":
-        out = np.clip(np.rint(data * 255.0), 0, 255).astype(np.uint8)
-    else:
-        out = np.ascontiguousarray(data, dtype="<f4")
-    out.tofile(path)
     meta = VolumeMeta(
         dims=volume.dims,
         dtype=dtype,
@@ -258,5 +204,12 @@ def save_volume(volume: Volume, path, dtype: str = "f32", meta_path=None) -> Vol
         order="xyz",
         spacing_um=volume.spacing,
     )
+    path = Path(path)
+    data = volume.data
+    if dtype == "u8":
+        out = np.clip(np.rint(data * 255.0), 0, 255).astype(np.uint8)
+    else:
+        out = np.ascontiguousarray(data, dtype="<f4")
+    out.tofile(path)
     meta.save(meta_path if meta_path is not None else Path(f"{path}.json"))
     return meta

@@ -68,6 +68,12 @@ class TestThickness:
         with pytest.raises(ValueError):
             thickness_map(s, s, dz_um=0.0)
 
+    @pytest.mark.parametrize("dz_um", [float("nan"), float("inf")])
+    def test_non_finite_pitch_rejected(self, dz_um):
+        s = Surface.full(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="dz_um must be positive and finite"):
+            thickness_map(s, s, dz_um=dz_um)
+
 
 class TestThicknessFiles:
     def test_csv_has_both_units(self, tmp_path):

@@ -289,6 +289,66 @@ class TestThicknessCmd:
         assert rc == EXIT_USAGE
 
 
+    @pytest.mark.parametrize("row", ["0,1,nan,1", "0,1,inf,1", "a,1,1.0,1", "0,1,1.0,7"])
+    def test_bad_surface_row_is_usage_error(self, tmp_path, capsys, row):
+        good = tmp_path / "good.csv"
+        good.write_text("x,y,z,valid\n0,0,1.0,1\n0,1,2.0,1\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"x,y,z,valid\n0,0,5.0,1\n{row}\n")
+        rc = main(["thickness", "--ilm", str(good), "--rpe", str(bad), "--out", str(tmp_path / "t")])
+        assert rc == EXIT_USAGE
+        assert f"error: {bad}: line 3: " in capsys.readouterr().err
+        assert not (tmp_path / "t.pgm.json").exists()
+
+    @pytest.mark.parametrize("dz_um", ["nan", "inf", "0"])
+    def test_bad_pitch_is_usage_error(self, tmp_path, capsys, dz_um):
+        p = tmp_path / "s.csv"
+        p.write_text("x,y,z,valid\n0,0,1.0,1\n")
+        rc = main(["thickness", "--ilm", str(p), "--rpe", str(p), "--dz-um", dz_um,
+                   "--out", str(tmp_path / "t")])
+        assert rc == EXIT_USAGE
+        assert "dz_um must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+
+class TestJsonInputErrors:
+    """Every JSON input fails with one line that names the file or the entry."""
+
+    def _run(self, phantom_dir, tmp_path, flag, path):
+        out = str(tmp_path / "out")
+        if flag == "--spec":
+            return main(["phantom", "--spec", str(path), "--out", out])
+        meta = path if flag == "--meta" else phantom_dir / "volume.json"
+        config = ["--config", str(path)] if flag == "--config" else []
+        return main(["segment", "--in", str(phantom_dir / "volume.raw"), "--meta", str(meta),
+                     *config, "--out-dir", out])
+
+    @pytest.mark.parametrize("flag", ["--meta", "--config", "--spec"])
+    def test_truncated_json_names_the_file(self, phantom_dir, tmp_path, capsys, flag):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"dims": ')
+        assert self._run(phantom_dir, tmp_path, flag, bad) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "is not valid JSON" in err and str(bad) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, entry", [("--spec", "lesion"), ("--config", "rpe")])
+    def test_unknown_nested_key_names_the_entry(self, phantom_dir, tmp_path, capsys, flag, entry):
+        if flag == "--spec":
+            d = PhantomSpec.default(dims=(32, 8, 64), with_lesion=True).to_dict()
+            d["lesion"]["bogus"] = 1
+        else:
+            d = {"rpe": {"bogus": 1}}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        assert self._run(phantom_dir, tmp_path, flag, bad) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"entry for '{entry}': unknown {entry} keys: ['bogus']" in err
+        assert "__init__()" not in err
+
+
 class TestRenderCmd:
     def test_writes_ppm_with_volume_dims(self, phantom_dir, tmp_path):
         seg = tmp_path / "seg"

@@ -1,6 +1,9 @@
 """Surface extraction, outlier rejection, inpainting, masks, and file formats."""
 
+import re
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from octseg.surfaces import (
     save_surface,
     truncate_above_surface,
 )
+from octseg import surfaces
 from octseg.surfaces import _local_median
 from octseg.volume import Volume
 
@@ -151,9 +155,10 @@ class TestRejectOutliers:
         window=st.sampled_from([3, 5, 7]),
         invalid=st.floats(0.0, 1.0),
         integral=st.booleans(),
+        block=st.sampled_from([1, 7, 30, surfaces._MEDIAN_BLOCK_CELLS]),
     )
     @settings(max_examples=80, deadline=None)
-    def test_local_median_equals_nanmedian(self, seed, nx, ny, window, invalid, integral):
+    def test_local_median_equals_nanmedian(self, seed, nx, ny, window, invalid, integral, block):
         rng = np.random.default_rng(seed)
         z = rng.integers(0, 40, (nx, ny)).astype(np.float64) if integral \
             else rng.random((nx, ny)) * 300.0
@@ -164,7 +169,22 @@ class TestRejectOutliers:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN tiles
             expected = np.nanmedian(tiles, axis=(-2, -1))
-        assert np.array_equal(_local_median(z, window), expected, equal_nan=True)
+        # small blocks make one surface span several blocks of x rows
+        with mock.patch.object(surfaces, "_MEDIAN_BLOCK_CELLS", block):
+            assert np.array_equal(_local_median(z, window), expected, equal_nan=True)
+
+    def test_local_median_scratch_is_bounded(self):
+        # the widefield surface: 25 taps of every cell at once would take 45 MB
+        rng = np.random.default_rng(0)
+        z = rng.random((640, 160)) * 100.0
+        z[rng.random(z.shape) < 0.3] = np.nan
+        tracemalloc.start()
+        try:
+            _local_median(z, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_parameter_validation(self):
         s = Surface.full(np.zeros((3, 3)))
@@ -340,6 +360,20 @@ class TestSurfaceFiles:
         p = tmp_path / "bad.csv"
         p.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
+            load_surface(p)
+
+    @pytest.mark.parametrize("row, message", [
+        ("0,1,nan,1", "line 3: valid cell has non-finite z = nan"),
+        ("0,1,-inf,1", "line 3: valid cell has non-finite z = -inf"),
+        ("0,1,1.0,7", "line 3: valid must be 0 or 1, got 7"),
+        ("a,1,1.0,1", "line 3: malformed row ['a', '1', '1.0', '1']"),
+        ("0,1.5,1.0,1", "line 3: malformed row"),
+        ("0,1,1.0", "line 3: malformed row"),
+    ])
+    def test_csv_bad_row_rejected_with_line(self, tmp_path, row, message):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"x,y,z,valid\n0,0,1.0,1\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: {message}")):
             load_surface(p)
 
     def test_unknown_format_rejected(self, tmp_path):
