@@ -2,8 +2,9 @@
 
 Generates a speckled phantom at clinical scan dimensions, runs the
 cascade, and prints a per-stage timing table from the run reports, the
-process's peak resident set size, and the cold-start cost that every CLI
-call pays: the wall time of a child process that only imports octseg.cli.
+time to save each surface as CSV and to load it back, the process's peak
+resident set size, and the cold-start cost that every CLI call pays: the
+wall time of a child process that only imports octseg.cli.
 """
 
 import argparse
@@ -12,12 +13,14 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import octseg
 from octseg.phantom import PhantomSpec, generate_phantom, surface_error
 from octseg.pipeline import segment_retina
+from octseg.surfaces import load_surface, save_surface
 
 # one row per key of a boundary report's stage_s ("enhance" scores and picks)
 STAGES = ("derivative", "smoothing", "enhance", "outlier_reject", "regularize")
@@ -39,6 +42,24 @@ def cli_import_s(runs=5):
         subprocess.run([sys.executable, "-c", "import octseg.cli"], env=env, check=True)
         walls.append(time.perf_counter() - t0)
     return statistics.median(walls)
+
+
+def surface_csv_s(surfaces, repeat):
+    """Fastest of ``repeat`` rounds of saving every surface as CSV, and of
+    loading them back: the files a segment run writes and review reads."""
+    save_s = load_s = float("inf")
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {key: Path(tmp) / f"{key}.csv" for key in surfaces}
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            for key, surface in surfaces.items():
+                save_surface(surface, paths[key])
+            t1 = time.perf_counter()
+            for path in paths.values():
+                load_surface(path)
+            t2 = time.perf_counter()
+            save_s, load_s = min(save_s, t1 - t0), min(load_s, t2 - t1)
+    return save_s, load_s
 
 
 def timed_runs(args):
@@ -91,7 +112,10 @@ def main():
     print("-" * len(header))
     cells = "".join(f"{r.wall_s:>10.3f}" for r in best.reports)
     print(f"{'boundary total':<16}{cells}")
-    print(f"\npipeline total {best.total_wall_s:.3f}s, "
+    save_s, load_s = surface_csv_s(best.surfaces, args.repeat)
+    print(f"\nsurface CSV I/O: save {save_s:.3f}s, load {load_s:.3f}s "
+          f"({', '.join(best.surfaces)}; fastest of {args.repeat})")
+    print(f"pipeline total {best.total_wall_s:.3f}s, "
           f"ordering fixed {best.ordering_fixed_columns} columns")
     # ru_maxrss is in KiB on Linux; it covers phantom generation too
     peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

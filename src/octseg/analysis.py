@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surfaces import Surface
+from .surfaces import Surface, _distinct_reprs, _write_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,22 +50,15 @@ def thickness_map(ilm: Surface, rpe: Surface, dz_um: float | None = None) -> Thi
 
 def save_thickness_csv(tm: ThicknessMap, path) -> None:
     """CSV dump, y-major rows; a thickness_um column appears when available."""
-    # float64 columns as nested Python floats, whose repr round-trips exactly
-    px = np.asarray(tm.px, dtype=np.float64).T.tolist()
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        if tm.um is None:
-            f.write("x,y,thickness_px\n")
-            f.writelines(
-                f"{x},{y},{p!r}\n" for y, row in enumerate(px) for x, p in enumerate(row)
-            )
-        else:
-            um = np.asarray(tm.um, dtype=np.float64).T.tolist()
-            f.write("x,y,thickness_px,thickness_um\n")
-            f.writelines(
-                f"{x},{y},{p!r},{u!r}\n"
-                for y, (p_row, u_row) in enumerate(zip(px, um))
-                for x, (p, u) in enumerate(zip(p_row, u_row))
-            )
+    px_tokens, index = _distinct_reprs(tm.px)
+    if tm.um is None:
+        _write_rows(path, "x,y,thickness_px\n", [t + "\n" for t in px_tokens], index)
+        return
+    um_tokens, um_index = _distinct_reprs(tm.um)
+    pairs, index = np.unique(index * len(um_tokens) + um_index, return_inverse=True)
+    tails = [f"{px_tokens[p]},{um_tokens[u]}\n"
+             for p, u in zip(*(a.tolist() for a in np.divmod(pairs, len(um_tokens))))]
+    _write_rows(path, "x,y,thickness_px,thickness_um\n", tails, index.reshape(tm.px.shape))
 
 
 def save_thickness_pgm(tm: ThicknessMap, path) -> None:

@@ -34,6 +34,11 @@ def render_bscan(
     img = np.repeat(gray.T.astype(np.uint8)[:, :, None], 3, axis=2)
     fallback = 0
     for name, surf in surfaces.items():
+        if surf.z.shape != (nx, ny):
+            raise ValueError(
+                f"surface {name!r} grid {surf.z.shape} does not match the volume's "
+                f"(nx, ny) = {(nx, ny)}"
+            )
         color = BOUNDARY_COLORS.get(name.lower())
         if color is None:
             color = _FALLBACK_COLORS[fallback % len(_FALLBACK_COLORS)]

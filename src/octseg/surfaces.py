@@ -11,6 +11,7 @@ or a raw little-endian float32 grid with NaN marking invalid cells.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -261,6 +262,29 @@ def truncate_above_surface(mask: SearchMask, surface: Surface, margin: int) -> S
 # surface file formats
 
 
+def _distinct_reprs(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The repr of each distinct value of a float64 array, and each element's
+    index into them.
+
+    Values are told apart by bit pattern, so NaN and -0.0 keep their own
+    tokens; repr round-trips every float exactly and runs once per value.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    return [repr(v) for v in bits.view(np.float64).tolist()], index.reshape(values.shape)
+
+
+def _write_rows(path, header: str, tails: list[str], index: np.ndarray) -> None:
+    """Write the CSV rows "x,y,<tail>" of an (nx, ny) grid, y-major (all x
+    for y=0, then y=1, ...), where ``index[x, y]`` picks the cell's tail."""
+    table = np.array(tails, dtype=object)
+    xs = np.array([f"{x}," for x in range(index.shape[0])], dtype=object)
+    rows = ["".join((xs + f"{y}," + table[row]).tolist()) for y, row in enumerate(index.T)]
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(header)
+        f.write("".join(rows))
+
+
 def save_surface(surface: Surface, path, fmt: str = "csv") -> None:
     """Write a surface as CSV (x,y,z,valid) or a raw float32 grid.
 
@@ -272,19 +296,48 @@ def save_surface(surface: Surface, path, fmt: str = "csv") -> None:
     """
     path = Path(path)
     if fmt == "csv":
-        zs, valid = surface.z.T.tolist(), surface.valid.T.astype(np.uint8).tolist()
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write("x,y,z,valid\n")
-            f.writelines(
-                f"{x},{y},{zv!r},{v}\n"
-                for y, (z_row, v_row) in enumerate(zip(zs, valid))
-                for x, (zv, v) in enumerate(zip(z_row, v_row))
-            )
+        tokens, index = _distinct_reprs(surface.z)
+        tails = [f"{t},{v}\n" for t in tokens for v in (0, 1)]
+        _write_rows(path, "x,y,z,valid\n", tails, 2 * index + surface.valid)
     elif fmt == "f32":
         grid = np.where(surface.valid, surface.z, np.nan).astype("<f4")
         np.ascontiguousarray(grid.T).tofile(path)
     else:
         raise ValueError(f"fmt must be 'csv' or 'f32', got {fmt!r}")
+
+
+# one CSV data row; np.loadtxt parses a file's body into these
+_ROW = np.dtype([("x", "i8"), ("y", "i8"), ("z", "f8"), ("v", "i8")])
+
+
+def _parse_rows(path: Path):
+    """Parse a surface CSV's data rows with the csv module, int and float.
+
+    Returns the x, y, z and valid columns and the file line of each row,
+    or raises naming the line of the first row that does not parse.  It is
+    load_surface's path for files that np.loadtxt rejects, such as those
+    with a field only Python's int or float accepts, and for naming the
+    line of a row that fails a later check.
+    """
+    xs, ys, zs, vs, lines = [], [], [], [], []
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        next(reader, None)  # the header, checked by load_surface
+        for row in reader:
+            if not row:
+                continue
+            try:
+                x, y, depth, flag = row
+                xs.append(int(x))
+                ys.append(int(y))
+                zs.append(float(depth))
+                vs.append(int(flag))
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: malformed row {row}"
+                ) from None
+            lines.append(reader.line_num)
+    return np.array(xs), np.array(ys), np.array(zs), np.array(vs), lines
 
 
 def load_surface(path, fmt: str = "csv", dims: tuple[int, int] | None = None) -> Surface:
@@ -294,29 +347,22 @@ def load_surface(path, fmt: str = "csv", dims: tuple[int, int] | None = None) ->
     """
     path = Path(path)
     if fmt == "csv":
-        xs, ys, zs, vs, lines = [], [], [], [], []
         with open(path, "r", encoding="utf-8", newline="") as f:
-            reader = csv.reader(f)
-            header = next(reader, None)
+            header = next(csv.reader(f), None)
             if header is None or [h.strip() for h in header] != ["x", "y", "z", "valid"]:
                 raise ValueError(f"{path}: expected header 'x,y,z,valid', got {header}")
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    x, y, depth, flag = row
-                    xs.append(int(x))
-                    ys.append(int(y))
-                    zs.append(float(depth))
-                    vs.append(int(flag))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: line {reader.line_num}: malformed row {row}"
-                    ) from None
-                lines.append(reader.line_num)
-        if not xs:
+            body = f.read()
+        # blank lines are skipped, so a body of line breaks holds no row
+        if not body.strip("\r\n"):
             raise ValueError(f"{path}: surface file has no data rows")
-        xs, ys, zs, vs = np.array(xs), np.array(ys), np.array(zs), np.array(vs)
+        lines = None
+        try:
+            rows = np.loadtxt(io.StringIO(body), dtype=_ROW, delimiter=",",
+                              comments=None, quotechar='"', ndmin=1)
+        except ValueError:  # a malformed row, or a field only int or float reads
+            xs, ys, zs, vs, lines = _parse_rows(path)
+        else:
+            xs, ys, zs, vs = rows["x"], rows["y"], rows["z"], rows["v"]
         nx = int(xs.max()) + 1
         ny = int(ys.max()) + 1
         repeated = np.ones(xs.size, dtype=bool)
@@ -331,6 +377,8 @@ def load_surface(path, fmt: str = "csv", dims: tuple[int, int] | None = None) ->
             if bad.any():
                 i = np.flatnonzero(bad)[0]
                 detail = message.format(x=xs[i], y=ys[i], z=zs[i], v=vs[i])
+                if lines is None:
+                    lines = _parse_rows(path)[-1]
                 raise ValueError(f"{path}: line {lines[i]}: {detail}")
         if len(xs) != nx * ny:
             raise ValueError(f"{path}: expected {nx * ny} rows, got {len(xs)}")

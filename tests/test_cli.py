@@ -12,7 +12,7 @@ import pytest
 import octseg
 from octseg.cli import ENV_THREADS, EXIT_OK, EXIT_PIPELINE, EXIT_USAGE, main
 from octseg.phantom import PhantomSpec
-from octseg.surfaces import load_surface
+from octseg.surfaces import Surface, load_surface, save_surface
 from octseg.volume import VolumeMeta
 
 
@@ -378,6 +378,21 @@ class TestRenderCmd:
                    "--surfaces", str(tmp_path), "--slice", "0",
                    "--out", str(tmp_path / "b.ppm")])
         assert rc == EXIT_USAGE
+
+    @pytest.mark.parametrize("grid", [(20, 12), (60, 12), (48, 5)],
+                             ids=["narrower", "wider", "fewer-bscans"])
+    def test_surface_grid_unlike_the_volume_is_usage_error(self, phantom_dir, tmp_path,
+                                                           capsys, grid):
+        save_surface(Surface.full(np.full(grid, 30.0)), tmp_path / "ilm.csv")
+        out = tmp_path / "b.ppm"
+        rc = main(["render", "--in", str(phantom_dir / "volume.raw"),
+                   "--meta", str(phantom_dir / "volume.json"),
+                   "--surfaces", str(tmp_path), "--slice", "3", "--out", str(out)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == (f"error: surface 'ilm' grid {grid} does not match the volume's "
+                       "(nx, ny) = (48, 12)\n")
+        assert not out.exists()
 
 
 def test_no_command_imports_scipy(phantom_dir, tmp_path):

@@ -1,5 +1,7 @@
 """B-scan rasterization and PPM round-trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,14 @@ class TestRender:
             render_bscan(gradient_volume(), {}, slice_index=4)
         with pytest.raises(ValueError):
             render_bscan(gradient_volume(), {}, slice_index=-1)
+
+    @pytest.mark.parametrize("grid", [(8, 4), (17, 4), (16, 3), (16, 5)])
+    def test_grid_unlike_the_volume_rejected(self, grid):
+        surfaces = {"rpe": Surface.full(np.full((16, 4), 10.0)),
+                    "isos": Surface.full(np.full(grid, 10.0))}
+        message = f"surface 'isos' grid {grid} does not match the volume's (nx, ny) = (16, 4)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            render_bscan(gradient_volume(), surfaces, slice_index=1)
 
     def test_unknown_surface_name_gets_some_color(self):
         vol = gradient_volume()

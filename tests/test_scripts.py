@@ -1,6 +1,7 @@
 """The scripts under scripts/ run end to end on tiny inputs (timings are not checked)."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,10 @@ def test_run_benchmark_prints_every_stage_of_the_reports():
     volume, _ = generate_phantom(PhantomSpec.default(dims=(40, 12, 96)))
     for report in segment_retina(volume).reports:
         assert sorted(rows) == sorted(report.stage_s), report.name
+    io_rows = [line for line in lines if line.startswith("surface CSV I/O: ")]
+    assert len(io_rows) == 1
+    assert re.fullmatch(r"surface CSV I/O: save \d+\.\d{3}s, load \d+\.\d{3}s "
+                        r"\(ilm, isos, rpe; fastest of 1\)", io_rows[0])
 
 
 @pytest.mark.parametrize("args, message", [

@@ -1,5 +1,6 @@
 """Surface extraction, outlier rejection, inpainting, masks, and file formats."""
 
+import csv
 import re
 import tracemalloc
 import warnings
@@ -22,6 +23,7 @@ from octseg.surfaces import (
     truncate_above_surface,
 )
 from octseg import surfaces
+from octseg.analysis import ThicknessMap, save_thickness_csv
 from octseg.surfaces import _local_median
 from octseg.volume import Volume
 
@@ -369,6 +371,11 @@ class TestSurfaceFiles:
         ("a,1,1.0,1", "line 3: malformed row ['a', '1', '1.0', '1']"),
         ("0,1.5,1.0,1", "line 3: malformed row"),
         ("0,1,1.0", "line 3: malformed row"),
+        # no comment syntax: "#" is data
+        ("0,1,1.0,1#", "line 3: malformed row ['0', '1', '1.0', '1#']"),
+        ("#0,1,1.0,1", "line 3: malformed row ['#0', '1', '1.0', '1']"),
+        # blank lines are skipped, but a line of spaces is a row
+        ("  ", "line 3: malformed row ['  ']"),
     ])
     def test_csv_bad_row_rejected_with_line(self, tmp_path, row, message):
         p = tmp_path / "bad.csv"
@@ -376,6 +383,249 @@ class TestSurfaceFiles:
         with pytest.raises(ValueError, match=re.escape(f"{p}: {message}")):
             load_surface(p)
 
+    @pytest.mark.parametrize("text", [
+        "x,y,z,valid\r\n0,0,1.5,1\r\n1,0,nan,0\r\n",
+        "x,y,z,valid\r0,0,1.5,1\r1,0,nan,0\r",
+        "x,y,z,valid\n\n0,0,1.5,1\n\r\n\n1,0,nan,0\n\n",
+        'x,y,z,valid\n"0","0","1.5","1"\n1,"0",nan,"0"\n',
+        ' x , y ,z,"valid"\n 0 , 0 ,\t1.5 ,1\n1,0 ,  nan,0 \n',
+        "x,y,z,valid\n0,0,1.5,1\n1,0,nan,0",
+        "x,y,z,valid\n+0,-0,0_1.5,1\n1,0_0,-inf,0\n",
+    ], ids=["crlf", "cr", "blank-lines", "quoted", "padded", "no-final-newline",
+            "python-numbers"])
+    def test_csv_grammar(self, tmp_path, text):
+        p = tmp_path / "s.csv"
+        p.write_bytes(text.encode())
+        s = load_surface(p)
+        assert s.valid.tolist() == [[True], [False]]
+        assert s.z[0, 0] == 1.5 and np.isnan(s.z[1, 0])
+
+    @pytest.mark.parametrize("text, message", [
+        ("x,y,z,valid\n0,0,1.0,1\n\n\n0,1,nan,1\n", "line 5: valid cell has non-finite z = nan"),
+        ("x,y,z,valid\r\n\r\n0,0,1.0,1\r\n\r\n0,1,x,1\r\n", "line 5: malformed row ['0', '1', 'x', '1']"),
+        ('x,y,z,valid\n"0\n",0,1.0,1\n\n0,0,2.0,1\n', "line 5: repeats x,y = 0,0"),
+    ], ids=["blank-lines", "crlf-blank-lines", "quoted-line-break"])
+    def test_csv_line_numbers_count_every_line(self, tmp_path, text, message):
+        p = tmp_path / "s.csv"
+        p.write_bytes(text.encode())
+        with pytest.raises(ValueError, match=re.escape(f"{p}: {message}")):
+            load_surface(p)
+
+    @pytest.mark.parametrize("text", ["x,y,z,valid\n", "x,y,z,valid", "x,y,z,valid\r\n\n\r\r\n"])
+    def test_csv_without_rows_rejected_without_warning(self, tmp_path, text):
+        p = tmp_path / "s.csv"
+        p.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"{p}: surface file has no data rows")):
+                load_surface(p)
+
+    def test_csv_written_file_parsed_without_the_row_loop(self, tmp_path):
+        # the row-by-row parser is only the fallback for files np.loadtxt rejects
+        rng = np.random.default_rng(11)
+        s = Surface(z=rng.random((9, 4)) * 300.0, valid=rng.random((9, 4)) > 0.3)
+        p = tmp_path / "s.csv"
+        save_surface(s, p)
+        with mock.patch.object(surfaces, "_parse_rows", side_effect=AssertionError):
+            back = load_surface(p)
+        assert np.array_equal(back.z, s.z, equal_nan=True)
+        assert np.array_equal(back.valid, s.valid)
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             save_surface(Surface.full(np.zeros((2, 2))), tmp_path / "s.bin", fmt="npz")
+
+
+# ---------------------------------------------------------------------------
+# the per-row CSV codec that the vectorised one replaced, kept as its reference
+
+
+def reference_save_surface(surface, path):
+    zs, valid = surface.z.T.tolist(), surface.valid.T.astype(np.uint8).tolist()
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write("x,y,z,valid\n")
+        f.writelines(
+            f"{x},{y},{zv!r},{v}\n"
+            for y, (z_row, v_row) in enumerate(zip(zs, valid))
+            for x, (zv, v) in enumerate(zip(z_row, v_row))
+        )
+
+
+def reference_save_thickness_csv(tm, path):
+    px = np.asarray(tm.px, dtype=np.float64).T.tolist()
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        if tm.um is None:
+            f.write("x,y,thickness_px\n")
+            f.writelines(
+                f"{x},{y},{p!r}\n" for y, row in enumerate(px) for x, p in enumerate(row)
+            )
+        else:
+            um = np.asarray(tm.um, dtype=np.float64).T.tolist()
+            f.write("x,y,thickness_px,thickness_um\n")
+            f.writelines(
+                f"{x},{y},{p!r},{u!r}\n"
+                for y, (p_row, u_row) in enumerate(zip(px, um))
+                for x, (p, u) in enumerate(zip(p_row, u_row))
+            )
+
+
+def reference_load_surface(path):
+    xs, ys, zs, vs, lines = [], [], [], [], []
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != ["x", "y", "z", "valid"]:
+            raise ValueError(f"{path}: expected header 'x,y,z,valid', got {header}")
+        for row in reader:
+            if not row:
+                continue
+            try:
+                x, y, depth, flag = row
+                xs.append(int(x))
+                ys.append(int(y))
+                zs.append(float(depth))
+                vs.append(int(flag))
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: malformed row {row}"
+                ) from None
+            lines.append(reader.line_num)
+    if not xs:
+        raise ValueError(f"{path}: surface file has no data rows")
+    xs, ys, zs, vs = np.array(xs), np.array(ys), np.array(zs), np.array(vs)
+    nx = int(xs.max()) + 1
+    ny = int(ys.max()) + 1
+    repeated = np.ones(xs.size, dtype=bool)
+    repeated[np.unique(xs * ny + ys, return_index=True)[1]] = False
+    for bad, message in (
+        ((xs < 0) | (ys < 0), "negative x,y = {x},{y}"),
+        (repeated, "repeats x,y = {x},{y}"),
+        ((vs != 0) & (vs != 1), "valid must be 0 or 1, got {v}"),
+        ((vs == 1) & ~np.isfinite(zs), "valid cell has non-finite z = {z}"),
+    ):
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            detail = message.format(x=xs[i], y=ys[i], z=zs[i], v=vs[i])
+            raise ValueError(f"{path}: line {lines[i]}: {detail}")
+    if len(xs) != nx * ny:
+        raise ValueError(f"{path}: expected {nx * ny} rows, got {len(xs)}")
+    z = np.full((nx, ny), np.nan)
+    valid = np.zeros((nx, ny), dtype=bool)
+    z[xs, ys] = zs
+    valid[xs, ys] = vs == 1
+    return Surface(z=z, valid=valid)
+
+
+# values whose repr is easy to get wrong: signed zeros, NaN, infinities,
+# subnormals, the smallest normal, integers past 2**53 and 17-digit fractions
+ODD_DEPTHS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.5e-310, 2.2250738585072014e-308,
+              1e16, 1e16 + 2.0, 2.0**60, 0.1, 1 / 3, 479.99999999999994]
+
+
+@st.composite
+def depth_grids(draw):
+    """(nx, ny) float64 grids: 1x1, 1xn, nx1 or square-ish; drawn from a small
+    pool (many repeats), all distinct, or any float64."""
+    nx, ny = draw(st.one_of(
+        st.just((1, 1)),
+        st.tuples(st.just(1), st.integers(1, 30)),
+        st.tuples(st.integers(1, 30), st.just(1)),
+        st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    ))
+    n = nx * ny
+    kind = draw(st.sampled_from(["pool", "distinct", "any"]))
+    if kind == "pool":
+        pool = ODD_DEPTHS + draw(st.lists(st.floats(0, 480), max_size=4))
+        z = [draw(st.sampled_from(pool)) for _ in range(n)]
+    elif kind == "distinct":
+        z = draw(st.lists(st.floats(0, 480), min_size=n, max_size=n, unique=True))
+    else:
+        z = draw(st.lists(st.floats(width=64), min_size=n, max_size=n))
+    return np.array(z, dtype=np.float64).reshape(nx, ny)
+
+
+# fields that break the grammar, or that only Python's int and float accept
+ODD_FIELDS = ["", " ", "a", "1.5", "1e0", "1_0", "+1", "-1", "007", "１", "1#", "#",
+              "0x1", "nan", "-inf", "2", "99999999999999999999", "1 0", '"1', '1"', "1\x0b"]
+DEPTH_SPELLINGS = [repr, "{:.6e}".format, "{:+.3f}".format, lambda z: f"{z!r}".upper()]
+
+
+@st.composite
+def surface_csv_texts(draw):
+    """Surface CSV text: a grid in any row order, with optional CRLF or CR
+    line ends, blank lines, quoted or padded fields, no final line break,
+    and a few defects (a dropped or repeated row, odd fields)."""
+    nx, ny = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    cells = [(x, y) for y in range(ny) for x in range(nx)]
+    if draw(st.booleans()):
+        cells = draw(st.permutations(cells))
+    rows = []
+    for x, y in cells:
+        valid = draw(st.booleans())
+        z = draw(st.floats(-1e3, 1e3)) if valid else draw(st.sampled_from(ODD_DEPTHS))
+        rows.append([str(x), str(y), draw(st.sampled_from(DEPTH_SPELLINGS))(z), str(int(valid))])
+    if draw(st.integers(0, 4)) == 0:
+        del rows[draw(st.integers(0, len(rows) - 1))]
+    if rows and draw(st.integers(0, 4)) == 0:
+        rows.append(list(draw(st.sampled_from(rows))))
+    for _ in range(draw(st.integers(0, 2)) if rows and draw(st.booleans()) else 0):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, 3))] = draw(st.sampled_from(ODD_FIELDS))
+    quote, pad, blank = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
+    lines = ["x,y,z,valid"]
+    for row in rows:
+        if blank and draw(st.booleans()):
+            lines.append("")
+        fields = []
+        for field in row:
+            if pad and draw(st.booleans()):
+                field = draw(st.sampled_from([" ", "  ", "\t"])) + field + " "
+            if quote and draw(st.booleans()):
+                field = f'"{field}"'
+            fields.append(field)
+        lines.append(",".join(fields))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + (newline if draw(st.booleans()) else "")
+
+
+def load_outcome(load, path):
+    """A loaded surface's z bits and validity, or the error it failed with.
+
+    A coordinate past int64 escapes from both readers as an OverflowError.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            s = load(path)
+        except (ValueError, OverflowError) as e:
+            return type(e).__name__, str(e)
+    return s.z.tobytes(), s.valid.tolist()
+
+
+class TestCsvCodecMatchesReference:
+    @given(z=depth_grids(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_writers_byte_equal_reference(self, tmp_path_factory, z, data):
+        valid = np.array(data.draw(st.lists(st.booleans(), min_size=z.size, max_size=z.size)))
+        s = Surface(z=z, valid=valid.reshape(z.shape))
+        d = tmp_path_factory.mktemp("w")
+        save_surface(s, d / "new.csv")
+        reference_save_surface(s, d / "ref.csv")
+        assert (d / "new.csv").read_bytes() == (d / "ref.csv").read_bytes()
+        # thickness columns keep NaN, -0.0 and infinities; um is either
+        # tied to px, as thickness_map makes it, or drawn independently
+        dz = data.draw(st.sampled_from([3.9, 1e-310, 1e300]))
+        with np.errstate(over="ignore"):
+            um_tied = z * dz
+        for um in (None, um_tied, z[::-1, ::-1].copy()):
+            tm = ThicknessMap(px=z, um=um)
+            save_thickness_csv(tm, d / "new_t.csv")
+            reference_save_thickness_csv(tm, d / "ref_t.csv")
+            assert (d / "new_t.csv").read_bytes() == (d / "ref_t.csv").read_bytes()
+
+    @given(text=surface_csv_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_reader_matches_reference(self, tmp_path_factory, text):
+        p = tmp_path_factory.mktemp("r") / "s.csv"
+        p.write_bytes(text.encode())
+        assert load_outcome(load_surface, p) == load_outcome(reference_load_surface, p)
