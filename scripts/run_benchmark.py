@@ -3,8 +3,9 @@
 Generates a speckled phantom at clinical scan dimensions, runs the
 cascade, and prints a per-stage timing table from the run reports, the
 time to save each surface as CSV and to load it back, the process's peak
-resident set size, and the cold-start cost that every CLI call pays: the
-wall time of a child process that only imports octseg.cli.
+resident set size next to the cascade's own peak allocation (tracemalloc,
+from one more, untimed run), and the cold-start cost that every CLI call
+pays: the wall time of a child process that only imports octseg.cli.
 """
 
 import argparse
@@ -15,6 +16,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import octseg
@@ -62,8 +64,21 @@ def surface_csv_s(surfaces, repeat):
     return save_s, load_s
 
 
+def traced_peak_volumes(volume, threads):
+    """The cascade's tracemalloc peak above its input, in float32 volumes
+    of the input's dims, from one untimed run."""
+    tracemalloc.start()
+    try:
+        segment_retina(volume, threads=threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (volume.data.size * 4)
+
+
 def timed_runs(args):
-    """Segment a phantom ``args.repeat`` times; the fastest run and the truth."""
+    """Segment a phantom ``args.repeat`` times; the fastest run, the truth
+    and the phantom."""
     if args.repeat < 1:
         raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
     looks = args.looks if args.looks > 0 else None
@@ -82,7 +97,7 @@ def timed_runs(args):
               f"(threads={args.threads})")
         if best is None or result.total_wall_s < best.total_wall_s:
             best = result
-    return best, truth
+    return best, truth, volume
 
 
 def main():
@@ -97,7 +112,7 @@ def main():
                         help="number of timed runs (default 3)")
     args = parser.parse_args()
     try:
-        best, truth = timed_runs(args)
+        best, truth, volume = timed_runs(args)
     except ValueError as e:  # bad dims, thread count or repeat count
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -119,7 +134,9 @@ def main():
           f"ordering fixed {best.ordering_fixed_columns} columns")
     # ru_maxrss is in KiB on Linux; it covers phantom generation too
     peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"peak RSS {peak_mib:.1f} MiB (ru_maxrss, phantom generation included)")
+    print(f"peak RSS {peak_mib:.1f} MiB (ru_maxrss, phantom generation included); "
+          f"cascade peak {traced_peak_volumes(volume, args.threads):.2f} float volumes "
+          "above the input (tracemalloc, one untimed run)")
     print(f"CLI start-up {cli_import_s():.3f}s "
           "(median of 5 child processes running `import octseg.cli`)")
 

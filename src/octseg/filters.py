@@ -5,18 +5,22 @@ edge samples at the borders, so a flat region produces no spurious response
 near the volume faces.  ``convolve_separable`` is the fast path: one pass
 over x-slabs that runs a slab's z, x and y correlations back to back and
 writes it into the output, so no volume-sized intermediate exists, and
-that can stop at a given depth.  Its one-axis correlation reproduces the
-summation order of ``scipy.ndimage.correlate1d`` bit for bit.  The
-pipeline reads fields through a ``FilterBank``, which computes each once,
-drops it after its last planned reader and computes a field with a single
-reader only down to the depth that reader needs.  ``convolve_direct``
-sums a dense kernel over its taps and exists as an independent reference
-for cross-checking the separable implementation.
+that can stop at a given depth.  A u8 volume is converted to float32 one
+x-slab at a time, into scratch each thread reuses, just before that slab's
+z pass.  Its one-axis correlation reproduces the summation order of
+``scipy.ndimage.correlate1d`` bit for bit.  The pipeline reads fields
+through a ``FilterBank``, which computes each once, drops it after its
+last planned reader, computes a field with a single reader only down to
+the depth that reader needs, and cuts the fields it keeps, in place, to
+the depth its caller says no later reader goes below.
+``convolve_direct`` sums a dense kernel over its taps and exists as an
+independent reference for cross-checking the separable implementation.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import Volume
+from .volume import Volume, u8_values
 
 
 def _check_taps(taps: np.ndarray, label: str) -> np.ndarray:
@@ -234,8 +238,9 @@ def convolve_separable(
     same arithmetic as whole-axis passes, so results are bitwise equal to
     them at any thread count.  With ``depth``, only the planes z < depth
     are computed, from the input cropped ``kz.size // 2`` planes below
-    them.  Output dtype follows the input dtype.  A kernel longer than the
-    volume along any axis is rejected.
+    them.  Output dtype is that of the volume's values (float32 for u8
+    samples, converted a slab at a time).  A kernel longer than the volume
+    along any axis is rejected.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -247,7 +252,7 @@ def convolve_separable(
     kx, ky, kz = (None if t.tolist() == [1.0] else t for t in (kernel.kx, kernel.ky, kernel.kz))
     hx = 0 if kx is None else kx.size // 2
     src = volume.data[:, :, : min(nz, depth + kernel.kz.size // 2)]
-    out = np.empty((nx, ny, depth), dtype=src.dtype)
+    out = np.empty((nx, ny, depth), dtype=volume.dtype)
     width = max(1, _FILTER_SLAB_VOXELS // (ny * depth))
     step = max(1, _BLOCK_SAMPLES // (ny * depth))
 
@@ -264,7 +269,9 @@ def convolve_separable(
 
     def run(lo: int, hi: int) -> None:
         # z-filtered planes [a, b) of the current slab's x neighbourhood
-        held = np.empty((min(width + 2 * hx, nx), ny, depth), dtype=src.dtype)
+        held = np.empty((min(width + 2 * hx, nx), ny, depth), dtype=out.dtype)
+        # the float32 values of u8 planes, converted as the z pass reads them
+        values = np.empty(held.shape[:2] + src.shape[2:], np.float32) if volume.u8 else None
         a = b = 0  # nothing held yet
         for s0 in range(lo, hi, width):
             s1 = min(s0 + width, hi)
@@ -274,6 +281,8 @@ def convolve_separable(
             fresh = max(b, na)
             if nb > fresh:
                 planes = src[fresh:nb]
+                if values is not None:
+                    planes = u8_values(planes, out=values[: nb - fresh])
                 if kz is not None:
                     planes = _correlate1d(planes, kz, 2)
                 held[fresh - na : nb - na] = planes[:, :, :depth]
@@ -285,18 +294,44 @@ def convolve_separable(
     return Volume(out, volume.spacing)
 
 
+def _crop_depth(arr: np.ndarray, depth: int) -> None:
+    """Cut an (nx, ny, nz) array that owns its C-contiguous buffer to its
+    planes z < depth, in place and without a second copy.
+
+    Each A-scan's first ``depth`` samples move forward to where the cut
+    layout puts them, a block of A-scans at a time, then the buffer shrinks.
+    A block's target ends at or before the next block's source starts, and
+    numpy buffers the overlap inside a block.  The caller makes sure that
+    nothing else refers to the array: a view would be left pointing into
+    the freed tail.
+    """
+    nx, ny, nz = arr.shape
+    writeable = arr.flags.writeable
+    arr.flags.writeable = True
+    flat, scans = arr.reshape(-1), nx * ny
+    step = max(1, _BLOCK_SAMPLES // nz)
+    for s0 in range(0, scans, step):
+        s1 = min(s0 + step, scans)
+        target = flat[s0 * depth : s1 * depth].reshape(s1 - s0, depth)
+        target[...] = flat[s0 * nz : s1 * nz].reshape(s1 - s0, nz)[:, :depth]
+    del flat, target
+    arr.resize((nx, ny, depth), refcheck=False)
+    arr.flags.writeable = writeable
+
+
 class FilterBank:
     """The filtered fields of one volume, each computed once.
 
     Every field is bitwise equal to ``convolve_separable`` with the matching
-    kernel.  ``plan`` lists what the bank's readers will ask for, one
-    (derivative half-width, lateral width, smoothing radius) per reader.  A
-    planned field is dropped once its last reader has taken it, and a field
-    with one reader left is computed only down to the depth that reader
-    asks for: a field read more than once spans the whole depth, since the
-    later readers' depths are not known yet.  Unplanned fields are kept at
-    full depth.  Fields are shared between callers, so their arrays are
-    made read-only.
+    kernel, or to its first planes.  ``plan`` lists what the bank's readers
+    will ask for, one (derivative half-width, lateral width, smoothing
+    radius) per reader.  A planned field is dropped once its last reader has
+    taken it, and a field with one reader left is computed only down to the
+    depth that reader asks for: a field read more than once spans the whole
+    depth, since the later readers' depths are not known yet, until
+    ``crop`` says how deep they read.  Unplanned fields are kept at full
+    depth.  Fields are shared between callers, so their arrays are made
+    read-only.
     """
 
     def __init__(
@@ -306,9 +341,30 @@ class FilterBank:
         self.threads = threads
         self._fields: dict[tuple, Volume] = {}
         self._readers: Counter = Counter()
+        self._depth = volume.nz  # no request reads a plane at or below this
         for half_width, lateral, radius in plan:
             self._readers[("derivative", half_width, lateral)] += 1
             self._readers[("smoothing", radius)] += 1
+
+    def crop(self, depth: int) -> None:
+        """Promise that no later request reads a plane z >= ``depth``.
+
+        Kept fields deeper than that are cut to it in place, so a field
+        handed out earlier and still held shrinks with it, and fields
+        computed later stop there.  A later request deeper than ``depth``
+        raises ValueError, and so does a cut while a view of a kept
+        field's array is alive.
+        """
+        if not 1 <= depth <= self.volume.nz:
+            raise ValueError(f"depth must be between 1 and {self.volume.nz}, got {depth}")
+        self._depth = min(self._depth, depth)
+        for field in self._fields.values():
+            if field.nz > self._depth:
+                # the Volume's reference and getrefcount's argument; any
+                # other (a view, a second holder) would outlive the cut
+                if sys.getrefcount(field.data) > 2:
+                    raise ValueError("a field still in use cannot be cut in place")
+                _crop_depth(field.data, self._depth)
 
     def check_fits(self, half_width: int, lateral: int, radius: int) -> None:
         """Raise ValueError if a derivative or smoothing kernel of these
@@ -317,11 +373,18 @@ class FilterBank:
             _check_extents((k.kx.size, k.ky.size, k.kz.size), self.volume.dims)
 
     def _field(self, key: tuple, kernel: SeparableKernel, depth: int | None) -> Volume:
+        depth = self.volume.nz if depth is None else depth
+        if depth > self._depth:
+            raise ValueError(
+                f"planes z < {depth} requested from a filter bank cut to z < {self._depth}"
+            )
         left = self._readers.get(key)  # planned reads still to come; None: unplanned
         last = left is not None and left <= 1
         field = self._fields.pop(key, None)
         if field is None:
-            field = convolve_separable(self.volume, kernel, self.threads, depth if last else None)
+            field = convolve_separable(
+                self.volume, kernel, self.threads, depth if last else self._depth
+            )
             field.data.flags.writeable = False
         if not last:
             self._fields[key] = field
@@ -343,15 +406,16 @@ class FilterBank:
 def convolve_direct(volume: Volume, kernel: Kernel3D) -> Volume:
     """Reference dense correlation: pad with edge replication, sum over taps.
 
-    Accumulates in float64 regardless of input dtype, then casts back.
-    Intended for small volumes; cost grows with kernel volume.
+    Accumulates in float64 regardless of input dtype, then casts back to
+    the dtype of the volume's values.  Intended for small volumes; cost
+    grows with kernel volume.
     """
     c = kernel.coeffs
     _check_extents(c.shape, volume.dims)
     hx, hy, hz = (s // 2 for s in c.shape)
     nx, ny, nz = volume.dims
     pad = np.pad(
-        volume.data.astype(np.float64),
+        volume.values().astype(np.float64),
         ((hx, hx), (hy, hy), (hz, hz)),
         mode="edge",
     )
@@ -360,4 +424,4 @@ def convolve_direct(volume: Volume, kernel: Kernel3D) -> Volume:
         for b in range(c.shape[1]):
             for d in range(c.shape[2]):
                 acc += c[a, b, d] * pad[a : a + nx, b : b + ny, d : d + nz]
-    return Volume(acc.astype(volume.data.dtype), volume.spacing)
+    return Volume(acc.astype(volume.dtype), volume.spacing)

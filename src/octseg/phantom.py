@@ -251,7 +251,7 @@ def add_speckle(volume: Volume, looks: float, seed: int = 0) -> Volume:
         raise ValueError(f"looks must be >= 1, got {looks}")
     rng = np.random.default_rng(seed)
     noise = rng.gamma(shape=float(looks), scale=1.0 / float(looks), size=volume.dims)
-    data = np.clip(volume.data * noise.astype(np.float32), 0.0, 1.0)
+    data = np.clip(volume.values() * noise.astype(np.float32), 0.0, 1.0)
     return Volume(data, volume.spacing)
 
 

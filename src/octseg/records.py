@@ -11,6 +11,7 @@ of those (any list or tuple of three), ``X | None`` and nested records.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -29,7 +30,7 @@ class Record:
     _label = "record"  # how errors name a JSON object holding this record
 
     def __post_init__(self):
-        hints = typing.get_type_hints(type(self))
+        hints = _hints(type(self))
         for f in dataclasses.fields(self):
             value = _typed(f.name, getattr(self, f.name), hints[f.name])
             object.__setattr__(self, f.name, value)
@@ -76,6 +77,15 @@ class Record:
             raise ValueError(f"{e} (in {path})") from None
 
 
+@functools.cache
+def _hints(cls) -> dict:
+    """The resolved annotations of a record class, evaluated once per class.
+
+    The dict is shared by every caller, which only reads it.
+    """
+    return typing.get_type_hints(cls)
+
+
 def _record_type(hint):
     """The record class of a field annotated ``R`` or ``R | None``, else None."""
     kind = (typing.get_args(hint) or (hint,))[0]
@@ -114,7 +124,7 @@ def _build(cls, d: dict, what: str, base=None):
     unknown = sorted(set(d) - set(fields))
     if unknown:
         raise ValueError(f"unknown {what} keys: {unknown}")
-    hints = typing.get_type_hints(cls)
+    hints = _hints(cls)
     kwargs = {name: getattr(base, name) for name in fields} if isinstance(base, cls) else {}
     for key, value in d.items():
         kind = _record_type(hints[key])

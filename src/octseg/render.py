@@ -30,7 +30,7 @@ def render_bscan(
     nx, ny, nz = volume.dims
     if not 0 <= slice_index < ny:
         raise ValueError(f"slice index {slice_index} outside [0, {ny})")
-    gray = np.clip(np.rint(volume.data[:, slice_index, :] * 255.0), 0, 255)
+    gray = np.clip(np.rint(volume.values(np.s_[:, slice_index, :]) * 255.0), 0, 255)
     img = np.repeat(gray.T.astype(np.uint8)[:, :, None], 3, axis=2)
     fallback = 0
     for name, surf in surfaces.items():

@@ -309,6 +309,19 @@ def save_surface(surface: Surface, path, fmt: str = "csv") -> None:
 # one CSV data row; np.loadtxt parses a file's body into these
 _ROW = np.dtype([("x", "i8"), ("y", "i8"), ("z", "f8"), ("v", "i8")])
 
+# coordinates stop below this: no surface grid is that wide, and below it
+# x * (_COORD_LIMIT + 1) + y, the key that finds repeated cells, fits int64
+_COORD_LIMIT = 2**31
+
+
+def _ints(values: list) -> np.ndarray:
+    """Python ints as int64, or kept as objects when one does not fit, so
+    that an error can name it exactly."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
 
 def _parse_rows(path: Path):
     """Parse a surface CSV's data rows with the csv module, int and float.
@@ -337,7 +350,7 @@ def _parse_rows(path: Path):
                     f"{path}: line {reader.line_num}: malformed row {row}"
                 ) from None
             lines.append(reader.line_num)
-    return np.array(xs), np.array(ys), np.array(zs), np.array(vs), lines
+    return _ints(xs), _ints(ys), np.array(zs), _ints(vs), lines
 
 
 def load_surface(path, fmt: str = "csv", dims: tuple[int, int] | None = None) -> Surface:
@@ -363,13 +376,15 @@ def load_surface(path, fmt: str = "csv", dims: tuple[int, int] | None = None) ->
             xs, ys, zs, vs, lines = _parse_rows(path)
         else:
             xs, ys, zs, vs = rows["x"], rows["y"], rows["z"], rows["v"]
-        nx = int(xs.max()) + 1
-        ny = int(ys.max()) + 1
+        # clipped, so the key cannot overflow; the range checks come first
+        cx, cy = (np.clip(c, -1, _COORD_LIMIT).astype(np.int64) for c in (xs, ys))
         repeated = np.ones(xs.size, dtype=bool)
-        repeated[np.unique(xs * ny + ys, return_index=True)[1]] = False
+        repeated[np.unique(cx * (_COORD_LIMIT + 1) + cy, return_index=True)[1]] = False
         # the first failing check, in this order, names the line it fails on
         for bad, message in (
             ((xs < 0) | (ys < 0), "negative x,y = {x},{y}"),
+            ((xs >= _COORD_LIMIT) | (ys >= _COORD_LIMIT),
+             f"x,y = {{x}},{{y}} lies outside any grid (coordinates stop below {_COORD_LIMIT})"),
             (repeated, "repeats x,y = {x},{y}"),
             ((vs != 0) & (vs != 1), "valid must be 0 or 1, got {v}"),
             ((vs == 1) & ~np.isfinite(zs), "valid cell has non-finite z = {z}"),
@@ -380,6 +395,8 @@ def load_surface(path, fmt: str = "csv", dims: tuple[int, int] | None = None) ->
                 if lines is None:
                     lines = _parse_rows(path)[-1]
                 raise ValueError(f"{path}: line {lines[i]}: {detail}")
+        nx = int(xs.max()) + 1
+        ny = int(ys.max()) + 1
         if len(xs) != nx * ny:
             raise ValueError(f"{path}: expected {nx * ny} rows, got {len(xs)}")
         z = np.full((nx, ny), np.nan)

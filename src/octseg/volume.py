@@ -9,6 +9,12 @@ Raw files on disk may store the axes in any order; a JSON sidecar declares
 the file's dims, element type, endianness, and axis order, and the loader
 permutes into the canonical layout.  ``VolumeMeta``, the sidecar, is a
 checked ``records.Record``.
+
+A volume holds its samples as stored: float data are the values, while
+u8 samples ``u`` (from a u8 file) stand for ``f32(u) / f32(255)`` and stay
+u8 in memory, a quarter of the float size.  Readers convert only the part
+they read, through ``Volume.values`` or ``u8_values``, so no float copy of
+the whole input is made on the way to the filters.
 """
 
 from __future__ import annotations
@@ -88,16 +94,29 @@ class VolumeMeta(Record):
         return {k: v for k, v in super().to_dict().items() if v is not None}
 
 
+def u8_values(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The float32 values that u8 samples stand for, ``f32(u) / f32(255)``,
+    written into ``out`` when given.
+
+    Bitwise equal to ``samples.astype(np.float32) / np.float32(255)``
+    without the intermediate array.
+    """
+    return np.divide(samples, np.float32(255), out=out, dtype=np.float32)
+
+
 @dataclass(frozen=True, eq=False)
 class Volume:
-    """In-memory volume: float data shaped (nx, ny, nz), depth contiguous.
+    """In-memory volume: samples shaped (nx, ny, nz), depth contiguous.
 
-    ``spacing`` is the canonical-order voxel pitch (dx, dy, dz) in microns,
-    or None when unknown.
+    ``data`` holds float values, or with ``u8`` set, u8 samples that stand
+    for ``u8_values(data)``; any other dtype is cast to float32 (without
+    scaling).  ``spacing`` is the canonical-order voxel pitch (dx, dy, dz)
+    in microns, or None when unknown.
     """
 
     data: np.ndarray
     spacing: tuple[float, float, float] | None = None
+    u8: bool = False
 
     def __post_init__(self):
         arr = np.asarray(self.data)
@@ -105,7 +124,10 @@ class Volume:
             raise ValueError(f"volume data must be 3D, got shape {arr.shape}")
         if min(arr.shape) < 1:
             raise ValueError(f"volume dims must all be positive, got {arr.shape}")
-        if arr.dtype not in (np.float32, np.float64):
+        if self.u8:
+            if arr.dtype != np.uint8:
+                raise ValueError(f"u8 volume data must be uint8, got {arr.dtype}")
+        elif arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         object.__setattr__(self, "data", np.ascontiguousarray(arr))
         if self.spacing is not None:
@@ -128,6 +150,17 @@ class Volume:
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of the values: float32 for u8 samples."""
+        return np.dtype(np.float32) if self.u8 else self.data.dtype
+
+    def values(self, index=...) -> np.ndarray:
+        """The values of the samples ``data[index]``: a view of float data,
+        a float32 array converted from u8 samples."""
+        samples = self.data[index]
+        return u8_values(samples) if self.u8 else samples
 
 
 def normalize_intensities(arr: np.ndarray) -> np.ndarray:
@@ -163,11 +196,13 @@ def _check_finite(data: np.ndarray, path) -> None:
 
 
 def load_volume(path, meta: VolumeMeta) -> Volume:
-    """Read a raw volume file into the canonical (nx, ny, nz) float layout.
+    """Read a raw volume file into the canonical (nx, ny, nz) layout.
 
-    u8 samples are scaled by 1/255; float samples are normalized into [0, 1]
-    only if they fall outside that range.  The file's byte length must match
-    the sidecar dims exactly, and a NaN or infinite sample raises ValueError.
+    u8 samples stay u8 and stand for their value scaled by 1/255; float
+    samples become float32, normalized into [0, 1] only if they fall
+    outside that range.  Either takes at most one copy, the one that
+    permutes the axes.  The file's byte length must match the sidecar dims
+    exactly, and a NaN or infinite sample raises ValueError.
     """
     path = Path(path)
     actual = path.stat().st_size
@@ -177,17 +212,14 @@ def load_volume(path, meta: VolumeMeta) -> Volume:
     raw = raw.reshape(meta.dims)
     # canonical axis i comes from file axis perm[i]
     perm = tuple(meta.order.index(ax) for ax in _AXES)
-    arr = raw.transpose(perm)
-    if meta.dtype == "u8":
-        data = arr.astype(np.float32) / np.float32(255.0)
-    else:
-        data = arr.astype(np.float32)
-        _check_finite(data, path)
-        data = normalize_intensities(data)
     spacing = None
     if meta.spacing_um is not None:
         spacing = tuple(meta.spacing_um[perm[i]] for i in range(3))
-    return Volume(np.ascontiguousarray(data), spacing)
+    if meta.dtype == "u8":
+        return Volume(np.ascontiguousarray(raw.transpose(perm)), spacing, u8=True)
+    data = np.ascontiguousarray(raw.transpose(perm), dtype=np.float32)
+    _check_finite(data, path)
+    return Volume(normalize_intensities(data), spacing)
 
 
 def save_volume(volume: Volume, path, dtype: str = "f32", meta_path=None) -> VolumeMeta:
@@ -205,11 +237,12 @@ def save_volume(volume: Volume, path, dtype: str = "f32", meta_path=None) -> Vol
         spacing_um=volume.spacing,
     )
     path = Path(path)
-    data = volume.data
-    if dtype == "u8":
-        out = np.clip(np.rint(data * 255.0), 0, 255).astype(np.uint8)
+    if dtype == "u8" and volume.u8:
+        out = volume.data  # rint(u8_values(u) * 255) == u for every u
+    elif dtype == "u8":
+        out = np.clip(np.rint(volume.data * 255.0), 0, 255).astype(np.uint8)
     else:
-        out = np.ascontiguousarray(data, dtype="<f4")
+        out = np.ascontiguousarray(volume.values(), dtype="<f4")
     out.tofile(path)
     meta.save(meta_path if meta_path is not None else Path(f"{path}.json"))
     return meta

@@ -289,7 +289,9 @@ class TestThicknessCmd:
         assert rc == EXIT_USAGE
 
 
-    @pytest.mark.parametrize("row", ["0,1,nan,1", "0,1,inf,1", "a,1,1.0,1", "0,1,1.0,7"])
+    @pytest.mark.parametrize("row", ["0,1,nan,1", "0,1,inf,1", "a,1,1.0,1", "0,1,1.0,7",
+                                     "0,9223372036854775807,0.0,0", "0,99999999999999999999,0.0,0",
+                                     "9223372036854775808,1,1.0,1"])
     def test_bad_surface_row_is_usage_error(self, tmp_path, capsys, row):
         good = tmp_path / "good.csv"
         good.write_text("x,y,z,valid\n0,0,1.0,1\n0,1,2.0,1\n")

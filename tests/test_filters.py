@@ -2,6 +2,7 @@
 border behavior, the boundary detector's step response, and the one-axis
 correlation against scipy's."""
 
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -22,10 +23,13 @@ from octseg.filters import (
     make_derivative_kernel,
     make_smoothing_kernel,
 )
-from octseg.volume import Volume
+from octseg.volume import Volume, u8_values
 
 
 def random_volume(rng, dims, dtype=np.float64):
+    """Random float values, or random u8 samples kept as u8."""
+    if dtype == np.uint8:
+        return Volume(rng.integers(0, 256, dims, dtype=np.uint8), u8=True)
     return Volume(rng.random(dims).astype(dtype))
 
 
@@ -173,15 +177,16 @@ class TestSeparableAgainstDirect:
 
     def test_detector_kernels_agree(self):
         rng = np.random.default_rng(6)
-        v = random_volume(rng, (10, 9, 16))
-        for kernel in (
-            make_derivative_kernel(3, lateral=3),
-            make_derivative_kernel(2, lateral=5),
-            make_smoothing_kernel(2),
-        ):
-            fast = convolve_separable(v, kernel)
-            ref = convolve_direct(v, kernel.to_dense())
-            assert np.abs(fast.data - ref.data).max() <= 1e-5
+        for v in (random_volume(rng, (10, 9, 16)), random_volume(rng, (10, 9, 16), np.uint8)):
+            for kernel in (
+                make_derivative_kernel(3, lateral=3),
+                make_derivative_kernel(2, lateral=5),
+                make_smoothing_kernel(2),
+            ):
+                fast = convolve_separable(v, kernel)
+                ref = convolve_direct(v, kernel.to_dense())
+                assert fast.data.dtype == ref.data.dtype == v.dtype
+                assert np.abs(fast.data - ref.data).max() <= 1e-5
 
 
 class TestStepResponse:
@@ -228,19 +233,20 @@ class TestStepResponse:
 
 def whole_axis_reference(volume, kernel, depth=None):
     """``_correlate1d`` over whole axes in z, x, y order, cut to ``depth``."""
-    out = volume.data
+    out = volume.values()
     for axis, taps in ((2, kernel.kz), (0, kernel.kx), (1, kernel.ky)):
         out = filters._correlate1d(out, taps, axis)
     return out[:, :, :depth]
 
 
 class TestFilterBank:
-    @given(st.integers(0, 2**31 - 1), st.sampled_from([np.float32, np.float64]),
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([np.float32, np.float64, np.uint8]),
            st.sampled_from([1, None]))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_fields_bitwise_equal_convolve_separable(self, seed, dtype, slab_voxels):
         # the fused slab pass against whole-axis passes: threads 1 and 2,
-        # 1-plane slabs (slab_voxels=1) and the default, full and cut depths
+        # 1-plane slabs (slab_voxels=1) and the default, full and cut depths;
+        # u8 samples are filtered as the float32 values they stand for
         rng = np.random.default_rng(seed)
         dims = (int(rng.integers(4, 12)), int(rng.integers(3, 8)), int(rng.integers(5, 20)))
         v = random_volume(rng, dims, dtype)
@@ -260,7 +266,7 @@ class TestFilterBank:
                     kernel = make_derivative_kernel(half_width, lateral)
                     ref = whole_axis_reference(v, kernel, depth)
                     cut = convolve_separable(v, kernel, threads, depth).data
-                    assert cut.dtype == dtype and cut.tobytes() == ref.tobytes()
+                    assert cut.dtype == v.dtype and cut.tobytes() == ref.tobytes()
                     full = bank.derivative(half_width, lateral).data
                     assert full[:, :, :depth].tobytes() == ref.tobytes()
 
@@ -287,6 +293,65 @@ class TestFilterBank:
         fields = [weakref.ref(f) for f in (first, only, smooth)]
         del first, only, smooth
         assert [f() for f in fields] == [None, None, None]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.uint8])
+    def test_crop_cuts_kept_fields_to_their_prefix(self, dtype):
+        v = random_volume(np.random.default_rng(11), (9, 7, 30), dtype)
+        # derivative(3, 3) read twice, smoothing(1) three times
+        bank = FilterBank(v, plan=[(3, 3, 1), (3, 5, 1), (3, 3, 1)])
+        full = {k: whole_axis_reference(v, k) for k in (make_derivative_kernel(3, 3),
+                                                       make_smoothing_kernel(1))}
+        kept = bank.derivative(3, 3, 20), bank.smoothing(1, 20)
+        assert [f.nz for f in kept] == [30, 30]
+        del kept  # their reader is done with them
+        bank.crop(12)
+        bank.crop(25)  # a deeper promise leaves the bank as cut
+        for field, ref in zip((bank.derivative(3, 3, 12), bank.smoothing(1, 12)), full.values()):
+            assert field.nz == 12 and not field.data.flags.writeable
+            assert field.data.tobytes() == np.ascontiguousarray(ref[:, :, :12]).tobytes()
+        # computed after the cut: stops at the cut though two readers are left
+        assert bank.smoothing(1, 5).nz == 12
+        with pytest.raises(ValueError, match=r"planes z < 13 requested from a filter bank cut to z < 12"):
+            bank.derivative(3, 5, 13)
+        with pytest.raises(ValueError, match="cut to z < 12"):
+            bank.smoothing(1)  # the whole depth
+        only = bank.derivative(3, 5, 7)
+        assert only.nz == 7
+        with pytest.raises(ValueError, match="depth must be between 1 and 30"):
+            bank.crop(0)
+
+    def test_crop_frees_the_cut_planes_in_place(self):
+        v = random_volume(np.random.default_rng(12), (64, 64, 128), np.uint8)
+        bank = FilterBank(v, plan=[(3, 3, 1), (3, 3, 1)])
+        tracemalloc.start()
+        try:
+            field = bank.smoothing(1, 128)  # kept for its second reader
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            bank.crop(32)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert field.nz == 32  # the handed-out field shrank with the bank's
+        assert before - after >= 0.99 * 64 * 64 * (128 - 32) * 4
+        # no second copy: only one block of A-scans is buffered at a time
+        assert peak - before <= 4 * filters._BLOCK_SAMPLES
+
+    def test_crop_refuses_a_field_still_in_use(self):
+        v = random_volume(np.random.default_rng(13), (8, 6, 24), np.float32)
+        bank = FilterBank(v, plan=[(3, 3, 1), (3, 3, 1)])
+        view = bank.smoothing(1).data[:, :, 4:]
+        with pytest.raises(ValueError, match="still in use"):
+            bank.crop(10)
+        ref = whole_axis_reference(v, make_smoothing_kernel(1))
+        assert view.tobytes() == np.ascontiguousarray(ref[:, :, 4:]).tobytes()
+
+    def test_u8_values_match_a_float32_cast_divided_by_255(self):
+        u = np.arange(256, dtype=np.uint8)
+        expected = u.astype(np.float32) / np.float32(255)
+        assert u8_values(u).tobytes() == expected.tobytes()
+        out = np.empty(256, np.float32)
+        assert u8_values(u, out=out) is out and out.tobytes() == expected.tobytes()
 
     def test_depth_out_of_range_rejected(self):
         v = random_volume(np.random.default_rng(10), (4, 4, 8), np.float32)

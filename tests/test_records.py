@@ -2,11 +2,13 @@
 
 import json
 import math
+import typing
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from octseg import records
 from octseg.phantom import LayerIntensities, PhantomSpec, SurfaceSpec
 from octseg.pipeline import PipelineConfig
 from octseg.volume import VolumeMeta
@@ -116,3 +118,33 @@ class TestFromJson:
         p.write_bytes(b"\xff\xfe{}")
         with pytest.raises(ValueError, match="^config is not valid JSON: .*utf-8"):
             PipelineConfig.from_json(p)
+
+
+class TestTypeHintsResolvedOncePerClass:
+    def test_repeated_construction_resolves_hints_once(self, monkeypatch):
+        calls = []
+
+        def counted(cls):
+            calls.append(cls)
+            return get_type_hints(cls)
+
+        get_type_hints = typing.get_type_hints
+        monkeypatch.setattr(typing, "get_type_hints", counted)
+        records._hints.cache_clear()
+        try:
+            built = [VolumeMeta(dims=(1, 2, 3)) for _ in range(5)]
+            built += [VolumeMeta.from_dict({"dims": [1, 2, 3]}) for _ in range(5)]
+            configs = [PipelineConfig.from_dict({"ilm": {"truncation_margin": 4}})
+                       for _ in range(3)]
+            errors = []
+            for _ in range(3):
+                with pytest.raises(ValueError) as e:
+                    VolumeMeta(dims=(1, 2, 3), dtype=8)
+                errors.append(str(e.value))
+        finally:
+            records._hints.cache_clear()  # later tests resolve with the real function
+        assert sorted(c.__name__ for c in calls) == [
+            "BoundaryProfile", "PipelineConfig", "VolumeMeta"]
+        assert all(b == VolumeMeta(dims=(1, 2, 3)) for b in built)
+        assert all(c == configs[0] and c.ilm.truncation_margin == 4 for c in configs)
+        assert errors == ["dtype must be a string, got 8"] * 3

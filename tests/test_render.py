@@ -7,7 +7,7 @@ import pytest
 
 from octseg.render import BOUNDARY_COLORS, read_ppm, render_bscan, write_ppm
 from octseg.surfaces import Surface
-from octseg.volume import Volume
+from octseg.volume import Volume, u8_values
 
 
 def gradient_volume(nx=16, ny=4, nz=32):
@@ -65,6 +65,20 @@ class TestRender:
         message = f"surface 'isos' grid {grid} does not match the volume's (nx, ny) = (16, 4)"
         with pytest.raises(ValueError, match=re.escape(message)):
             render_bscan(gradient_volume(), surfaces, slice_index=1)
+
+    def test_u8_volume_renders_like_its_float_values(self):
+        # every u8 value, and surfaces drawn over them, in both volume forms
+        rng = np.random.default_rng(5)
+        samples = rng.permutation(np.arange(256, dtype=np.uint8)).reshape(16, 1, 16)
+        samples = np.concatenate([samples, rng.integers(0, 256, (16, 3, 16), np.uint8)], axis=1)
+        surfaces = {"ilm": z_surface(rng.uniform(0, 15, (16, 4))),
+                    "rpe": z_surface(rng.uniform(0, 15, (16, 4)))}
+        for y in range(4):
+            img = render_bscan(Volume(samples, u8=True), surfaces, slice_index=y)
+            ref = render_bscan(Volume(u8_values(samples)), surfaces, slice_index=y)
+            assert img.tobytes() == ref.tobytes()
+        gray = render_bscan(Volume(samples, u8=True), {}, slice_index=0)[:, :, 0]
+        assert np.array_equal(gray, samples[:, 0, :].T)
 
     def test_unknown_surface_name_gets_some_color(self):
         vol = gradient_volume()

@@ -37,6 +37,12 @@ def test_run_benchmark_prints_every_stage_of_the_reports():
     assert len(io_rows) == 1
     assert re.fullmatch(r"surface CSV I/O: save \d+\.\d{3}s, load \d+\.\d{3}s "
                         r"\(ilm, isos, rpe; fastest of 1\)", io_rows[0])
+    memory_rows = [line for line in lines if line.startswith("peak RSS ")]
+    assert len(memory_rows) == 1
+    match = re.fullmatch(r"peak RSS \d+\.\d MiB \(ru_maxrss, phantom generation included\); "
+                         r"cascade peak (\d+\.\d{2}) float volumes above the input "
+                         r"\(tracemalloc, one untimed run\)", memory_rows[0])
+    assert match and float(match.group(1)) > 0
 
 
 @pytest.mark.parametrize("args, message", [

@@ -1,5 +1,6 @@
 """Volume I/O: sidecar parsing, axis canonicalization, normalization."""
 
+import itertools
 import json
 
 import numpy as np
@@ -14,6 +15,7 @@ from octseg.volume import (
     load_volume,
     normalize_intensities,
     save_volume,
+    u8_values,
 )
 
 
@@ -72,10 +74,11 @@ class TestLoad:
         p = write_raw(tmp_path / "v.raw", arr)
         meta = VolumeMeta(dims=(1, 2, 2), order="xyz")
         v = load_volume(p, meta)
-        assert v.data[0, 0, 0] == 0.0
-        assert v.data[0, 0, 1] == 1.0
-        assert v.data[0, 1, 0] == np.float32(128 / 255)
-        assert v.data[0, 1, 1] == np.float32(51 / 255)
+        assert v.data.dtype == np.uint8 and v.values().dtype == np.float32
+        assert v.values()[0, 0, 0] == 0.0
+        assert v.values()[0, 0, 1] == 1.0
+        assert v.values()[0, 1, 0] == np.float32(128 / 255)
+        assert v.values()[0, 1, 1] == np.float32(51 / 255)
 
     def test_size_mismatch_reports_both_sizes(self, tmp_path):
         p = tmp_path / "v.raw"
@@ -113,7 +116,7 @@ class TestLoad:
         for z in range(5):
             for x in range(3):
                 for y in range(2):
-                    assert v.data[x, y, z] == np.float32(file_arr[z, x, y] / 255)
+                    assert v.values()[x, y, z] == np.float32(file_arr[z, x, y] / 255)
 
     def test_permutation_preserves_value_multiset(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -122,7 +125,7 @@ class TestLoad:
         for order, dims in [("zxy", (4, 6, 5)), ("yzx", (4, 6, 5)), ("xyz", (4, 6, 5))]:
             v = load_volume(p, VolumeMeta(dims=dims, order=order))
             assert np.array_equal(
-                np.sort(v.data, axis=None),
+                np.sort(v.values(), axis=None),
                 np.sort(file_arr.astype(np.float32).ravel() / 255),
             )
 
@@ -141,6 +144,26 @@ class TestLoad:
         v = load_volume(p, VolumeMeta(dims=(480, 30, 9), order="zxy"))
         assert v.dims == (30, 9, 480)
         assert v.data[0, 0].flags["C_CONTIGUOUS"]
+
+
+    @pytest.mark.parametrize("order", ["".join(p) for p in itertools.permutations("xyz")])
+    @pytest.mark.parametrize("dtype, endian", [("u8", "le"), ("f32", "le"), ("f32", "be")])
+    def test_values_bitwise_equal_to_a_float32_load(self, tmp_path, order, dtype, endian):
+        # the loader once converted the whole file: astype(float32), scaled
+        # u8 by 1/255 or normalized f32, then made it contiguous
+        rng = np.random.default_rng(3)
+        code = {"u8": "u1", "f32": "<f4" if endian == "le" else ">f4"}[dtype]
+        if dtype == "u8":
+            file_arr = rng.integers(0, 256, size=(5, 4, 3)).astype(code)
+        else:
+            file_arr = (rng.standard_normal((5, 4, 3)) * 3).astype(code)
+        p = write_raw(tmp_path / "v.raw", file_arr)
+        v = load_volume(p, VolumeMeta(dims=(5, 4, 3), dtype=dtype, endian=endian, order=order))
+        arr = file_arr.transpose(tuple(order.index(ax) for ax in "xyz")).astype(np.float32)
+        ref = arr / np.float32(255.0) if dtype == "u8" else normalize_intensities(arr)
+        assert v.data.dtype == (np.uint8 if dtype == "u8" else np.float32)
+        assert v.data.flags["C_CONTIGUOUS"] and v.dtype == np.float32
+        assert v.values().tobytes() == np.ascontiguousarray(ref).tobytes()
 
 
 class TestNormalization:
@@ -188,7 +211,20 @@ class TestSave:
         v = Volume(data)
         save_volume(v, tmp_path / "v.raw", dtype="u8")
         back = load_volume(tmp_path / "v.raw", VolumeMeta.from_json(tmp_path / "v.raw.json"))
-        assert np.array_equal(back.data, data)
+        assert np.array_equal(back.values(), data)
+
+    def test_u8_volume_saves_its_samples_and_values(self, tmp_path):
+        samples = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)
+        v = Volume(samples, spacing=(1.0, 2.0, 3.0), u8=True)
+        save_volume(v, tmp_path / "u.raw", dtype="u8")
+        assert (tmp_path / "u.raw").read_bytes() == samples.tobytes()
+        save_volume(v, tmp_path / "f.raw")
+        back = load_volume(tmp_path / "f.raw", VolumeMeta.from_json(tmp_path / "f.raw.json"))
+        assert back.data.tobytes() == u8_values(samples).tobytes()
+        assert back.spacing == (1.0, 2.0, 3.0)
+        # the float route quantizes every u8 value back to itself
+        save_volume(back, tmp_path / "q.raw", dtype="u8")
+        assert (tmp_path / "q.raw").read_bytes() == samples.tobytes()
 
     def test_rejects_unknown_dtype(self, tmp_path):
         with pytest.raises(ValueError):
@@ -203,6 +239,15 @@ class TestVolumeType:
     def test_casts_ints_to_float32(self):
         v = Volume(np.arange(8, dtype=np.int64).reshape(2, 2, 2))
         assert v.data.dtype == np.float32
+
+    def test_u8_samples_stay_u8_only_when_asked(self):
+        samples = np.arange(8, dtype=np.uint8).reshape(2, 2, 2)
+        v = Volume(samples, u8=True)
+        assert v.data.dtype == np.uint8 and v.dtype == np.float32
+        assert v.values(np.s_[1]).tobytes() == u8_values(samples[1]).tobytes()
+        assert Volume(samples).data.dtype == np.float32  # a plain cast, as for any int
+        with pytest.raises(ValueError, match="u8 volume data must be uint8"):
+            Volume(samples.astype(np.int16), u8=True)
 
     def test_keeps_float64(self):
         v = Volume(np.zeros((2, 2, 2), dtype=np.float64))
