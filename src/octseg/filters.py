@@ -10,9 +10,9 @@ x-slab at a time, into scratch each thread reuses, just before that slab's
 z pass.  Its one-axis correlation reproduces the summation order of
 ``scipy.ndimage.correlate1d`` bit for bit.  The pipeline reads fields
 through a ``FilterBank``, which computes each once, drops it after its
-last planned reader, computes a field with a single reader only down to
-the depth that reader needs, and cuts the fields it keeps, in place, to
-the depth its caller says no later reader goes below.
+last planned reader, and holds each request's depth as a promise that no
+later request reads deeper: a new field is computed only that deep, and
+the fields kept for later readers are first cut to it in place.
 ``convolve_direct`` sums a dense kernel over its taps and exists as an
 independent reference for cross-checking the separable implementation.
 """
@@ -323,15 +323,16 @@ class FilterBank:
     """The filtered fields of one volume, each computed once.
 
     Every field is bitwise equal to ``convolve_separable`` with the matching
-    kernel, or to its first planes.  ``plan`` lists what the bank's readers
-    will ask for, one (derivative half-width, lateral width, smoothing
-    radius) per reader.  A planned field is dropped once its last reader has
-    taken it, and a field with one reader left is computed only down to the
-    depth that reader asks for: a field read more than once spans the whole
-    depth, since the later readers' depths are not known yet, until
-    ``crop`` says how deep they read.  Unplanned fields are kept at full
-    depth.  Fields are shared between callers, so their arrays are made
-    read-only.
+    kernel, or to its first planes.  A request for the planes z < ``depth``
+    promises that no later request reads below them; a deeper one raises
+    ValueError.  A new field is computed only that deep, and just before it
+    is allocated the kept fields that are deeper are cut to that depth in
+    place, so a field handed out earlier and still held shrinks with them.
+    A kept field is handed back as it is.  ``plan`` lists what the bank's
+    readers will ask for, one (derivative half-width, lateral width,
+    smoothing radius) per reader; a planned field is dropped once its last
+    reader has taken it, and unplanned fields are kept.  Fields are shared
+    between callers, so their arrays are made read-only.
     """
 
     def __init__(
@@ -346,26 +347,6 @@ class FilterBank:
             self._readers[("derivative", half_width, lateral)] += 1
             self._readers[("smoothing", radius)] += 1
 
-    def crop(self, depth: int) -> None:
-        """Promise that no later request reads a plane z >= ``depth``.
-
-        Kept fields deeper than that are cut to it in place, so a field
-        handed out earlier and still held shrinks with it, and fields
-        computed later stop there.  A later request deeper than ``depth``
-        raises ValueError, and so does a cut while a view of a kept
-        field's array is alive.
-        """
-        if not 1 <= depth <= self.volume.nz:
-            raise ValueError(f"depth must be between 1 and {self.volume.nz}, got {depth}")
-        self._depth = min(self._depth, depth)
-        for field in self._fields.values():
-            if field.nz > self._depth:
-                # the Volume's reference and getrefcount's argument; any
-                # other (a view, a second holder) would outlive the cut
-                if sys.getrefcount(field.data) > 2:
-                    raise ValueError("a field still in use cannot be cut in place")
-                _crop_depth(field.data, self._depth)
-
     def check_fits(self, half_width: int, lateral: int, radius: int) -> None:
         """Raise ValueError if a derivative or smoothing kernel of these
         sizes is longer than the volume along some axis."""
@@ -374,31 +355,40 @@ class FilterBank:
 
     def _field(self, key: tuple, kernel: SeparableKernel, depth: int | None) -> Volume:
         depth = self.volume.nz if depth is None else depth
+        if depth < 1:
+            raise ValueError(f"depth must be >= 1, got {depth}")
         if depth > self._depth:
             raise ValueError(
-                f"planes z < {depth} requested from a filter bank cut to z < {self._depth}"
+                f"planes z < {depth} requested from a filter bank limited to z < {self._depth}"
             )
+        self._depth = depth
         left = self._readers.get(key)  # planned reads still to come; None: unplanned
-        last = left is not None and left <= 1
         field = self._fields.pop(key, None)
         if field is None:
-            field = convolve_separable(
-                self.volume, kernel, self.threads, depth if last else self._depth
-            )
+            for kept in self._fields.values():
+                if kept.nz > depth:
+                    # the Volume's reference and getrefcount's argument; any
+                    # other (a view, a second holder) would outlive the cut
+                    if sys.getrefcount(kept.data) > 2:
+                        raise ValueError("a field still in use cannot be cut in place")
+                    _crop_depth(kept.data, depth)
+            field = convolve_separable(self.volume, kernel, self.threads, depth)
             field.data.flags.writeable = False
-        if not last:
+        if left is None or left > 1:
             self._fields[key] = field
         if left:
             self._readers[key] = left - 1
         return field
 
     def smoothing(self, radius: int, depth: int | None = None) -> Volume:
-        """Box-smoothed intensity; ``depth``: the planes the caller reads."""
+        """Box-smoothed intensity; ``depth``: the caller reads the planes
+        z < depth, and no later request may read deeper."""
         return self._field(("smoothing", radius), make_smoothing_kernel(radius), depth)
 
     def derivative(self, half_width: int, lateral: int, depth: int | None = None) -> Volume:
         """Bright-above depth derivative, averaged over a lateral box;
-        ``depth``: the planes the caller reads."""
+        ``depth``: the caller reads the planes z < depth, and no later
+        request may read deeper."""
         kernel = make_derivative_kernel(half_width, lateral)
         return self._field(("derivative", half_width, lateral), kernel, depth)
 

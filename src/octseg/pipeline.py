@@ -10,13 +10,12 @@ is raised as a PipelineError naming the boundary and the stage.  One
 ``FilterBank`` per volume computes each distinct field once; polarity is
 the sign ``enhance`` gives the bank's bright-above derivative, so ILM
 reuses RPE's.  ``segment_retina`` hands the bank the fields each boundary
-will read, so a field is freed after its last reader, and a field with one
-reader (IS/OS's wider derivative by default) is computed only down to the
-end of that boundary's search band, which is read before the derivative
-stage.  No reader after RPE looks below the end of IS/OS's band (ILM
-searches above IS/OS), so in IS/OS's derivative stage the bank cuts the
-fields it keeps to that depth, in place.  The cascade runs RPE first on
-the whole volume, then removes the RPE and everything below it from the
+will read, so a field is freed after its last reader.  Each boundary asks
+for its fields down to the end of its search band, read before the
+derivative stage, and no band ends deeper than the one before it (IS/OS
+searches above RPE, ILM above IS/OS), so the bank computes a new field only
+that deep and cuts the fields it keeps to it.  The cascade runs RPE first
+on the whole volume, then removes the RPE and everything below it from the
 search window (with a safety margin) before finding IS/OS, and repeats
 that truncation above IS/OS before finding ILM.  A final projection step
 restores the anatomical depth ordering in any column where the three
@@ -210,13 +209,14 @@ def segment_boundary(
     mask: SearchMask | None = None,
     threads: int = 1,
     bank: FilterBank | None = None,
-    crop_bank: bool = False,
 ) -> BoundaryResult:
     """Locate one boundary surface in a single enhance pass.
 
-    Fields come from ``bank``, which must hold ``volume`` (None builds one).
-    ``crop_bank`` promises that no later reader of ``bank`` looks below
-    this boundary's search band, so the bank is cut to it first.
+    Fields come from ``bank``, which must hold ``volume`` (None builds one),
+    down to the end of this boundary's search band.  That depth is a
+    promise to the bank, so a shared bank is read in order of
+    non-increasing band end: a band that ends deeper than an earlier
+    reader's fails in the derivative stage.
     Returns a total surface (every column carries a depth) plus a report
     with per-stage wall times and counters; the ``enhance`` stage scores
     and picks.  A flat enhanced score (e.g. from constant input) is flagged
@@ -239,8 +239,6 @@ def segment_boundary(
     with _stage(report, "derivative"):
         z0, band = mask.to_band()
         depth = z0 + band.nz  # enhance reads no plane below the search band
-        if crop_bank:
-            bank.crop(depth)
         deriv = bank.derivative(profile.derivative_half_width, profile.lateral_width, depth)
     with _stage(report, "smoothing"):
         smooth = bank.smoothing(profile.smoothing_radius, depth)
@@ -331,9 +329,7 @@ def segment_retina(
         isos_mask = full
     else:
         isos_mask = truncate_above_surface(full, rpe_res.surface, config.isos.truncation_margin)
-    # ILM searches above IS/OS's surface, or in IS/OS's mask if that is
-    # degenerate, so no later reader looks below IS/OS's band
-    isos_res = segment_boundary(volume, config.isos, isos_mask, threads, bank, crop_bank=True)
+    isos_res = segment_boundary(volume, config.isos, isos_mask, threads, bank)
     if isos_res.report.degenerate:
         ilm_mask = isos_mask
     else:

@@ -282,14 +282,14 @@ class TestFilterBank:
         # two readers of derivative(3, 3), one of derivative(3, 5), three of smoothing(1)
         bank = FilterBank(v, plan=[(3, 3, 1), (3, 5, 1), (3, 3, 1)])
         first = bank.derivative(3, 3, 10)
-        assert first.nz == 24  # read again later, so it spans the whole depth
+        assert first.nz == 10  # read again, but no later request may read deeper
         only = bank.derivative(3, 5, 10)
-        assert only.nz == 10  # its one reader reads no plane below 10
         ref = whole_axis_reference(v, make_derivative_kernel(3, 5), 10)
-        assert only.data.tobytes() == ref.tobytes()
-        assert bank.derivative(3, 3, 7) is first
-        smooth = bank.smoothing(1)
-        assert bank.smoothing(1) is smooth and bank.smoothing(1) is smooth
+        assert only.nz == 10 and only.data.tobytes() == ref.tobytes()
+        assert bank.derivative(3, 3, 7) is first and first.nz == 10  # handed back as it is
+        smooth = bank.smoothing(1, 7)
+        assert smooth.nz == 7
+        assert bank.smoothing(1, 7) is smooth and bank.smoothing(1, 5) is smooth
         fields = [weakref.ref(f) for f in (first, only, smooth)]
         del first, only, smooth
         assert [f() for f in fields] == [None, None, None]
@@ -297,52 +297,71 @@ class TestFilterBank:
     @pytest.mark.parametrize("dtype", [np.float32, np.uint8])
     def test_crop_cuts_kept_fields_to_their_prefix(self, dtype):
         v = random_volume(np.random.default_rng(11), (9, 7, 30), dtype)
-        # derivative(3, 3) read twice, smoothing(1) three times
+        # derivative(3, 3) read twice, smoothing(1) three times, derivative(3, 5) once
         bank = FilterBank(v, plan=[(3, 3, 1), (3, 5, 1), (3, 3, 1)])
-        full = {k: whole_axis_reference(v, k) for k in (make_derivative_kernel(3, 3),
-                                                       make_smoothing_kernel(1))}
+        full = [whole_axis_reference(v, k) for k in (make_derivative_kernel(3, 3),
+                                                      make_smoothing_kernel(1))]
         kept = bank.derivative(3, 3, 20), bank.smoothing(1, 20)
-        assert [f.nz for f in kept] == [30, 30]
-        del kept  # their reader is done with them
-        bank.crop(12)
-        bank.crop(25)  # a deeper promise leaves the bank as cut
-        for field, ref in zip((bank.derivative(3, 3, 12), bank.smoothing(1, 12)), full.values()):
-            assert field.nz == 12 and not field.data.flags.writeable
-            assert field.data.tobytes() == np.ascontiguousarray(ref[:, :, :12]).tobytes()
-        # computed after the cut: stops at the cut though two readers are left
-        assert bank.smoothing(1, 5).nz == 12
-        with pytest.raises(ValueError, match=r"planes z < 13 requested from a filter bank cut to z < 12"):
+        assert [f.nz for f in kept] == [20, 20]
+
+        def assert_prefix(depth):
+            for field, ref in zip(kept, full):
+                assert field.nz == depth and not field.data.flags.writeable
+                assert field.data.tobytes() == np.ascontiguousarray(ref[:, :, :depth]).tobytes()
+
+        # a new field 12 deep first cuts the kept ones, which shrink in the
+        # hands of their earlier reader too
+        assert bank.derivative(3, 5, 12).nz == 12
+        assert_prefix(12)
+        assert bank.smoothing(1, 5) is kept[1]  # a kept field is handed back uncut
+        assert_prefix(12)
+        with pytest.raises(ValueError, match=r"planes z < 13 requested from a filter bank limited to z < 5"):
             bank.derivative(3, 5, 13)
-        with pytest.raises(ValueError, match="cut to z < 12"):
+        with pytest.raises(ValueError, match="limited to z < 5"):
             bank.smoothing(1)  # the whole depth
-        only = bank.derivative(3, 5, 7)
-        assert only.nz == 7
-        with pytest.raises(ValueError, match="depth must be between 1 and 30"):
-            bank.crop(0)
+        with pytest.raises(ValueError, match="depth must be >= 1, got 0"):
+            bank.smoothing(1, 0)
+        assert bank.smoothing(2, 4).nz == 4  # another new field: the kept ones go to 4
+        assert_prefix(4)
+        assert bank.derivative(3, 3, 4) is kept[0] and bank.smoothing(1, 3) is kept[1]
 
     def test_crop_frees_the_cut_planes_in_place(self):
         v = random_volume(np.random.default_rng(12), (64, 64, 128), np.uint8)
         bank = FilterBank(v, plan=[(3, 3, 1), (3, 3, 1)])
+        crop, convolve = filters._crop_depth, filters.convolve_separable
+        seen = {}
+
+        def cut(arr, depth):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            crop(arr, depth)
+            seen["cut_peak"] = tracemalloc.get_traced_memory()[1] - start
+
+        def computed(*args):
+            seen["computed_from"] = tracemalloc.get_traced_memory()[0]
+            return convolve(*args)
+
         tracemalloc.start()
         try:
             field = bank.smoothing(1, 128)  # kept for its second reader
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            bank.crop(32)
-            after, peak = tracemalloc.get_traced_memory()
+            with mock.patch.object(filters, "_crop_depth", cut), \
+                    mock.patch.object(filters, "convolve_separable", computed):
+                before = tracemalloc.get_traced_memory()[0]
+                bank.derivative(3, 3, 32)
         finally:
             tracemalloc.stop()
-        assert field.nz == 32  # the handed-out field shrank with the bank's
-        assert before - after >= 0.99 * 64 * 64 * (128 - 32) * 4
+        assert field.nz == 32  # the handed-out field shrank in place
+        # the cut planes were freed before the new field was computed
+        assert before - seen["computed_from"] >= 0.99 * 64 * 64 * (128 - 32) * 4
         # no second copy: only one block of A-scans is buffered at a time
-        assert peak - before <= 4 * filters._BLOCK_SAMPLES
+        assert seen["cut_peak"] <= 4 * filters._BLOCK_SAMPLES
 
     def test_crop_refuses_a_field_still_in_use(self):
         v = random_volume(np.random.default_rng(13), (8, 6, 24), np.float32)
         bank = FilterBank(v, plan=[(3, 3, 1), (3, 3, 1)])
         view = bank.smoothing(1).data[:, :, 4:]
         with pytest.raises(ValueError, match="still in use"):
-            bank.crop(10)
+            bank.derivative(3, 3, 10)
         ref = whole_axis_reference(v, make_smoothing_kernel(1))
         assert view.tobytes() == np.ascontiguousarray(ref[:, :, 4:]).tobytes()
 
