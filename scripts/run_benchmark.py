@@ -140,11 +140,11 @@ def main():
     print(f"CLI start-up {cli_import_s():.3f}s "
           "(median of 5 child processes running `import octseg.cli`)")
 
-    print("\naccuracy vs ground truth (voxels):")
+    print("\naccuracy vs ground truth (voxels; mean is signed, + deeper than the truth):")
     for key in ("ilm", "isos", "rpe"):
         err = surface_error(best.surfaces[key], getattr(truth, key))
-        print(f"  {key:<5} rms={err.rms:.3f}  mean_abs={err.mean_abs:.3f}  "
-              f"max_abs={err.max_abs:.3f}")
+        print(f"  {key:<5} rms={err.rms:.3f}  mean={err.mean:+.3f}  "
+              f"mean_abs={err.mean_abs:.3f}  max_abs={err.max_abs:.3f}")
     return 0
 
 

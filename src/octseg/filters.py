@@ -7,14 +7,14 @@ over x-slabs that runs a slab's z, x and y correlations back to back and
 writes it into the output, so no volume-sized intermediate exists, and
 that can stop at a given depth.  A u8 volume is converted to float32 one
 x-slab at a time, into scratch each thread reuses, just before that slab's
-z pass.  Its one-axis correlation reproduces the summation order of
-``scipy.ndimage.correlate1d`` bit for bit.  The pipeline reads fields
-through a ``FilterBank``, which computes each once, drops it after its
-last planned reader, and holds each request's depth as a promise that no
-later request reads deeper: a new field is computed only that deep, and
-the fields kept for later readers are first cut to it in place.
-``convolve_direct`` sums a dense kernel over its taps and exists as an
-independent reference for cross-checking the separable implementation.
+z pass.  Its one-axis correlation sums in the input's dtype, box taps
+with a single multiply, in one order at any thread count.  The pipeline
+reads fields through a ``FilterBank``, which computes each once, drops it
+after its last planned reader, and holds each request's depth as a
+promise that no later request reads deeper: a new field is computed only
+that deep, and the fields kept for later readers are first cut to it in
+place.  ``convolve_direct`` sums a dense kernel over its taps and exists
+as an independent reference for cross-checking the separable one.
 """
 
 from __future__ import annotations
@@ -144,34 +144,31 @@ def _map_slabs(fn, bounds: list[tuple[int, int]], threads: int) -> list:
         return list(pool.map(lambda span: fn(*span), bounds))
 
 
-# blocks of one correlation pass hold about this many samples, so the float64
-# scratch stays in cache (with 1 << 18 the 8 passes of a 300x99x480 run took
-# a quarter longer than with scipy; at 1 << 15 to 1 << 16 they are on par)
+# blocks of one correlation pass hold about this many samples, so the scratch
+# stays in cache (the three fields of a 300x99x480 run took 0.44-0.45 s at
+# 1 << 15, 0.37-0.41 s at 1 << 16, 0.40 s at 1 << 17, 0.45-0.49 s at 1 << 18)
 _BLOCK_SAMPLES = 1 << 16
 
 
 def _correlate1d(arr: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
-    """Correlate ``arr`` with odd-length ``taps`` along ``axis``, replicating
-    the edge samples, and return an array of the input's dtype.
+    """Correlate float ``arr`` with odd-length ``taps`` along ``axis``,
+    replicating the edge samples, and return an array of the input's dtype.
 
-    Sums run in float64 in the order ``scipy.ndimage.correlate1d`` uses, so
-    results are bitwise equal to it: taps symmetric or antisymmetric within
-    DBL_EPSILON start from the centre term and add each mirrored pair,
-    summed or differenced before it is weighted, from the outermost pair
-    inwards; other taps start from the last term and add the rest in order.
-    The axis is processed in blocks of about ``_BLOCK_SAMPLES`` samples.
+    Sums run in the input's dtype.  Box taps, all equal, add the 2h+1
+    shifted samples and multiply once; odd-box taps, ``c`` on the h before a
+    zero centre and ``-c`` on the h after it, add the h differences of
+    mirrored samples and multiply once by ``c``; other taps take one
+    multiply-add each.  Each output's terms are added in one order whatever
+    the block or thread, so results are bitwise deterministic; they stay
+    within ``(taps.size + 1) * eps * sum|taps| * max|arr|`` of the tests'
+    float64 reference.  The axis is processed in blocks of about
+    ``_BLOCK_SAMPLES`` samples.
     """
-    w = np.asarray(taps, dtype=np.float64)
-    h = w.size // 2
-    right, left = w[h + 1 :], w[:h][::-1]
-    eps = np.finfo(np.float64).eps
-    # written as "not > eps" so that NaN taps test as scipy's do
-    if not np.any(np.abs(right - left) > eps):
-        pair = np.add
-    elif not np.any(np.abs(right + left) > eps):
-        pair = np.subtract
-    else:
-        pair = None
+    w = np.asarray(taps).astype(arr.dtype)
+    h, c = w.size // 2, w[0]
+    box = h > 0 and bool(np.all(w == c))
+    odd = h > 0 and w[h] == 0 and np.all(w[:h] == c) and np.all(w[h + 1 :] == -c)
+    scale = c if box or odd else 1
     out = np.empty(arr.shape, dtype=arr.dtype)
     n = arr.shape[axis]
     outer, inner = math.prod(arr.shape[:axis]), math.prod(arr.shape[axis + 1 :])
@@ -182,9 +179,8 @@ def _correlate1d(arr: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
     # the runs' ends, which straddle two lines, are computed and dropped
     bi = min(inner, max(1, _BLOCK_SAMPLES // (n + 2 * h)))
     bo = min(outer, max(1, _BLOCK_SAMPLES // ((n + 2 * h) * bi)))
-    pad_buf = np.empty(bo * (n + 2 * h) * bi)
-    acc_buf = np.empty_like(pad_buf)
-    tmp_buf = np.empty_like(pad_buf)
+    pad_buf = np.empty(bo * (n + 2 * h) * bi, dtype=arr.dtype)
+    acc_buf, tmp_buf = np.empty_like(pad_buf), np.empty_like(pad_buf)
     for o0 in range(0, outer, bo):
         o1 = min(o0 + bo, outer)
         for i0 in range(0, inner, bi):
@@ -202,18 +198,22 @@ def _correlate1d(arr: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
             def x(j):  # the samples j places from each output sample
                 return pad_buf[(h + j) * step : (h + j) * step + run]
 
-            if pair is not None:
-                np.multiply(x(0), w[h], out=acc)
-                for j in range(h, 0, -1):
-                    pair(x(-j), x(j), out=tmp)
-                    tmp *= w[h - j]
+            if box:
+                np.add(x(-h), x(1 - h), out=acc)
+                for j in range(2 - h, h + 1):
+                    acc += x(j)
+            elif odd:
+                np.subtract(x(-h), x(h), out=acc)
+                for j in range(h - 1, 0, -1):
+                    np.subtract(x(-j), x(j), out=tmp)
                     acc += tmp
             else:
-                np.multiply(x(h), w[2 * h], out=acc)
-                for j in range(-h, h):
+                np.multiply(x(-h), c, out=acc)
+                for j in range(1 - h, h + 1):
                     np.multiply(x(j), w[h + j], out=tmp)
                     acc += tmp
-            dst[o0:o1, :, i0:i1] = acc_buf[:size].reshape(block)[:, :n]
+            # box and odd-box sums take their one multiply on the way out
+            np.multiply(acc_buf[:size].reshape(block)[:, :n], scale, out=dst[o0:o1, :, i0:i1])
     return out
 
 

@@ -257,10 +257,12 @@ def add_speckle(volume: Volume, looks: float, seed: int = 0) -> Volume:
 
 @dataclass(frozen=True, eq=False)
 class SurfaceError:
-    """Per-column absolute error between an estimate and the truth."""
+    """Per-column absolute error between an estimate and the truth, and the
+    signed mean (estimate minus truth: positive when the estimate is deeper)."""
 
     abs_diff: np.ndarray
     rms: float
+    mean: float
     mean_abs: float
     max_abs: float
 
@@ -279,6 +281,7 @@ def surface_error(estimate: Surface, truth: Surface) -> SurfaceError:
     return SurfaceError(
         abs_diff=np.abs(diff),
         rms=float(np.sqrt(np.mean(diff**2))),
+        mean=float(np.mean(diff)),
         mean_abs=float(np.mean(np.abs(diff))),
         max_abs=float(np.max(np.abs(diff))),
     )

@@ -1,6 +1,6 @@
 """Filtering: separable fast path against the dense reference, kernel taps,
 border behavior, the boundary detector's step response, and the one-axis
-correlation against scipy's."""
+correlation against a float64 reference that is checked against scipy's."""
 
 import tracemalloc
 import weakref
@@ -408,14 +408,74 @@ def correlation_cases(draw):
     return arr, axis, taps
 
 
+def reference_correlate1d(arr, taps, axis):
+    """``scipy.ndimage.correlate1d(arr, taps, axis, mode="nearest")`` in
+    numpy, bit for bit: edge-replicated, summed in float64 in scipy's order,
+    cast back to the input's dtype.
+
+    Taps symmetric or antisymmetric within DBL_EPSILON start from the
+    centre term and add each mirrored pair, summed or differenced before it
+    is weighted, from the outermost pair inwards; other taps start from the
+    last term and add the rest in order.
+    """
+    w = np.asarray(taps, dtype=np.float64)
+    h = w.size // 2
+    right, left = w[h + 1 :], w[:h][::-1]
+    eps = np.finfo(np.float64).eps
+    # written as "not > eps" so that NaN taps test as scipy's do
+    if not np.any(np.abs(right - left) > eps):
+        pair = np.add
+    elif not np.any(np.abs(right + left) > eps):
+        pair = np.subtract
+    else:
+        pair = None
+    pad = np.moveaxis(np.asarray(arr, dtype=np.float64), axis, -1)
+    pad = np.pad(pad, [(0, 0)] * (pad.ndim - 1) + [(h, h)], mode="edge")
+    n = arr.shape[axis]
+
+    def x(j):  # the samples j places from each output sample
+        return pad[..., h + j : h + j + n]
+
+    if pair is not None:
+        acc = x(0) * w[h]
+        for j in range(h, 0, -1):
+            acc = acc + pair(x(-j), x(j)) * w[h - j]
+    else:
+        acc = x(h) * w[2 * h]
+        for j in range(-h, h):
+            acc = acc + x(j) * w[h + j]
+    return np.moveaxis(acc, -1, axis).astype(arr.dtype)
+
+
 class TestCorrelate1d:
-    @given(correlation_cases(), st.sampled_from([1, 5, 64, filters._BLOCK_SAMPLES]))
+    @given(correlation_cases())
     @settings(max_examples=300, deadline=None)
-    def test_bitwise_equal_to_scipy(self, case, block):
+    def test_bitwise_equal_to_scipy(self, case):
+        # the reference that _correlate1d's bound is stated against
         ndimage = pytest.importorskip("scipy.ndimage")
         arr, axis, taps = case
         ref = ndimage.correlate1d(arr, taps, axis=axis, mode="nearest")
+        out = reference_correlate1d(arr, taps, axis)
+        assert out.dtype == arr.dtype and out.shape == arr.shape
+        assert out.tobytes() == ref.tobytes()
+
+    @given(correlation_cases(), st.sampled_from([1, 5, 64, filters._BLOCK_SAMPLES]))
+    @settings(max_examples=300, deadline=None)
+    def test_within_bound_of_reference(self, case, block):
+        # sums in the input's dtype, against float64 sums in scipy's order.
+        # Besides (taps.size + 1) * eps * sum|w| * max|x|, the bound allows
+        # for the reference's own error, up to h * DBL_EPSILON * max|x|, as
+        # its pairing rule weights both samples of a pair whose taps differ
+        # by up to DBL_EPSILON with one of them; and for a subnormal step
+        # per tap, the absolute error of results that underflow.  Blocks of
+        # any size give the same bits
+        arr, axis, taps = case
         with mock.patch.object(filters, "_BLOCK_SAMPLES", block):
             out = filters._correlate1d(arr, taps, axis)
         assert out.dtype == arr.dtype and out.shape == arr.shape
-        assert out.tobytes() == ref.tobytes()
+        assert out.tobytes() == filters._correlate1d(arr, taps, axis).tobytes()
+        ref = reference_correlate1d(arr, taps, axis).astype(np.float64)
+        info, pairing = np.finfo(arr.dtype), taps.size // 2 * np.finfo(np.float64).eps
+        bound = ((taps.size + 1) * (info.eps * np.abs(taps).sum() * np.abs(arr).max()
+                                    + info.smallest_subnormal) + pairing * np.abs(arr).max())
+        assert np.abs(out - ref).max() <= bound

@@ -173,7 +173,7 @@ class TestSurfaceError:
     def test_identical_surfaces_zero(self):
         s = Surface.full(np.random.default_rng(11).random((6, 5)) * 100)
         err = surface_error(s, s.copy())
-        assert err.rms == 0.0
+        assert err.rms == err.mean == 0.0
         assert err.max_abs == 0.0
         assert err.frac_within(0.0) == 1.0
 
@@ -181,7 +181,8 @@ class TestSurfaceError:
         z = np.full((4, 4), 50.0)
         err = surface_error(Surface.full(z + 1.0), Surface.full(z))
         assert err.rms == 1.0
-        assert err.mean_abs == 1.0
+        assert err.mean == err.mean_abs == 1.0
+        assert surface_error(Surface.full(z - 1.0), Surface.full(z)).mean == -1.0
         assert err.frac_within(0.5) == 0.0
         assert err.frac_within(1.0) == 1.0
 

@@ -68,6 +68,10 @@ def test_run_benchmark_prints_every_stage_of_the_reports():
                          r"cascade peak (\d+\.\d{2}) float volumes above the input "
                          r"\(tracemalloc, one untimed run\)", memory_rows[0])
     assert match and float(match.group(1)) > 0
+    # each boundary's accuracy carries its signed bias next to the RMS
+    accuracy = [line.split() for line in lines if re.match(r"  (ilm|isos|rpe) ", line)]
+    assert [row[0] for row in accuracy] == ["ilm", "isos", "rpe"]
+    assert all(re.fullmatch(r"mean=[+-]\d+\.\d{3}", row[2]) for row in accuracy)
 
 
 @pytest.mark.parametrize("args, message", [
