@@ -21,9 +21,9 @@ from pathlib import Path
 from .analysis import save_thickness_csv, save_thickness_pgm, thickness_map
 from .phantom import PhantomSpec, generate_phantom
 from .pipeline import PipelineConfig, PipelineError, segment_retina
-from .render import render_bscan, write_ppm
+from .render import draw_bscan, write_ppm
 from .surfaces import load_surface, save_surface
-from .volume import VolumeMeta, load_volume, save_volume
+from .volume import VolumeMeta, load_bscan, load_volume, save_volume
 
 EXIT_OK = 0
 EXIT_PIPELINE = 1
@@ -108,7 +108,7 @@ def cmd_thickness(args) -> int:
 
 def cmd_render(args) -> int:
     meta = VolumeMeta.from_json(args.meta)
-    volume = load_volume(args.input, meta)
+    bscan = load_bscan(args.input, meta, args.slice)
     sdir = Path(args.surfaces)
     surfaces = {}
     for name in ("ilm", "isos", "rpe"):
@@ -117,7 +117,7 @@ def cmd_render(args) -> int:
             surfaces[name] = load_surface(p, fmt="csv")
     if not surfaces:
         raise ValueError(f"no ilm/isos/rpe .csv surface files found in {sdir}")
-    img = render_bscan(volume, surfaces, args.slice)
+    img = draw_bscan(bscan, meta.dims[meta.order.index("y")], surfaces, args.slice)
     write_ppm(img, args.out)
     return EXIT_OK
 

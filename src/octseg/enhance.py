@@ -8,6 +8,8 @@ of two otherwise similar candidates (outer boundaries) or shrink with depth
 to prefer the shallower one (inner boundaries).
 The score lives only one x-slab at a time: each slab is picked, one depth
 per column, as soon as it is scored, and ``enhance`` returns the picks.
+A slab's windows share a core of planes that every searched window holds,
+reduced as they are; only the thin ragged planes around it are masked.
 """
 
 from __future__ import annotations
@@ -59,31 +61,50 @@ class DepthWeight:
         return np.float32(self.nz) - k
 
 
-def _window_index(k_lo: np.ndarray, k_hi: np.ndarray, depth: int) -> np.ndarray | None:
-    """``reduceat`` indexes of the non-empty windows of a block of columns.
+def _window_planes(k_lo: np.ndarray, k_hi: np.ndarray):
+    """Split the depth span of a block of columns' windows [k_lo, k_hi).
 
-    The block is read flat with ``depth`` samples per column; window c is
-    reduced at even position 2c of the result.  None means every window is
-    the whole column, so a plain reduction does.
+    Returns None when no window is searched (k_lo < k_hi), else the
+    searched columns as an index (``...`` when every column is, so that
+    indexing with it is a view), the span [g0, g1) of their windows, the
+    core [c0, c1) that every searched window holds (empty when c0 >= c1),
+    and the ragged planes: each range [a, b) of the span outside the core,
+    with a map of the samples there outside a column's window.
     """
-    if (k_lo == 0).all() and (k_hi == depth).all():
+    searched = k_lo < k_hi
+    if not searched.any():
         return None
-    base = np.arange(k_lo.size, dtype=np.intp).reshape(k_lo.shape) * depth
-    keep = k_lo < k_hi
-    idx = np.stack([(base + k_lo)[keep], (base + k_hi)[keep]], axis=-1).ravel()
-    # the end of a window at the end of the block is implied
-    return idx[:-1] if idx.size and idx[-1] == k_lo.size * depth else idx
+    g0, g1 = int(k_lo[searched].min()), int(k_hi[searched].max())
+    c0, c1 = int(k_lo[searched].max()), int(k_hi[searched].min())
+    spans = [(g0, c0), (c1, g1)] if c0 < c1 else [(g0, g1)]
+    ragged = []
+    for a, b in spans:
+        if a < b:
+            k = np.arange(a, b, dtype=k_lo.dtype)
+            ragged.append((a, b, (k < k_lo[..., None]) | (k >= k_hi[..., None])))
+    return ... if searched.all() else searched, (g0, g1), (c0, c1), ragged
 
 
-def _extrema(values: np.ndarray, idx: np.ndarray | None):
-    """(min, max) of a contiguous block over the windows of ``idx``, or None
-    when it has no window."""
-    flat = values.reshape(-1)
-    if idx is None:
-        return flat.min(), flat.max()
-    if idx.size == 0:
+def _extrema(values: np.ndarray, split) -> tuple | None:
+    """(min, max) of a read-only block of columns over the windows that
+    ``_window_planes`` split, or None when it has no window.
+
+    The core planes are reduced as they are; only a copy of the ragged
+    planes is masked, with a sentinel that no reduction picks.
+    """
+    if split is None:
         return None
-    return np.minimum.reduceat(flat, idx)[::2].min(), np.maximum.reduceat(flat, idx)[::2].max()
+    searched, _, (c0, c1), ragged = split
+    lows, highs = [], []
+    if c0 < c1:
+        core = values[..., c0:c1][searched]
+        lows.append(core.min())
+        highs.append(core.max())
+    for a, b, outside in ragged:
+        planes = values[..., a:b]
+        lows.append(np.where(outside, np.inf, planes).min())
+        highs.append(np.where(outside, -np.inf, planes).max())
+    return min(lows), max(highs)
 
 
 def _merge(parts) -> tuple:
@@ -92,13 +113,14 @@ def _merge(parts) -> tuple:
     return np.min([p[0] for p in found]), np.max([p[1] for p in found])
 
 
-def _rescale(values: np.ndarray, lo, hi) -> None:
-    """Min-max rescale in place with extrema taken elsewhere; a flat range zeroes."""
+def _rescale(values: np.ndarray, lo, hi, out: np.ndarray) -> None:
+    """Min-max rescale into ``out`` with extrema taken elsewhere; a flat
+    range zeroes."""
     if hi > lo:
-        values -= lo
-        values /= hi - lo
+        np.subtract(values, lo, out=out)
+        out /= hi - lo
     else:
-        values.fill(0)
+        out.fill(0)
 
 
 def enhance(
@@ -123,11 +145,16 @@ def enhance(
     ``weight`` has the volume's depth; the fields may stop short of it, at
     any depth that covers the depth band [z0, z1) that holds every window
     (``mask.to_band()``).  Only that band is scored, one x-slab of scratch
-    at a time, on up to ``threads`` threads; each voxel gets the same
-    arithmetic at any thread count.  Returns the surface in volume depth
-    and whether the score is flat over the windows (then each column picks
-    the top of its window).  A flat field at any step triggers
-    DegenerateNormalizationWarning; a flat input contributes zero.
+    at a time, on up to ``threads`` threads, each slab only over the span
+    of its own windows; each voxel gets the same arithmetic at any thread
+    count.  Extrema over the planes that every searched window of a slab
+    holds are plain reductions; the ragged planes around them are masked
+    with a +-inf sentinel, a copy of them for the read-only fields and the
+    score itself in place, which then takes a plain argmax per column.
+    Returns the surface in volume depth and whether the score is flat over
+    the windows (then each column picks the top of its window).  A flat
+    field at any step triggers DegenerateNormalizationWarning; a flat input
+    contributes zero.
     """
     if diff.dims[:2] != smooth.dims[:2]:
         raise ValueError(f"dims mismatch: {diff.dims} vs {smooth.dims}")
@@ -153,10 +180,8 @@ def enhance(
     slabs = _slab_bounds((nx, ny, band.nz), threads)
 
     def input_extrema(lo, hi):
-        k_lo, k_hi = mask.k_lo[lo:hi], mask.k_hi[lo:hi]
-        return tuple(
-            _extrema(f.data[lo:hi], _window_index(k_lo, k_hi, f.nz)) for f in (diff, smooth)
-        )
+        split = _window_planes(band.k_lo[lo:hi], band.k_hi[lo:hi])
+        return tuple(_extrema(f.data[lo:hi, :, z0:z1], split) for f in (diff, smooth))
 
     found = _map_slabs(input_extrema, slabs, threads)
     # sign and clamp are monotone maps, so they carry the derivative's
@@ -169,19 +194,38 @@ def enhance(
     w = weight.weights()[z0:z1]
 
     def score_and_pick(lo, hi):
-        window = SearchMask(k_lo=band.k_lo[lo:hi], k_hi=band.k_hi[lo:hi], nz=band.nz)
-        score = np.empty((hi - lo, ny, band.nz), dtype=diff.data.dtype)
-        np.multiply(diff.data[lo:hi, :, z0:z1], sign, out=score)
+        split = _window_planes(band.k_lo[lo:hi], band.k_hi[lo:hi])
+        if split is None:
+            return None, np.full((hi - lo, ny), np.nan)
+        searched, (g0, g1), _, ragged = split
+        # the slab's score covers only the span of its windows
+        planes = np.s_[lo:hi, :, z0 + g0 : z0 + g1]
+        score = np.empty((hi - lo, ny, g1 - g0), dtype=diff.data.dtype)
+        values = diff.data[planes]
+        if sign == -1:
+            values = np.multiply(values, sign, out=score)
         if clamp_negative:
-            np.maximum(score, 0, out=score)
-        _rescale(score, d_lo, d_hi)
-        smoothed = smooth.data[lo:hi, :, z0:z1].copy()
-        _rescale(smoothed, s_lo, s_hi)
+            values = np.maximum(values, 0, out=score)
+        _rescale(values, d_lo, d_hi, out=score)
+        smoothed = np.empty(score.shape, dtype=smooth.data.dtype)
+        _rescale(smooth.data[planes], s_lo, s_hi, out=smoothed)
         score += smoothed
-        del smoothed  # freed before the pick makes its masked copy
-        score *= w
-        extrema = _extrema(score, _window_index(window.k_lo, window.k_hi, band.nz))
-        return extrema, argmax_per_ascan(Volume(score), window)
+        del smoothed
+        score *= w[g0:g1]
+
+        def outside_windows(sentinel):  # the core planes need none
+            for a, b, outside in ragged:
+                np.copyto(score[:, :, a - g0 : b - g0], sentinel, where=outside)
+
+        # +inf outside the windows for the min, then -inf for the pick,
+        # whose values give the max
+        outside_windows(np.inf)
+        e_lo = score[searched].min()
+        outside_windows(-np.inf)
+        z = argmax_per_ascan(Volume(score)).z
+        best = np.take_along_axis(score, z.astype(np.intp)[..., None], axis=-1)
+        # Surface makes the picks of unsearched columns NaN
+        return (e_lo, best[searched].max()), z + g0
 
     parts = _map_slabs(score_and_pick, slabs, threads)
     e_lo, e_hi = _merge(e for e, _ in parts)
@@ -190,5 +234,5 @@ def enhance(
         if is_flat:
             warnings.warn(message, DegenerateNormalizationWarning, stacklevel=2)
     # picks index the band; shift them back to volume depth
-    z = np.concatenate([picked.z for _, picked in parts]) + z0
+    z = np.concatenate([z for _, z in parts]) + z0
     return Surface(z=z, valid=mask.column_valid()), flat

@@ -5,9 +5,12 @@ edge samples at the borders, so a flat region produces no spurious response
 near the volume faces.  ``convolve_separable`` is the fast path: one pass
 over x-slabs that runs a slab's z, x and y correlations back to back and
 writes it into the output, so no volume-sized intermediate exists, and
-that can stop at a given depth.  A u8 volume is converted to float32 one
-x-slab at a time, into scratch each thread reuses, just before that slab's
-z pass.  Its one-axis correlation sums in the input's dtype, box taps
+that can stop at a given depth.  Each pass computes only the samples that
+are kept and writes them where the next pass reads them: the z pass reads
+u8 samples as float32 values straight into its padded scratch and writes
+the planes above the depth into the x halo buffer, the x pass reads the
+halo but computes only the slab's own planes, and the y pass writes into
+the output.  Its one-axis correlation sums in the values' dtype, box taps
 with a single multiply, in one order at any thread count.  The pipeline
 reads fields through a ``FilterBank``, which computes each once, drops it
 after its last planned reader, and holds each request's depth as a
@@ -150,47 +153,73 @@ def _map_slabs(fn, bounds: list[tuple[int, int]], threads: int) -> list:
 _BLOCK_SAMPLES = 1 << 16
 
 
-def _correlate1d(arr: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
-    """Correlate float ``arr`` with odd-length ``taps`` along ``axis``,
-    replicating the edge samples, and return an array of the input's dtype.
+def _correlate1d(
+    arr: np.ndarray,
+    taps: np.ndarray,
+    axis: int,
+    lo: int = 0,
+    hi: int | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Correlate ``arr`` with odd-length ``taps`` along ``axis``, replicating
+    the edge samples, and return the outputs [lo, hi) along that axis.
 
-    Sums run in the input's dtype.  Box taps, all equal, add the 2h+1
-    shifted samples and multiply once; odd-box taps, ``c`` on the h before a
-    zero centre and ``-c`` on the h after it, add the h differences of
-    mirrored samples and multiply once by ``c``; other taps take one
-    multiply-add each.  Each output's terms are added in one order whatever
-    the block or thread, so results are bitwise deterministic; they stay
-    within ``(taps.size + 1) * eps * sum|taps| * max|arr|`` of the tests'
-    float64 reference.  The axis is processed in blocks of about
-    ``_BLOCK_SAMPLES`` samples.
+    ``arr`` holds float values, or u8 samples that stand for ``u8_values``
+    of them; the outputs have the values' dtype and are written into
+    ``out`` when given, a C-contiguous array of their shape.  Only the input
+    samples within ``taps.size // 2`` of [lo, hi) are read.  Sums run in the
+    values' dtype.  Box taps, all equal, add the 2h+1 shifted samples and
+    multiply once; odd-box taps, ``c`` on the h before a zero centre and
+    ``-c`` on the h after it, add the h differences of mirrored samples and
+    multiply once by ``c``; other taps take one multiply-add each.  Each
+    output's terms are added in one order whatever the block, range or
+    thread, so results are bitwise deterministic; they stay within
+    ``(taps.size + 1) * eps * sum|taps| * max|arr|`` of the tests' float64
+    reference.  The axis is processed in blocks of about ``_BLOCK_SAMPLES``
+    samples.
     """
-    w = np.asarray(taps).astype(arr.dtype)
+    u8 = arr.dtype == np.uint8
+    dtype = np.dtype(np.float32) if u8 else arr.dtype
+    n = arr.shape[axis]
+    hi = n if hi is None else hi
+    m = hi - lo
+    shape = arr.shape[:axis] + (m,) + arr.shape[axis + 1 :]
+    if out is None:
+        out = np.empty(shape, dtype=dtype)
+    elif out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {dtype} array of shape {shape}")
+    w = np.asarray(taps).astype(dtype)
     h, c = w.size // 2, w[0]
     box = h > 0 and bool(np.all(w == c))
     odd = h > 0 and w[h] == 0 and np.all(w[:h] == c) and np.all(w[h + 1 :] == -c)
     scale = c if box or odd else 1
-    out = np.empty(arr.shape, dtype=arr.dtype)
-    n = arr.shape[axis]
     outer, inner = math.prod(arr.shape[:axis]), math.prod(arr.shape[axis + 1 :])
     src = arr.reshape(outer, n, inner)
-    dst = out.reshape(outer, n, inner)
-    # a block is bo x (n + 2h) x bi padded samples, laid out flat: the
+    dst = out.reshape(outer, m, inner)
+    # padded sample p stands for input sample lo - h + p, clipped to the
+    # axis; the input's samples [a, b) land at padded [a - lo + h, b - lo + h)
+    a, b = max(lo - h, 0), min(hi + h, n)
+    left, right = a - lo + h, b - lo + h
+    # a block is bo x (m + 2h) x bi padded samples, laid out flat: the
     # samples j places from every output are then one contiguous run, and
     # the runs' ends, which straddle two lines, are computed and dropped
-    bi = min(inner, max(1, _BLOCK_SAMPLES // (n + 2 * h)))
-    bo = min(outer, max(1, _BLOCK_SAMPLES // ((n + 2 * h) * bi)))
-    pad_buf = np.empty(bo * (n + 2 * h) * bi, dtype=arr.dtype)
+    bi = min(inner, max(1, _BLOCK_SAMPLES // (m + 2 * h)))
+    bo = min(outer, max(1, _BLOCK_SAMPLES // ((m + 2 * h) * bi)))
+    pad_buf = np.empty(bo * (m + 2 * h) * bi, dtype=dtype)
     acc_buf, tmp_buf = np.empty_like(pad_buf), np.empty_like(pad_buf)
     for o0 in range(0, outer, bo):
         o1 = min(o0 + bo, outer)
         for i0 in range(0, inner, bi):
             i1 = min(i0 + bi, inner)
-            block = (o1 - o0, n + 2 * h, i1 - i0)
+            block = (o1 - o0, m + 2 * h, i1 - i0)
             size = math.prod(block)
             pad = pad_buf[:size].reshape(block)
-            pad[:, h : h + n] = src[o0:o1, :, i0:i1]
-            pad[:, :h] = pad[:, h : h + 1]
-            pad[:, h + n :] = pad[:, h + n - 1 : h + n]
+            if u8:
+                u8_values(src[o0:o1, a:b, i0:i1], out=pad[:, left:right])
+            else:
+                pad[:, left:right] = src[o0:o1, a:b, i0:i1]
+            pad[:, :left] = pad[:, left : left + 1]
+            pad[:, right:] = pad[:, right - 1 : right]
             step = i1 - i0
             run = size - 2 * h * step
             acc, tmp = acc_buf[:run], tmp_buf[:run]
@@ -213,15 +242,16 @@ def _correlate1d(arr: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
                     np.multiply(x(j), w[h + j], out=tmp)
                     acc += tmp
             # box and odd-box sums take their one multiply on the way out
-            np.multiply(acc_buf[:size].reshape(block)[:, :n], scale, out=dst[o0:o1, :, i0:i1])
+            np.multiply(acc_buf[:size].reshape(block)[:, :m], scale, out=dst[o0:o1, :, i0:i1])
     return out
 
 
-# x-slabs of one fused filter pass hold about this many voxels.  The x pass
-# also computes the slab's halo planes and drops them, so a narrow slab
-# wastes work; a wide one holds more scratch while the cascade's fields are
-# alive (at 1 << 20 a 300x99x480 run peaked at 2.76 float volumes above its
-# input, at 1 << 19 at 2.69, in about the same time)
+# x-slabs of one fused filter pass hold about this many voxels.  Each slab
+# moves its x halo forward and makes one correlation call per axis, so a
+# narrow slab pays that per few planes; a wide one holds more scratch per
+# thread (on 2 vCPUs the three fields of a 300x99x480 u8 run took 0.36 /
+# 0.31 / 0.29 / 0.31 s at 1 << 17 / 18 / 19 / 20, the cascade peaking at
+# 2.18 float volumes above its input at each)
 _FILTER_SLAB_VOXELS = 1 << 19
 
 
@@ -233,14 +263,15 @@ def convolve_separable(
     Each slab runs the z, x and y correlations in that order, skipping an
     axis whose taps are [1.0], and writes its planes straight into the
     output; the z-filtered planes of the x halo are carried from one slab
-    to the next.  Threads take contiguous x ranges, and each recomputes the
-    halo at its start.  Every output sees the same neighbourhood and the
-    same arithmetic as whole-axis passes, so results are bitwise equal to
-    them at any thread count.  With ``depth``, only the planes z < depth
-    are computed, from the input cropped ``kz.size // 2`` planes below
+    to the next, and the x pass computes only the slab's own planes from
+    them.  Threads take contiguous x ranges, and each recomputes the halo
+    at its start.  Every output sees the same neighbourhood and the same
+    arithmetic as whole-axis passes, so results are bitwise equal to them
+    at any thread count.  With ``depth``, only the planes z < depth are
+    computed, reading the input at most ``kz.size // 2`` planes below
     them.  Output dtype is that of the volume's values (float32 for u8
-    samples, converted a slab at a time).  A kernel longer than the volume
-    along any axis is rejected.
+    samples, converted as the z pass reads them).  A kernel longer than
+    the volume along any axis is rejected.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -251,27 +282,12 @@ def convolve_separable(
     _check_extents((kernel.kx.size, kernel.ky.size, kernel.kz.size), volume.dims)
     kx, ky, kz = (None if t.tolist() == [1.0] else t for t in (kernel.kx, kernel.ky, kernel.kz))
     hx = 0 if kx is None else kx.size // 2
-    src = volume.data[:, :, : min(nz, depth + kernel.kz.size // 2)]
     out = np.empty((nx, ny, depth), dtype=volume.dtype)
     width = max(1, _FILTER_SLAB_VOXELS // (ny * depth))
-    step = max(1, _BLOCK_SAMPLES // (ny * depth))
-
-    def lateral(planes: np.ndarray, first: int, s0: int, s1: int) -> None:
-        # x then y pass of z-filtered planes, planes[first] being plane s0;
-        # the y pass writes about one block of _correlate1d's at a time.
-        # The x output dies on return, before the next slab's is allocated
-        if kx is not None:
-            planes = _correlate1d(planes, kx, 0)
-        for c0 in range(s0, s1, step):
-            c1 = min(c0 + step, s1)
-            rows = planes[first + c0 - s0 : first + c1 - s0]
-            out[c0:c1] = rows if ky is None else _correlate1d(rows, ky, 1)
 
     def run(lo: int, hi: int) -> None:
         # z-filtered planes [a, b) of the current slab's x neighbourhood
         held = np.empty((min(width + 2 * hx, nx), ny, depth), dtype=out.dtype)
-        # the float32 values of u8 planes, converted as the z pass reads them
-        values = np.empty(held.shape[:2] + src.shape[2:], np.float32) if volume.u8 else None
         a = b = 0  # nothing held yet
         for s0 in range(lo, hi, width):
             s1 = min(s0 + width, hi)
@@ -280,15 +296,24 @@ def convolve_separable(
                 held[: b - na] = held[na - a : b - a]
             fresh = max(b, na)
             if nb > fresh:
-                planes = src[fresh:nb]
-                if values is not None:
-                    planes = u8_values(planes, out=values[: nb - fresh])
+                into = held[fresh - na : nb - na]
                 if kz is not None:
-                    planes = _correlate1d(planes, kz, 2)
-                held[fresh - na : nb - na] = planes[:, :, :depth]
-                del planes  # freed before the x pass allocates its output
+                    _correlate1d(volume.data[fresh:nb], kz, 2, 0, depth, out=into)
+                else:
+                    into[...] = volume.values(np.s_[fresh:nb, :, :depth])
             a, b = na, nb
-            lateral(held[: b - a], s0 - a, s0, s1)
+            # the x pass reads the halo and writes only the slab's planes,
+            # into scratch that dies with the slab when the y pass follows
+            target = out[s0:s1]
+            if kx is None:
+                planes = held[s0 - a : s1 - a]
+            else:
+                planes = target if ky is None else np.empty(target.shape, out.dtype)
+                _correlate1d(held[: b - a], kx, 0, s0 - a, s1 - a, out=planes)
+            if ky is not None:
+                _correlate1d(planes, ky, 1, out=target)
+            elif planes is not target:
+                target[...] = planes
 
     _map_slabs(run, _chunk_bounds(nx, min(threads, nx)), threads)
     return Volume(out, volume.spacing)

@@ -27,10 +27,19 @@ def render_bscan(
     drawn as a connected polyline: consecutive columns whose rounded depths
     differ by more than one pixel get a vertical joining segment.
     """
-    nx, ny, nz = volume.dims
+    ny = volume.ny
     if not 0 <= slice_index < ny:
         raise ValueError(f"slice index {slice_index} outside [0, {ny})")
-    gray = np.clip(np.rint(volume.values(np.s_[:, slice_index, :]) * 255.0), 0, 255)
+    return draw_bscan(volume.values(np.s_[:, slice_index, :]), ny, surfaces, slice_index)
+
+
+def draw_bscan(
+    bscan: np.ndarray, ny: int, surfaces: dict[str, Surface], slice_index: int
+) -> np.ndarray:
+    """``render_bscan`` of B-scan y=slice_index, given as its (nx, nz)
+    values, of a volume of ``ny`` B-scans; the index must lie in [0, ny)."""
+    nx, nz = bscan.shape
+    gray = np.clip(np.rint(bscan * 255.0), 0, 255)
     img = np.repeat(gray.T.astype(np.uint8)[:, :, None], 3, axis=2)
     fallback = 0
     for name, surf in surfaces.items():

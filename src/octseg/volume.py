@@ -19,10 +19,12 @@ the whole input is made on the way to the filters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .records import Record
 
@@ -195,6 +197,12 @@ def _check_finite(data: np.ndarray, path) -> None:
     )
 
 
+def _check_size(path: Path, meta: VolumeMeta) -> None:
+    actual = path.stat().st_size
+    if actual != meta.nbytes:
+        raise SizeMismatchError(path, meta.nbytes, actual)
+
+
 def load_volume(path, meta: VolumeMeta) -> Volume:
     """Read a raw volume file into the canonical (nx, ny, nz) layout.
 
@@ -205,9 +213,7 @@ def load_volume(path, meta: VolumeMeta) -> Volume:
     exactly, and a NaN or infinite sample raises ValueError.
     """
     path = Path(path)
-    actual = path.stat().st_size
-    if actual != meta.nbytes:
-        raise SizeMismatchError(path, meta.nbytes, actual)
+    _check_size(path, meta)
     raw = np.fromfile(path, dtype=_NUMPY_DTYPES[(meta.dtype, meta.endian)])
     raw = raw.reshape(meta.dims)
     # canonical axis i comes from file axis perm[i]
@@ -220,6 +226,48 @@ def load_volume(path, meta: VolumeMeta) -> Volume:
     data = np.ascontiguousarray(raw.transpose(perm), dtype=np.float32)
     _check_finite(data, path)
     return Volume(normalize_intensities(data), spacing)
+
+
+# load_bscan reads a u8 file about this many bytes at a time
+_READ_BYTES = 1 << 16
+
+
+def load_bscan(path, meta: VolumeMeta, y: int) -> np.ndarray:
+    """The values of B-scan ``y`` of a raw volume file, as (nx, nz) float32.
+
+    A u8 file is read only where B-scan y lies: in the file it is a run of
+    samples repeated at a fixed stride, read about ``_READ_BYTES`` at a time
+    from the first run to the last, so memory holds little more than the
+    B-scan.  A float file is read whole by ``load_volume``, because its
+    finiteness check and its normalization into [0, 1] need every sample.
+    The file's byte length must match the sidecar dims exactly, and ``y``
+    must lie in [0, ny).
+    """
+    path = Path(path)
+    axis = meta.order.index("y")
+    ny = meta.dims[axis]
+    if not 0 <= y < ny:
+        raise ValueError(f"slice index {y} outside [0, {ny})")
+    if meta.dtype != "u8":
+        return load_volume(path, meta).data[:, y, :]
+    _check_size(path, meta)
+    # the file as (outer, ny, inner): B-scan y is the outer runs [o, y, :]
+    outer, inner = math.prod(meta.dims[:axis]), math.prod(meta.dims[axis + 1 :])
+    stride = ny * inner
+    per_read = min(outer, max(1, _READ_BYTES // stride))
+    runs = np.empty((outer, inner), dtype=np.uint8)
+    chunk = np.empty((per_read - 1) * stride + inner, dtype=np.uint8)
+    with open(path, "rb") as f:
+        for o0 in range(0, outer, per_read):
+            n = min(per_read, outer - o0)
+            f.seek((o0 * ny + y) * inner)
+            f.readinto(chunk)
+            # the chunk ends with run per_read - 1, so n <= per_read runs fit
+            runs[o0 : o0 + n] = as_strided(chunk, (n, inner), (stride, 1), writeable=False)
+    runs = runs.reshape([d for i, d in enumerate(meta.dims) if i != axis])
+    if meta.order.replace("y", "") == "zx":
+        runs = runs.T
+    return u8_values(runs)
 
 
 def save_volume(volume: Volume, path, dtype: str = "f32", meta_path=None) -> VolumeMeta:

@@ -12,8 +12,9 @@ import pytest
 import octseg
 from octseg.cli import ENV_THREADS, EXIT_OK, EXIT_PIPELINE, EXIT_USAGE, main
 from octseg.phantom import PhantomSpec
+from octseg.render import render_bscan, write_ppm
 from octseg.surfaces import Surface, load_surface, save_surface
-from octseg.volume import VolumeMeta
+from octseg.volume import VolumeMeta, load_volume
 
 
 @pytest.fixture()
@@ -363,6 +364,29 @@ class TestRenderCmd:
         assert rc == EXIT_OK
         header = out.read_bytes()[:20]
         assert header.startswith(b"P6\n48 96\n")  # cols=nx, rows=nz
+
+    @pytest.mark.parametrize("dtype, order", [("u8", "xyz"), ("u8", "zxy"), ("u8", "yzx"),
+                                              ("f32", "zxy")])
+    def test_ppm_equal_to_a_render_of_the_whole_volume(self, phantom_dir, tmp_path, dtype, order):
+        # u8 files are read one B-scan's samples at a time, f32 files whole
+        seg = tmp_path / "seg"
+        main(["segment", "--in", str(phantom_dir / "volume.raw"),
+              "--meta", str(phantom_dir / "volume.json"), "--out-dir", str(seg)])
+        data = load_volume(phantom_dir / "volume.raw",
+                           VolumeMeta.from_json(phantom_dir / "volume.json")).values()
+        perm = tuple("xyz".index(ax) for ax in order)
+        samples = np.rint(data * 255).astype("u1") if dtype == "u8" else data * 2 - 0.5
+        raw, meta = tmp_path / "v.raw", tmp_path / "v.json"
+        np.ascontiguousarray(samples.transpose(perm)).tofile(raw)
+        VolumeMeta(dims=tuple(data.shape[p] for p in perm), dtype=dtype, order=order).save(meta)
+        surfaces = {name: load_surface(seg / f"{name}.csv") for name in ("ilm", "isos", "rpe")}
+        for y in (0, 5, 11):
+            out = tmp_path / f"b{y}.ppm"
+            assert main(["render", "--in", str(raw), "--meta", str(meta), "--surfaces", str(seg),
+                         "--slice", str(y), "--out", str(out)]) == EXIT_OK
+            write_ppm(render_bscan(load_volume(raw, VolumeMeta.from_json(meta)), surfaces, y),
+                      tmp_path / "ref.ppm")
+            assert out.read_bytes() == (tmp_path / "ref.ppm").read_bytes()
 
     def test_out_of_range_slice_is_usage_error(self, phantom_dir, tmp_path):
         seg = tmp_path / "seg"

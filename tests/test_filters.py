@@ -479,3 +479,31 @@ class TestCorrelate1d:
         bound = ((taps.size + 1) * (info.eps * np.abs(taps).sum() * np.abs(arr).max()
                                     + info.smallest_subnormal) + pairing * np.abs(arr).max())
         assert np.abs(out - ref).max() <= bound
+
+    @given(correlation_cases(), st.sampled_from([1, 5, 64, filters._BLOCK_SAMPLES]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_output_range_is_the_whole_axis_slice(self, case, block, data):
+        # outputs [lo, hi) written into out= are bitwise the whole-axis
+        # call's; u8 samples read as the float32 values they stand for
+        arr, axis, taps = case
+        if data.draw(st.booleans(), label="u8"):
+            arr = np.mod(np.rint(arr), 256).astype(np.uint8)
+            whole = filters._correlate1d(u8_values(arr), taps, axis)
+        else:
+            whole = filters._correlate1d(arr, taps, axis)
+        n = arr.shape[axis]
+        lo = data.draw(st.integers(0, n - 1), label="lo")
+        hi = data.draw(st.integers(lo + 1, n), label="hi")
+        want = np.ascontiguousarray(whole[(slice(None),) * axis + (slice(lo, hi),)])
+        out = np.full_like(want, np.nan)
+        with mock.patch.object(filters, "_BLOCK_SAMPLES", block):
+            assert filters._correlate1d(arr, taps, axis, lo, hi, out=out) is out
+            made = filters._correlate1d(arr, taps, axis, lo, hi)
+        assert out.tobytes() == want.tobytes() and made.tobytes() == want.tobytes()
+
+    def test_out_must_fit_the_range(self):
+        arr, taps = np.zeros((4, 6), np.float32), np.full(3, 1 / 3)
+        for out in (np.empty((4, 3), np.float32), np.empty((4, 2), np.float64),
+                    np.empty((2, 4), np.float32).T):
+            with pytest.raises(ValueError, match="out must be"):
+                filters._correlate1d(arr, taps, 1, 2, 4, out=out)

@@ -2,16 +2,20 @@
 
 import itertools
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from octseg import volume
 from octseg.volume import (
     SizeMismatchError,
     Volume,
     VolumeMeta,
+    load_bscan,
     load_volume,
     normalize_intensities,
     save_volume,
@@ -164,6 +168,53 @@ class TestLoad:
         assert v.data.dtype == (np.uint8 if dtype == "u8" else np.float32)
         assert v.data.flags["C_CONTIGUOUS"] and v.dtype == np.float32
         assert v.values().tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
+class TestLoadBscan:
+    @pytest.mark.parametrize("order", ["".join(p) for p in itertools.permutations("xyz")])
+    @pytest.mark.parametrize("dtype", ["u8", "f32"])
+    @pytest.mark.parametrize("read_bytes", [1, 7, 40, 1 << 16])
+    def test_bitwise_equal_to_the_loaded_volume(self, tmp_path, order, dtype, read_bytes):
+        # any file order, reads of one run (1 byte), of a few runs and of all
+        rng = np.random.default_rng(4)
+        dims = (5, 4, 6)
+        if dtype == "u8":
+            file_arr = rng.integers(0, 256, size=dims).astype("u1")
+        else:
+            file_arr = (rng.standard_normal(dims) * 3).astype("<f4")
+        p = write_raw(tmp_path / "v.raw", file_arr)
+        meta = VolumeMeta(dims=dims, dtype=dtype, order=order)
+        full = load_volume(p, meta)
+        with mock.patch.object(volume, "_READ_BYTES", read_bytes):
+            for y in range(full.ny):
+                bscan = load_bscan(p, meta, y)
+                assert bscan.shape == (full.nx, full.nz) and bscan.dtype == np.float32
+                assert bscan.tobytes() == full.values(np.s_[:, y, :]).tobytes()
+
+    @pytest.mark.parametrize("order", ["xyz", "zxy", "yzx"])
+    def test_u8_file_read_without_the_rest_of_the_volume(self, tmp_path, order):
+        # 512 KiB of samples, a B-scan of 8 KiB, 32 KiB as float32, reads
+        # of at most 64 KiB
+        dims = (64, 64, 128)
+        file_arr = np.random.default_rng(5).integers(0, 256, size=dims).astype("u1")
+        p = write_raw(tmp_path / "v.raw", file_arr)
+        meta = VolumeMeta(dims=dims, order=order)
+        tracemalloc.start()
+        try:
+            load_bscan(p, meta, 17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < file_arr.nbytes / 2
+
+    def test_size_and_slice_checked(self, tmp_path):
+        p = tmp_path / "v.raw"
+        p.write_bytes(b"\x00" * 7)
+        with pytest.raises(SizeMismatchError):
+            load_bscan(p, VolumeMeta(dims=(2, 2, 2), order="xyz"), 0)
+        for y in (-1, 3):
+            with pytest.raises(ValueError, match=rf"slice index {y} outside \[0, 3\)"):
+                load_bscan(p, VolumeMeta(dims=(2, 3, 2), order="zyx"), y)
 
 
 class TestNormalization:
