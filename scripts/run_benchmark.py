@@ -1,7 +1,9 @@
 """Time the full three-boundary segmentation on a synthetic volume.
 
-Generates a speckled phantom at clinical scan dimensions, runs the
-cascade, and prints a per-stage timing table from the run reports, the
+Generates a speckled phantom at clinical scan dimensions, quantises it to
+u8 samples as a u8 raw file holds them (the README cube and perfbench's
+macular workload segment such a file), runs the cascade, and prints a
+per-stage timing table from the run reports, the
 time to save each surface as CSV and to load it back, the process's peak
 resident set size next to the cascade's own peak allocation (tracemalloc,
 from one more, untimed run), and the cold-start cost that every CLI call
@@ -19,10 +21,13 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
+
 import octseg
 from octseg.phantom import PhantomSpec, generate_phantom, surface_error
 from octseg.pipeline import segment_retina
 from octseg.surfaces import load_surface, save_surface
+from octseg.volume import Volume
 
 # one row per key of a boundary report's stage_s ("enhance" scores and picks)
 STAGES = ("derivative", "smoothing", "enhance", "outlier_reject", "regularize")
@@ -86,8 +91,10 @@ def timed_runs(args):
 
     t0 = time.perf_counter()
     volume, truth = generate_phantom(spec)
+    # the samples of a u8 file written from the phantom, as `octseg segment` reads them
+    volume = Volume(np.clip(np.rint(volume.data * 255.0), 0, 255).astype(np.uint8), u8=True)
     gen_s = time.perf_counter() - t0
-    print(f"phantom {args.dims[0]}x{args.dims[1]}x{args.dims[2]} "
+    print(f"phantom {args.dims[0]}x{args.dims[1]}x{args.dims[2]} u8 "
           f"looks={looks} generated in {gen_s:.2f}s")
 
     best = None

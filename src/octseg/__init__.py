@@ -1,7 +1,7 @@
 """octseg: depth-weighted 3D boundary segmentation for retinal OCT volumes."""
 
 from .analysis import ThicknessMap, export_surface_mesh, thickness_map
-from .enhance import DegenerateNormalizationWarning, DepthWeight, enhance
+from .enhance import DegenerateNormalizationWarning, enhance
 from .filters import (
     FilterBank,
     Kernel3D,

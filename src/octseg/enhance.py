@@ -1,11 +1,13 @@
 """Depth-weighted combination of edge response and smoothed intensity.
 
 Boundary contrast alone does not separate retinal interfaces that share
-similar gradient strength, so the detector combines the (rectified,
+similar gradient strength, so the detector combines the (signed, rectified,
 rescaled) depth derivative with the rescaled smoothed intensity and then
-multiplies by a depth weight.  Weights grow with depth to prefer the deeper
-of two otherwise similar candidates (outer boundaries) or shrink with depth
-to prefer the shallower one (inner boundaries).
+multiplies by a depth weight.  One ``BoundaryProfile`` states the whole
+rule: its polarity gives the derivative's sign, ``clamp_negative`` the
+rectification and ``weight_direction`` the weight, which grows with depth
+to prefer the deeper of two otherwise similar candidates (outer boundaries)
+or shrinks with depth to prefer the shallower one (inner boundaries).
 The score lives only one x-slab at a time: each slab is picked, one depth
 per column, as soon as it is scored, and ``enhance`` returns the picks.
 A slab's windows share a core of planes that every searched window holds,
@@ -15,13 +17,16 @@ reduced as they are; only the thin ragged planes around it are masked.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .filters import _map_slabs, _slab_bounds
 from .surfaces import SearchMask, Surface, argmax_per_ascan
 from .volume import Volume
+
+if TYPE_CHECKING:  # pipeline imports enhance
+    from .pipeline import BoundaryProfile
 
 
 class DegenerateNormalizationWarning(RuntimeWarning):
@@ -33,32 +38,6 @@ _FLAT_MESSAGES = (
     "smoothed volume is flat over the search region; its contribution is zero",
     "enhanced volume is flat over the search region",
 )
-
-
-@dataclass(frozen=True)
-class DepthWeight:
-    """Per-depth multiplier, linear in the depth index.
-
-    "favor_deep" uses w(k) = k + 1 and "favor_shallow" uses w(k) = nz - k;
-    both stay strictly positive so no depth plane is erased outright.
-    """
-
-    direction: str
-    nz: int
-
-    def __post_init__(self):
-        if self.direction not in ("favor_deep", "favor_shallow"):
-            raise ValueError(
-                f"direction must be 'favor_deep' or 'favor_shallow', got {self.direction!r}"
-            )
-        if self.nz < 1:
-            raise ValueError(f"nz must be >= 1, got {self.nz}")
-
-    def weights(self) -> np.ndarray:
-        k = np.arange(self.nz, dtype=np.float32)
-        if self.direction == "favor_deep":
-            return k + np.float32(1.0)
-        return np.float32(self.nz) - k
 
 
 def _window_planes(k_lo: np.ndarray, k_hi: np.ndarray):
@@ -126,31 +105,33 @@ def _rescale(values: np.ndarray, lo, hi, out: np.ndarray) -> None:
 def enhance(
     diff: Volume,
     smooth: Volume,
-    weight: DepthWeight,
-    sign: int = 1,
-    clamp_negative: bool = True,
-    mask: SearchMask | None = None,
+    profile: BoundaryProfile,
+    mask: SearchMask,
     threads: int = 1,
 ) -> tuple[Surface, bool]:
-    """Score a derivative and a smoothed volume and pick one depth per column.
+    """Score a derivative and a smoothed volume by ``profile``'s rule and
+    pick one depth per column.
 
-    Each input is min-max rescaled (the derivative after multiplying by
-    ``sign``, -1 for a bright-below boundary, and clamping negative
-    responses if asked), summed and weighted by depth along z.  All rescale
-    extrema come from the voxels inside ``mask``'s per-column windows (None:
-    the whole volume), so excluded regions cannot distort the scaling.  Each
-    column picks the first maximum of its score inside its window
-    (``argmax_per_ascan``); a column with an empty window comes back invalid.
+    Each input is min-max rescaled (the bright-above derivative after
+    negating it for a "bright_below" polarity, and clamping its negative
+    responses if ``profile.clamp_negative``), summed and multiplied by the
+    depth weight of ``profile.weight_direction``: k + 1 at depth k for
+    "favor_deep", nz - k for "favor_shallow", both positive at every depth
+    k of the volume's nz = ``mask.nz`` planes.  All rescale extrema come
+    from the voxels inside ``mask``'s per-column windows, so excluded
+    regions cannot distort the scaling.  Each column picks the first
+    maximum of its score inside its window; a column with an empty window
+    comes back invalid.
 
-    ``weight`` has the volume's depth; the fields may stop short of it, at
-    any depth that covers the depth band [z0, z1) that holds every window
-    (``mask.to_band()``).  Only that band is scored, one x-slab of scratch
-    at a time, on up to ``threads`` threads, each slab only over the span
-    of its own windows; each voxel gets the same arithmetic at any thread
-    count.  Extrema over the planes that every searched window of a slab
-    holds are plain reductions; the ragged planes around them are masked
-    with a +-inf sentinel, a copy of them for the read-only fields and the
-    score itself in place, which then takes a plain argmax per column.
+    The fields may stop short of ``mask.nz``, at any depth that covers the
+    depth band [z0, z1) that holds every window (``mask.to_band()``).  Only
+    that band is scored, one x-slab of scratch at a time, on up to
+    ``threads`` threads, each slab only over the span of its own windows;
+    each voxel gets the same arithmetic at any thread count.  Extrema over
+    the planes that every searched window of a slab holds are plain
+    reductions; the ragged planes around them are masked with a +-inf
+    sentinel, a copy of them for the read-only fields and the score itself
+    in place, which then takes a plain argmax per column.
     Returns the surface in volume depth and whether the score is flat over
     the windows (then each column picks the top of its window).  A flat
     field at any step triggers DegenerateNormalizationWarning; a flat input
@@ -158,18 +139,10 @@ def enhance(
     """
     if diff.dims[:2] != smooth.dims[:2]:
         raise ValueError(f"dims mismatch: {diff.dims} vs {smooth.dims}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
-    nx, ny, nz = diff.nx, diff.ny, weight.nz
-    if max(diff.nz, smooth.nz) > nz:
+    nx, ny, nz = diff.nx, diff.ny, mask.nz
+    if mask.k_lo.shape != (nx, ny) or max(diff.nz, smooth.nz) > nz:
         raise ValueError(
-            f"depth weight built for nz={weight.nz}, fields have nz={diff.nz}, {smooth.nz}"
-        )
-    if mask is None:
-        mask = SearchMask.full(nx, ny, nz)
-    if mask.nz != nz or mask.k_lo.shape != (nx, ny):
-        raise ValueError(
-            f"mask geometry {mask.k_lo.shape}x{mask.nz} does not match volume {(nx, ny, nz)}"
+            f"mask geometry {mask.k_lo.shape}x{nz} does not hold fields {diff.dims}, {smooth.dims}"
         )
     z0, band = mask.to_band()
     z1 = z0 + band.nz
@@ -177,6 +150,9 @@ def enhance(
         raise ValueError(
             f"fields of depth {diff.nz}, {smooth.nz} do not cover the search band [{z0}, {z1})"
         )
+    sign = 1 if profile.polarity == "bright_above" else -1
+    k = np.arange(z0, z1, dtype=np.float32)
+    w = k + 1 if profile.weight_direction == "favor_deep" else np.float32(nz) - k
     slabs = _slab_bounds((nx, ny, band.nz), threads)
 
     def input_extrema(lo, hi):
@@ -187,11 +163,10 @@ def enhance(
     # sign and clamp are monotone maps, so they carry the derivative's
     # extrema over exactly (a negative sign swaps which one is the min)
     d_range = np.array(_merge(d for d, _ in found)) * sign
-    if clamp_negative:
+    if profile.clamp_negative:
         np.maximum(d_range, 0, out=d_range)
     d_lo, d_hi = d_range.min(), d_range.max()
     s_lo, s_hi = _merge(s for _, s in found)
-    w = weight.weights()[z0:z1]
 
     def score_and_pick(lo, hi):
         split = _window_planes(band.k_lo[lo:hi], band.k_hi[lo:hi])
@@ -204,7 +179,7 @@ def enhance(
         values = diff.data[planes]
         if sign == -1:
             values = np.multiply(values, sign, out=score)
-        if clamp_negative:
+        if profile.clamp_negative:
             values = np.maximum(values, 0, out=score)
         _rescale(values, d_lo, d_hi, out=score)
         smoothed = np.empty(score.shape, dtype=smooth.data.dtype)

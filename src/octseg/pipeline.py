@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .enhance import DepthWeight, enhance
+from .enhance import enhance
 from .filters import FilterBank
 from .records import Record
 from .surfaces import (
@@ -234,8 +234,6 @@ def segment_boundary(
     report.columns_total = nx * ny
     report.columns_searched = int(mask.column_valid().sum())
 
-    weight = DepthWeight(profile.weight_direction, nz)
-    sign = 1 if profile.polarity == "bright_above" else -1
     with _stage(report, "derivative"):
         z0, band = mask.to_band()
         depth = z0 + band.nz  # enhance reads no plane below the search band
@@ -243,9 +241,7 @@ def segment_boundary(
     with _stage(report, "smoothing"):
         smooth = bank.smoothing(profile.smoothing_radius, depth)
     with _stage(report, "enhance"):
-        raw, report.degenerate = enhance(
-            deriv, smooth, weight, sign, profile.clamp_negative, mask, threads
-        )
+        raw, report.degenerate = enhance(deriv, smooth, profile, mask, threads)
     del deriv, smooth  # a field the bank no longer keeps is freed here
     report.enhance_passes += 1
     report.argmax_passes += 1
@@ -264,36 +260,29 @@ def enforce_ordering(
     """Project three total surfaces onto the constraint ILM <= IS/OS <= RPE.
 
     Columns violating the ordering are invalidated in all three surfaces and
-    refilled by the same diffusion inpainting; because the refill applies an
-    identical nonnegative averaging to each surface, it preserves the
-    ordering that holds at the surviving cells.  If violations somehow
-    persist, the per-column sorted triple is taken as a last resort.
-    Returns the fixed surfaces and the count of initially violating columns.
+    refilled once by the same diffusion inpainting.  The three surfaces then
+    have the same holes, so the refill gives each the same neighbours in the
+    same order, and rounded sums and quotients are monotone: the refilled
+    columns keep the ordering that holds at the surviving cells.  When every
+    column violates it, nothing survives to refill from, and each column
+    takes its sorted triple.  Returns the fixed surfaces and the count of
+    violating columns.
     """
     surfs = [ilm.copy(), isos.copy(), rpe.copy()]
     for s in surfs:
         if not s.valid.all():
             raise ValueError("ordering projection expects total surfaces")
 
-    def misordered():
-        return ~((surfs[0].z <= surfs[1].z) & (surfs[1].z <= surfs[2].z))
-
-    bad = misordered()
-    n_bad = int(bad.sum())
-    for _ in range(4):
-        if bad.all() or not bad.any():
-            break
-        for s in surfs:
-            s.z[bad] = np.nan
-            s.z[:] = fill_from_neighbors(s.z)
-        bad = misordered()
-    if bad.any():
+    bad = ~((surfs[0].z <= surfs[1].z) & (surfs[1].z <= surfs[2].z))
+    if bad.all():
         stacked = np.sort(np.stack([s.z for s in surfs]), axis=0)
         for s, z in zip(surfs, stacked):
             s.z[:] = z
-    for s in surfs:
-        s.valid[:] = True
-    return surfs[0], surfs[1], surfs[2], n_bad
+    elif bad.any():
+        for s in surfs:
+            s.z[bad] = np.nan
+            s.z[:] = fill_from_neighbors(s.z)
+    return surfs[0], surfs[1], surfs[2], int(bad.sum())
 
 
 def segment_retina(

@@ -38,6 +38,8 @@ def draw_bscan(
 ) -> np.ndarray:
     """``render_bscan`` of B-scan y=slice_index, given as its (nx, nz)
     values, of a volume of ``ny`` B-scans; the index must lie in [0, ny)."""
+    if not 0 <= slice_index < ny:
+        raise ValueError(f"slice index {slice_index} outside [0, {ny})")
     nx, nz = bscan.shape
     gray = np.clip(np.rint(bscan * 255.0), 0, 255)
     img = np.repeat(gray.T.astype(np.uint8)[:, :, None], 3, axis=2)

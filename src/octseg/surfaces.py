@@ -1,8 +1,9 @@
 """Boundary surfaces over the (x, y) grid and the operators that clean them.
 
 A surface stores one depth value per A-scan column plus a validity flag;
-invalid cells carry NaN.  Extraction is a per-column argmax of a boundary
-score restricted to a per-column depth window (SearchMask).  Cleanup is a
+invalid cells carry NaN.  A SearchMask holds each column's depth window;
+extraction is a per-column argmax of a boundary score that ``enhance`` has
+already confined to those windows.  Cleanup is a
 median-deviation outlier test, diffusion inpainting of the holes, and a
 small lateral box smoothing.  File formats: CSV with an x,y,z,valid header,
 or a raw little-endian float32 grid with NaN marking invalid cells.
@@ -89,10 +90,6 @@ class SearchMask:
             nz=nz,
         )
 
-    @property
-    def is_full(self) -> bool:
-        return bool((self.k_lo == 0).all() and (self.k_hi == self.nz).all())
-
     def column_valid(self) -> np.ndarray:
         return self.k_lo < self.k_hi
 
@@ -114,28 +111,13 @@ class SearchMask:
         )
 
 
-def argmax_per_ascan(intensity: Volume, mask: SearchMask | None = None) -> Surface:
-    """First index of the maximum along depth, per column, within the mask.
+def argmax_per_ascan(intensity: Volume) -> Surface:
+    """First index of the maximum along depth, per column.
 
-    Ties resolve to the shallowest tied index.  Columns whose window is
-    empty come back invalid.
+    Ties resolve to the shallowest tied index.  Search windows are the
+    caller's: ``enhance`` masks the samples outside them first.
     """
-    nx, ny, nz = intensity.dims
-    if mask is None:
-        mask = SearchMask.full(nx, ny, nz)
-    if mask.nz != nz or mask.k_lo.shape != (nx, ny):
-        raise ValueError(
-            f"mask geometry {mask.k_lo.shape}x{mask.nz} does not match volume {intensity.dims}"
-        )
-    scores = intensity.data
-    if not mask.is_full:
-        k = np.arange(nz, dtype=np.int32)
-        window = (k >= mask.k_lo[:, :, None]) & (k < mask.k_hi[:, :, None])
-        scores = np.where(window, scores, -np.inf)
-    valid = mask.column_valid()
-    z = scores.argmax(axis=2).astype(np.float64)
-    z[~valid] = np.nan
-    return Surface(z=z, valid=valid)
+    return Surface.full(intensity.data.argmax(axis=2))
 
 
 # cells per block of x rows in _local_median: its scratch is about 18 bytes

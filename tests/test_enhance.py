@@ -10,58 +10,92 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octseg import filters
-from octseg.enhance import (
-    DegenerateNormalizationWarning,
-    DepthWeight,
-    enhance,
-)
+from octseg.enhance import DegenerateNormalizationWarning, enhance
+from octseg.pipeline import BoundaryProfile
 from octseg.surfaces import SearchMask
 from octseg.volume import Volume
 
 
-class TestDepthWeight:
-    def test_favor_deep_endpoints(self):
-        w = DepthWeight("favor_deep", 480).weights()
-        assert w[0] == 1.0
-        assert w[479] == 480.0
-
-    def test_favor_shallow_endpoints(self):
-        w = DepthWeight("favor_shallow", 480).weights()
-        assert w[0] == 480.0
-        assert w[479] == 1.0
-
-    def test_weights_always_positive(self):
-        for direction in ("favor_deep", "favor_shallow"):
-            w = DepthWeight(direction, 33).weights()
-            assert (w > 0).all()
-            assert w.shape == (33,)
-
-    def test_out_of_range_index_rejected(self):
-        # one weight per depth plane: index nz is past the last one
-        w = DepthWeight("favor_deep", 10).weights()
-        assert w.shape == (10,)
-        with pytest.raises(IndexError):
-            w[10]
-
-    def test_bad_direction_rejected(self):
-        with pytest.raises(ValueError):
-            DepthWeight("favor_middle", 10)
-
-    def test_strictly_monotone(self):
-        deep = DepthWeight("favor_deep", 64).weights()
-        shallow = DepthWeight("favor_shallow", 64).weights()
-        assert (np.diff(deep) > 0).all()
-        assert (np.diff(shallow) < 0).all()
+def profile(direction="favor_deep", polarity="bright_above", clamp_negative=True):
+    """A boundary profile that sets only what enhance reads."""
+    return BoundaryProfile(name="test", polarity=polarity, weight_direction=direction,
+                           clamp_negative=clamp_negative)
 
 
-def pick(d, s, direction="favor_deep", **kwargs):
-    """Run enhance on plain arrays; return the picked depths and the flat flag."""
-    surface, flat = enhance(Volume(d), Volume(s), DepthWeight(direction, d.shape[2]), **kwargs)
+def pick(d, s, direction="favor_deep", mask=None, **rule):
+    """Run enhance on plain arrays (None: every column searched at full
+    depth); return the picked depths and the flat flag."""
+    if mask is None:
+        mask = SearchMask.full(*d.shape)
+    surface, flat = enhance(Volume(d), Volume(s), profile(direction, **rule), mask)
     return surface.z, flat
 
 
 def column(*values):
     return np.array(values, dtype=np.float64)[None, None, :]
+
+
+class TestDepthWeight:
+    """The depth weight, k + 1 ("favor_deep") or nz - k ("favor_shallow")
+    at depth k of nz, seen through the picks."""
+
+    @staticmethod
+    def _end_to_end(direction, ratio):
+        # column 0 holds the derivative 1 at the end that the weight
+        # favours least and ``ratio`` at the other; column 1 keeps the
+        # smoothed field from being flat while it is 0 in column 0
+        d = np.zeros((2, 1, 480))
+        s = np.zeros((2, 1, 480))
+        weak, strong = (0, -1) if direction == "favor_deep" else (-1, 0)
+        d[0, 0, weak], d[0, 0, strong] = 1.0, ratio
+        s[1, 0, 0] = 1.0
+        return pick(d, s, direction)[0][0, 0]
+
+    def test_favor_deep_endpoints(self):
+        # w(479) / w(0) = 480 / 1: depth 479 wins just above 1/480 of the peak
+        assert self._end_to_end("favor_deep", (1 + 2**-10) / 480) == 479.0
+        assert self._end_to_end("favor_deep", (1 - 2**-10) / 480) == 0.0
+
+    def test_favor_shallow_endpoints(self):
+        # w(0) / w(479) = 480 / 1
+        assert self._end_to_end("favor_shallow", (1 + 2**-10) / 480) == 0.0
+        assert self._end_to_end("favor_shallow", (1 - 2**-10) / 480) == 479.0
+
+    def test_weights_always_positive(self):
+        # column p < nz peaks at depth p over a faint background, which
+        # column nz's zeros keep above the rescaled 0: the peak wins only
+        # where its weight is positive (a zero weight scores it 0, below
+        # the background's weighted 1e-3)
+        nz = 33
+        d = np.full((nz + 1, 1, nz), 1e-3)
+        d[np.arange(nz), 0, np.arange(nz)] = 1.0
+        d[nz] = 0.0
+        for direction in ("favor_deep", "favor_shallow"):
+            z, _ = pick(d, d, direction)
+            assert np.array_equal(z[:nz, 0], np.arange(nz))
+
+    def test_weight_spans_the_mask_depth(self):
+        # fields of 4 planes in a volume of 10: "favor_shallow" weighs
+        # depths 0 and 3 by 10 and 7, so the 1 at depth 3 beats the .5 at
+        # depth 0 (a weight of the fields' depth, 4 and 1, would not)
+        d = column(0.5, 0.0, 0.0, 1.0)
+        mask = SearchMask(k_lo=np.array([[0]]), k_hi=np.array([[4]]), nz=10)
+        assert pick(d, d, "favor_shallow", mask)[0][0, 0] == 3.0
+
+    def test_bad_direction_rejected(self):
+        with pytest.raises(ValueError, match="weight_direction"):
+            profile("favor_middle")
+
+    def test_strictly_monotone(self):
+        # column p holds equal peaks at depths p and p + 1
+        nz = 64
+        d = np.zeros((nz - 1, 1, nz))
+        for p in range(nz - 1):
+            d[p, 0, p : p + 2] = 1.0
+        deep, _ = pick(d, d, "favor_deep")
+        shallow, _ = pick(d, d, "favor_shallow")
+        assert np.array_equal(deep[:, 0], np.arange(1, nz))
+        assert np.array_equal(shallow[:, 0], np.arange(nz - 1))
 
 
 class TestUnitScale:
@@ -157,19 +191,18 @@ class TestEnhance:
         assert [str(w.message).split()[0] for w in rec] == ["derivative", "smoothed", "enhanced"]
 
     def test_dims_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            enhance(Volume(np.zeros((2, 2, 3))), Volume(np.zeros((2, 2, 4))),
-                    DepthWeight("favor_deep", 3))
+        with pytest.raises(ValueError, match="dims mismatch"):
+            enhance(Volume(np.zeros((2, 2, 3))), Volume(np.zeros((3, 2, 3))),
+                    profile(), SearchMask.full(2, 2, 3))
 
     def test_weight_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            enhance(Volume(np.zeros((2, 2, 3))), Volume(np.zeros((2, 2, 3))),
-                    DepthWeight("favor_deep", 5))
-
-    def test_bad_sign_rejected(self):
-        with pytest.raises(ValueError):
-            enhance(Volume(np.zeros((2, 2, 3))), Volume(np.zeros((2, 2, 3))),
-                    DepthWeight("favor_deep", 3), sign=0)
+        # the weight has one plane per mask plane: fields may stop short of
+        # it where no window reads, but may not run deeper
+        fields = Volume(np.zeros((2, 2, 3))), Volume(np.zeros((2, 2, 3)))
+        with pytest.raises(ValueError, match="do not cover the search band"):
+            enhance(*fields, profile(), SearchMask.full(2, 2, 5))
+        with pytest.raises(ValueError, match="does not hold fields"):
+            enhance(*fields, profile(), SearchMask.full(2, 2, 2))
 
     @given(st.integers(0, 2**31 - 1), st.integers(-5, 5))
     @settings(max_examples=25, deadline=None)
@@ -185,11 +218,19 @@ class TestEnhance:
         assert np.array_equal(z_a, z_b) and flat_a == flat_b
 
 
-def reference_score_and_extract(diff, smooth, weights, sign, clamp, k_lo, k_hi):
-    """Full-volume enhance + extract: rescale extrema gathered through a
-    boolean (nx, ny, nz) window mask, argmax over the masked volume."""
-    k = np.arange(diff.shape[2])
+def reference_score_and_extract(diff, smooth, rule, k_lo, k_hi):
+    """Full-volume enhance + extract by ``rule``'s sign, clamp and depth
+    weight: rescale extrema gathered through a boolean (nx, ny, nz) window
+    mask, argmax over the masked volume."""
+    nz = diff.shape[2]
+    k = np.arange(nz)
     inside = (k >= k_lo[:, :, None]) & (k < k_hi[:, :, None])
+    planes = np.arange(nz, dtype=np.float32)
+    if rule.weight_direction == "favor_deep":
+        weights = planes + 1
+    else:
+        weights = np.float32(nz) - planes
+    sign = 1 if rule.polarity == "bright_above" else -1
 
     def is_flat(v):
         return not v[inside].max() > v[inside].min()
@@ -203,7 +244,7 @@ def reference_score_and_extract(diff, smooth, weights, sign, clamp, k_lo, k_hi):
         v /= hi - lo
 
     score = sign * diff
-    if clamp:
+    if rule.clamp_negative:
         np.maximum(score, 0, out=score)
     smoothed = smooth.copy()
     flat = [is_flat(score), is_flat(smoothed)]
@@ -254,8 +295,9 @@ def scoring_cases(draw):
         other = (c + 1) % (nx * ny)
         k_lo.flat[other] = draw(st.integers(0, k_lo.flat[c] - 1))
         k_hi.flat[other] = k_lo.flat[c]
-    return (diff, smooth, draw(st.sampled_from(["favor_deep", "favor_shallow"])),
-            draw(st.sampled_from([1, -1])), draw(st.booleans()), k_lo, k_hi)
+    rule = profile(draw(st.sampled_from(["favor_deep", "favor_shallow"])),
+                   draw(st.sampled_from(["bright_above", "bright_below"])), draw(st.booleans()))
+    return diff, smooth, rule, k_lo, k_hi
 
 
 class TestBandScoring:
@@ -265,20 +307,16 @@ class TestBandScoring:
     @given(case=scoring_cases())
     @settings(max_examples=60, deadline=None)
     def test_bitwise_equal_to_full_volume_reference(self, threads, slab_voxels, case):
-        diff, smooth, direction, sign, clamp, k_lo, k_hi = case
-        nz = diff.shape[2]
-        weight = DepthWeight(direction, nz)
+        diff, smooth, rule, k_lo, k_hi = case
         z_ref, valid_ref, flat_ref = reference_score_and_extract(
-            diff.copy(), smooth.copy(), weight.weights(), sign, clamp, k_lo, k_hi
+            diff.copy(), smooth.copy(), rule, k_lo, k_hi
         )
-        mask = SearchMask(k_lo=k_lo, k_hi=k_hi, nz=nz)
+        mask = SearchMask(k_lo=k_lo, k_hi=k_hi, nz=diff.shape[2])
         slab = filters._SLAB_VOXELS if slab_voxels is None else slab_voxels
         with mock.patch.object(filters, "_SLAB_VOXELS", slab), \
                 warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
-            surface, flat = enhance(
-                Volume(diff), Volume(smooth), weight, sign, clamp, mask, threads
-            )
+            surface, flat = enhance(Volume(diff), Volume(smooth), rule, mask, threads)
         assert np.array_equal(surface.z, z_ref, equal_nan=True)
         assert np.array_equal(surface.valid, valid_ref)
         flagged = [str(w.message) for w in rec
@@ -294,19 +332,20 @@ class TestBandScoring:
         s = rng.random((4, 3, 10)).astype(np.float32)
         d0, s0 = d.copy(), s.copy()
         mask = SearchMask(k_lo=np.full((4, 3), 2), k_hi=np.full((4, 3), 7), nz=10)
-        enhance(Volume(d), Volume(s), DepthWeight("favor_deep", 10), -1, True, mask, 2)
+        enhance(Volume(d), Volume(s), profile(polarity="bright_below"), mask, 2)
         assert np.array_equal(d, d0) and np.array_equal(s, s0)
 
     def test_no_window_rejected(self):
         mask = SearchMask(k_lo=np.zeros((2, 2)), k_hi=np.zeros((2, 2)), nz=3)
         with pytest.raises(ValueError, match="no non-empty window"):
-            enhance(Volume(np.zeros((2, 2, 3))), Volume(np.zeros((2, 2, 3))),
-                    DepthWeight("favor_deep", 3), mask=mask)
+            enhance(Volume(np.zeros((2, 2, 3))), Volume(np.zeros((2, 2, 3))), profile(), mask)
 
     def test_mask_geometry_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mask geometry"):
-            enhance(Volume(np.zeros((2, 2, 3))), Volume(np.zeros((2, 2, 3))),
-                    DepthWeight("favor_deep", 3), mask=SearchMask.full(2, 2, 4))
+        # another grid, or fewer planes than the fields
+        for dims in ((3, 2, 3), (2, 3, 3), (2, 2, 2)):
+            with pytest.raises(ValueError, match="mask geometry"):
+                enhance(Volume(np.zeros((2, 2, 3))), Volume(np.zeros((2, 2, 3))), profile(),
+                        SearchMask.full(*dims))
 
     def test_masked_peak_memory_below_one_volume(self):
         # windows of at most half the depth, on a volume of at least 8
@@ -321,10 +360,9 @@ class TestBandScoring:
         smooth = Volume(rng.random((nx, ny, nz), dtype=np.float32))
         k_hi = rng.integers(nz // 4, nz // 2 + 1, (nx, ny))
         mask = SearchMask(k_lo=np.zeros((nx, ny)), k_hi=k_hi, nz=nz)
-        weight = DepthWeight("favor_deep", nz)
         tracemalloc.start()
         try:
-            enhance(diff, smooth, weight, -1, True, mask)
+            enhance(diff, smooth, profile(polarity="bright_below"), mask)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

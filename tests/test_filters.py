@@ -4,6 +4,7 @@ correlation against a float64 reference that is checked against scipy's."""
 
 import tracemalloc
 import weakref
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from octseg import filters
-from octseg.enhance import DepthWeight, enhance
+from octseg.enhance import enhance
 from octseg.filters import (
     FilterBank,
     Kernel3D,
@@ -23,6 +24,8 @@ from octseg.filters import (
     make_derivative_kernel,
     make_smoothing_kernel,
 )
+from octseg.pipeline import BoundaryProfile
+from octseg.surfaces import SearchMask
 from octseg.volume import Volume, u8_values
 
 
@@ -212,12 +215,14 @@ class TestStepResponse:
         v = Volume(rng.random((6, 5, 40)).astype(np.float32))
         bank = FilterBank(v)
         deriv, smooth = bank.derivative(4, 3), bank.smoothing(2)
-        w = DepthWeight("favor_shallow", 40)
+        above = BoundaryProfile(name="test", polarity="bright_above",
+                                weight_direction="favor_shallow")
+        mask = SearchMask.full(6, 5, 40)
         negated = Volume(-deriv.data)
-        below, flat = enhance(deriv, smooth, w, sign=-1)
-        expected, expected_flat = enhance(negated, smooth, w)
+        below, flat = enhance(deriv, smooth, replace(above, polarity="bright_below"), mask)
+        expected, expected_flat = enhance(negated, smooth, above, mask)
         assert np.array_equal(below.z, expected.z) and flat == expected_flat
-        assert not np.array_equal(below.z, enhance(deriv, smooth, w)[0].z)
+        assert not np.array_equal(below.z, enhance(deriv, smooth, above, mask)[0].z)
         with pytest.raises(ValueError):
             deriv.data[0, 0, 0] = 0.0  # shared fields are read-only
 

@@ -197,16 +197,17 @@ class TestCascade:
             cuts.append((kernels[id(arr)], arr.shape[2], depth))
             crop(arr, depth)
 
-        def banded(diff, smooth, weight, sign, clamp_negative, mask, threads):
+        def banded(diff, smooth, profile, mask, threads):
             z0, band = mask.to_band()
             reads.append((diff.nz, z0 + band.nz, len(cuts)))
-            return score(diff, smooth, weight, sign, clamp_negative, mask, threads)
+            return score(diff, smooth, profile, mask, threads)
 
         monkeypatch.setattr(filters, "convolve_separable", counted)
         monkeypatch.setattr(filters, "_crop_depth", cut)
         monkeypatch.setattr(pipeline, "enhance", banded)
         vol, _ = generate_phantom(PhantomSpec.default(dims=(48, 12, 96)))
         res = segment_retina(vol, threads=threads)
+        assert len(reads) == 3  # one enhance pass, which also picks, per boundary
         isos_depth, isos_band_end, _ = reads[1]  # the cascade runs RPE, IS/OS, ILM
         assert isos_depth == isos_band_end < 96
         assert sorted(fields) == [(3, 11, 96), (7, 7, 96), (9, 11, isos_depth)]
@@ -364,6 +365,27 @@ class TestEnforceOrdering:
         assert (a.z == 10.0).all()
         assert (b.z == 20.0).all()
         assert (c.z == 30.0).all()
+
+    @given(st.integers(1, 7), st.integers(1, 7), st.floats(0.0, 1.0),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_one_refill_orders_and_keeps_ordered_columns(self, nx, ny, share, whole, seed):
+        # a share of the columns misordered (each its own permutation of a
+        # sorted triple), on integer or fractional depths that make ties
+        # and rounding; one refill round must leave every column ordered
+        rng = np.random.default_rng(seed)
+        z = np.sort(rng.uniform(0, 50, (3, nx, ny)), axis=0)
+        if whole:
+            z = np.rint(z)
+        shuffled = rng.random((nx, ny)) < share
+        z[:, shuffled] = rng.permuted(z[:, shuffled], axis=0)
+        in_order = (z[0] <= z[1]) & (z[1] <= z[2])
+        *out, fixed = enforce_ordering(*(Surface.full(zi) for zi in z))
+        assert fixed == int((~in_order).sum())
+        assert all(s.valid.all() and np.isfinite(s.z).all() for s in out)
+        assert (out[0].z <= out[1].z).all() and (out[1].z <= out[2].z).all()
+        for s, zi in zip(out, z):
+            assert np.array_equal(s.z[in_order], zi[in_order])
 
     def test_partial_surface_rejected(self):
         valid = np.ones((3, 3), dtype=bool)

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from octseg.render import BOUNDARY_COLORS, read_ppm, render_bscan, write_ppm
+from octseg.render import BOUNDARY_COLORS, draw_bscan, read_ppm, render_bscan, write_ppm
 from octseg.surfaces import Surface
 from octseg.volume import Volume, u8_values
 
@@ -57,6 +57,14 @@ class TestRender:
             render_bscan(gradient_volume(), {}, slice_index=4)
         with pytest.raises(ValueError):
             render_bscan(gradient_volume(), {}, slice_index=-1)
+
+    @pytest.mark.parametrize("slice_index", [-1, 3])
+    def test_draw_bscan_checks_the_slice_itself(self, slice_index):
+        # -1 would draw B-scan 2's surfaces, and 3 would index past them
+        bscan = np.zeros((4, 8), dtype=np.float32)
+        surfaces = {"rpe": Surface.full(np.full((4, 3), 5.0))}
+        with pytest.raises(ValueError, match=re.escape(f"slice index {slice_index} outside [0, 3)")):
+            draw_bscan(bscan, 3, surfaces, slice_index)
 
     @pytest.mark.parametrize("grid", [(8, 4), (17, 4), (16, 3), (16, 5)])
     def test_grid_unlike_the_volume_rejected(self, grid):

@@ -24,6 +24,8 @@ from octseg.surfaces import (
 )
 from octseg import surfaces
 from octseg.analysis import ThicknessMap, save_thickness_csv
+from octseg.enhance import enhance
+from octseg.pipeline import BoundaryProfile
 from octseg.surfaces import _local_median
 from octseg.volume import Volume
 
@@ -32,6 +34,13 @@ def column_volume(*profiles):
     """Stack 1D depth profiles into an (n, 1, nz) volume."""
     arr = np.stack([np.asarray(p, dtype=np.float64) for p in profiles])[:, None, :]
     return Volume(arr)
+
+
+def extract(v, mask):
+    """The picks of a bright-above, deeper-favouring score of ``v`` inside
+    ``mask``'s windows, as the pipeline extracts them."""
+    rule = BoundaryProfile(name="test", polarity="bright_above", weight_direction="favor_deep")
+    return enhance(v, v, rule, mask)[0]
 
 
 class TestArgmax:
@@ -45,32 +54,30 @@ class TestArgmax:
         v = column_volume([0.5, 0.5, 0.5])
         assert argmax_per_ascan(v).z[0, 0] == 0.0
 
+    # windowed extraction is enhance's: it picks inside each column's window
+
     def test_mask_restricts_search(self):
         v = column_volume([9.0, 0.0, 1.0, 0.5])
         mask = SearchMask(k_lo=np.array([[2]]), k_hi=np.array([[4]]), nz=4)
-        assert argmax_per_ascan(v, mask).z[0, 0] == 2.0
+        assert extract(v, mask).z[0, 0] == 2.0
 
     def test_empty_window_invalid(self):
-        v = column_volume([1.0, 2.0, 3.0])
-        mask = SearchMask(k_lo=np.array([[2]]), k_hi=np.array([[2]]), nz=3)
-        s = argmax_per_ascan(v, mask)
+        v = column_volume([1.0, 2.0, 3.0], [3.0, 1.0, 0.0])
+        mask = SearchMask(k_lo=np.array([[2], [0]]), k_hi=np.array([[2], [3]]), nz=3)
+        s = extract(v, mask)
         assert not s.valid[0, 0]
         assert np.isnan(s.z[0, 0])
-
-    def test_geometry_mismatch_rejected(self):
-        v = column_volume([1.0, 2.0, 3.0])
-        mask = SearchMask.full(2, 1, 3)
-        with pytest.raises(ValueError):
-            argmax_per_ascan(v, mask)
+        assert s.valid[1, 0] and s.z[1, 0] == 0.0
 
 
 class TestSearchMask:
     def test_full_covers_everything(self):
         m = SearchMask.full(3, 2, 7)
-        assert m.is_full
+        assert (m.k_lo == 0).all() and (m.k_hi == 7).all()
         assert m.column_valid().all()
         z0, band = m.to_band()
-        assert z0 == 0 and band.nz == 7 and band.is_full
+        assert z0 == 0 and band.nz == 7
+        assert np.array_equal(band.k_lo, m.k_lo) and np.array_equal(band.k_hi, m.k_hi)
 
     def test_bounds_validated(self):
         with pytest.raises(ValueError):
@@ -85,7 +92,7 @@ class TestSearchMask:
         assert (z0, band.nz) == (1, 2)
         assert (band.k_lo[0, 0], band.k_hi[0, 0]) == (0, 2)
         v = column_volume([0.0, 1.0, 2.0, 3.0])
-        assert argmax_per_ascan(v, m).z[0, 0] == 2.0
+        assert extract(v, m).z[0, 0] == 2.0
 
     def test_band_spans_searched_columns_only(self):
         m = SearchMask(k_lo=np.array([[3], [5], [0]]), k_hi=np.array([[6], [9], [0]]), nz=12)
@@ -252,12 +259,11 @@ class TestTruncate:
         assert out.k_lo[0, 0] == 0
 
     def test_margin_zero_still_excludes_reference_row(self):
-        v = column_volume([0.0, 0.0, 9.0, 0.0])
         mask = truncate_above_surface(
             SearchMask.full(1, 1, 4), Surface.full(np.array([[2.0]])), margin=0
         )
-        s = argmax_per_ascan(v, mask)
-        assert s.z[0, 0] != 2.0  # the reference depth itself is out of range
+        # k_hi is exclusive: the reference depth itself is out of range
+        assert (mask.k_lo[0, 0], mask.k_hi[0, 0]) == (0, 2)
 
     def test_never_widens(self):
         mask = SearchMask(k_lo=np.array([[10]]), k_hi=np.array([[20]]), nz=100)
