@@ -8,6 +8,8 @@ report), ``phantom`` (spec JSON -> synthetic volume with ground truth),
 Exit codes: 0 success, 1 pipeline failure (including degenerate
 enhancement), 2 usage or input errors.  The OCTSEG_THREADS environment
 variable supplies the default worker count when --threads is omitted.
+The phantom, analysis and render modules are imported by the commands
+that use them, so a call that does not run them does not compile them.
 """
 
 from __future__ import annotations
@@ -18,10 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from .analysis import save_thickness_csv, save_thickness_pgm, thickness_map
-from .phantom import PhantomSpec, generate_phantom
 from .pipeline import PipelineConfig, PipelineError, segment_retina
-from .render import draw_bscan, write_ppm
 from .surfaces import load_surface, save_surface
 from .volume import VolumeMeta, load_bscan, load_volume, save_volume
 
@@ -81,6 +80,8 @@ def cmd_segment(args) -> int:
 
 
 def cmd_phantom(args) -> int:
+    from .phantom import PhantomSpec, generate_phantom
+
     spec = PhantomSpec.from_json(args.spec)
     volume, truth = generate_phantom(spec)
     out_dir = Path(args.out)
@@ -98,6 +99,8 @@ def cmd_phantom(args) -> int:
 
 
 def cmd_thickness(args) -> int:
+    from .analysis import save_thickness_csv, save_thickness_pgm, thickness_map
+
     ilm = load_surface(args.ilm, fmt="csv")
     rpe = load_surface(args.rpe, fmt="csv")
     tm = thickness_map(ilm, rpe, dz_um=args.dz_um)
@@ -107,6 +110,8 @@ def cmd_thickness(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .render import draw_bscan, write_ppm
+
     meta = VolumeMeta.from_json(args.meta)
     bscan = load_bscan(args.input, meta, args.slice)
     sdir = Path(args.surfaces)

@@ -7,11 +7,15 @@ over x-slabs that runs a slab's z, x and y correlations back to back and
 writes it into the output, so no volume-sized intermediate exists, and
 that can stop at a given depth.  Each pass computes only the samples that
 are kept and writes them where the next pass reads them: the z pass reads
-u8 samples as float32 values straight into its padded scratch and writes
-the planes above the depth into the x halo buffer, the x pass reads the
-halo but computes only the slab's own planes, and the y pass writes into
-the output.  Its one-axis correlation sums in the values' dtype, box taps
-with a single multiply, in one order at any thread count.  The pipeline
+the samples straight into its padded scratch and writes the planes above
+the depth into the x halo buffer, the x pass reads the halo but computes
+only the slab's own planes, and the y pass writes into the output.  Its
+one-axis correlation sums float values in their dtype, box taps with a
+single multiply, in one order at any thread count.  u8 samples under box,
+odd-box or identity taps (every kernel the pipeline builds) are summed as
+integers instead, exact in int16 or int32, and rounded once as the last
+pass writes the float32 field; under other taps they are read as the
+float32 values they stand for.  The pipeline
 reads fields through a ``FilterBank``, which computes each once, drops it
 after its last planned reader, and holds each request's depth as a
 promise that no later request reads deeper: a new field is computed only
@@ -26,7 +30,6 @@ import math
 import sys
 from collections import Counter
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,14 +146,30 @@ def _map_slabs(fn, bounds: list[tuple[int, int]], threads: int) -> list:
     """
     if threads <= 1 or len(bounds) <= 1:
         return [fn(lo, hi) for lo, hi in bounds]
+    from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
+
     with ThreadPoolExecutor(max_workers=min(threads, len(bounds))) as pool:
         return list(pool.map(lambda span: fn(*span), bounds))
 
 
-# blocks of one correlation pass hold about this many samples, so the scratch
-# stays in cache (the three fields of a 300x99x480 run took 0.44-0.45 s at
-# 1 << 15, 0.37-0.41 s at 1 << 16, 0.40 s at 1 << 17, 0.45-0.49 s at 1 << 18)
+# blocks of one correlation pass hold about as many bytes as this many float32
+# samples, so the scratch stays in cache (the three fields of a 300x99x480
+# run took 0.44-0.45 s at 1 << 15, 0.37-0.41 s at 1 << 16, 0.40 s at 1 << 17,
+# 0.45-0.49 s at 1 << 18 in float32 sums; those of its u8 samples, summed in
+# int16 mostly, 0.33-0.34 s with blocks of 1 << 16 samples and 0.29-0.30 s
+# with the 1 << 17 that this gives)
 _BLOCK_SAMPLES = 1 << 16
+
+
+def _tap_form(w: np.ndarray) -> str | None:
+    """``"box"`` for 2h+1 equal taps, ``"odd"`` for ``c`` on the h taps
+    before a zero centre and ``-c`` on the h after it (h > 0), else None."""
+    h, c = w.size // 2, w[0]
+    if h and np.all(w == c):
+        return "box"
+    if h and w[h] == 0 and np.all(w[:h] == c) and np.all(w[h + 1 :] == -c):
+        return "odd"
+    return None
 
 
 def _correlate1d(
@@ -160,6 +179,8 @@ def _correlate1d(
     lo: int = 0,
     hi: int | None = None,
     out: np.ndarray | None = None,
+    sums: np.dtype | None = None,
+    divisor: float | None = None,
 ) -> np.ndarray:
     """Correlate ``arr`` with odd-length ``taps`` along ``axis``, replicating
     the edge samples, and return the outputs [lo, hi) along that axis.
@@ -175,24 +196,34 @@ def _correlate1d(
     output's terms are added in one order whatever the block, range or
     thread, so results are bitwise deterministic; they stay within
     ``(taps.size + 1) * eps * sum|taps| * max|arr|`` of the tests' float64
-    reference.  The axis is processed in blocks of about ``_BLOCK_SAMPLES``
-    samples.
+    reference.  The axis is processed in blocks of about as many bytes as
+    ``_BLOCK_SAMPLES`` float32 samples.
+
+    With ``sums``, an integer dtype, ``arr`` holds integers and the taps
+    must be box or odd-box: each output is the exact sum ``S`` of its
+    samples counted +1, or +1 before the centre and -1 after it, computed
+    in ``sums``, which the caller makes wide enough.  The outputs are ``S``
+    in ``sums``, or with ``divisor`` float32 ``f32(S) / f32(divisor)``.
     """
-    u8 = arr.dtype == np.uint8
-    dtype = np.dtype(np.float32) if u8 else arr.dtype
+    if sums is None:
+        dtype = out_dtype = np.dtype(np.float32) if arr.dtype == np.uint8 else arr.dtype
+        w = np.asarray(taps).astype(dtype)
+    else:
+        dtype = np.dtype(sums)
+        out_dtype = dtype if divisor is None else np.dtype(np.float32)
+        w = np.asarray(taps, dtype=np.float64)
     n = arr.shape[axis]
     hi = n if hi is None else hi
     m = hi - lo
     shape = arr.shape[:axis] + (m,) + arr.shape[axis + 1 :]
     if out is None:
-        out = np.empty(shape, dtype=dtype)
-    elif out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous {dtype} array of shape {shape}")
-    w = np.asarray(taps).astype(dtype)
+        out = np.empty(shape, dtype=out_dtype)
+    elif out.shape != shape or out.dtype != out_dtype or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {out_dtype} array of shape {shape}")
     h, c = w.size // 2, w[0]
-    box = h > 0 and bool(np.all(w == c))
-    odd = h > 0 and w[h] == 0 and np.all(w[:h] == c) and np.all(w[h + 1 :] == -c)
-    scale = c if box or odd else 1
+    form = _tap_form(w)
+    if sums is not None and form is None:
+        raise ValueError("integer sums need box or odd-box taps")
     outer, inner = math.prod(arr.shape[:axis]), math.prod(arr.shape[axis + 1 :])
     src = arr.reshape(outer, n, inner)
     dst = out.reshape(outer, m, inner)
@@ -203,8 +234,9 @@ def _correlate1d(
     # a block is bo x (m + 2h) x bi padded samples, laid out flat: the
     # samples j places from every output are then one contiguous run, and
     # the runs' ends, which straddle two lines, are computed and dropped
-    bi = min(inner, max(1, _BLOCK_SAMPLES // (m + 2 * h)))
-    bo = min(outer, max(1, _BLOCK_SAMPLES // ((m + 2 * h) * bi)))
+    samples = max(1, _BLOCK_SAMPLES * 4 // dtype.itemsize)
+    bi = min(inner, max(1, samples // (m + 2 * h)))
+    bo = min(outer, max(1, samples // ((m + 2 * h) * bi)))
     pad_buf = np.empty(bo * (m + 2 * h) * bi, dtype=dtype)
     acc_buf, tmp_buf = np.empty_like(pad_buf), np.empty_like(pad_buf)
     for o0 in range(0, outer, bo):
@@ -214,7 +246,7 @@ def _correlate1d(
             block = (o1 - o0, m + 2 * h, i1 - i0)
             size = math.prod(block)
             pad = pad_buf[:size].reshape(block)
-            if u8:
+            if sums is None and arr.dtype == np.uint8:
                 u8_values(src[o0:o1, a:b, i0:i1], out=pad[:, left:right])
             else:
                 pad[:, left:right] = src[o0:o1, a:b, i0:i1]
@@ -227,11 +259,11 @@ def _correlate1d(
             def x(j):  # the samples j places from each output sample
                 return pad_buf[(h + j) * step : (h + j) * step + run]
 
-            if box:
+            if form == "box":
                 np.add(x(-h), x(1 - h), out=acc)
                 for j in range(2 - h, h + 1):
                     acc += x(j)
-            elif odd:
+            elif form == "odd":
                 np.subtract(x(-h), x(h), out=acc)
                 for j in range(h - 1, 0, -1):
                     np.subtract(x(-j), x(j), out=tmp)
@@ -241,9 +273,54 @@ def _correlate1d(
                 for j in range(1 - h, h + 1):
                     np.multiply(x(j), w[h + j], out=tmp)
                     acc += tmp
-            # box and odd-box sums take their one multiply on the way out
-            np.multiply(acc_buf[:size].reshape(block)[:, :m], scale, out=dst[o0:o1, :, i0:i1])
+            # box and odd-box sums take their one multiply, or integer sums
+            # their one rounding, on the way out
+            done, into = acc_buf[:size].reshape(block)[:, :m], dst[o0:o1, :, i0:i1]
+            if sums is None:
+                np.multiply(done, c if form else 1, out=into)
+            elif divisor is None:
+                into[...] = done
+            else:
+                np.divide(done, np.float32(divisor), out=into, dtype=np.float32)
     return out
+
+
+def _exact_passes(taps: list) -> list[tuple[np.dtype, dict]] | None:
+    """How u8 samples are filtered in exact integer sums: for the z, x and
+    y taps (None where they are identity), the dtype each pass writes and
+    its ``_correlate1d`` keywords.
+
+    A pass sums tap counts in int16 or int32, whichever holds its bound;
+    the last pass that is not identity writes float32, rounding once as
+    ``f32(S) / f32(255 / (c_z * c_x * c_y))`` with ``c`` the first tap of
+    each axis (1 for identity).  For ``c = 1/n`` taps that is the correctly
+    rounded ``S / (255 * n_z * n_x * n_y)``, and identity taps give
+    ``u8_values``.  None, for the float path, unless every axis's taps are
+    identity, box or odd-box and every sum stays below 2**24, where float32
+    holds it exactly.
+    """
+    lo, hi, scale, sums = 0, 255, 1.0, []
+    for t in taps:
+        if t is not None:
+            form = _tap_form(t)
+            if form is None:
+                return None
+            h = t.size // 2
+            lo, hi = (t.size * lo, t.size * hi) if form == "box" else (h * (lo - hi), h * (hi - lo))
+            scale *= t[0]
+        bound = max(-lo, hi)
+        if bound >= 1 << 24:
+            return None
+        sums.append(np.dtype(np.int16 if bound < 1 << 15 else np.int32))
+    info = np.finfo(np.float32)
+    if not scale or not info.tiny <= abs(255 / scale) <= info.max:
+        return None
+    last = max((i for i, t in enumerate(taps) if t is not None), default=0)
+    f32 = np.dtype(np.float32)
+    return [
+        (s, {"sums": s}) if i < last else (f32, {"sums": s, "divisor": 255 / scale})
+        for i, s in enumerate(sums)
+    ]
 
 
 # x-slabs of one fused filter pass hold about this many voxels.  Each slab
@@ -269,9 +346,11 @@ def convolve_separable(
     arithmetic as whole-axis passes, so results are bitwise equal to them
     at any thread count.  With ``depth``, only the planes z < depth are
     computed, reading the input at most ``kz.size // 2`` planes below
-    them.  Output dtype is that of the volume's values (float32 for u8
-    samples, converted as the z pass reads them).  A kernel longer than
-    the volume along any axis is rejected.
+    them.  Output dtype is that of the volume's values, float32 for u8
+    samples.  Those are summed exactly as integers and rounded once when
+    ``_exact_passes`` allows it, else converted to their values as the z
+    pass reads them.  A kernel longer than the volume along any axis is
+    rejected.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -280,14 +359,19 @@ def convolve_separable(
     if not 1 <= depth <= nz:
         raise ValueError(f"depth must be between 1 and {nz}, got {depth}")
     _check_extents((kernel.kx.size, kernel.ky.size, kernel.kz.size), volume.dims)
-    kx, ky, kz = (None if t.tolist() == [1.0] else t for t in (kernel.kx, kernel.ky, kernel.kz))
+    taps = [None if t.tolist() == [1.0] else t for t in (kernel.kz, kernel.kx, kernel.ky)]
+    kz, kx, ky = taps
+    passes = _exact_passes(taps) if volume.u8 else None
+    if passes is None:  # sums in the values' dtype
+        passes = [(volume.dtype, {})] * 3
+    (held_dtype, zpass), (x_dtype, xpass), (_, ypass) = passes
     hx = 0 if kx is None else kx.size // 2
     out = np.empty((nx, ny, depth), dtype=volume.dtype)
     width = max(1, _FILTER_SLAB_VOXELS // (ny * depth))
 
     def run(lo: int, hi: int) -> None:
         # z-filtered planes [a, b) of the current slab's x neighbourhood
-        held = np.empty((min(width + 2 * hx, nx), ny, depth), dtype=out.dtype)
+        held = np.empty((min(width + 2 * hx, nx), ny, depth), dtype=held_dtype)
         a = b = 0  # nothing held yet
         for s0 in range(lo, hi, width):
             s1 = min(s0 + width, hi)
@@ -298,9 +382,11 @@ def convolve_separable(
             if nb > fresh:
                 into = held[fresh - na : nb - na]
                 if kz is not None:
-                    _correlate1d(volume.data[fresh:nb], kz, 2, 0, depth, out=into)
-                else:
+                    _correlate1d(volume.data[fresh:nb], kz, 2, 0, depth, out=into, **zpass)
+                elif held_dtype.kind == "f":
                     into[...] = volume.values(np.s_[fresh:nb, :, :depth])
+                else:  # u8 samples, summed from the x pass on
+                    into[...] = volume.data[fresh:nb, :, :depth]
             a, b = na, nb
             # the x pass reads the halo and writes only the slab's planes,
             # into scratch that dies with the slab when the y pass follows
@@ -308,10 +394,10 @@ def convolve_separable(
             if kx is None:
                 planes = held[s0 - a : s1 - a]
             else:
-                planes = target if ky is None else np.empty(target.shape, out.dtype)
-                _correlate1d(held[: b - a], kx, 0, s0 - a, s1 - a, out=planes)
+                planes = target if ky is None else np.empty(target.shape, x_dtype)
+                _correlate1d(held[: b - a], kx, 0, s0 - a, s1 - a, out=planes, **xpass)
             if ky is not None:
-                _correlate1d(planes, ky, 1, out=target)
+                _correlate1d(planes, ky, 1, out=target, **ypass)
             elif planes is not target:
                 target[...] = planes
 

@@ -14,7 +14,9 @@ A volume holds its samples as stored: float data are the values, while
 u8 samples ``u`` (from a u8 file) stand for ``f32(u) / f32(255)`` and stay
 u8 in memory, a quarter of the float size.  Readers convert only the part
 they read, through ``Volume.values`` or ``u8_values``, so no float copy of
-the whole input is made on the way to the filters.
+the whole input is made on the way to the filters.  The filters read u8
+samples as integers where their taps allow: a field is then the exact
+integer sum of the samples, rounded once to float32.
 """
 
 from __future__ import annotations

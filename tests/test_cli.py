@@ -446,6 +446,25 @@ def test_no_command_imports_scipy(phantom_dir, tmp_path):
     assert scipy_modules == []
 
 
+def test_cli_import_loads_only_what_segment_runs():
+    """``import octseg.cli`` leaves the phantom, analysis and render modules
+    and the thread pool unloaded; the package's public names resolve on use."""
+    unused = ["octseg.phantom", "octseg.analysis", "octseg.render", "concurrent.futures"]
+    code = (
+        "import json, sys\n"
+        "import octseg.cli\n"
+        f"loaded = [m for m in {unused!r} if m in sys.modules]\n"
+        "import octseg\n"
+        "missing = [n for n in octseg.__all__ if getattr(octseg, n, None) is None]\n"
+        "print(json.dumps([loaded, missing, callable(octseg.enhance)]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(octseg.__file__).resolve().parents[1]))
+    p = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                       timeout=120)
+    assert p.returncode == 0, p.stderr
+    assert json.loads(p.stdout.strip().splitlines()[-1]) == [[], [], True]
+
+
 class TestParser:
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -236,8 +236,33 @@ class TestStepResponse:
         assert r.min() < 0
 
 
+def exact_u8_reference(volume, kernel, depth=None):
+    """The field of u8 samples under box, odd-box or identity taps of
+    ``±1/n``, computed apart from the code under test: int64 sums over
+    whole axes of the edge-padded samples, each counted by its tap's sign,
+    divided once, ``f32(S) / f32(255 * n_z * n_x * n_y)`` (n is a box's
+    length or an odd box's half-width), cut to ``depth``."""
+    s, divisor = volume.data.astype(np.int64), 255
+    for axis, taps in ((2, kernel.kz), (0, kernel.kx), (1, kernel.ky)):
+        h = taps.size // 2
+        counts = np.sign(taps).astype(np.int64)
+        n = taps.size if counts[-1] == 1 else max(h, 1)
+        assert np.array_equal(taps, counts / n), "not a box, odd-box or identity kernel"
+        pad = np.pad(s, [(h, h) if a == axis else (0, 0) for a in range(3)], mode="edge")
+        length = s.shape[axis]
+        s = sum(int(c) * np.take(pad, np.arange(j, j + length), axis=axis)
+                for j, c in enumerate(counts) if c)
+        divisor *= n
+    assert np.abs(s).max() < 2**24  # float32 holds every sum exactly
+    return (s.astype(np.float32) / np.float32(divisor))[:, :, :depth]
+
+
 def whole_axis_reference(volume, kernel, depth=None):
-    """``_correlate1d`` over whole axes in z, x, y order, cut to ``depth``."""
+    """The field the fused slab pass must equal, cut to ``depth``: for u8
+    samples the exact one, for float values ``_correlate1d`` over whole
+    axes in z, x, y order."""
+    if volume.u8:
+        return exact_u8_reference(volume, kernel, depth)
     out = volume.values()
     for axis, taps in ((2, kernel.kz), (0, kernel.kx), (1, kernel.ky)):
         out = filters._correlate1d(out, taps, axis)
@@ -251,7 +276,7 @@ class TestFilterBank:
     def test_fields_bitwise_equal_convolve_separable(self, seed, dtype, slab_voxels):
         # the fused slab pass against whole-axis passes: threads 1 and 2,
         # 1-plane slabs (slab_voxels=1) and the default, full and cut depths;
-        # u8 samples are filtered as the float32 values they stand for
+        # u8 samples give their exact integer sums rounded once
         rng = np.random.default_rng(seed)
         dims = (int(rng.integers(4, 12)), int(rng.integers(3, 8)), int(rng.integers(5, 20)))
         v = random_volume(rng, dims, dtype)
@@ -382,6 +407,57 @@ class TestFilterBank:
         for depth in (0, 9):
             with pytest.raises(ValueError, match="depth"):
                 convolve_separable(v, make_smoothing_kernel(1), depth=depth)
+
+
+class TestExactSums:
+    """u8 samples under box, odd-box or identity taps are summed as integer
+    tap counts and rounded once (``TestFilterBank`` holds them to the exact
+    reference at any thread count, slab size and depth); other taps keep
+    the float32 values path."""
+
+    @pytest.mark.parametrize("case", ["smoothing", "two_odd_axes"])
+    def test_sums_beyond_int16_are_exact(self, case):
+        # radius-4 smoothing of saturated samples sums up to 9**3 * 255 in
+        # its last pass; odd boxes of half-width 9 along z and then x sum
+        # differences of differences, up to 2 * 9 * 9 * 255 in the x pass
+        if case == "smoothing":
+            kernel, divisor = make_smoothing_kernel(4), 9**3 * 255
+            data = np.zeros((12, 11, 20), np.uint8)
+            data[:, :, ::3] = 255
+            data[1::2] = 255
+        else:
+            odd = make_derivative_kernel(9, lateral=1).kz
+            kernel, divisor = SeparableKernel(kx=odd, ky=[1.0], kz=odd), 9 * 9 * 255
+            x, z = np.meshgrid(np.arange(24), np.arange(24), indexing="ij")
+            data = np.repeat(((x < 12) == (z < 12))[:, None, :] * np.uint8(255), 3, axis=1)
+        v = Volume(data, u8=True)
+        ref = exact_u8_reference(v, kernel)
+        assert np.abs(ref).max() * divisor > 2**15  # some sums pass int16
+        for threads in (1, 2):
+            assert convolve_separable(v, kernel, threads).data.tobytes() == ref.tobytes()
+
+    def test_identity_taps_give_the_values(self):
+        v = random_volume(np.random.default_rng(14), (5, 6, 7), np.uint8)
+        out = convolve_separable(v, SeparableKernel([1.0], [1.0], [1.0]))
+        assert out.data.tobytes() == u8_values(v.data).tobytes()
+
+    @pytest.mark.parametrize("kernel", [
+        SeparableKernel(kx=[0.25, 0.5, 0.25], ky=[1.0], kz=[0.2, 0.2, 0.2, 0.2, 0.2]),
+        SeparableKernel(kx=[1 / 3] * 3, ky=[1 / 3] * 3, kz=[0.5, 0.0, 0.5]),
+        make_smoothing_kernel(20),  # 41**3 * 255 >= 2**24: float32 cannot hold the sums
+    ], ids=["general", "symmetric", "too_wide"])
+    def test_other_taps_filter_the_float32_values(self, kernel):
+        rng = np.random.default_rng(15)
+        v = random_volume(rng, (kernel.kx.size, kernel.ky.size + 2, kernel.kz.size + 3), np.uint8)
+        values = Volume(u8_values(v.data))
+        for threads in (1, 2):
+            out = convolve_separable(v, kernel, threads).data
+            assert out.tobytes() == convolve_separable(values, kernel, threads).data.tobytes()
+
+    def test_integer_sums_need_box_taps(self):
+        arr = np.zeros((4, 6), np.uint8)
+        with pytest.raises(ValueError, match="box or odd-box"):
+            filters._correlate1d(arr, np.array([0.25, 0.5, 0.25]), 1, sums=np.int16)
 
 
 @st.composite

@@ -305,29 +305,60 @@ class TestCascade:
 FILE_ORDERS = ["".join(order) for order in itertools.permutations("xyz")]
 
 
+def u8_phantom_file(tmp_path, dims, seed, order):
+    """A speckled phantom quantised to u8 samples, written in ``order`` and
+    loaded back; the loaded volume keeps the samples u8."""
+    vol, _ = generate_phantom(PhantomSpec.default(dims=dims, seed=seed, speckle_looks=4))
+    samples = np.clip(np.rint(vol.data * 255.0), 0, 255).astype(np.uint8)
+    perm = tuple("xyz".index(ax) for ax in order)
+    raw = tmp_path / f"{order}.raw"
+    np.ascontiguousarray(samples.transpose(perm)).tofile(raw)
+    loaded = load_volume(raw, VolumeMeta(dims=tuple(dims[p] for p in perm), order=order))
+    assert loaded.data.dtype == np.uint8 and np.array_equal(loaded.data, samples)
+    return loaded
+
+
 class TestU8Input:
     @given(dims=st.tuples(st.integers(9, 20), st.integers(9, 11), st.integers(64, 96)),
            seed=st.integers(0, 2**16), order=st.sampled_from(FILE_ORDERS),
            slab_voxels=st.sampled_from([1, None]))
     @settings(max_examples=12, deadline=None)
-    def test_surfaces_bitwise_equal_to_float32_volume(self, tmp_path_factory, dims, seed,
-                                                      order, slab_voxels):
-        # a u8 file of any order, kept u8, against the float32 volume its
-        # samples stand for: threads 1 and 2, 1-voxel and default slabs
-        vol, _ = generate_phantom(PhantomSpec.default(dims=dims, seed=seed, speckle_looks=4))
-        samples = np.clip(np.rint(vol.data * 255.0), 0, 255).astype(np.uint8)
-        perm = tuple("xyz".index(ax) for ax in order)
-        raw = tmp_path_factory.mktemp("u8") / "v.raw"
-        np.ascontiguousarray(samples.transpose(perm)).tofile(raw)
-        loaded = load_volume(raw, VolumeMeta(dims=tuple(dims[p] for p in perm), order=order))
-        assert loaded.data.dtype == np.uint8
-        ref = segment_retina(Volume(samples.astype(np.float32) / np.float32(255)))
+    def test_surfaces_bitwise_equal_across_file_orders_threads_and_slabs(
+            self, tmp_path_factory, dims, seed, order, slab_voxels):
+        # a u8 file of any order, kept u8, against the same samples read
+        # from an xyz file: threads 1 and 2, 1-voxel and default slabs
+        tmp = tmp_path_factory.mktemp("u8")
+        ref = segment_retina(u8_phantom_file(tmp, dims, seed, "xyz"))
+        loaded = u8_phantom_file(tmp, dims, seed, order)
         slab = filters._FILTER_SLAB_VOXELS if slab_voxels is None else slab_voxels
         with mock.patch.object(filters, "_FILTER_SLAB_VOXELS", slab):
             for threads in (1, 2):
                 got = segment_retina(loaded, threads=threads)
                 for key in ("ilm", "isos", "rpe"):
                     assert got.surfaces[key].z.tobytes() == ref.surfaces[key].z.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fields_within_the_float_bound_of_the_float32_values(self, tmp_path, seed):
+        # u8 fields are the exact sums rounded once; the fields of the
+        # float32 values they stand for carry the float32 sums' error, at
+        # most (taps.size + 1) * eps * sum|taps| * max|input| per pass
+        loaded = u8_phantom_file(tmp_path, (24, 11, 96), seed, "zxy")
+        values = Volume(loaded.values())
+        exact, approx = FilterBank(loaded), FilterBank(values)
+        eps = np.finfo(np.float32).eps
+        for profile in vars(PipelineConfig.default()).values():
+            half_width, lateral, radius = pipeline._filter_sizes(profile)
+            for kernel, fields in (
+                (filters.make_derivative_kernel(half_width, lateral),
+                 [b.derivative(half_width, lateral) for b in (exact, approx)]),
+                (filters.make_smoothing_kernel(radius), [b.smoothing(radius) for b in (exact, approx)]),
+            ):
+                taps = (kernel.kz, kernel.kx, kernel.ky)
+                gain = np.prod([np.abs(t).sum() for t in taps])
+                bound = eps * gain * values.data.max() * (2 + sum(t.size + 1 for t in taps))
+                got, want = (f.data.astype(np.float64) for f in fields)
+                assert fields[0].data.dtype == np.float32
+                assert np.abs(got - want).max() <= bound
 
 
 class TestEnforceOrdering:
