@@ -92,7 +92,7 @@ def timed_runs(args):
     t0 = time.perf_counter()
     volume, truth = generate_phantom(spec)
     # the samples of a u8 file written from the phantom, as `octseg segment` reads them
-    volume = Volume(np.clip(np.rint(volume.data * 255.0), 0, 255).astype(np.uint8), u8=True)
+    volume = Volume(np.clip(np.rint(volume.data * 255.0), 0, 255).astype(np.uint8), scale=255)
     gen_s = time.perf_counter() - t0
     print(f"phantom {args.dims[0]}x{args.dims[1]}x{args.dims[2]} u8 "
           f"looks={looks} generated in {gen_s:.2f}s")

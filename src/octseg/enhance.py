@@ -92,6 +92,13 @@ def _merge(parts) -> tuple:
     return np.min([p[0] for p in found]), np.max([p[1] for p in found])
 
 
+def _value_range(field: Volume, parts) -> np.ndarray:
+    """The (min, max) of a field's values from per-slab extrema of its
+    samples: dividing by a positive scale keeps their order, and float32
+    holds every sum the filters store exactly."""
+    return field.values_of(np.array(_merge(parts)))
+
+
 def _rescale(values: np.ndarray, lo, hi, out: np.ndarray) -> None:
     """Min-max rescale into ``out`` with extrema taken elsewhere; a flat
     range zeroes."""
@@ -131,7 +138,10 @@ def enhance(
     the planes that every searched window of a slab holds are plain
     reductions; the ragged planes around them are masked with a +-inf
     sentinel, a copy of them for the read-only fields and the score itself
-    in place, which then takes a plain argmax per column.
+    in place, which then takes a plain argmax per column.  Fields of
+    scaled integer sums (``Volume.scale``) give their extrema as sums,
+    divided once, and each slab of sums is divided into float32 scratch
+    before it is scored, so they score bitwise as their values would.
     Returns the surface in volume depth and whether the score is flat over
     the windows (then each column picks the top of its window).  A flat
     field at any step triggers DegenerateNormalizationWarning; a flat input
@@ -162,11 +172,11 @@ def enhance(
     found = _map_slabs(input_extrema, slabs, threads)
     # sign and clamp are monotone maps, so they carry the derivative's
     # extrema over exactly (a negative sign swaps which one is the min)
-    d_range = np.array(_merge(d for d, _ in found)) * sign
+    d_range = _value_range(diff, (d for d, _ in found)) * sign
     if profile.clamp_negative:
         np.maximum(d_range, 0, out=d_range)
     d_lo, d_hi = d_range.min(), d_range.max()
-    s_lo, s_hi = _merge(s for _, s in found)
+    s_lo, s_hi = _value_range(smooth, (s for _, s in found))
 
     def score_and_pick(lo, hi):
         split = _window_planes(band.k_lo[lo:hi], band.k_hi[lo:hi])
@@ -175,15 +185,16 @@ def enhance(
         searched, (g0, g1), _, ragged = split
         # the slab's score covers only the span of its windows
         planes = np.s_[lo:hi, :, z0 + g0 : z0 + g1]
-        score = np.empty((hi - lo, ny, g1 - g0), dtype=diff.data.dtype)
-        values = diff.data[planes]
+        # scaled sums are divided into the float32 scratch first
+        score = np.empty((hi - lo, ny, g1 - g0), dtype=diff.dtype)
+        values = diff.values(planes, out=score)
         if sign == -1:
             values = np.multiply(values, sign, out=score)
         if profile.clamp_negative:
             values = np.maximum(values, 0, out=score)
         _rescale(values, d_lo, d_hi, out=score)
-        smoothed = np.empty(score.shape, dtype=smooth.data.dtype)
-        _rescale(smooth.data[planes], s_lo, s_hi, out=smoothed)
+        smoothed = np.empty(score.shape, dtype=smooth.dtype)
+        _rescale(smooth.values(planes, out=smoothed), s_lo, s_hi, out=smoothed)
         score += smoothed
         del smoothed
         score *= w[g0:g1]

@@ -11,10 +11,11 @@ the samples straight into its padded scratch and writes the planes above
 the depth into the x halo buffer, the x pass reads the halo but computes
 only the slab's own planes, and the y pass writes into the output.  Its
 one-axis correlation sums float values in their dtype, box taps with a
-single multiply, in one order at any thread count.  u8 samples under box,
-odd-box or identity taps (every kernel the pipeline builds) are summed as
-integers instead, exact in int16 or int32, and rounded once as the last
-pass writes the float32 field; under other taps they are read as the
+single multiply, in one order at any thread count.  The scaled integer
+samples of a u8 volume (``Volume.scale``) under box, odd-box or identity
+taps (every kernel the pipeline builds) are summed as integers instead,
+exact in int16 or int32, and the field is those sums, with the scale
+that divides them into its values; under other taps they are read as the
 float32 values they stand for.  The pipeline
 reads fields through a ``FilterBank``, which computes each once, drops it
 after its last planned reader, and holds each request's depth as a
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import Volume, u8_values
+from .volume import Volume
 
 
 def _check_taps(taps: np.ndarray, label: str) -> np.ndarray:
@@ -180,16 +181,14 @@ def _correlate1d(
     hi: int | None = None,
     out: np.ndarray | None = None,
     sums: np.dtype | None = None,
-    divisor: float | None = None,
 ) -> np.ndarray:
     """Correlate ``arr`` with odd-length ``taps`` along ``axis``, replicating
     the edge samples, and return the outputs [lo, hi) along that axis.
 
-    ``arr`` holds float values, or u8 samples that stand for ``u8_values``
-    of them; the outputs have the values' dtype and are written into
-    ``out`` when given, a C-contiguous array of their shape.  Only the input
-    samples within ``taps.size // 2`` of [lo, hi) are read.  Sums run in the
-    values' dtype.  Box taps, all equal, add the 2h+1 shifted samples and
+    The outputs have ``arr``'s float dtype and are written into ``out``
+    when given, a C-contiguous array of their shape.  Only the input
+    samples within ``taps.size // 2`` of [lo, hi) are read.  Sums run in
+    ``arr``'s dtype.  Box taps, all equal, add the 2h+1 shifted samples and
     multiply once; odd-box taps, ``c`` on the h before a zero centre and
     ``-c`` on the h after it, add the h differences of mirrored samples and
     multiply once by ``c``; other taps take one multiply-add each.  Each
@@ -200,26 +199,26 @@ def _correlate1d(
     ``_BLOCK_SAMPLES`` float32 samples.
 
     With ``sums``, an integer dtype, ``arr`` holds integers and the taps
-    must be box or odd-box: each output is the exact sum ``S`` of its
-    samples counted +1, or +1 before the centre and -1 after it, computed
-    in ``sums``, which the caller makes wide enough.  The outputs are ``S``
-    in ``sums``, or with ``divisor`` float32 ``f32(S) / f32(divisor)``.
+    must be box or odd-box: each output is the exact sum of its samples
+    counted +1, or +1 before the centre and -1 after it, computed and
+    written in ``sums``, which the caller makes wide enough.
     """
     if sums is None:
-        dtype = out_dtype = np.dtype(np.float32) if arr.dtype == np.uint8 else arr.dtype
+        if arr.dtype.kind != "f":
+            raise ValueError(f"{arr.dtype} samples need integer sums")
+        dtype = arr.dtype
         w = np.asarray(taps).astype(dtype)
     else:
         dtype = np.dtype(sums)
-        out_dtype = dtype if divisor is None else np.dtype(np.float32)
         w = np.asarray(taps, dtype=np.float64)
     n = arr.shape[axis]
     hi = n if hi is None else hi
     m = hi - lo
     shape = arr.shape[:axis] + (m,) + arr.shape[axis + 1 :]
     if out is None:
-        out = np.empty(shape, dtype=out_dtype)
-    elif out.shape != shape or out.dtype != out_dtype or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous {out_dtype} array of shape {shape}")
+        out = np.empty(shape, dtype=dtype)
+    elif out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {dtype} array of shape {shape}")
     h, c = w.size // 2, w[0]
     form = _tap_form(w)
     if sums is not None and form is None:
@@ -246,10 +245,7 @@ def _correlate1d(
             block = (o1 - o0, m + 2 * h, i1 - i0)
             size = math.prod(block)
             pad = pad_buf[:size].reshape(block)
-            if sums is None and arr.dtype == np.uint8:
-                u8_values(src[o0:o1, a:b, i0:i1], out=pad[:, left:right])
-            else:
-                pad[:, left:right] = src[o0:o1, a:b, i0:i1]
+            pad[:, left:right] = src[o0:o1, a:b, i0:i1]
             pad[:, :left] = pad[:, left : left + 1]
             pad[:, right:] = pad[:, right - 1 : right]
             step = i1 - i0
@@ -273,33 +269,36 @@ def _correlate1d(
                 for j in range(1 - h, h + 1):
                     np.multiply(x(j), w[h + j], out=tmp)
                     acc += tmp
-            # box and odd-box sums take their one multiply, or integer sums
-            # their one rounding, on the way out
+            # box and odd-box float sums take their one multiply on the way out
             done, into = acc_buf[:size].reshape(block)[:, :m], dst[o0:o1, :, i0:i1]
             if sums is None:
                 np.multiply(done, c if form else 1, out=into)
-            elif divisor is None:
-                into[...] = done
             else:
-                np.divide(done, np.float32(divisor), out=into, dtype=np.float32)
+                into[...] = done
     return out
 
 
-def _exact_passes(taps: list) -> list[tuple[np.dtype, dict]] | None:
-    """How u8 samples are filtered in exact integer sums: for the z, x and
-    y taps (None where they are identity), the dtype each pass writes and
-    its ``_correlate1d`` keywords.
+def _exact_passes(volume: Volume, taps: list) -> tuple[list[np.dtype], float] | None:
+    """How a volume of scaled integer samples is filtered in exact integer
+    sums: for the z, x and y taps (None where they are identity), the dtype
+    each pass sums and writes in, and the scale of the last pass's sums.
 
-    A pass sums tap counts in int16 or int32, whichever holds its bound;
-    the last pass that is not identity writes float32, rounding once as
-    ``f32(S) / f32(255 / (c_z * c_x * c_y))`` with ``c`` the first tap of
-    each axis (1 for identity).  For ``c = 1/n`` taps that is the correctly
-    rounded ``S / (255 * n_z * n_x * n_y)``, and identity taps give
-    ``u8_values``.  None, for the float path, unless every axis's taps are
-    identity, box or odd-box and every sum stays below 2**24, where float32
-    holds it exactly.
+    A pass sums tap counts in int16 or int32, whichever holds its bound; an
+    identity pass keeps the dtype before it, the samples' own at first.
+    With ``c`` the first tap of each axis (1 for identity), the field's
+    values are ``S * c_z * c_x * c_y / volume.scale`` for the sums ``S``,
+    so their scale is ``volume.scale / (c_z * c_x * c_y)``.  For ``c =
+    1/n`` taps on a u8 volume, whose scale is 255, ``f32(S) / f32(scale)``
+    is then the correctly rounded ``S / (255 * n_z * n_x * n_y)``.  None,
+    for the float path, unless the volume is scaled, every axis's taps are
+    identity, box or odd-box with ``c > 0``, every sum stays below 2**24,
+    where float32 holds it exactly, and the scale is a normal float32.
     """
-    lo, hi, scale, sums = 0, 255, 1.0, []
+    if volume.scale is None:
+        return None
+    dtype = volume.data.dtype
+    lo, hi = np.iinfo(dtype).min, np.iinfo(dtype).max
+    c, dtypes = 1.0, []
     for t in taps:
         if t is not None:
             form = _tap_form(t)
@@ -307,20 +306,16 @@ def _exact_passes(taps: list) -> list[tuple[np.dtype, dict]] | None:
                 return None
             h = t.size // 2
             lo, hi = (t.size * lo, t.size * hi) if form == "box" else (h * (lo - hi), h * (hi - lo))
-            scale *= t[0]
-        bound = max(-lo, hi)
-        if bound >= 1 << 24:
-            return None
-        sums.append(np.dtype(np.int16 if bound < 1 << 15 else np.int32))
+            c *= t[0]
+            bound = max(-lo, hi)
+            if bound >= 1 << 24:
+                return None
+            dtype = np.dtype(np.int16 if bound < 1 << 15 else np.int32)
+        dtypes.append(dtype)
     info = np.finfo(np.float32)
-    if not scale or not info.tiny <= abs(255 / scale) <= info.max:
+    if not c > 0 or not info.tiny <= volume.scale / c <= info.max:
         return None
-    last = max((i for i, t in enumerate(taps) if t is not None), default=0)
-    f32 = np.dtype(np.float32)
-    return [
-        (s, {"sums": s}) if i < last else (f32, {"sums": s, "divisor": 255 / scale})
-        for i, s in enumerate(sums)
-    ]
+    return dtypes, volume.scale / c
 
 
 # x-slabs of one fused filter pass hold about this many voxels.  Each slab
@@ -346,11 +341,11 @@ def convolve_separable(
     arithmetic as whole-axis passes, so results are bitwise equal to them
     at any thread count.  With ``depth``, only the planes z < depth are
     computed, reading the input at most ``kz.size // 2`` planes below
-    them.  Output dtype is that of the volume's values, float32 for u8
-    samples.  Those are summed exactly as integers and rounded once when
-    ``_exact_passes`` allows it, else converted to their values as the z
-    pass reads them.  A kernel longer than the volume along any axis is
-    rejected.
+    them.  Scaled integer samples are summed exactly as integers when
+    ``_exact_passes`` allows it, and the field is the last pass's sums
+    with their scale; else they are converted to their float32 values as
+    the z pass reads them.  Float values give a field of their dtype.  A
+    kernel longer than the volume along any axis is rejected.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -361,12 +356,15 @@ def convolve_separable(
     _check_extents((kernel.kx.size, kernel.ky.size, kernel.kz.size), volume.dims)
     taps = [None if t.tolist() == [1.0] else t for t in (kernel.kz, kernel.kx, kernel.ky)]
     kz, kx, ky = taps
-    passes = _exact_passes(taps) if volume.u8 else None
-    if passes is None:  # sums in the values' dtype
-        passes = [(volume.dtype, {})] * 3
-    (held_dtype, zpass), (x_dtype, xpass), (_, ypass) = passes
+    exact = _exact_passes(volume, taps)
+    if exact is None:  # the values, summed in their dtype
+        dtypes, scale, read = [volume.dtype] * 3, None, volume.values
+    else:  # the samples, summed exactly in each pass's dtype
+        (dtypes, scale), read = exact, volume.data.__getitem__
+    held_dtype, x_dtype, out_dtype = dtypes
+    zsums, xsums, ysums = [None] * 3 if exact is None else dtypes
     hx = 0 if kx is None else kx.size // 2
-    out = np.empty((nx, ny, depth), dtype=volume.dtype)
+    out = np.empty((nx, ny, depth), dtype=out_dtype)
     width = max(1, _FILTER_SLAB_VOXELS // (ny * depth))
 
     def run(lo: int, hi: int) -> None:
@@ -382,11 +380,9 @@ def convolve_separable(
             if nb > fresh:
                 into = held[fresh - na : nb - na]
                 if kz is not None:
-                    _correlate1d(volume.data[fresh:nb], kz, 2, 0, depth, out=into, **zpass)
-                elif held_dtype.kind == "f":
-                    into[...] = volume.values(np.s_[fresh:nb, :, :depth])
-                else:  # u8 samples, summed from the x pass on
-                    into[...] = volume.data[fresh:nb, :, :depth]
+                    _correlate1d(read(np.s_[fresh:nb]), kz, 2, 0, depth, out=into, sums=zsums)
+                else:
+                    into[...] = read(np.s_[fresh:nb, :, :depth])
             a, b = na, nb
             # the x pass reads the halo and writes only the slab's planes,
             # into scratch that dies with the slab when the y pass follows
@@ -395,14 +391,14 @@ def convolve_separable(
                 planes = held[s0 - a : s1 - a]
             else:
                 planes = target if ky is None else np.empty(target.shape, x_dtype)
-                _correlate1d(held[: b - a], kx, 0, s0 - a, s1 - a, out=planes, **xpass)
+                _correlate1d(held[: b - a], kx, 0, s0 - a, s1 - a, out=planes, sums=xsums)
             if ky is not None:
-                _correlate1d(planes, ky, 1, out=target, **ypass)
+                _correlate1d(planes, ky, 1, out=target, sums=ysums)
             elif planes is not target:
                 target[...] = planes
 
     _map_slabs(run, _chunk_bounds(nx, min(threads, nx)), threads)
-    return Volume(out, volume.spacing)
+    return Volume(out, volume.spacing, scale)
 
 
 def _crop_depth(arr: np.ndarray, depth: int) -> None:

@@ -120,7 +120,7 @@ def argmax_per_ascan(intensity: Volume) -> Surface:
     return Surface.full(intensity.data.argmax(axis=2))
 
 
-# cells per block of x rows in _local_median: its scratch is about 18 bytes
+# cells per block of x rows in _local_median: its scratch is about 8 bytes
 # per tap and cell, so a block's, not the surface's, size bounds it
 _MEDIAN_BLOCK_CELLS = 2**14
 
@@ -128,21 +128,32 @@ _MEDIAN_BLOCK_CELLS = 2**14
 def _local_median(z: np.ndarray, window: int) -> np.ndarray:
     """Median of the finite cells in each window x window tile (NaN outside
     the grid); NaN where a tile has none.  Equals ``np.nanmedian``."""
-    h = window // 2
+    h, taps = window // 2, window * window
     padded = np.pad(z, h, mode="constant", constant_values=np.nan)
     out = np.empty(z.shape, dtype=padded.dtype)
     nx, ny = z.shape
+    # the finite cells n of each tile, from an integral image of the grid
+    acc = np.zeros((nx + 2 * h + 1, ny + 2 * h + 1), dtype=np.intp)
+    np.cumsum(np.cumsum(~np.isnan(padded), axis=0), axis=1, out=acc[1:, 1:])
+    n = (acc[window:, window:] - acc[:-window, window:]
+         - acc[window:, :-window] + acc[:-window, :-window])
     rows = max(1, _MEDIAN_BLOCK_CELLS // ny)
     for x0 in range(0, nx, rows):
         x1 = min(x0 + rows, nx)
-        tiles = sliding_window_view(padded[x0:x1 + 2 * h], (window, window))
-        # NaNs sort last, so the n finite values of a tile lead its sorted
-        # row; an all-NaN tile reads two NaNs
-        ordered = np.sort(tiles.reshape(x1 - x0, ny, -1), axis=-1)
-        n = np.count_nonzero(~np.isnan(ordered), axis=-1)[..., None]
-        lower = np.take_along_axis(ordered, np.maximum(n - 1, 0) // 2, axis=-1)
-        upper = np.take_along_axis(ordered, n // 2, axis=-1)
-        out[x0:x1] = ((lower + upper) / 2)[..., 0]
+        # one copy of the block's tiles, sorted in place: NaNs sort last, so
+        # the n finite values of a tile lead its row
+        ordered = np.empty((x1 - x0, ny, window, window), dtype=padded.dtype)
+        ordered[...] = sliding_window_view(padded[x0:x1 + 2 * h], (window, window))
+        ordered = ordered.reshape(x1 - x0, ny, taps)
+        ordered.sort(axis=-1)
+        block = out[x0:x1]
+        block[...] = ordered[..., taps // 2]  # the median of an all-finite tile
+        # tiles on the border or with holes; an all-NaN one reads two NaNs
+        hx, hy = np.nonzero(n[x0:x1] < taps)
+        if hx.size:
+            k = n[x0:x1][hx, hy]
+            lower = ordered[hx, hy, np.maximum(k - 1, 0) // 2]
+            block[hx, hy] = (lower + ordered[hx, hy, k // 2]) / 2
     return out
 
 

@@ -10,13 +10,14 @@ the file's dims, element type, endianness, and axis order, and the loader
 permutes into the canonical layout.  ``VolumeMeta``, the sidecar, is a
 checked ``records.Record``.
 
-A volume holds its samples as stored: float data are the values, while
-u8 samples ``u`` (from a u8 file) stand for ``f32(u) / f32(255)`` and stay
-u8 in memory, a quarter of the float size.  Readers convert only the part
-they read, through ``Volume.values`` or ``u8_values``, so no float copy of
-the whole input is made on the way to the filters.  The filters read u8
-samples as integers where their taps allow: a field is then the exact
-integer sum of the samples, rounded once to float32.
+A volume holds its samples as stored, under one rule: float data are the
+values, while integer data with a ``scale`` stand for
+``f32(data) / f32(scale)``.  A u8 file loads as its uint8 samples with
+scale 255, a quarter of the float size.  Readers convert only the part
+they read, through ``Volume.values``, so no float copy of the whole input
+is made on the way to the filters.  The filters sum such samples as
+integers where their taps allow and return the exact sums with the scale
+that makes them the field's values, so a field stays integer too.
 """
 
 from __future__ import annotations
@@ -98,29 +99,20 @@ class VolumeMeta(Record):
         return {k: v for k, v in super().to_dict().items() if v is not None}
 
 
-def u8_values(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The float32 values that u8 samples stand for, ``f32(u) / f32(255)``,
-    written into ``out`` when given.
-
-    Bitwise equal to ``samples.astype(np.float32) / np.float32(255)``
-    without the intermediate array.
-    """
-    return np.divide(samples, np.float32(255), out=out, dtype=np.float32)
-
-
 @dataclass(frozen=True, eq=False)
 class Volume:
     """In-memory volume: samples shaped (nx, ny, nz), depth contiguous.
 
-    ``data`` holds float values, or with ``u8`` set, u8 samples that stand
-    for ``u8_values(data)``; any other dtype is cast to float32 (without
-    scaling).  ``spacing`` is the canonical-order voxel pitch (dx, dy, dz)
-    in microns, or None when unknown.
+    ``data`` holds float values, or integer samples ``s`` that with a
+    ``scale`` stand for ``f32(s) / f32(scale)``; integer data without a
+    scale are cast to float32 as they are.  ``spacing`` is the
+    canonical-order voxel pitch (dx, dy, dz) in microns, or None when
+    unknown.
     """
 
     data: np.ndarray
     spacing: tuple[float, float, float] | None = None
-    u8: bool = False
+    scale: float | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.data)
@@ -128,9 +120,13 @@ class Volume:
             raise ValueError(f"volume data must be 3D, got shape {arr.shape}")
         if min(arr.shape) < 1:
             raise ValueError(f"volume dims must all be positive, got {arr.shape}")
-        if self.u8:
-            if arr.dtype != np.uint8:
-                raise ValueError(f"u8 volume data must be uint8, got {arr.dtype}")
+        if self.scale is not None:
+            if arr.dtype.kind not in "iu":
+                raise ValueError(f"scaled volume data must be integers, got {arr.dtype}")
+            scale, info = float(self.scale), np.finfo(np.float32)
+            if not float(info.tiny) <= scale <= float(info.max):
+                raise ValueError(f"scale must be a positive normal float32, got {scale}")
+            object.__setattr__(self, "scale", scale)
         elif arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         object.__setattr__(self, "data", np.ascontiguousarray(arr))
@@ -157,14 +153,21 @@ class Volume:
 
     @property
     def dtype(self) -> np.dtype:
-        """The dtype of the values: float32 for u8 samples."""
-        return np.dtype(np.float32) if self.u8 else self.data.dtype
+        """The dtype of the values: float32 for scaled samples."""
+        return self.data.dtype if self.scale is None else np.dtype(np.float32)
 
-    def values(self, index=...) -> np.ndarray:
-        """The values of the samples ``data[index]``: a view of float data,
-        a float32 array converted from u8 samples."""
-        samples = self.data[index]
-        return u8_values(samples) if self.u8 else samples
+    def values(self, index=..., out: np.ndarray | None = None) -> np.ndarray:
+        """The values of the samples ``data[index]``: a view of float data;
+        for scaled samples their float32 values, written into ``out`` when
+        given (float data leave ``out`` alone)."""
+        return self.values_of(self.data[index], out)
+
+    def values_of(self, samples, out: np.ndarray | None = None) -> np.ndarray:
+        """The values that samples of this volume's data stand for, by the
+        rule of ``values``."""
+        if self.scale is None:
+            return samples
+        return np.divide(samples, np.float32(self.scale), out=out, dtype=np.float32)
 
 
 def normalize_intensities(arr: np.ndarray) -> np.ndarray:
@@ -208,11 +211,11 @@ def _check_size(path: Path, meta: VolumeMeta) -> None:
 def load_volume(path, meta: VolumeMeta) -> Volume:
     """Read a raw volume file into the canonical (nx, ny, nz) layout.
 
-    u8 samples stay u8 and stand for their value scaled by 1/255; float
-    samples become float32, normalized into [0, 1] only if they fall
-    outside that range.  Either takes at most one copy, the one that
-    permutes the axes.  The file's byte length must match the sidecar dims
-    exactly, and a NaN or infinite sample raises ValueError.
+    u8 samples stay uint8 with scale 255; float samples become float32,
+    normalized into [0, 1] only if they fall outside that range.  Either
+    takes at most one copy, the one that permutes the axes.  The file's
+    byte length must match the sidecar dims exactly, and a NaN or infinite
+    sample raises ValueError.
     """
     path = Path(path)
     _check_size(path, meta)
@@ -224,7 +227,7 @@ def load_volume(path, meta: VolumeMeta) -> Volume:
     if meta.spacing_um is not None:
         spacing = tuple(meta.spacing_um[perm[i]] for i in range(3))
     if meta.dtype == "u8":
-        return Volume(np.ascontiguousarray(raw.transpose(perm)), spacing, u8=True)
+        return Volume(raw.transpose(perm), spacing, scale=255)
     data = np.ascontiguousarray(raw.transpose(perm), dtype=np.float32)
     _check_finite(data, path)
     return Volume(normalize_intensities(data), spacing)
@@ -269,7 +272,8 @@ def load_bscan(path, meta: VolumeMeta, y: int) -> np.ndarray:
     runs = runs.reshape([d for i, d in enumerate(meta.dims) if i != axis])
     if meta.order.replace("y", "") == "zx":
         runs = runs.T
-    return u8_values(runs)
+    # one B-scan's samples as a volume of ny = 1, for the values they stand for
+    return Volume(runs[:, None, :], scale=255).values()[:, 0, :]
 
 
 def save_volume(volume: Volume, path, dtype: str = "f32", meta_path=None) -> VolumeMeta:
@@ -287,10 +291,10 @@ def save_volume(volume: Volume, path, dtype: str = "f32", meta_path=None) -> Vol
         spacing_um=volume.spacing,
     )
     path = Path(path)
-    if dtype == "u8" and volume.u8:
-        out = volume.data  # rint(u8_values(u) * 255) == u for every u
+    if dtype == "u8" and volume.scale == 255 and volume.data.dtype == np.uint8:
+        out = volume.data  # rint(values * 255) == u for every u8 sample u
     elif dtype == "u8":
-        out = np.clip(np.rint(volume.data * 255.0), 0, 255).astype(np.uint8)
+        out = np.clip(np.rint(volume.values() * 255.0), 0, 255).astype(np.uint8)
     else:
         out = np.ascontiguousarray(volume.values(), dtype="<f4")
     out.tofile(path)

@@ -261,16 +261,26 @@ def reference_score_and_extract(diff, smooth, rule, k_lo, k_hi):
 
 @st.composite
 def scoring_cases(draw):
+    """Fields as float32 values or as the filters store the fields of a u8
+    volume: integer sums with a scale, here one that rounds the quotients."""
     nx, ny, nz = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 14))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
-    def field(flat):
-        if flat:
-            return np.full((nx, ny, nz), rng.integers(-3, 4) / 4, dtype=np.float32)
-        # quarter steps make ties, so the shallowest-tie rule is exercised
-        return (rng.integers(-8, 9, (nx, ny, nz)) / 4).astype(np.float32)
+    def field(flat, scale):
+        if scale is None:
+            if flat:
+                return Volume(np.full((nx, ny, nz), rng.integers(-3, 4) / 4, dtype=np.float32))
+            # quarter steps make ties, so the shallowest-tie rule is exercised
+            return Volume((rng.integers(-8, 9, (nx, ny, nz)) / 4).astype(np.float32))
+        # a narrow range of sums makes ties too
+        dtype = draw(st.sampled_from([np.int16, np.int32]))
+        lo = int(rng.integers(-40, 40))
+        hi = lo + (0 if flat else int(rng.integers(1, 30)))
+        return Volume(rng.integers(lo, hi + 1, (nx, ny, nz)).astype(dtype), scale=scale)
 
-    diff, smooth = field(draw(st.booleans())), field(draw(st.booleans()))
+    scales = st.sampled_from([None, 255 / 45, 255 / 343, 255 / 405])
+    diff = field(draw(st.booleans()), draw(scales))
+    smooth = field(draw(st.booleans()), draw(scales))
     windows = draw(st.sampled_from(["random", "shared_core", "no_core"]))
     c = draw(st.integers(0, nx * ny - 1))  # at least one searched column
     if windows == "shared_core":
@@ -307,16 +317,17 @@ class TestBandScoring:
     @given(case=scoring_cases())
     @settings(max_examples=60, deadline=None)
     def test_bitwise_equal_to_full_volume_reference(self, threads, slab_voxels, case):
+        # scaled integer fields score as their float32 values do
         diff, smooth, rule, k_lo, k_hi = case
         z_ref, valid_ref, flat_ref = reference_score_and_extract(
-            diff.copy(), smooth.copy(), rule, k_lo, k_hi
+            diff.values().copy(), smooth.values().copy(), rule, k_lo, k_hi
         )
-        mask = SearchMask(k_lo=k_lo, k_hi=k_hi, nz=diff.shape[2])
+        mask = SearchMask(k_lo=k_lo, k_hi=k_hi, nz=diff.nz)
         slab = filters._SLAB_VOXELS if slab_voxels is None else slab_voxels
         with mock.patch.object(filters, "_SLAB_VOXELS", slab), \
                 warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
-            surface, flat = enhance(Volume(diff), Volume(smooth), rule, mask, threads)
+            surface, flat = enhance(diff, smooth, rule, mask, threads)
         assert np.array_equal(surface.z, z_ref, equal_nan=True)
         assert np.array_equal(surface.valid, valid_ref)
         flagged = [str(w.message) for w in rec

@@ -26,13 +26,13 @@ from octseg.filters import (
 )
 from octseg.pipeline import BoundaryProfile
 from octseg.surfaces import SearchMask
-from octseg.volume import Volume, u8_values
+from octseg.volume import Volume, VolumeMeta, load_volume
 
 
 def random_volume(rng, dims, dtype=np.float64):
-    """Random float values, or random u8 samples kept as u8."""
+    """Random float values, or random u8 samples kept as u8 (scale 255)."""
     if dtype == np.uint8:
-        return Volume(rng.integers(0, 256, dims, dtype=np.uint8), u8=True)
+        return Volume(rng.integers(0, 256, dims, dtype=np.uint8), scale=255)
     return Volume(rng.random(dims).astype(dtype))
 
 
@@ -188,8 +188,8 @@ class TestSeparableAgainstDirect:
             ):
                 fast = convolve_separable(v, kernel)
                 ref = convolve_direct(v, kernel.to_dense())
-                assert fast.data.dtype == ref.data.dtype == v.dtype
-                assert np.abs(fast.data - ref.data).max() <= 1e-5
+                assert fast.dtype == ref.dtype == v.dtype
+                assert np.abs(fast.values() - ref.data).max() <= 1e-5
 
 
 class TestStepResponse:
@@ -258,10 +258,10 @@ def exact_u8_reference(volume, kernel, depth=None):
 
 
 def whole_axis_reference(volume, kernel, depth=None):
-    """The field the fused slab pass must equal, cut to ``depth``: for u8
-    samples the exact one, for float values ``_correlate1d`` over whole
-    axes in z, x, y order."""
-    if volume.u8:
+    """The values of the field the fused slab pass must equal, cut to
+    ``depth``: for u8 samples the exact one, for float values
+    ``_correlate1d`` over whole axes in z, x, y order."""
+    if volume.scale is not None:
         return exact_u8_reference(volume, kernel, depth)
     out = volume.values()
     for axis, taps in ((2, kernel.kz), (0, kernel.kx), (1, kernel.ky)):
@@ -289,15 +289,15 @@ class TestFilterBank:
             for threads in (1, 2):
                 kernel = make_smoothing_kernel(radius)
                 ref = whole_axis_reference(v, kernel)
-                assert convolve_separable(v, kernel, threads).data.tobytes() == ref.tobytes()
+                assert convolve_separable(v, kernel, threads).values().tobytes() == ref.tobytes()
                 bank = FilterBank(v, threads)
-                assert bank.smoothing(radius).data.tobytes() == ref.tobytes()
+                assert bank.smoothing(radius).values().tobytes() == ref.tobytes()
                 for lateral in laterals:
                     kernel = make_derivative_kernel(half_width, lateral)
                     ref = whole_axis_reference(v, kernel, depth)
-                    cut = convolve_separable(v, kernel, threads, depth).data
-                    assert cut.dtype == v.dtype and cut.tobytes() == ref.tobytes()
-                    full = bank.derivative(half_width, lateral).data
+                    cut = convolve_separable(v, kernel, threads, depth)
+                    assert cut.dtype == v.dtype and cut.values().tobytes() == ref.tobytes()
+                    full = bank.derivative(half_width, lateral).values()
                     assert full[:, :, :depth].tobytes() == ref.tobytes()
 
     def test_each_field_computed_once(self):
@@ -315,7 +315,7 @@ class TestFilterBank:
         assert first.nz == 10  # read again, but no later request may read deeper
         only = bank.derivative(3, 5, 10)
         ref = whole_axis_reference(v, make_derivative_kernel(3, 5), 10)
-        assert only.nz == 10 and only.data.tobytes() == ref.tobytes()
+        assert only.nz == 10 and only.values().tobytes() == ref.tobytes()
         assert bank.derivative(3, 3, 7) is first and first.nz == 10  # handed back as it is
         smooth = bank.smoothing(1, 7)
         assert smooth.nz == 7
@@ -337,7 +337,7 @@ class TestFilterBank:
         def assert_prefix(depth):
             for field, ref in zip(kept, full):
                 assert field.nz == depth and not field.data.flags.writeable
-                assert field.data.tobytes() == np.ascontiguousarray(ref[:, :, :depth]).tobytes()
+                assert field.values().tobytes() == np.ascontiguousarray(ref[:, :, :depth]).tobytes()
 
         # a new field 12 deep first cuts the kept ones, which shrink in the
         # hands of their earlier reader too
@@ -382,7 +382,7 @@ class TestFilterBank:
             tracemalloc.stop()
         assert field.nz == 32  # the handed-out field shrank in place
         # the cut planes were freed before the new field was computed
-        assert before - seen["computed_from"] >= 0.99 * 64 * 64 * (128 - 32) * 4
+        assert before - seen["computed_from"] >= 0.99 * 64 * 64 * (128 - 32) * field.data.itemsize
         # no second copy: only one block of A-scans is buffered at a time
         assert seen["cut_peak"] <= 4 * filters._BLOCK_SAMPLES
 
@@ -396,11 +396,11 @@ class TestFilterBank:
         assert view.tobytes() == np.ascontiguousarray(ref[:, :, 4:]).tobytes()
 
     def test_u8_values_match_a_float32_cast_divided_by_255(self):
-        u = np.arange(256, dtype=np.uint8)
-        expected = u.astype(np.float32) / np.float32(255)
-        assert u8_values(u).tobytes() == expected.tobytes()
-        out = np.empty(256, np.float32)
-        assert u8_values(u, out=out) is out and out.tobytes() == expected.tobytes()
+        u = Volume(np.arange(256, dtype=np.uint8).reshape(4, 8, 8), scale=255)
+        expected = u.data.astype(np.float32) / np.float32(255)
+        assert u.dtype == np.float32 and u.values().tobytes() == expected.tobytes()
+        out = np.empty((8, 8), np.float32)
+        assert u.values(1, out=out) is out and out.tobytes() == expected[1].tobytes()
 
     def test_depth_out_of_range_rejected(self):
         v = random_volume(np.random.default_rng(10), (4, 4, 8), np.float32)
@@ -409,11 +409,56 @@ class TestFilterBank:
                 convolve_separable(v, make_smoothing_kernel(1), depth=depth)
 
 
+def stored_dtype(kernel):
+    """The narrowest dtype that holds the sums of u8 samples under a
+    pipeline kernel: 255 times each axis's count of samples (a box's
+    length, an odd box's half-width), in int16 or int32; identity taps
+    keep the samples' uint8."""
+    counts = [t.size if t[-1] > 0 else t.size // 2 for t in (kernel.kz, kernel.kx, kernel.ky)
+              if t.size > 1]
+    if not counts:
+        return np.dtype(np.uint8)
+    bound = 255 * int(np.prod(counts))
+    assert bound < 2**24  # float32 holds every sum exactly
+    return np.dtype(np.int16 if bound < 2**15 else np.int32)
+
+
 class TestExactSums:
     """u8 samples under box, odd-box or identity taps are summed as integer
-    tap counts and rounded once (``TestFilterBank`` holds them to the exact
-    reference at any thread count, slab size and depth); other taps keep
-    the float32 values path."""
+    tap counts and kept as those sums with their scale (``TestFilterBank``
+    holds their values to the exact reference at any thread count, slab
+    size and depth); other taps keep the float32 values path."""
+
+    @given(dims=st.tuples(st.integers(3, 9), st.integers(3, 7), st.integers(5, 24)),
+           seed=st.integers(0, 2**32 - 1), order=st.sampled_from(["xyz", "zxy", "yzx"]),
+           data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_bank_fields_are_sums_in_the_narrowest_dtype(self, tmp_path_factory, dims, seed,
+                                                         order, data):
+        # a u8 file of any order loads as its samples, scale 255; every
+        # field of the bank is the exact sums in int16 where they fit, else
+        # int32, and its values are the exact reference's
+        rng = np.random.default_rng(seed)
+        samples = rng.integers(0, 256, dims, dtype=np.uint8)
+        perm = tuple("xyz".index(ax) for ax in order)
+        raw = tmp_path_factory.mktemp("u8") / "v.raw"
+        np.ascontiguousarray(samples.transpose(perm)).tofile(raw)
+        v = load_volume(raw, VolumeMeta(dims=tuple(dims[p] for p in perm), order=order))
+        assert v.scale == 255 and v.data.tobytes() == samples.tobytes()
+        radius = data.draw(st.integers(0, (min(dims) - 1) // 2), label="radius")
+        half_width = data.draw(st.integers(1, (dims[2] - 1) // 2), label="half_width")
+        lateral = data.draw(st.sampled_from(range(1, min(dims[:2]) + 1, 2)), label="lateral")
+        depth = data.draw(st.integers(1, dims[2]), label="depth")
+        for threads in (1, 2):
+            bank = FilterBank(v, threads)
+            for kernel, field in (
+                (make_derivative_kernel(half_width, lateral),
+                 bank.derivative(half_width, lateral, depth)),
+                (make_smoothing_kernel(radius), bank.smoothing(radius, depth)),
+            ):
+                ref = exact_u8_reference(v, kernel, depth)
+                assert field.data.dtype == stored_dtype(kernel)
+                assert field.values().tobytes() == np.ascontiguousarray(ref).tobytes()
 
     @pytest.mark.parametrize("case", ["smoothing", "two_odd_axes"])
     def test_sums_beyond_int16_are_exact(self, case):
@@ -430,16 +475,19 @@ class TestExactSums:
             kernel, divisor = SeparableKernel(kx=odd, ky=[1.0], kz=odd), 9 * 9 * 255
             x, z = np.meshgrid(np.arange(24), np.arange(24), indexing="ij")
             data = np.repeat(((x < 12) == (z < 12))[:, None, :] * np.uint8(255), 3, axis=1)
-        v = Volume(data, u8=True)
+        v = Volume(data, scale=255)
         ref = exact_u8_reference(v, kernel)
         assert np.abs(ref).max() * divisor > 2**15  # some sums pass int16
         for threads in (1, 2):
-            assert convolve_separable(v, kernel, threads).data.tobytes() == ref.tobytes()
+            out = convolve_separable(v, kernel, threads)
+            assert out.data.dtype == np.int32 and out.values().tobytes() == ref.tobytes()
 
     def test_identity_taps_give_the_values(self):
+        # a copy of the samples, with their scale
         v = random_volume(np.random.default_rng(14), (5, 6, 7), np.uint8)
         out = convolve_separable(v, SeparableKernel([1.0], [1.0], [1.0]))
-        assert out.data.tobytes() == u8_values(v.data).tobytes()
+        assert out.data.dtype == np.uint8 and out.scale == 255
+        assert out.data.tobytes() == v.data.tobytes() and out.data is not v.data
 
     @pytest.mark.parametrize("kernel", [
         SeparableKernel(kx=[0.25, 0.5, 0.25], ky=[1.0], kz=[0.2, 0.2, 0.2, 0.2, 0.2]),
@@ -449,7 +497,7 @@ class TestExactSums:
     def test_other_taps_filter_the_float32_values(self, kernel):
         rng = np.random.default_rng(15)
         v = random_volume(rng, (kernel.kx.size, kernel.ky.size + 2, kernel.kz.size + 3), np.uint8)
-        values = Volume(u8_values(v.data))
+        values = Volume(v.values())
         for threads in (1, 2):
             out = convolve_separable(v, kernel, threads).data
             assert out.tobytes() == convolve_separable(values, kernel, threads).data.tobytes()
@@ -458,6 +506,8 @@ class TestExactSums:
         arr = np.zeros((4, 6), np.uint8)
         with pytest.raises(ValueError, match="box or odd-box"):
             filters._correlate1d(arr, np.array([0.25, 0.5, 0.25]), 1, sums=np.int16)
+        with pytest.raises(ValueError, match="uint8 samples need integer sums"):
+            filters._correlate1d(arr, np.full(3, 1 / 3), 1)
 
 
 @st.composite
@@ -565,21 +615,20 @@ class TestCorrelate1d:
     @settings(max_examples=300, deadline=None)
     def test_output_range_is_the_whole_axis_slice(self, case, block, data):
         # outputs [lo, hi) written into out= are bitwise the whole-axis
-        # call's; u8 samples read as the float32 values they stand for
+        # call's; u8 samples under box or odd-box taps summed exactly
         arr, axis, taps = case
-        if data.draw(st.booleans(), label="u8"):
-            arr = np.mod(np.rint(arr), 256).astype(np.uint8)
-            whole = filters._correlate1d(u8_values(arr), taps, axis)
-        else:
-            whole = filters._correlate1d(arr, taps, axis)
+        sums = None
+        if filters._tap_form(taps) and data.draw(st.booleans(), label="u8"):
+            arr, sums = np.mod(np.rint(arr), 256).astype(np.uint8), np.dtype(np.int32)
+        whole = filters._correlate1d(arr, taps, axis, sums=sums)
         n = arr.shape[axis]
         lo = data.draw(st.integers(0, n - 1), label="lo")
         hi = data.draw(st.integers(lo + 1, n), label="hi")
         want = np.ascontiguousarray(whole[(slice(None),) * axis + (slice(lo, hi),)])
-        out = np.full_like(want, np.nan)
+        out = np.full_like(want, np.nan if sums is None else -1)
         with mock.patch.object(filters, "_BLOCK_SAMPLES", block):
-            assert filters._correlate1d(arr, taps, axis, lo, hi, out=out) is out
-            made = filters._correlate1d(arr, taps, axis, lo, hi)
+            assert filters._correlate1d(arr, taps, axis, lo, hi, out=out, sums=sums) is out
+            made = filters._correlate1d(arr, taps, axis, lo, hi, sums=sums)
         assert out.tobytes() == want.tobytes() and made.tobytes() == want.tobytes()
 
     def test_out_must_fit_the_range(self):

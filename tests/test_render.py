@@ -7,7 +7,7 @@ import pytest
 
 from octseg.render import BOUNDARY_COLORS, draw_bscan, read_ppm, render_bscan, write_ppm
 from octseg.surfaces import Surface
-from octseg.volume import Volume, u8_values
+from octseg.volume import Volume
 
 
 def gradient_volume(nx=16, ny=4, nz=32):
@@ -82,10 +82,11 @@ class TestRender:
         surfaces = {"ilm": z_surface(rng.uniform(0, 15, (16, 4))),
                     "rpe": z_surface(rng.uniform(0, 15, (16, 4)))}
         for y in range(4):
-            img = render_bscan(Volume(samples, u8=True), surfaces, slice_index=y)
-            ref = render_bscan(Volume(u8_values(samples)), surfaces, slice_index=y)
+            img = render_bscan(Volume(samples, scale=255), surfaces, slice_index=y)
+            ref = render_bscan(Volume(samples.astype(np.float32) / np.float32(255)), surfaces,
+                               slice_index=y)
             assert img.tobytes() == ref.tobytes()
-        gray = render_bscan(Volume(samples, u8=True), {}, slice_index=0)[:, :, 0]
+        gray = render_bscan(Volume(samples, scale=255), {}, slice_index=0)[:, :, 0]
         assert np.array_equal(gray, samples[:, 0, :].T)
 
     def test_unknown_surface_name_gets_some_color(self):

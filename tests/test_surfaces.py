@@ -162,16 +162,23 @@ class TestRejectOutliers:
         nx=st.integers(1, 12),
         ny=st.integers(1, 12),
         window=st.sampled_from([3, 5, 7]),
+        holes=st.sampled_from(["random", "none", "interior"]),
         invalid=st.floats(0.0, 1.0),
         integral=st.booleans(),
         block=st.sampled_from([1, 7, 30, surfaces._MEDIAN_BLOCK_CELLS]),
     )
     @settings(max_examples=80, deadline=None)
-    def test_local_median_equals_nanmedian(self, seed, nx, ny, window, invalid, integral, block):
+    def test_local_median_equals_nanmedian(self, seed, nx, ny, window, holes, invalid, integral,
+                                           block):
+        # all-finite grids and a few interior holes leave most tiles all
+        # finite, away from the border
         rng = np.random.default_rng(seed)
         z = rng.integers(0, 40, (nx, ny)).astype(np.float64) if integral \
             else rng.random((nx, ny)) * 300.0
-        z[rng.random((nx, ny)) < invalid] = np.nan
+        if holes == "random":
+            z[rng.random((nx, ny)) < invalid] = np.nan
+        elif holes == "interior" and min(nx, ny) > 2:
+            z[rng.integers(1, nx - 1, 3), rng.integers(1, ny - 1, 3)] = np.nan
         h = window // 2
         padded = np.pad(z, h, mode="constant", constant_values=np.nan)
         tiles = np.lib.stride_tricks.sliding_window_view(padded, (window, window))

@@ -19,7 +19,6 @@ from octseg.volume import (
     load_volume,
     normalize_intensities,
     save_volume,
-    u8_values,
 )
 
 
@@ -78,7 +77,7 @@ class TestLoad:
         p = write_raw(tmp_path / "v.raw", arr)
         meta = VolumeMeta(dims=(1, 2, 2), order="xyz")
         v = load_volume(p, meta)
-        assert v.data.dtype == np.uint8 and v.values().dtype == np.float32
+        assert v.data.dtype == np.uint8 and v.scale == 255 and v.values().dtype == np.float32
         assert v.values()[0, 0, 0] == 0.0
         assert v.values()[0, 0, 1] == 1.0
         assert v.values()[0, 1, 0] == np.float32(128 / 255)
@@ -266,12 +265,12 @@ class TestSave:
 
     def test_u8_volume_saves_its_samples_and_values(self, tmp_path):
         samples = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)
-        v = Volume(samples, spacing=(1.0, 2.0, 3.0), u8=True)
+        v = Volume(samples, spacing=(1.0, 2.0, 3.0), scale=255)
         save_volume(v, tmp_path / "u.raw", dtype="u8")
         assert (tmp_path / "u.raw").read_bytes() == samples.tobytes()
         save_volume(v, tmp_path / "f.raw")
         back = load_volume(tmp_path / "f.raw", VolumeMeta.from_json(tmp_path / "f.raw.json"))
-        assert back.data.tobytes() == u8_values(samples).tobytes()
+        assert back.data.tobytes() == (samples.astype(np.float32) / np.float32(255)).tobytes()
         assert back.spacing == (1.0, 2.0, 3.0)
         # the float route quantizes every u8 value back to itself
         save_volume(back, tmp_path / "q.raw", dtype="u8")
@@ -292,13 +291,21 @@ class TestVolumeType:
         assert v.data.dtype == np.float32
 
     def test_u8_samples_stay_u8_only_when_asked(self):
+        # integer samples with a scale stand for f32(samples) / f32(scale)
         samples = np.arange(8, dtype=np.uint8).reshape(2, 2, 2)
-        v = Volume(samples, u8=True)
+        v = Volume(samples, scale=255)
         assert v.data.dtype == np.uint8 and v.dtype == np.float32
-        assert v.values(np.s_[1]).tobytes() == u8_values(samples[1]).tobytes()
+        assert v.values(np.s_[1]).tobytes() == (samples[1].astype(np.float32)
+                                                / np.float32(255)).tobytes()
+        sums = Volume(samples.astype(np.int16) - 4, scale=255 / 27)
+        assert sums.values().tobytes() == ((samples.astype(np.float32) - 4)
+                                           / np.float32(255 / 27)).tobytes()
         assert Volume(samples).data.dtype == np.float32  # a plain cast, as for any int
-        with pytest.raises(ValueError, match="u8 volume data must be uint8"):
-            Volume(samples.astype(np.int16), u8=True)
+        with pytest.raises(ValueError, match="scaled volume data must be integers"):
+            Volume(samples.astype(np.float32), scale=255)
+        for scale in (0, -255, 1e-40, 1e40, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="scale must be a positive normal float32"):
+                Volume(samples, scale=scale)
 
     def test_keeps_float64(self):
         v = Volume(np.zeros((2, 2, 2), dtype=np.float64))
