@@ -7,7 +7,8 @@ per-stage timing table from the run reports, the
 time to save each surface as CSV and to load it back, the process's peak
 resident set size next to the cascade's own peak allocation (tracemalloc,
 from one more, untimed run), and the cold-start cost that every CLI call
-pays: the wall time of a child process that only imports octseg.cli.
+pays: the wall and CPU time of a child process that only imports
+octseg.cli.
 """
 
 import argparse
@@ -41,14 +42,20 @@ def parse_dims(text):
 
 
 def cli_import_s(runs=5):
-    """Median wall time of a fresh ``python -c "import octseg.cli"``."""
+    """Median wall time and median CPU time (user + sys, from the child's
+    own rusage) of a fresh ``python -c "import octseg.cli"``."""
     env = dict(os.environ, PYTHONPATH=str(Path(octseg.__file__).resolve().parents[1]))
-    walls = []
+    walls, cpus = [], []
     for _ in range(runs):
         t0 = time.perf_counter()
-        subprocess.run([sys.executable, "-c", "import octseg.cli"], env=env, check=True)
+        child = subprocess.Popen([sys.executable, "-c", "import octseg.cli"], env=env)
+        _, status, usage = os.wait4(child.pid, 0)
         walls.append(time.perf_counter() - t0)
-    return statistics.median(walls)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        if child.returncode:
+            raise subprocess.CalledProcessError(child.returncode, child.args)
+        cpus.append(usage.ru_utime + usage.ru_stime)
+    return statistics.median(walls), statistics.median(cpus)
 
 
 def surface_csv_s(surfaces, repeat):
@@ -144,8 +151,9 @@ def main():
     print(f"peak RSS {peak_mib:.1f} MiB (ru_maxrss, phantom generation included); "
           f"cascade peak {traced_peak_volumes(volume, args.threads):.2f} float volumes "
           "above the input (tracemalloc, one untimed run)")
-    print(f"CLI start-up {cli_import_s():.3f}s "
-          "(median of 5 child processes running `import octseg.cli`)")
+    wall_s, cpu_s = cli_import_s()
+    print(f"CLI start-up {wall_s:.3f}s wall, {cpu_s:.3f}s CPU "
+          "(median of 5 child processes running `import octseg.cli`; CPU is user + sys)")
 
     print("\naccuracy vs ground truth (voxels; mean is signed, + deeper than the truth):")
     for key in ("ilm", "isos", "rpe"):

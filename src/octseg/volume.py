@@ -179,8 +179,11 @@ def normalize_intensities(arr: np.ndarray) -> np.ndarray:
     array collapses to zeros (no contrast to preserve).
     """
     arr = np.asarray(arr, dtype=np.float32)
-    lo = float(arr.min())
-    hi = float(arr.max())
+    return _normalize(arr, float(arr.min()), float(arr.max()))
+
+
+def _normalize(arr: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``normalize_intensities`` of a float32 array whose min and max are given."""
     if 0.0 <= lo and hi <= 1.0:
         return arr
     if hi == lo:
@@ -188,12 +191,14 @@ def normalize_intensities(arr: np.ndarray) -> np.ndarray:
     return (arr - lo) / np.float32(hi - lo)
 
 
-def _check_finite(data: np.ndarray, path) -> None:
-    """Reject NaN or infinite samples, naming how many and the first one."""
-    # a float64 sum of finite float32 samples cannot overflow, so it is
-    # finite exactly when every sample is
-    if np.isfinite(data.sum(dtype=np.float64)):
-        return
+def _finite_range(data: np.ndarray, path) -> tuple[float, float]:
+    """The min and max of float samples; NaN or infinite samples raise,
+    naming how many and the first one."""
+    # min and max propagate NaN and reach any infinity, so both are finite
+    # exactly when every sample is
+    lo, hi = float(data.min()), float(data.max())
+    if math.isfinite(lo) and math.isfinite(hi):
+        return lo, hi
     bad = ~np.isfinite(data)
     x, y, z = np.unravel_index(np.flatnonzero(bad)[0], data.shape)
     raise ValueError(
@@ -229,8 +234,7 @@ def load_volume(path, meta: VolumeMeta) -> Volume:
     if meta.dtype == "u8":
         return Volume(raw.transpose(perm), spacing, scale=255)
     data = np.ascontiguousarray(raw.transpose(perm), dtype=np.float32)
-    _check_finite(data, path)
-    return Volume(normalize_intensities(data), spacing)
+    return Volume(_normalize(data, *_finite_range(data, path)), spacing)
 
 
 # load_bscan reads a u8 file about this many bytes at a time

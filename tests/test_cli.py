@@ -465,6 +465,53 @@ def test_cli_import_loads_only_what_segment_runs():
     assert json.loads(p.stdout.strip().splitlines()[-1]) == [[], [], True]
 
 
+class TestBlasPin:
+    """``import octseg`` loads numpy with OpenBLAS pinned to one thread and
+    leaves ``os.environ`` as it found it; each case runs in a fresh child."""
+
+    def run_child(self, code, **env_vars):
+        env = dict(os.environ, PYTHONPATH=str(Path(octseg.__file__).resolve().parents[1]))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        env.update(env_vars)
+        p = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, timeout=120)
+        assert p.returncode == 0, p.stderr
+        return json.loads(p.stdout.strip().splitlines()[-1])
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                        reason="counts the process's threads in /proc/self/task")
+    def test_import_leaves_one_thread_and_no_variable(self):
+        code = (
+            "import json, os\n"
+            "before = dict(os.environ)\n"
+            "import octseg\n"
+            "print(json.dumps([len(os.listdir('/proc/self/task')),\n"
+            "                  'OPENBLAS_NUM_THREADS' in os.environ, dict(os.environ) == before]))\n"
+        )
+        assert self.run_child(code) == [1, False, True]
+
+    def test_user_value_is_kept(self):
+        code = "import json, os\nimport octseg\nprint(json.dumps(os.environ['OPENBLAS_NUM_THREADS']))\n"
+        assert self.run_child(code, OPENBLAS_NUM_THREADS="2") == "2"
+
+    def test_numpy_loaded_first_leaves_environ_alone(self):
+        # os.environ becomes a dict that records writes: octseg must make none
+        code = (
+            "import json, os\n"
+            "import numpy\n"
+            "writes = []\n"
+            "class Watched(dict):\n"
+            "    def __setitem__(self, key, value):\n"
+            "        writes.append(key)\n"
+            "        super().__setitem__(key, value)\n"
+            "before = dict(os.environ)\n"
+            "os.environ = Watched(before)\n"
+            "import octseg\n"
+            "print(json.dumps([writes, dict(os.environ) == before]))\n"
+        )
+        assert self.run_child(code) == [[], True]
+
+
 class TestParser:
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -68,6 +68,13 @@ def test_run_benchmark_prints_every_stage_of_the_reports():
                          r"cascade peak (\d+\.\d{2}) float volumes above the input "
                          r"\(tracemalloc, one untimed run\)", memory_rows[0])
     assert match and float(match.group(1)) > 0
+    # the start-up line gives the import child's CPU time next to its wall time
+    startup_rows = [line for line in lines if line.startswith("CLI start-up ")]
+    assert len(startup_rows) == 1
+    match = re.fullmatch(r"CLI start-up (\d+\.\d{3})s wall, (\d+\.\d{3})s CPU \(median of 5 "
+                         r"child processes running `import octseg\.cli`; CPU is user \+ sys\)",
+                         startup_rows[0])
+    assert match and float(match.group(1)) > 0 and float(match.group(2)) > 0
     # each boundary's accuracy carries its signed bias next to the RMS
     accuracy = [line.split() for line in lines if re.match(r"  (ilm|isos|rpe) ", line)]
     assert [row[0] for row in accuracy] == ["ilm", "isos", "rpe"]
