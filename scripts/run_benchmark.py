@@ -42,19 +42,20 @@ def parse_dims(text):
 
 
 def cli_import_s(runs=5):
-    """Median wall time and median CPU time (user + sys, from the child's
-    own rusage) of a fresh ``python -c "import octseg.cli"``."""
+    """Median wall time and median CPU time (user + sys, the change in the
+    rusage of waited-for children) of a fresh ``python -c "import octseg.cli"``."""
     env = dict(os.environ, PYTHONPATH=str(Path(octseg.__file__).resolve().parents[1]))
+
+    def children_cpu_s():
+        usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+        return usage.ru_utime + usage.ru_stime
+
     walls, cpus = [], []
     for _ in range(runs):
-        t0 = time.perf_counter()
-        child = subprocess.Popen([sys.executable, "-c", "import octseg.cli"], env=env)
-        _, status, usage = os.wait4(child.pid, 0)
+        c0, t0 = children_cpu_s(), time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import octseg.cli"], env=env, check=True)
         walls.append(time.perf_counter() - t0)
-        child.returncode = os.waitstatus_to_exitcode(status)
-        if child.returncode:
-            raise subprocess.CalledProcessError(child.returncode, child.args)
-        cpus.append(usage.ru_utime + usage.ru_stime)
+        cpus.append(children_cpu_s() - c0)
     return statistics.median(walls), statistics.median(cpus)
 
 

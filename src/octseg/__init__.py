@@ -8,8 +8,12 @@ module is first loaded, so the enhance names are bound here up front.
 
 octseg calls no BLAS routine (``--threads`` runs its own pool), so the
 package loads numpy with its OpenBLAS pool pinned to one thread: the
-process runs only its own threads.  A user's ``OPENBLAS_NUM_THREADS``, or
-a numpy loaded before octseg, is left as it is.
+process runs only its own threads.  A thread count set in
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``, or
+a numpy loaded before octseg, is left as it is.  A program that imports
+octseg before numpy and sets none of them runs its own BLAS calls
+(``np.dot``, ``np.linalg``) on one thread too; importing numpy first keeps
+OpenBLAS's default pool.
 """
 
 import importlib
@@ -21,7 +25,10 @@ import sys
 # the one worker burned 0.12 s of CPU in `import numpy` alone.  OpenBLAS
 # reads the variable once, at load, so it is set only around the import
 # that loads numpy; os.environ, and every subprocess, keep what they had.
-if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+# OpenBLAS takes its count from the first of these that is set, so any of
+# them set by the user wins.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         importlib.import_module("numpy")

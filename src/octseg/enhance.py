@@ -47,34 +47,26 @@ def _window_planes(k_lo: np.ndarray, k_hi: np.ndarray):
     searched columns as an index (``...`` when every column is, so that
     indexing with it is a view), the span [g0, g1) of their windows, the
     core [c0, c1) that every searched window holds (empty when c0 >= c1),
-    and the ragged planes: each range [a, b) of the span outside the core.
+    and the ragged planes: each range [a, b) of the span outside the core,
+    with a map of the samples there outside a column's window.
     """
     searched = k_lo < k_hi
-    if searched.all():
-        index, lows, highs = ..., k_lo, k_hi
-    elif searched.any():
-        index, lows, highs = searched, k_lo[searched], k_hi[searched]
-    else:
+    if not searched.any():
         return None
-    g0, g1 = int(lows.min()), int(highs.max())
-    c0, c1 = int(lows.max()), int(highs.min())
+    g0, g1 = int(k_lo[searched].min()), int(k_hi[searched].max())
+    c0, c1 = int(k_lo[searched].max()), int(k_hi[searched].min())
     spans = [(g0, c0), (c1, g1)] if c0 < c1 else [(g0, g1)]
-    return index, (g0, g1), (c0, c1), [(a, b) for a, b in spans if a < b]
+    ragged = []
+    for a, b in spans:
+        if a < b:
+            k = np.arange(a, b, dtype=k_lo.dtype)
+            ragged.append((a, b, (k < k_lo[..., None]) | (k >= k_hi[..., None])))
+    return ... if searched.all() else searched, (g0, g1), (c0, c1), ragged
 
 
-def _outside(k_lo: np.ndarray, k_hi: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Map of the samples of planes [a, b) outside each column's window.
-
-    The maps are built where they are used, not kept with the split: held
-    for every slab at once they would outweigh a slab's scratch.
-    """
-    k = np.arange(a, b, dtype=k_lo.dtype)
-    return (k < k_lo[..., None]) | (k >= k_hi[..., None])
-
-
-def _extrema(values: np.ndarray, split, k_lo: np.ndarray, k_hi: np.ndarray) -> tuple | None:
-    """(min, max) of a read-only block of columns over their windows
-    [k_lo, k_hi), split by ``_window_planes``, or None when it has no window.
+def _extrema(values: np.ndarray, split) -> tuple | None:
+    """(min, max) of a read-only block of columns over the windows that
+    ``_window_planes`` split, or None when it has no window.
 
     The core planes are reduced as they are; only a copy of the ragged
     planes is masked, with a sentinel that no reduction picks.
@@ -87,8 +79,8 @@ def _extrema(values: np.ndarray, split, k_lo: np.ndarray, k_hi: np.ndarray) -> t
         core = values[..., c0:c1][searched]
         lows.append(core.min())
         highs.append(core.max())
-    for a, b in ragged:
-        outside, planes = _outside(k_lo, k_hi, a, b), values[..., a:b]
+    for a, b, outside in ragged:
+        planes = values[..., a:b]
         lows.append(np.where(outside, np.inf, planes).min())
         highs.append(np.where(outside, -np.inf, planes).max())
     return min(lows), max(highs)
@@ -110,13 +102,11 @@ def _value_range(field: Volume, parts) -> np.ndarray:
 def _rescale(values: np.ndarray, lo, hi, out: np.ndarray) -> None:
     """Min-max rescale into ``out`` with extrema taken elsewhere; a flat
     range zeroes."""
-    if not hi > lo:
-        out.fill(0)
-    elif lo == 0:  # x - 0 is x, up to the sign of a zero that no comparison sees
-        np.divide(values, hi, out=out)
-    else:
+    if hi > lo:
         np.subtract(values, lo, out=out)
         out /= hi - lo
+    else:
+        out.fill(0)
 
 
 def enhance(
@@ -176,23 +166,20 @@ def enhance(
     slabs = _slab_bounds((nx, ny, band.nz), threads)
 
     def input_extrema(lo, hi):
-        k_lo, k_hi = band.k_lo[lo:hi], band.k_hi[lo:hi]
-        split = _window_planes(k_lo, k_hi)
-        fields = (f.data[lo:hi, :, z0:z1] for f in (diff, smooth))
-        return split, *(_extrema(values, split, k_lo, k_hi) for values in fields)
+        split = _window_planes(band.k_lo[lo:hi], band.k_hi[lo:hi])
+        return tuple(_extrema(f.data[lo:hi, :, z0:z1], split) for f in (diff, smooth))
 
     found = _map_slabs(input_extrema, slabs, threads)
-    split_of = {span: split for span, (split, _, _) in zip(slabs, found)}
     # sign and clamp are monotone maps, so they carry the derivative's
     # extrema over exactly (a negative sign swaps which one is the min)
-    d_range = _value_range(diff, (d for _, d, _ in found)) * sign
+    d_range = _value_range(diff, (d for d, _ in found)) * sign
     if profile.clamp_negative:
         np.maximum(d_range, 0, out=d_range)
     d_lo, d_hi = d_range.min(), d_range.max()
-    s_lo, s_hi = _value_range(smooth, (s for _, _, s in found))
+    s_lo, s_hi = _value_range(smooth, (s for _, s in found))
 
     def score_and_pick(lo, hi):
-        split = split_of[lo, hi]
+        split = _window_planes(band.k_lo[lo:hi], band.k_hi[lo:hi])
         if split is None:
             return None, np.full((hi - lo, ny), np.nan)
         searched, (g0, g1), _, ragged = split
@@ -202,14 +189,12 @@ def enhance(
         # for a negative sign: IEEE division is sign-symmetric, so one pass
         # gives the bits of a divide and a negation
         score = np.empty((hi - lo, ny, g1 - g0), dtype=diff.dtype)
-        if diff.scale is not None and sign == -1:
+        if sign == -1:
             values = np.divide(
-                diff.data[planes], -np.float32(diff.scale), out=score, dtype=np.float32
+                diff.data[planes], -np.float32(diff.scale or 1), out=score, dtype=score.dtype
             )
         else:
             values = diff.values(planes, out=score)
-            if sign == -1:
-                values = np.multiply(values, sign, out=score)
         if profile.clamp_negative:
             values = np.maximum(values, 0, out=score)
         _rescale(values, d_lo, d_hi, out=score)
@@ -219,11 +204,9 @@ def enhance(
         del smoothed
         score *= w[g0:g1]
 
-        outside = [(a, b, _outside(band.k_lo[lo:hi], band.k_hi[lo:hi], a, b)) for a, b in ragged]
-
         def outside_windows(sentinel):  # the core planes need none
-            for a, b, where in outside:
-                np.copyto(score[:, :, a - g0 : b - g0], sentinel, where=where)
+            for a, b, outside in ragged:
+                np.copyto(score[:, :, a - g0 : b - g0], sentinel, where=outside)
 
         # +inf outside the windows for the min, then -inf for the pick,
         # whose values give the max

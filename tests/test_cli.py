@@ -469,9 +469,21 @@ class TestBlasPin:
     """``import octseg`` loads numpy with OpenBLAS pinned to one thread and
     leaves ``os.environ`` as it found it; each case runs in a fresh child."""
 
+    # os.environ becomes a dict that records writes: octseg must make none
+    WATCH = (
+        "writes = []\n"
+        "class Watched(dict):\n"
+        "    def __setitem__(self, key, value):\n"
+        "        writes.append(key)\n"
+        "        super().__setitem__(key, value)\n"
+        "before = dict(os.environ)\n"
+        "os.environ = Watched(before)\n"
+    )
+
     def run_child(self, code, **env_vars):
         env = dict(os.environ, PYTHONPATH=str(Path(octseg.__file__).resolve().parents[1]))
-        env.pop("OPENBLAS_NUM_THREADS", None)
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            env.pop(name, None)
         env.update(env_vars)
         p = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                            text=True, timeout=120)
@@ -490,23 +502,19 @@ class TestBlasPin:
         )
         assert self.run_child(code) == [1, False, True]
 
-    def test_user_value_is_kept(self):
-        code = "import json, os\nimport octseg\nprint(json.dumps(os.environ['OPENBLAS_NUM_THREADS']))\n"
-        assert self.run_child(code, OPENBLAS_NUM_THREADS="2") == "2"
+    @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_user_thread_count_is_kept(self, name):
+        # OpenBLAS reads any of the three, so a count set in one of them
+        # is the user's and the pin stays off
+        code = (
+            "import json, os\n" + self.WATCH + "import octseg\n"
+            f"print(json.dumps([writes, os.environ[{name!r}]]))\n"
+        )
+        assert self.run_child(code, **{name: "2"}) == [[], "2"]
 
     def test_numpy_loaded_first_leaves_environ_alone(self):
-        # os.environ becomes a dict that records writes: octseg must make none
         code = (
-            "import json, os\n"
-            "import numpy\n"
-            "writes = []\n"
-            "class Watched(dict):\n"
-            "    def __setitem__(self, key, value):\n"
-            "        writes.append(key)\n"
-            "        super().__setitem__(key, value)\n"
-            "before = dict(os.environ)\n"
-            "os.environ = Watched(before)\n"
-            "import octseg\n"
+            "import json, os\nimport numpy\n" + self.WATCH + "import octseg\n"
             "print(json.dumps([writes, dict(os.environ) == before]))\n"
         )
         assert self.run_child(code) == [[], True]
