@@ -6,9 +6,10 @@ macular workload segment such a file), runs the cascade, and prints a
 per-stage timing table from the run reports, the
 time to save each surface as CSV and to load it back, the process's peak
 resident set size next to the cascade's own peak allocation (tracemalloc,
-from one more, untimed run), and the cold-start cost that every CLI call
-pays: the wall and CPU time of a child process that only imports
-octseg.cli.
+from one more, untimed run), the peak resident set size of one
+``octseg segment`` child run on those samples written as a u8 raw file,
+and the cold-start cost that every CLI call pays: the wall and CPU time
+of a child process that only imports octseg.cli.
 """
 
 import argparse
@@ -28,7 +29,7 @@ import octseg
 from octseg.phantom import PhantomSpec, generate_phantom, surface_error
 from octseg.pipeline import segment_retina
 from octseg.surfaces import load_surface, save_surface
-from octseg.volume import Volume
+from octseg.volume import Volume, save_volume
 
 # one row per key of a boundary report's stage_s ("enhance" scores and picks)
 STAGES = ("derivative", "smoothing", "enhance", "outlier_reject", "regularize")
@@ -57,6 +58,36 @@ def cli_import_s(runs=5):
         walls.append(time.perf_counter() - t0)
         cpus.append(children_cpu_s() - c0)
     return statistics.median(walls), statistics.median(cpus)
+
+
+# Runs the command in its argv and prints its exit code and ru_maxrss (KiB):
+# Linux folds into a child's rusage the peak of the address space that it
+# leaves at exec, for a vfork'd child its parent's, so the command is spawned
+# from this small process and not from the script, which holds the phantom
+_RUN_AND_WAIT = (
+    "import os, subprocess, sys\n"
+    "pid = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL).pid\n"
+    "_, status, usage = os.wait4(pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+def cli_segment_peak_mib(volume, threads):
+    """Peak RSS in MiB of one ``python -m octseg segment`` child on the
+    samples of ``volume`` written as a u8 raw file."""
+    env = dict(os.environ, PYTHONPATH=str(Path(octseg.__file__).resolve().parents[1]))
+    with tempfile.TemporaryDirectory() as tmp:
+        raw = Path(tmp) / "volume.raw"
+        save_volume(volume, raw, dtype="u8")
+        argv = [sys.executable, "-m", "octseg", "segment", "--in", str(raw),
+                "--meta", f"{raw}.json", "--out-dir", str(Path(tmp) / "seg"),
+                "--threads", str(threads)]
+        p = subprocess.run([sys.executable, "-c", _RUN_AND_WAIT, *argv], env=env,
+                           capture_output=True, text=True, check=True)
+    code, maxrss_kib = (int(v) for v in p.stdout.split())
+    if code != 0:
+        raise RuntimeError(f"octseg segment exited with {code}: {p.stderr.strip()}")
+    return maxrss_kib / 1024
 
 
 def surface_csv_s(surfaces, repeat):
@@ -152,6 +183,8 @@ def main():
     print(f"peak RSS {peak_mib:.1f} MiB (ru_maxrss, phantom generation included); "
           f"cascade peak {traced_peak_volumes(volume, args.threads):.2f} float volumes "
           "above the input (tracemalloc, one untimed run)")
+    print(f"CLI segment peak RSS {cli_segment_peak_mib(volume, args.threads):.1f} MiB "
+          "(ru_maxrss of one `octseg segment` child on the phantom's u8 file)")
     wall_s, cpu_s = cli_import_s()
     print(f"CLI start-up {wall_s:.3f}s wall, {cpu_s:.3f}s CPU "
           "(median of 5 child processes running `import octseg.cli`; CPU is user + sys)")

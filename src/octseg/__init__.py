@@ -82,11 +82,13 @@ _EXPORTS = {
         "truncate_above_surface",
     ),
     "volume": (
+        "RawVolume",
         "SizeMismatchError",
         "Volume",
         "VolumeMeta",
         "load_volume",
         "normalize_intensities",
+        "open_volume",
         "save_volume",
     ),
 }

@@ -6,15 +6,20 @@ report), ``phantom`` (spec JSON -> synthetic volume with ground truth),
 (volume + surfaces -> annotated B-scan PPM).
 
 Exit codes: 0 success, 1 pipeline failure (including degenerate
-enhancement), 2 usage or input errors.  The OCTSEG_THREADS environment
-variable supplies the default worker count when --threads is omitted.
-The phantom, analysis and render modules are imported by the commands
-that use them, so a call that does not run them does not compile them.
+enhancement), 2 usage or input errors, among them an input file that
+cannot be read in full.  The OCTSEG_THREADS environment variable
+supplies the default worker count when --threads is omitted.  ``segment``
+opens its input and the filter passes read it an x-slab at a time, so the
+whole input is never in memory.  The phantom, analysis and render modules
+are imported by the commands that use them, so a call that does not run
+them does not compile them.  ``run`` is ``main`` as the ``octseg``
+program and ``python -m octseg`` call it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -22,7 +27,7 @@ from pathlib import Path
 
 from .pipeline import PipelineConfig, PipelineError, segment_retina
 from .surfaces import load_surface, save_surface
-from .volume import VolumeMeta, load_bscan, load_volume, save_volume
+from .volume import VolumeMeta, load_bscan, open_volume, save_volume
 
 EXIT_OK = 0
 EXIT_PIPELINE = 1
@@ -46,16 +51,16 @@ def _resolve_threads(cli_value: int | None) -> int:
 
 def cmd_segment(args) -> int:
     meta = VolumeMeta.from_json(args.meta)
-    volume = load_volume(args.input, meta)
-    if args.config:
-        config = PipelineConfig.from_json(args.config)
-    else:
-        config = PipelineConfig.default()
-    threads = _resolve_threads(args.threads)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with open_volume(args.input, meta) as volume:
+        if args.config:
+            config = PipelineConfig.from_json(args.config)
+        else:
+            config = PipelineConfig.default()
+        threads = _resolve_threads(args.threads)
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
 
-    result = segment_retina(volume, config, threads=threads)
+        result = segment_retina(volume, config, threads=threads)
 
     ext = args.format
     files = {}
@@ -184,5 +189,14 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def run(argv=None) -> int:
+    """``main`` as the ``octseg`` program runs it, which exits next: the
+    objects left are frozen, so the interpreter's exit-time collection
+    skips them."""
+    code = main(argv)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

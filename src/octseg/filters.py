@@ -5,9 +5,13 @@ edge samples at the borders, so a flat region produces no spurious response
 near the volume faces.  ``convolve_separable`` is the fast path: one pass
 over x-slabs that runs a slab's z, x and y correlations back to back and
 writes it into the output, so no volume-sized intermediate exists, and
-that can stop at a given depth.  Each pass computes only the samples that
+that can stop at a given depth.  It reads its input only as x-slabs,
+``volume.data[x0:x1, :, :d]``, so a ``RawVolume``, a raw file opened by
+``open_volume``, serves as well as a ``Volume`` in memory: the input is
+then never held whole.  Each pass computes only the samples that
 are kept and writes them where the next pass reads them: the z pass reads
-the samples straight into its padded scratch and writes the planes above
+the samples straight into its padded scratch, permuting the axes of a
+slab read in another file order as it copies, and writes the planes above
 the depth into the x halo buffer, the x pass reads the halo but computes
 only the slab's own planes, and the y pass writes into the output.  Its
 one-axis correlation sums float values in their dtype, box taps with a
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import Volume
+from .volume import RawVolume, Volume
 
 
 def _check_taps(taps: np.ndarray, label: str) -> np.ndarray:
@@ -278,7 +282,9 @@ def _correlate1d(
     return out
 
 
-def _exact_passes(volume: Volume, taps: list) -> tuple[list[np.dtype], float] | None:
+def _exact_passes(
+    volume: Volume | RawVolume, taps: list
+) -> tuple[list[np.dtype], float] | None:
     """How a volume of scaled integer samples is filtered in exact integer
     sums: for the z, x and y taps (None where they are identity), the dtype
     each pass sums and writes in, and the scale of the last pass's sums.
@@ -328,7 +334,10 @@ _FILTER_SLAB_VOXELS = 1 << 19
 
 
 def convolve_separable(
-    volume: Volume, kernel: SeparableKernel, threads: int = 1, depth: int | None = None
+    volume: Volume | RawVolume,
+    kernel: SeparableKernel,
+    threads: int = 1,
+    depth: int | None = None,
 ) -> Volume:
     """Filter a volume with an outer-product kernel in one pass over x-slabs.
 
@@ -341,7 +350,10 @@ def convolve_separable(
     arithmetic as whole-axis passes, so results are bitwise equal to them
     at any thread count.  With ``depth``, only the planes z < depth are
     computed, reading the input at most ``kz.size // 2`` planes below
-    them.  Scaled integer samples are summed exactly as integers when
+    them.  The input is read one x-slab at a time, as ``volume.data[x0:x1,
+    :, :d]``, from a ``Volume`` or a ``RawVolume`` alike, and each slab is
+    used up before the thread reads the next.  Scaled integer samples are
+    summed exactly as integers when
     ``_exact_passes`` allows it, and the field is the last pass's sums
     with their scale; else they are converted to their float32 values as
     the z pass reads them.  Float values give a field of their dtype.  A
@@ -364,6 +376,8 @@ def convolve_separable(
     held_dtype, x_dtype, out_dtype = dtypes
     zsums, xsums, ysums = [None] * 3 if exact is None else dtypes
     hx = 0 if kx is None else kx.size // 2
+    # the z pass reads no plane at or below depth + hz
+    read_depth = min(nz, depth + (0 if kz is None else kz.size // 2))
     out = np.empty((nx, ny, depth), dtype=out_dtype)
     width = max(1, _FILTER_SLAB_VOXELS // (ny * depth))
 
@@ -379,10 +393,11 @@ def convolve_separable(
             fresh = max(b, na)
             if nb > fresh:
                 into = held[fresh - na : nb - na]
+                samples = read(np.s_[fresh:nb, :, :read_depth])
                 if kz is not None:
-                    _correlate1d(read(np.s_[fresh:nb]), kz, 2, 0, depth, out=into, sums=zsums)
+                    _correlate1d(samples, kz, 2, 0, depth, out=into, sums=zsums)
                 else:
-                    into[...] = read(np.s_[fresh:nb, :, :depth])
+                    into[...] = samples
             a, b = na, nb
             # the x pass reads the halo and writes only the slab's planes,
             # into scratch that dies with the slab when the y pass follows
@@ -443,7 +458,10 @@ class FilterBank:
     """
 
     def __init__(
-        self, volume: Volume, threads: int = 1, plan: Iterable[tuple[int, int, int]] = ()
+        self,
+        volume: Volume | RawVolume,
+        threads: int = 1,
+        plan: Iterable[tuple[int, int, int]] = (),
     ):
         self.volume = volume
         self.threads = threads

@@ -19,8 +19,12 @@ on the whole volume, then removes the RPE and everything below it from the
 search window (with a safety margin) before finding IS/OS, and repeats
 that truncation above IS/OS before finding ILM.  A final projection step
 restores the anatomical depth ordering in any column where the three
-estimates disagree.  ``BoundaryProfile`` and ``PipelineConfig`` are
-checked ``records.Record``s.
+estimates disagree.  The input is a ``Volume`` in memory or a
+``RawVolume``, a raw file opened by ``open_volume``: the filter passes
+are all that read it, an x-slab at a time, so an opened file is never
+held whole, and a read that fails raises its OSError unchanged.
+``BoundaryProfile`` and ``PipelineConfig`` are checked
+``records.Record``s.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .surfaces import (
     reject_outliers,
     truncate_above_surface,
 )
-from .volume import Volume
+from .volume import RawVolume, Volume
 
 
 class PipelineError(RuntimeError):
@@ -163,8 +167,8 @@ def _stage(report: BoundaryReport, name: str):
     t = time.perf_counter()
     try:
         yield
-    except PipelineError:
-        raise
+    except (PipelineError, OSError):
+        raise  # an input file that cannot be read is the caller's error
     except Exception as e:
         raise PipelineError(f"{report.name}: stage {name!r}: {e}") from e
     report.stage_s[name] = time.perf_counter() - t
@@ -204,7 +208,7 @@ class SegmentationResult:
 
 
 def segment_boundary(
-    volume: Volume,
+    volume: Volume | RawVolume,
     profile: BoundaryProfile,
     mask: SearchMask | None = None,
     threads: int = 1,
@@ -286,7 +290,7 @@ def enforce_ordering(
 
 
 def segment_retina(
-    volume: Volume, config: PipelineConfig | None = None, threads: int = 1
+    volume: Volume | RawVolume, config: PipelineConfig | None = None, threads: int = 1
 ) -> SegmentationResult:
     """Run the full cascade: RPE, then IS/OS above it, then ILM above that.
 

@@ -6,28 +6,33 @@ A volume is a dense 3D scalar field with fixed axis semantics: axis 0 is x
 keeps depth innermost, so ``data[x, y, :]`` is one contiguous A-scan.
 
 Raw files on disk may store the axes in any order; a JSON sidecar declares
-the file's dims, element type, endianness, and axis order, and the loader
-permutes into the canonical layout.  ``VolumeMeta``, the sidecar, is a
-checked ``records.Record``.
+the file's dims, element type, endianness, and axis order.  ``VolumeMeta``,
+the sidecar, is a checked ``records.Record``.  One reader serves every
+use: ``open_volume`` holds the file open and reads it a box at a time,
+each box into a buffer that the reading thread reuses, returned as the
+canonical-axis view of the file's order, so the reader of a box does the
+permutation as it copies.  ``load_volume`` reads every x-slab of it into
+one array, and ``load_bscan`` reads one B-scan.
 
 A volume holds its samples as stored, under one rule: float data are the
 values, while integer data with a ``scale`` stand for
-``f32(data) / f32(scale)``.  A u8 file loads as its uint8 samples with
+``f32(data) / f32(scale)``.  A u8 file reads as its uint8 samples with
 scale 255, a quarter of the float size.  Readers convert only the part
-they read, through ``Volume.values``, so no float copy of the whole input
-is made on the way to the filters.  The filters sum such samples as
-integers where their taps allow and return the exact sums with the scale
-that makes them the field's values, so a field stays integer too.
+they read, through ``values``, so no float copy of the whole input is
+made on the way to the filters.  The filters sum such samples as integers
+where their taps allow and return the exact sums with the scale that makes
+them the field's values, so a field stays integer too.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .records import Record
 
@@ -99,8 +104,47 @@ class VolumeMeta(Record):
         return {k: v for k, v in super().to_dict().items() if v is not None}
 
 
+class _Samples:
+    """What a volume in memory and an opened raw file share: ``data`` is
+    indexed as (nx, ny, nz), and ``scale`` says what its samples stand for."""
+
+    @property
+    def nx(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def ny(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def nz(self) -> int:
+        return self.data.shape[2]
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return self.data.shape
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of the values: float32 for scaled samples."""
+        return self.data.dtype if self.scale is None else np.dtype(np.float32)
+
+    def values(self, index=..., out: np.ndarray | None = None) -> np.ndarray:
+        """The values of the samples ``data[index]``: the float samples as
+        read; for scaled samples their float32 values, written into ``out``
+        when given (float data leave ``out`` alone)."""
+        return self.values_of(self.data[index], out)
+
+    def values_of(self, samples, out: np.ndarray | None = None) -> np.ndarray:
+        """The values that samples of this volume's data stand for, by the
+        rule of ``values``."""
+        if self.scale is None:
+            return samples
+        return np.divide(samples, np.float32(self.scale), out=out, dtype=np.float32)
+
+
 @dataclass(frozen=True, eq=False)
-class Volume:
+class Volume(_Samples):
     """In-memory volume: samples shaped (nx, ny, nz), depth contiguous.
 
     ``data`` holds float values, or integer samples ``s`` that with a
@@ -135,40 +179,6 @@ class Volume:
                 self, "spacing", tuple(float(s) for s in self.spacing)
             )
 
-    @property
-    def nx(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def ny(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def nz(self) -> int:
-        return self.data.shape[2]
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape
-
-    @property
-    def dtype(self) -> np.dtype:
-        """The dtype of the values: float32 for scaled samples."""
-        return self.data.dtype if self.scale is None else np.dtype(np.float32)
-
-    def values(self, index=..., out: np.ndarray | None = None) -> np.ndarray:
-        """The values of the samples ``data[index]``: a view of float data;
-        for scaled samples their float32 values, written into ``out`` when
-        given (float data leave ``out`` alone)."""
-        return self.values_of(self.data[index], out)
-
-    def values_of(self, samples, out: np.ndarray | None = None) -> np.ndarray:
-        """The values that samples of this volume's data stand for, by the
-        rule of ``values``."""
-        if self.scale is None:
-            return samples
-        return np.divide(samples, np.float32(self.scale), out=out, dtype=np.float32)
-
 
 def normalize_intensities(arr: np.ndarray) -> np.ndarray:
     """Map a float array into [0, 1].
@@ -182,102 +192,273 @@ def normalize_intensities(arr: np.ndarray) -> np.ndarray:
     return _normalize(arr, float(arr.min()), float(arr.max()))
 
 
-def _normalize(arr: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """``normalize_intensities`` of a float32 array whose min and max are given."""
+def _normalize(arr: np.ndarray, lo: float, hi: float, out: np.ndarray | None = None):
+    """``normalize_intensities`` of a float32 array whose min and max are
+    given, written into ``out`` when it is rescaled and ``out`` is given."""
     if 0.0 <= lo and hi <= 1.0:
         return arr
     if hi == lo:
-        return np.zeros_like(arr)
-    return (arr - lo) / np.float32(hi - lo)
+        if out is None:
+            return np.zeros_like(arr)
+        out.fill(0)
+        return out
+    return np.divide(np.subtract(arr, lo, out=out), np.float32(hi - lo), out=out)
 
 
-def _finite_range(data: np.ndarray, path) -> tuple[float, float]:
-    """The min and max of float samples; NaN or infinite samples raise,
-    naming how many and the first one."""
-    # min and max propagate NaN and reach any infinity, so both are finite
-    # exactly when every sample is
-    lo, hi = float(data.min()), float(data.max())
-    if math.isfinite(lo) and math.isfinite(hi):
+# a read takes as many runs of the file as start within this many bytes,
+# with the gaps between them, or one run where they lie farther apart
+_READ_BYTES = 1 << 16
+# the range pass over a float file reads this many bytes at a time
+_RANGE_BYTES = 1 << 18
+
+
+class RawSlabs:
+    """The samples of a raw volume file, read one box at a time.
+
+    Indexed like the (nx, ny, nz) array that ``load_volume`` returns, with
+    unit-step slices: ``data[x0:x1]`` is an x-slab, ``data[x0:x1, :, :d]``
+    its planes z < d.  A read fills a buffer that the calling thread
+    reuses with the box as the file stores it, one read per file run (or
+    per ``_READ_BYTES`` of short runs), and returns the canonical-axis view
+    of that buffer, which holds until the same thread reads again.  u8
+    samples are returned as stored; f32 ones as native float32, normalized
+    into [0, 1] by the range that the opening pass found.  ``shape``,
+    ``dtype``, ``size`` and ``nbytes`` describe the whole volume so read.
+    A short read, or a file whose size is no longer the one declared,
+    raises OSError naming the file.
+    """
+
+    def __init__(self, path: Path, meta: VolumeMeta):
+        self.path = path
+        self._file_dtype = _NUMPY_DTYPES[(meta.dtype, meta.endian)]
+        self._file_dims = meta.dims
+        self._file_bytes = meta.nbytes
+        # canonical axis i is file axis perm[i]
+        self.perm = tuple(meta.order.index(ax) for ax in _AXES)
+        self.shape = tuple(meta.dims[p] for p in self.perm)
+        self.dtype = np.dtype(np.uint8 if meta.dtype == "u8" else np.float32)
+        self.size = math.prod(self.shape)
+        self.nbytes = self.size * self.dtype.itemsize
+        self._local = threading.local()
+        self._file = open(path, "rb", buffering=0)
+        try:
+            actual = self._size()
+            if actual != meta.nbytes:
+                raise SizeMismatchError(path, meta.nbytes, actual)
+            self._range = None if meta.dtype == "u8" else self._finite_range()
+        except BaseException:
+            self._file.close()
+            raise
+
+    def close(self) -> None:
+        self._file.close()
+
+    def _size(self) -> int:
+        return os.fstat(self._file.fileno()).st_size
+
+    def _changed(self, detail: str) -> OSError:
+        return OSError(f"{self.path}: the file changed after it was opened: {detail}")
+
+    def _check_unchanged(self) -> None:
+        actual = self._size()
+        if actual != self._file_bytes:
+            raise self._changed(f"its size is now {actual} bytes")
+
+    def _buffer(self, nbytes: int) -> np.ndarray:
+        """``nbytes`` of the calling thread's read buffer, grown as needed."""
+        buf = getattr(self._local, "buf", None)
+        if buf is None or buf.size < nbytes:
+            buf = self._local.buf = np.empty(nbytes, dtype=np.uint8)
+        return buf[:nbytes]
+
+    def _pread(self, into: np.ndarray, offset: int) -> None:
+        try:
+            got = os.preadv(self._file.fileno(), [into], offset)
+        except OSError as e:
+            raise OSError(e.errno, e.strerror, str(self.path)) from None
+        if got != into.nbytes:
+            raise self._changed(f"read {got} of {into.nbytes} bytes at offset {offset}")
+
+    def _finite_range(self) -> tuple[float, float]:
+        """The min and max of the float samples, read once in file order;
+        NaN or infinite samples raise, naming how many and the first one
+        in (x, y, z) order."""
+        lo, hi, bad, first = math.inf, -math.inf, 0, self.size
+        isz = self._file_dtype.itemsize
+        step = min(self.size, max(1, _RANGE_BYTES // isz))
+        buf = np.empty(step * isz, dtype=np.uint8)
+        for s0 in range(0, self.size, step):
+            n = min(step, self.size - s0)
+            self._pread(buf[: n * isz], s0 * isz)
+            chunk = buf[: n * isz].view(self._file_dtype)
+            # min and max propagate NaN and reach any infinity, so both are
+            # finite exactly when every sample is
+            c_lo, c_hi = float(chunk.min()), float(chunk.max())
+            if math.isfinite(c_lo) and math.isfinite(c_hi):
+                lo, hi = min(lo, c_lo), max(hi, c_hi)
+                continue
+            where = s0 + np.flatnonzero(~np.isfinite(chunk))
+            bad += where.size
+            at = np.unravel_index(where, self._file_dims)
+            canonical = np.ravel_multi_index([at[p] for p in self.perm], self.shape)
+            first = min(first, int(canonical.min()))
+        self._check_unchanged()
+        if bad:
+            x, y, z = np.unravel_index(first, self.shape)
+            raise ValueError(
+                f"{self.path}: {bad} non-finite voxel(s), "
+                f"first at (x, y, z) = ({x}, {y}, {z})"
+            )
         return lo, hi
-    bad = ~np.isfinite(data)
-    x, y, z = np.unravel_index(np.flatnonzero(bad)[0], data.shape)
-    raise ValueError(
-        f"{path}: {np.count_nonzero(bad)} non-finite voxel(s), "
-        f"first at (x, y, z) = ({x}, {y}, {z})"
-    )
+
+    def __getitem__(self, index) -> np.ndarray:
+        box = self._box(index)
+        ranges = [None] * 3
+        for axis, f in enumerate(self.perm):
+            ranges[f] = box[axis]
+        shape = [b - a for a, b in ranges]
+        buf = self._buffer(math.prod(shape) * self._file_dtype.itemsize)
+        self._read_box(ranges, buf)
+        samples = buf.view(self._file_dtype).reshape(shape)
+        if self._range is not None:
+            if not self._file_dtype.isnative:
+                samples = samples.byteswap(inplace=True).view(self.dtype)
+            samples = _normalize(samples, *self._range, out=samples)
+        return samples.transpose(self.perm)
+
+    def _box(self, index) -> list[tuple[int, int]]:
+        """The canonical (start, stop) of each axis that ``index`` reads."""
+        index = () if index is Ellipsis else index if isinstance(index, tuple) else (index,)
+        box = []
+        if len(index) <= 3 and all(isinstance(s, slice) for s in index):
+            index += (slice(None),) * (3 - len(index))
+            for s, n in zip(index, self.shape):
+                a, b, step = s.indices(n)
+                if step == 1 and a < b:
+                    box.append((a, b))
+        if len(box) != 3:
+            raise IndexError(f"{self.path}: reads take non-empty unit-step slices, got {index!r}")
+        return box
+
+    def _read_box(self, ranges: list[tuple[int, int]], out: np.ndarray) -> None:
+        """Read the box of the file that spans ``ranges[i]`` along file axis
+        i into the byte buffer ``out``, in C order.
+
+        The box is a set of runs: each covers the innermost file axis that
+        the box does not span whole, with every axis inside it.  The runs
+        repeat at a fixed stride along the next axis out, and on through
+        the one beyond it where that axis is spanned whole.  A read covers
+        as many runs as fit in ``_READ_BYTES`` with the gaps between them,
+        or one run straight into ``out``.
+        """
+        isz = self._file_dtype.itemsize
+        dims = self._file_dims
+        strides = (dims[1] * dims[2] * isz, dims[2] * isz, isz)
+        whole = [r == (0, d) for r, d in zip(ranges, dims)]
+        k = 2
+        while k > 0 and whole[k]:
+            k -= 1
+        run = (ranges[k][1] - ranges[k][0]) * strides[k]
+        start = ranges[k][0] * strides[k]
+        if k == 0:  # one run
+            count, stride, bases = 1, run, [0]
+        elif k == 1 or whole[1]:  # runs along the axes outside k, as one
+            count = math.prod(b - a for a, b in ranges[:k])
+            stride, bases = strides[k - 1], [ranges[0][0] * strides[0]]
+        else:  # runs along axis 1, for each index of axis 0
+            count, stride = ranges[1][1] - ranges[1][0], strides[1]
+            bases = [i * strides[0] + ranges[1][0] * strides[1] for i in range(*ranges[0])]
+        per_read = min(count, max(1, _READ_BYTES // stride))
+        # a read of n runs fills the chunk up to the end of the last run
+        chunk = np.empty(per_read * stride, dtype=np.uint8) if per_read > 1 else None
+        rows = out.reshape(-1, run)
+        r = 0
+        for base in bases:
+            for c0 in range(0, count, per_read):
+                n = min(per_read, count - c0)
+                at = base + start + c0 * stride
+                if n == 1:
+                    self._pread(rows[r], at)
+                else:
+                    self._pread(chunk[: (n - 1) * stride + run], at)
+                    rows[r : r + n] = chunk[: n * stride].reshape(n, stride)[:, :run]
+                r += n
+        self._check_unchanged()
 
 
-def _check_size(path: Path, meta: VolumeMeta) -> None:
-    actual = path.stat().st_size
-    if actual != meta.nbytes:
-        raise SizeMismatchError(path, meta.nbytes, actual)
+@dataclass(frozen=True, eq=False)
+class RawVolume(_Samples):
+    """A raw volume file opened for reads of a box at a time.
+
+    Read like a ``Volume`` (``dims``, ``values``, ``scale``, ``spacing``)
+    through ``data``, a ``RawSlabs``: u8 samples with scale 255, or float32
+    values without one.  It holds the file open until ``close``, or the end
+    of a ``with`` block.
+    """
+
+    data: RawSlabs
+    spacing: tuple[float, float, float] | None = None
+    scale: float | None = None
+
+    def close(self) -> None:
+        self.data.close()
+
+    def __enter__(self) -> "RawVolume":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def open_volume(path, meta: VolumeMeta) -> RawVolume:
+    """Open a raw volume file for x-slab reads in the canonical layout.
+
+    The file's byte length must match the sidecar dims exactly.  A float
+    file is read once, in file order, for its min and max: a NaN or
+    infinite sample raises ValueError, and a range outside [0, 1] is the
+    one that each read normalizes by.
+    """
+    data = RawSlabs(Path(path), meta)
+    spacing = None
+    if meta.spacing_um is not None:
+        spacing = tuple(float(meta.spacing_um[p]) for p in data.perm)
+    return RawVolume(data, spacing, 255.0 if meta.dtype == "u8" else None)
+
+
+# load_volume reads x-slabs of about this many voxels
+_LOAD_SLAB_VOXELS = 1 << 19
 
 
 def load_volume(path, meta: VolumeMeta) -> Volume:
     """Read a raw volume file into the canonical (nx, ny, nz) layout.
 
-    u8 samples stay uint8 with scale 255; float samples become float32,
-    normalized into [0, 1] only if they fall outside that range.  Either
-    takes at most one copy, the one that permutes the axes.  The file's
-    byte length must match the sidecar dims exactly, and a NaN or infinite
-    sample raises ValueError.
+    Opens it with ``open_volume``, then reads every x-slab into one array:
+    u8 samples stay uint8 with scale 255, and float samples become float32,
+    normalized into [0, 1] only if they fall outside that range.
     """
-    path = Path(path)
-    _check_size(path, meta)
-    raw = np.fromfile(path, dtype=_NUMPY_DTYPES[(meta.dtype, meta.endian)])
-    raw = raw.reshape(meta.dims)
-    # canonical axis i comes from file axis perm[i]
-    perm = tuple(meta.order.index(ax) for ax in _AXES)
-    spacing = None
-    if meta.spacing_um is not None:
-        spacing = tuple(meta.spacing_um[perm[i]] for i in range(3))
-    if meta.dtype == "u8":
-        return Volume(raw.transpose(perm), spacing, scale=255)
-    data = np.ascontiguousarray(raw.transpose(perm), dtype=np.float32)
-    return Volume(_normalize(data, *_finite_range(data, path)), spacing)
-
-
-# load_bscan reads a u8 file about this many bytes at a time
-_READ_BYTES = 1 << 16
+    with open_volume(path, meta) as raw:
+        data = np.empty(raw.dims, dtype=raw.data.dtype)
+        width = max(1, _LOAD_SLAB_VOXELS // (raw.ny * raw.nz))
+        for x0 in range(0, raw.nx, width):
+            data[x0 : x0 + width] = raw.data[x0 : x0 + width]
+    return Volume(data, raw.spacing, raw.scale)
 
 
 def load_bscan(path, meta: VolumeMeta, y: int) -> np.ndarray:
     """The values of B-scan ``y`` of a raw volume file, as (nx, nz) float32.
 
-    A u8 file is read only where B-scan y lies: in the file it is a run of
-    samples repeated at a fixed stride, read about ``_READ_BYTES`` at a time
-    from the first run to the last, so memory holds little more than the
-    B-scan.  A float file is read whole by ``load_volume``, because its
-    finiteness check and its normalization into [0, 1] need every sample.
-    The file's byte length must match the sidecar dims exactly, and ``y``
-    must lie in [0, ny).
+    Only where B-scan y lies is read: in the file it is a run of samples
+    repeated at a fixed stride, read about ``_READ_BYTES`` at a time from
+    the first run to the last, so memory holds little more than the
+    B-scan.  A float file is first read once for its range, as
+    ``open_volume`` does.  The file's byte length must match the sidecar
+    dims exactly, and ``y`` must lie in [0, ny).
     """
-    path = Path(path)
-    axis = meta.order.index("y")
-    ny = meta.dims[axis]
+    ny = meta.dims[meta.order.index("y")]
     if not 0 <= y < ny:
         raise ValueError(f"slice index {y} outside [0, {ny})")
-    if meta.dtype != "u8":
-        return load_volume(path, meta).data[:, y, :]
-    _check_size(path, meta)
-    # the file as (outer, ny, inner): B-scan y is the outer runs [o, y, :]
-    outer, inner = math.prod(meta.dims[:axis]), math.prod(meta.dims[axis + 1 :])
-    stride = ny * inner
-    per_read = min(outer, max(1, _READ_BYTES // stride))
-    runs = np.empty((outer, inner), dtype=np.uint8)
-    chunk = np.empty((per_read - 1) * stride + inner, dtype=np.uint8)
-    with open(path, "rb") as f:
-        for o0 in range(0, outer, per_read):
-            n = min(per_read, outer - o0)
-            f.seek((o0 * ny + y) * inner)
-            f.readinto(chunk)
-            # the chunk ends with run per_read - 1, so n <= per_read runs fit
-            runs[o0 : o0 + n] = as_strided(chunk, (n, inner), (stride, 1), writeable=False)
-    runs = runs.reshape([d for i, d in enumerate(meta.dims) if i != axis])
-    if meta.order.replace("y", "") == "zx":
-        runs = runs.T
-    # one B-scan's samples as a volume of ny = 1, for the values they stand for
-    return Volume(runs[:, None, :], scale=255).values()[:, 0, :]
+    with open_volume(path, meta) as raw:
+        return np.ascontiguousarray(raw.values(np.s_[:, y : y + 1])[:, 0])
 
 
 def save_volume(volume: Volume, path, dtype: str = "f32", meta_path=None) -> VolumeMeta:

@@ -1,5 +1,6 @@
 """Command-line interface: workflows, exit codes, environment defaults."""
 
+import gc
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 import octseg
-from octseg.cli import ENV_THREADS, EXIT_OK, EXIT_PIPELINE, EXIT_USAGE, main
+from octseg import cli
+from octseg.cli import ENV_THREADS, EXIT_OK, EXIT_PIPELINE, EXIT_USAGE, main, run
 from octseg.phantom import PhantomSpec
 from octseg.render import render_bscan, write_ppm
 from octseg.surfaces import Surface, load_surface, save_surface
@@ -120,6 +122,29 @@ class TestSegmentCmd:
                    "--meta", str(phantom_dir / "volume.json"),
                    "--out-dir", str(tmp_path / "x")])
         assert rc == EXIT_USAGE
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_volume_truncated_after_opening_is_usage_error_naming_it(
+            self, phantom_dir, tmp_path, capsys, monkeypatch, threads):
+        # the filter passes read the file an x-slab at a time, so a file cut
+        # short after it was opened fails the first read that misses bytes
+        raw = tmp_path / "v.raw"
+        raw.write_bytes((phantom_dir / "volume.raw").read_bytes())
+        opened = cli.open_volume
+
+        def open_then_truncate(path, meta):
+            volume = opened(path, meta)
+            with open(path, "r+b") as f:
+                f.truncate(meta.nbytes // 2)
+            return volume
+
+        monkeypatch.setattr(cli, "open_volume", open_then_truncate)
+        rc = main(["segment", "--in", str(raw), "--meta", str(phantom_dir / "volume.json"),
+                   "--out-dir", str(tmp_path / "seg"), "--threads", threads])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {raw}: the file changed after it was opened: ")
+        assert err.count("\n") == 1
 
     def test_constant_volume_is_pipeline_error(self, tmp_path):
         raw = tmp_path / "flat.raw"
@@ -463,6 +488,36 @@ def test_cli_import_loads_only_what_segment_runs():
                        timeout=120)
     assert p.returncode == 0, p.stderr
     assert json.loads(p.stdout.strip().splitlines()[-1]) == [[], [], True]
+
+
+class TestEntryPoint:
+    """``python -m octseg`` and the ``octseg`` script run ``cli.run``: it
+    returns what ``main`` returns, with the heap frozen for the exit."""
+
+    def test_module_exits_with_the_commands_code(self, phantom_dir, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(octseg.__file__).resolve().parents[1]))
+        vol = ["--in", str(phantom_dir / "volume.raw"), "--out-dir", str(tmp_path / "seg")]
+        for meta, code in (("nope.json", EXIT_USAGE), ("volume.json", EXIT_OK)):
+            p = subprocess.run([sys.executable, "-m", "octseg", "segment", *vol,
+                                "--meta", str(phantom_dir / meta)],
+                               env=env, capture_output=True, text=True, timeout=300)
+            assert p.returncode == code, p.stderr
+        assert load_surface(tmp_path / "seg" / "rpe.csv").valid.all()
+
+    def test_run_freezes_the_heap(self, tmp_path):
+        try:
+            assert run(["render", "--in", "v.raw", "--meta", str(tmp_path / "nope.json"),
+                        "--surfaces", str(tmp_path), "--slice", "0",
+                        "--out", str(tmp_path / "b.ppm")]) == EXIT_USAGE
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+
+    def test_console_script_is_run(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+        pyproject = Path(octseg.__file__).resolve().parents[2] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts == {"octseg": "octseg.cli:run"}
 
 
 class TestBlasPin:

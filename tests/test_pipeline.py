@@ -23,7 +23,7 @@ from octseg.pipeline import (
     segment_retina,
 )
 from octseg.surfaces import SearchMask, Surface
-from octseg.volume import Volume, VolumeMeta, load_volume
+from octseg.volume import Volume, VolumeMeta, load_volume, open_volume
 
 
 def two_layer_volume(nx=48, ny=12, nz=128, hi=0.8, lo=0.2):
@@ -276,6 +276,29 @@ class TestCascade:
         u8 = Volume(np.clip(np.rint(vol.data * 255.0), 0, 255).astype(np.uint8), scale=255)
         assert self.traced_peak(u8) <= 1.7 * vol.data.nbytes
 
+    def test_an_opened_f32_file_is_never_held_whole(self, tmp_path):
+        # segment_retina reads an opened file an x-slab at a time, so its
+        # peak is one input volume below that of load_volume followed by
+        # segment_retina, but for the buffer of its widest read: one
+        # x-plane with IS/OS's lateral halo of 4 on either side
+        vol, _ = generate_phantom(PhantomSpec.default(dims=(96, 24, 128), seed=0,
+                                                      speckle_looks=4))
+        raw = tmp_path / "v.raw"
+        np.ascontiguousarray(vol.data.transpose(2, 0, 1), dtype="<f4").tofile(raw)
+        meta = VolumeMeta(dims=(128, 96, 24), dtype="f32", order="zxy")
+        with mock.patch.object(filters, "_FILTER_SLAB_VOXELS", 1):
+            tracemalloc.start()
+            try:
+                segment_retina(load_volume(raw, meta))
+                loaded = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                with open_volume(raw, meta) as opened:
+                    segment_retina(opened)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= loaded - vol.data.nbytes + 9 * vol.data[0].nbytes
+
     def test_degenerate_cascade_returns_flagged_result(self):
         vol = Volume(np.full((24, 12, 40), 0.25, dtype=np.float32))
         with pytest.warns(DegenerateNormalizationWarning):
@@ -307,37 +330,54 @@ class TestCascade:
 FILE_ORDERS = ["".join(order) for order in itertools.permutations("xyz")]
 
 
+def phantom_file(tmp_path, dims, seed, order, dtype="u8", endian="le"):
+    """A speckled phantom written in ``order`` as a raw file and its sidecar:
+    quantised to u8 samples, or as f32 values spread outside [0, 1], so
+    that reading them normalizes."""
+    vol, _ = generate_phantom(PhantomSpec.default(dims=dims, seed=seed, speckle_looks=4))
+    if dtype == "u8":
+        samples = np.clip(np.rint(vol.data * 255.0), 0, 255).astype(np.uint8)
+    else:
+        samples = (vol.data * 2 - 0.5).astype("<f4" if endian == "le" else ">f4")
+    perm = tuple("xyz".index(ax) for ax in order)
+    raw = tmp_path / f"{order}-{dtype}-{endian}.raw"
+    np.ascontiguousarray(samples.transpose(perm)).tofile(raw)
+    return raw, VolumeMeta(dims=tuple(dims[p] for p in perm), dtype=dtype, endian=endian,
+                           order=order)
+
+
 def u8_phantom_file(tmp_path, dims, seed, order):
     """A speckled phantom quantised to u8 samples, written in ``order`` and
     loaded back; the loaded volume keeps the samples u8."""
-    vol, _ = generate_phantom(PhantomSpec.default(dims=dims, seed=seed, speckle_looks=4))
-    samples = np.clip(np.rint(vol.data * 255.0), 0, 255).astype(np.uint8)
-    perm = tuple("xyz".index(ax) for ax in order)
-    raw = tmp_path / f"{order}.raw"
-    np.ascontiguousarray(samples.transpose(perm)).tofile(raw)
-    loaded = load_volume(raw, VolumeMeta(dims=tuple(dims[p] for p in perm), order=order))
-    assert loaded.data.dtype == np.uint8 and np.array_equal(loaded.data, samples)
+    loaded = load_volume(*phantom_file(tmp_path, dims, seed, order))
+    assert loaded.data.dtype == np.uint8
     return loaded
 
 
 class TestU8Input:
     @given(dims=st.tuples(st.integers(9, 20), st.integers(9, 11), st.integers(64, 96)),
            seed=st.integers(0, 2**16), order=st.sampled_from(FILE_ORDERS),
-           slab_voxels=st.sampled_from([1, None]))
-    @settings(max_examples=12, deadline=None)
+           slab_voxels=st.sampled_from([1, None]),
+           dtype=st.sampled_from(["u8", "f32"]), endian=st.sampled_from(["le", "be"]))
+    @settings(max_examples=16, deadline=None)
     def test_surfaces_bitwise_equal_across_file_orders_threads_and_slabs(
-            self, tmp_path_factory, dims, seed, order, slab_voxels):
-        # a u8 file of any order, kept u8, against the same samples read
-        # from an xyz file: threads 1 and 2, 1-voxel and default slabs
-        tmp = tmp_path_factory.mktemp("u8")
-        ref = segment_retina(u8_phantom_file(tmp, dims, seed, "xyz"))
-        loaded = u8_phantom_file(tmp, dims, seed, order)
+            self, tmp_path_factory, dims, seed, order, slab_voxels, dtype, endian):
+        # a u8 or f32 file of any order and byte order, loaded and opened,
+        # against the same samples loaded from a little-endian xyz file:
+        # threads 1 and 2, 1-voxel and default slabs
+        tmp = tmp_path_factory.mktemp("in")
+        ref = segment_retina(load_volume(*phantom_file(tmp, dims, seed, "xyz", dtype)))
+        path, meta = phantom_file(tmp, dims, seed, order, dtype, endian)
+        loaded = load_volume(path, meta)
+        assert loaded.data.dtype == (np.uint8 if dtype == "u8" else np.float32)
         slab = filters._FILTER_SLAB_VOXELS if slab_voxels is None else slab_voxels
-        with mock.patch.object(filters, "_FILTER_SLAB_VOXELS", slab):
-            for threads in (1, 2):
-                got = segment_retina(loaded, threads=threads)
-                for key in ("ilm", "isos", "rpe"):
-                    assert got.surfaces[key].z.tobytes() == ref.surfaces[key].z.tobytes()
+        with mock.patch.object(filters, "_FILTER_SLAB_VOXELS", slab), \
+                open_volume(path, meta) as opened:
+            for volume in (loaded, opened):
+                for threads in (1, 2):
+                    got = segment_retina(volume, threads=threads)
+                    for key in ("ilm", "isos", "rpe"):
+                        assert got.surfaces[key].z.tobytes() == ref.surfaces[key].z.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_fields_within_the_float_bound_of_the_float32_values(self, tmp_path, seed):

@@ -68,6 +68,11 @@ def test_run_benchmark_prints_every_stage_of_the_reports():
                          r"cascade peak (\d+\.\d{2}) float volumes above the input "
                          r"\(tracemalloc, one untimed run\)", memory_rows[0])
     assert match and float(match.group(1)) > 0
+    # the CLI's own peak follows, from a child that segments the same samples
+    cli_row = lines[lines.index(memory_rows[0]) + 1]
+    match = re.fullmatch(r"CLI segment peak RSS (\d+\.\d) MiB \(ru_maxrss of one `octseg segment` "
+                         r"child on the phantom's u8 file\)", cli_row)
+    assert match and float(match.group(1)) > 0
     # the start-up line gives the import child's CPU time next to its wall time
     startup_rows = [line for line in lines if line.startswith("CLI start-up ")]
     assert len(startup_rows) == 1

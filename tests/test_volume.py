@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 import tracemalloc
 from unittest import mock
 
@@ -18,6 +19,7 @@ from octseg.volume import (
     load_bscan,
     load_volume,
     normalize_intensities,
+    open_volume,
     save_volume,
 )
 
@@ -87,26 +89,37 @@ class TestLoad:
         p = tmp_path / "v.raw"
         p.write_bytes(b"\x00" * 7)
         meta = VolumeMeta(dims=(2, 2, 2), order="xyz")
-        with pytest.raises(SizeMismatchError) as exc:
-            load_volume(p, meta)
-        assert exc.value.expected == 8
-        assert exc.value.actual == 7
+        for read in (load_volume, open_volume):
+            with pytest.raises(SizeMismatchError) as exc:
+                read(p, meta)
+            assert exc.value.expected == 8
+            assert exc.value.actual == 7
+            assert str(exc.value) == f"{p}: declared dims need 8 bytes, file has 7"
 
     def test_missing_file_raises_oserror(self, tmp_path):
         meta = VolumeMeta(dims=(2, 2, 2), order="xyz")
-        with pytest.raises(OSError):
-            load_volume(tmp_path / "absent.raw", meta)
+        for read in (load_volume, open_volume):
+            with pytest.raises(OSError, match="absent.raw"):
+                read(tmp_path / "absent.raw", meta)
 
     def test_non_finite_samples_rejected(self, tmp_path):
         arr = np.zeros((5, 3, 4), dtype="<f4")  # file order zxy: (nz, nx, ny)
         arr[4, 2, 1] = np.inf
         arr[2, 1, 3] = np.nan
         arr[3, 1, 3] = -np.inf
+        arr[0, 2, 0] = np.nan
         p = write_raw(tmp_path / "v.raw", arr)
         meta = VolumeMeta(dims=(5, 3, 4), dtype="f32", order="zxy")
-        # the first bad voxel in (x, y, z) order is x=1, y=3, z=2
-        with pytest.raises(ValueError, match=r"3 non-finite voxel\(s\), first at \(x, y, z\) = \(1, 3, 2\)"):
-            load_volume(p, meta)
+        # the first bad voxel in (x, y, z) order is x=1, y=3, z=2, though
+        # the file holds (x, y, z) = (2, 0, 0) first; reads of two samples
+        # find them in different reads
+        message = (rf"^{re.escape(str(p))}: 4 non-finite voxel\(s\), "
+                   r"first at \(x, y, z\) = \(1, 3, 2\)$")
+        for range_bytes in (8, volume._RANGE_BYTES):
+            with mock.patch.object(volume, "_RANGE_BYTES", range_bytes):
+                for read in (load_volume, open_volume):
+                    with pytest.raises(ValueError, match=message):
+                        read(p, meta)
 
     def test_axis_permutation_zxy(self, tmp_path):
         # file stores depth slowest; loader must land values at [x, y, z]
@@ -169,6 +182,91 @@ class TestLoad:
         assert v.values().tobytes() == np.ascontiguousarray(ref).tobytes()
 
 
+ORDERS = ["".join(p) for p in itertools.permutations("xyz")]
+
+
+def random_file(path, dims, dtype, endian="le", wide=False, seed=6):
+    """Random samples of file dims ``dims`` written to ``path``: u8, or f32
+    inside [0, 1) or, ``wide``, outside it."""
+    rng = np.random.default_rng(seed)
+    if dtype == "u8":
+        arr = rng.integers(0, 256, size=dims).astype("u1")
+    else:
+        arr = (rng.standard_normal(dims) * 3 if wide else rng.random(dims))
+        arr = arr.astype("<f4" if endian == "le" else ">f4")
+    return write_raw(path, arr)
+
+
+class TestOpenVolume:
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("dtype, endian, wide", [
+        ("u8", "le", False), ("f32", "le", False), ("f32", "be", False), ("f32", "le", True),
+        ("f32", "be", True),
+    ])
+    @pytest.mark.parametrize("read_bytes", [1, 40, 1 << 16])
+    def test_slabs_bitwise_equal_to_the_loaded_volume(self, tmp_path, order, dtype, endian,
+                                                      wide, read_bytes):
+        # reads of one run, of a few runs with the gaps between them, and of all
+        dims = (5, 6, 7)
+        p = random_file(tmp_path / "v.raw", dims, dtype, endian, wide)
+        meta = VolumeMeta(dims=dims, dtype=dtype, endian=endian, order=order,
+                          spacing_um=(1.0, 2.0, 3.0))
+        loaded = load_volume(p, meta)
+        nx, _, nz = loaded.dims
+        with mock.patch.object(volume, "_READ_BYTES", read_bytes), open_volume(p, meta) as raw:
+            assert (raw.dims, raw.spacing, raw.scale, raw.dtype) == (
+                loaded.dims, loaded.spacing, loaded.scale, loaded.dtype)
+            assert (raw.data.shape, raw.data.dtype, raw.data.size, raw.data.nbytes) == (
+                loaded.data.shape, loaded.data.dtype, loaded.data.size, loaded.data.nbytes)
+            for x0, x1 in [(0, nx), (0, 1), (1, 3), (nx - 1, nx)]:
+                for index in (np.s_[x0:x1], np.s_[x0:x1, :, :1], np.s_[x0:x1, :, : nz - 2]):
+                    got = raw.data[index]
+                    assert got.dtype == loaded.data.dtype
+                    assert got.tobytes() == loaded.data[index].tobytes()
+                    assert raw.values(index).tobytes() == loaded.values(index).tobytes()
+
+    def test_each_read_refills_the_threads_buffer(self, tmp_path):
+        dims = (4, 5, 6)
+        p = random_file(tmp_path / "v.raw", dims, "u8")
+        with open_volume(p, VolumeMeta(dims=dims, order="zxy")) as raw:
+            first = raw.data[0:2]
+            copy = first.copy()
+            second = raw.data[2:4]
+            assert np.shares_memory(first, second)
+            assert not np.array_equal(first, copy)
+
+    @pytest.mark.parametrize("size_change", [-1, 1])
+    def test_a_file_that_changes_size_after_opening_raises_naming_it(self, tmp_path,
+                                                                     size_change):
+        dims = (4, 5, 6)
+        p = random_file(tmp_path / "v.raw", dims, "f32")
+        meta = VolumeMeta(dims=dims, dtype="f32", order="xyz")
+        with open_volume(p, meta) as raw:
+            raw.data[0:4]
+            with open(p, "r+b") as f:
+                f.truncate(meta.nbytes + size_change)
+            # a read that ends before the change, and one that reaches it
+            for index in (np.s_[0:1], np.s_[3:4]):
+                with pytest.raises(OSError, match=f"^{re.escape(str(p))}: the file changed"):
+                    raw.data[index]
+
+    def test_reads_take_non_empty_unit_step_slices(self, tmp_path):
+        dims = (4, 5, 6)
+        p = random_file(tmp_path / "v.raw", dims, "u8")
+        with open_volume(p, VolumeMeta(dims=dims, order="xyz")) as raw:
+            for index in (0, np.s_[::2], np.s_[2:1], np.s_[0:1, 0], np.s_[:, :, :, :], [0, 1]):
+                with pytest.raises(IndexError, match="reads take non-empty unit-step slices"):
+                    raw.data[index]
+
+    def test_closes_the_file(self, tmp_path):
+        dims = (4, 5, 6)
+        p = random_file(tmp_path / "v.raw", dims, "u8")
+        with open_volume(p, VolumeMeta(dims=dims, order="xyz")) as raw:
+            raw.data[0:1]
+        with pytest.raises(ValueError, match="closed file"):
+            raw.data[0:1]
+
+
 class TestLoadBscan:
     @pytest.mark.parametrize("order", ["".join(p) for p in itertools.permutations("xyz")])
     @pytest.mark.parametrize("dtype", ["u8", "f32"])
@@ -190,14 +288,18 @@ class TestLoadBscan:
                 assert bscan.shape == (full.nx, full.nz) and bscan.dtype == np.float32
                 assert bscan.tobytes() == full.values(np.s_[:, y, :]).tobytes()
 
-    @pytest.mark.parametrize("order", ["xyz", "zxy", "yzx"])
-    def test_u8_file_read_without_the_rest_of_the_volume(self, tmp_path, order):
-        # 512 KiB of samples, a B-scan of 8 KiB, 32 KiB as float32, reads
-        # of at most 64 KiB
+    @pytest.mark.parametrize("dtype, order", [
+        *(pytest.param("u8", order, id=order) for order in ("xyz", "zxy", "yzx")),
+        *(pytest.param("f32", order, id=f"f32-{order}") for order in ("xyz", "zxy", "yzx")),
+    ])
+    def test_u8_file_read_without_the_rest_of_the_volume(self, tmp_path, dtype, order):
+        # 512 KiB of u8 samples, a B-scan of 8 KiB, 32 KiB as float32, reads
+        # of at most 64 KiB; an f32 file holds 2 MiB, and its range pass
+        # reads 256 KiB at a time
         dims = (64, 64, 128)
-        file_arr = np.random.default_rng(5).integers(0, 256, size=dims).astype("u1")
-        p = write_raw(tmp_path / "v.raw", file_arr)
-        meta = VolumeMeta(dims=dims, order=order)
+        p = random_file(tmp_path / "v.raw", dims, dtype, wide=True, seed=5)
+        file_arr = np.fromfile(p, dtype="u1")
+        meta = VolumeMeta(dims=dims, dtype=dtype, order=order)
         tracemalloc.start()
         try:
             load_bscan(p, meta, 17)
