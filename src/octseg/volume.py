@@ -272,12 +272,17 @@ class RawSlabs:
         return buf[:nbytes]
 
     def _pread(self, into: np.ndarray, offset: int) -> None:
-        try:
-            got = os.preadv(self._file.fileno(), [into], offset)
-        except OSError as e:
-            raise OSError(e.errno, e.strerror, str(self.path)) from None
-        if got != into.nbytes:
-            raise self._changed(f"read {got} of {into.nbytes} bytes at offset {offset}")
+        """Fill the byte array ``into`` from ``offset``, continuing a read
+        that returns less; the file's end before that means it shrank."""
+        fd, n, done = self._file.fileno(), into.nbytes, 0
+        while done < n:
+            try:
+                got = os.preadv(fd, [into[done:] if done else into], offset + done)
+            except OSError as e:
+                raise OSError(e.errno, e.strerror, str(self.path)) from None
+            if got == 0:
+                raise self._changed(f"read {done} of {n} bytes at offset {offset}")
+            done += got
 
     def _finite_range(self) -> tuple[float, float]:
         """The min and max of the float samples, read once in file order;

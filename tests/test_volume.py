@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import os
 import re
 import tracemalloc
 from unittest import mock
@@ -224,6 +225,20 @@ class TestOpenVolume:
                     assert got.dtype == loaded.data.dtype
                     assert got.tobytes() == loaded.data[index].tobytes()
                     assert raw.values(index).tobytes() == loaded.values(index).tobytes()
+
+    def test_reads_that_return_less_are_continued(self, tmp_path, monkeypatch):
+        # a read may return fewer bytes than asked (a signal, or more than
+        # the kernel moves in one call) without the file having shrunk
+        dims = (5, 6, 7)
+        p = random_file(tmp_path / "v.raw", dims, "f32", wide=True)
+        meta = VolumeMeta(dims=dims, dtype="f32", order="zxy")
+        loaded = load_volume(p, meta)
+        preadv = os.preadv
+        monkeypatch.setattr(volume.os, "preadv",
+                            lambda fd, bufs, offset: preadv(fd, [bufs[0][:3]], offset))
+        with open_volume(p, meta) as raw:
+            assert raw.data[1:4, :, :5].tobytes() == loaded.data[1:4, :, :5].tobytes()
+            assert load_bscan(p, meta, 2).tobytes() == loaded.values(np.s_[:, 2]).tobytes()
 
     def test_each_read_refills_the_threads_buffer(self, tmp_path):
         dims = (4, 5, 6)
