@@ -331,9 +331,9 @@ FILE_ORDERS = ["".join(order) for order in itertools.permutations("xyz")]
 
 
 def phantom_file(tmp_path, dims, seed, order, dtype="u8", endian="le"):
-    """A speckled phantom written in ``order`` as a raw file and its sidecar:
-    quantised to u8 samples, or as f32 values spread outside [0, 1], so
-    that reading them normalizes."""
+    """A speckled phantom written in ``order`` as a raw file, its sidecar and
+    its canonical samples: quantised to u8, or f32 values spread outside
+    [0, 1], so that reading them normalizes."""
     vol, _ = generate_phantom(PhantomSpec.default(dims=dims, seed=seed, speckle_looks=4))
     if dtype == "u8":
         samples = np.clip(np.rint(vol.data * 255.0), 0, 255).astype(np.uint8)
@@ -342,15 +342,16 @@ def phantom_file(tmp_path, dims, seed, order, dtype="u8", endian="le"):
     perm = tuple("xyz".index(ax) for ax in order)
     raw = tmp_path / f"{order}-{dtype}-{endian}.raw"
     np.ascontiguousarray(samples.transpose(perm)).tofile(raw)
-    return raw, VolumeMeta(dims=tuple(dims[p] for p in perm), dtype=dtype, endian=endian,
-                           order=order)
+    meta = VolumeMeta(dims=tuple(dims[p] for p in perm), dtype=dtype, endian=endian, order=order)
+    return raw, meta, samples
 
 
 def u8_phantom_file(tmp_path, dims, seed, order):
     """A speckled phantom quantised to u8 samples, written in ``order`` and
     loaded back; the loaded volume keeps the samples u8."""
-    loaded = load_volume(*phantom_file(tmp_path, dims, seed, order))
-    assert loaded.data.dtype == np.uint8
+    raw, meta, samples = phantom_file(tmp_path, dims, seed, order)
+    loaded = load_volume(raw, meta)
+    assert loaded.data.dtype == np.uint8 and np.array_equal(loaded.data, samples)
     return loaded
 
 
@@ -366,8 +367,8 @@ class TestU8Input:
         # against the same samples loaded from a little-endian xyz file:
         # threads 1 and 2, 1-voxel and default slabs
         tmp = tmp_path_factory.mktemp("in")
-        ref = segment_retina(load_volume(*phantom_file(tmp, dims, seed, "xyz", dtype)))
-        path, meta = phantom_file(tmp, dims, seed, order, dtype, endian)
+        ref = segment_retina(load_volume(*phantom_file(tmp, dims, seed, "xyz", dtype)[:2]))
+        path, meta, _ = phantom_file(tmp, dims, seed, order, dtype, endian)
         loaded = load_volume(path, meta)
         assert loaded.data.dtype == (np.uint8 if dtype == "u8" else np.float32)
         slab = filters._FILTER_SLAB_VOXELS if slab_voxels is None else slab_voxels
