@@ -7,8 +7,9 @@ per-stage timing table from the run reports, the
 time to save each surface as CSV and to load it back, the process's peak
 resident set size next to the cascade's own peak allocation (tracemalloc,
 from one more, untimed run), the peak resident set size of one
-``octseg segment`` child run on those samples written as a u8 raw file,
-and the cold-start cost that every CLI call pays: the wall and CPU time
+``octseg segment`` child run on those samples written as a u8 raw file
+with the pipeline stage in which its sampled VmRSS peaked (where
+/proc/self/status exists), and the cold-start cost that every CLI call pays: the wall and CPU time
 of a child process that only imports octseg.cli.
 """
 
@@ -72,22 +73,67 @@ _RUN_AND_WAIT = (
 )
 
 
+# Runs `octseg segment` with the arguments after its first, a file that it
+# writes "<VmRSS peak KiB> <stage>" to when /proc/self/status exists: a thread
+# reads VmRSS every 0.5 ms, and the pipeline's stage timer names the stage
+# that is running, or the last one that ended ("after ..."), or "start-up"
+_SAMPLED_SEGMENT = (
+    "import contextlib, os, sys, threading\n"
+    "import octseg.cli, octseg.pipeline as pipeline\n"
+    "STATUS = '/proc/self/status'\n"
+    "out, argv, peak, stage = sys.argv[1], sys.argv[2:], [0, 'start-up'], ['start-up']\n"
+    "timed, done = pipeline._stage, threading.Event()\n"
+    "@contextlib.contextmanager\n"
+    "def _stage(report, name):\n"
+    "    stage[0] = f'{report.name} {name}'\n"
+    "    with timed(report, name):\n"
+    "        yield\n"
+    "    stage[0] = f'after {report.name} {name}'\n"
+    "def sample():\n"
+    "    with open(STATUS, 'rb', buffering=0) as f:\n"
+    "        while True:\n"
+    "            f.seek(0)\n"
+    "            kib = int(f.read().split(b'VmRSS:')[1].split()[0])\n"
+    "            if kib > peak[0]:\n"
+    "                peak[:] = [kib, stage[0]]\n"
+    "            if done.wait(0.0005):\n"
+    "                return\n"
+    "sampler = None\n"
+    "if os.path.exists(STATUS):\n"
+    "    pipeline._stage = _stage\n"
+    "    sampler = threading.Thread(target=sample, daemon=True)\n"
+    "    sampler.start()\n"
+    "code = octseg.cli.run(argv)\n"
+    "if sampler is not None:\n"
+    "    done.set()\n"
+    "    sampler.join()\n"
+    "    with open(out, 'w') as f:\n"
+    "        f.write(f'{peak[0]} {peak[1]}')\n"
+    "sys.exit(code)\n"
+)
+
+
 def cli_segment_peak_mib(volume, threads):
-    """Peak RSS in MiB of one ``python -m octseg segment`` child on the
-    samples of ``volume`` written as a u8 raw file."""
+    """Peak RSS in MiB of one ``octseg segment`` child on the samples of
+    ``volume`` written as a u8 raw file, with the stage its sampled VmRSS
+    peaked in and that peak in MiB (None, None where /proc is absent)."""
     env = dict(os.environ, PYTHONPATH=str(Path(octseg.__file__).resolve().parents[1]))
     with tempfile.TemporaryDirectory() as tmp:
-        raw = Path(tmp) / "volume.raw"
+        raw, sampled = Path(tmp) / "volume.raw", Path(tmp) / "sampled.txt"
         save_volume(volume, raw, dtype="u8")
-        argv = [sys.executable, "-m", "octseg", "segment", "--in", str(raw),
-                "--meta", f"{raw}.json", "--out-dir", str(Path(tmp) / "seg"),
+        argv = [sys.executable, "-c", _SAMPLED_SEGMENT, str(sampled), "segment",
+                "--in", str(raw), "--meta", f"{raw}.json", "--out-dir", str(Path(tmp) / "seg"),
                 "--threads", str(threads)]
         p = subprocess.run([sys.executable, "-c", _RUN_AND_WAIT, *argv], env=env,
                            capture_output=True, text=True, check=True)
+        stage = vm_mib = None
+        if sampled.exists():
+            kib, stage = sampled.read_text().split(" ", 1)
+            vm_mib = int(kib) / 1024
     code, maxrss_kib = (int(v) for v in p.stdout.split())
     if code != 0:
         raise RuntimeError(f"octseg segment exited with {code}: {p.stderr.strip()}")
-    return maxrss_kib / 1024
+    return maxrss_kib / 1024, stage, vm_mib
 
 
 def surface_csv_s(surfaces, repeat):
@@ -183,8 +229,13 @@ def main():
     print(f"peak RSS {peak_mib:.1f} MiB (ru_maxrss, phantom generation included); "
           f"cascade peak {traced_peak_volumes(volume, args.threads):.2f} float volumes "
           "above the input (tracemalloc, one untimed run)")
-    print(f"CLI segment peak RSS {cli_segment_peak_mib(volume, args.threads):.1f} MiB "
+    cli_peak, stage, vm_mib = cli_segment_peak_mib(volume, args.threads)
+    print(f"CLI segment peak RSS {cli_peak:.1f} MiB "
           "(ru_maxrss of one `octseg segment` child on the phantom's u8 file)")
+    if stage is None:
+        print("CLI segment peak stage not sampled (no /proc/self/status)")
+    else:
+        print(f"CLI segment RSS peaked in {stage} (VmRSS {vm_mib:.1f} MiB, sampled every 0.5 ms)")
     wall_s, cpu_s = cli_import_s()
     print(f"CLI start-up {wall_s:.3f}s wall, {cpu_s:.3f}s CPU "
           "(median of 5 child processes running `import octseg.cli`; CPU is user + sys)")

@@ -17,11 +17,12 @@ reduced as they are; only the thin ragged planes around it are masked.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .filters import _map_slabs, _slab_bounds
+from .filters import _BLOCK_SAMPLES, _map_slabs, _slab_bounds
 from .surfaces import SearchMask, Surface, argmax_per_ascan
 from .volume import Volume
 
@@ -115,6 +116,7 @@ def enhance(
     profile: BoundaryProfile,
     mask: SearchMask,
     threads: int = 1,
+    passes: Counter | None = None,
 ) -> tuple[Surface, bool]:
     """Score a derivative and a smoothed volume by ``profile``'s rule and
     pick one depth per column.
@@ -145,7 +147,8 @@ def enhance(
     Returns the surface in volume depth and whether the score is flat over
     the windows (then each column picks the top of its window).  A flat
     field at any step triggers DegenerateNormalizationWarning; a flat input
-    contributes zero.
+    contributes zero.  ``passes``, when given, counts the work that ran:
+    "enhance" once per call and "argmax" once per score-and-pick sweep.
     """
     if diff.dims[:2] != smooth.dims[:2]:
         raise ValueError(f"dims mismatch: {diff.dims} vs {smooth.dims}")
@@ -167,19 +170,22 @@ def enhance(
 
     def input_extrema(lo, hi):
         split = _window_planes(band.k_lo[lo:hi], band.k_hi[lo:hi])
-        return tuple(_extrema(f.data[lo:hi, :, z0:z1], split) for f in (diff, smooth))
+        return split, tuple(_extrema(f.data[lo:hi, :, z0:z1], split) for f in (diff, smooth))
 
     found = _map_slabs(input_extrema, slabs, threads)
+    # each slab's split, made once for both sweeps
+    splits = {lo: split for (lo, _), (split, _) in zip(slabs, found)}
+    extrema = [e for _, e in found]
     # sign and clamp are monotone maps, so they carry the derivative's
     # extrema over exactly (a negative sign swaps which one is the min)
-    d_range = _value_range(diff, (d for d, _ in found)) * sign
+    d_range = _value_range(diff, (d for d, _ in extrema)) * sign
     if profile.clamp_negative:
         np.maximum(d_range, 0, out=d_range)
     d_lo, d_hi = d_range.min(), d_range.max()
-    s_lo, s_hi = _value_range(smooth, (s for _, s in found))
+    s_lo, s_hi = _value_range(smooth, (s for _, s in extrema))
 
     def score_and_pick(lo, hi):
-        split = _window_planes(band.k_lo[lo:hi], band.k_hi[lo:hi])
+        split = splits[lo]
         if split is None:
             return None, np.full((hi - lo, ny), np.nan)
         searched, (g0, g1), _, ragged = split
@@ -198,9 +204,15 @@ def enhance(
         if profile.clamp_negative:
             values = np.maximum(values, 0, out=score)
         _rescale(values, d_lo, d_hi, out=score)
-        smoothed = np.empty(score.shape, dtype=smooth.dtype)
-        _rescale(smooth.values(planes, out=smoothed), s_lo, s_hi, out=smoothed)
-        score += smoothed
+        # the rescaled smoothed field is added a block of x rows at a time
+        rows = max(1, _BLOCK_SAMPLES // (ny * (g1 - g0)))
+        smoothed = np.empty((min(rows, hi - lo), ny, g1 - g0), dtype=smooth.dtype)
+        for r0 in range(0, hi - lo, rows):
+            r1 = min(r0 + rows, hi - lo)
+            block = smooth.values(np.s_[lo + r0 : lo + r1, :, z0 + g0 : z0 + g1],
+                                  out=smoothed[: r1 - r0])
+            _rescale(block, s_lo, s_hi, out=smoothed[: r1 - r0])
+            score[r0:r1] += smoothed[: r1 - r0]
         del smoothed
         score *= w[g0:g1]
 
@@ -219,6 +231,9 @@ def enhance(
         return (e_lo, best[searched].max()), z + g0
 
     parts = _map_slabs(score_and_pick, slabs, threads)
+    if passes is not None:
+        passes["enhance"] += 1
+        passes["argmax"] += 1  # the score-and-pick sweep
     e_lo, e_hi = _merge(e for e, _ in parts)
     flat = not e_hi > e_lo
     for is_flat, message in zip((not d_hi > d_lo, not s_hi > s_lo, flat), _FLAT_MESSAGES):

@@ -2,18 +2,22 @@
 
 All filters run in correlation orientation (no kernel flip) and replicate
 edge samples at the borders, so a flat region produces no spurious response
-near the volume faces.  ``convolve_separable`` is the fast path: one pass
-over x-slabs that runs a slab's z, x and y correlations back to back and
-writes it into the output, so no volume-sized intermediate exists, and
-that can stop at a given depth.  It reads its input only as x-slabs,
-``volume.data[x0:x1, :, :d]``, so a ``RawVolume``, a raw file opened by
+near the volume faces.  ``convolve_fields`` is the fast path: one pass
+over x-slabs that reads each slab once and, for each of its kernels, runs
+the slab's z, x and y correlations back to back and writes it into that
+kernel's field, so no volume-sized intermediate exists, and that can stop
+at a given depth; ``convolve_separable`` is its one-kernel case.  It
+reads its input only as x-slabs, ``volume.data[x0:x1, :, :d]``, so a
+``RawVolume``, a raw file opened by
 ``open_volume``, serves as well as a ``Volume`` in memory: the input is
 then never held whole.  Each pass computes only the samples that
 are kept and writes them where the next pass reads them: the z pass reads
 the samples straight into its padded scratch, permuting the axes of a
-slab read in another file order as it copies, and writes the planes above
-the depth into the x halo buffer, the x pass reads the halo but computes
-only the slab's own planes, and the y pass writes into the output.  Its
+slab read in another file order as it copies (or, with several kernels,
+once before them), and writes the planes above the depth into the x halo
+buffer, the x pass reads the halo but computes only the slab's own
+planes, into the field unless the y sums are wider, and the y pass writes
+the field, in place when it can.  Its
 one-axis correlation sums float values in their dtype, box taps with a
 single multiply, in one order at any thread count.  The scaled integer
 samples of a u8 volume (``Volume.scale``) under box, odd-box or identity
@@ -21,8 +25,9 @@ taps (every kernel the pipeline builds) are summed as integers instead,
 exact in int16 or int32, and the field is those sums, with the scale
 that divides them into its values; under other taps they are read as the
 float32 values they stand for.  The pipeline
-reads fields through a ``FilterBank``, which computes each once, drops it
-after its last planned reader, and holds each request's depth as a
+reads fields through a ``FilterBank``, which computes each once, the
+fields that one reader plans in one pass, drops each after its last
+planned reader, and holds each request's depth as a
 promise that no later request reads deeper: a new field is computed only
 that deep, and the fields kept for later readers are first cut to it in
 place.  ``convolve_direct`` sums a dense kernel over its taps and exists
@@ -34,7 +39,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -324,13 +329,136 @@ def _exact_passes(
     return dtypes, volume.scale / c
 
 
-# x-slabs of one fused filter pass hold about this many voxels.  Each slab
-# moves its x halo forward and makes one correlation call per axis, so a
-# narrow slab pays that per few planes; a wide one holds more scratch per
-# thread (on 2 vCPUs the three fields of a 300x99x480 u8 run took 0.36 /
-# 0.31 / 0.29 / 0.31 s at 1 << 17 / 18 / 19 / 20, the cascade peaking at
-# 2.18 float volumes above its input at each)
-_FILTER_SLAB_VOXELS = 1 << 19
+# x-slabs of one filter pass hold about this many bytes of z-filtered
+# samples, shared by the kernels it runs: the u8 derivative and smoothing
+# fields of RPE hold int16 sums, 2**19 voxels each, and float32 ones hold
+# 2**18.  Each slab moves its x halo forward and makes one correlation call
+# per kernel and axis, so a narrow slab pays that per few planes; a wide one
+# holds more scratch per thread (on 2 vCPUs the three fields of a 300x99x480
+# u8 run, one kernel a pass, took 0.36 / 0.31 / 0.29 / 0.31 s at 2**17 / 18
+# / 19 / 20 voxels a slab)
+_FILTER_SLAB_BYTES = 1 << 21
+
+
+class _KernelPass:
+    """What one kernel of a filter pass needs: its z, x and y taps (None for
+    [1.0]), whether it sums scaled samples exactly, the dtype each axis pass
+    writes, its x halo, the planes its z pass reads, and its output."""
+
+    def __init__(self, volume: Volume | RawVolume, kernel: SeparableKernel, depth: int):
+        _check_extents((kernel.kx.size, kernel.ky.size, kernel.kz.size), volume.dims)
+        taps = [None if t.tolist() == [1.0] else t for t in (kernel.kz, kernel.kx, kernel.ky)]
+        self.kz, self.kx, self.ky = taps
+        exact = _exact_passes(volume, taps)
+        self.exact = exact is not None
+        if exact is None:  # the values, summed in their dtype
+            dtypes, self.scale, self.sums = [volume.dtype] * 3, None, [None] * 3
+        else:  # the samples, summed exactly in each pass's dtype
+            (dtypes, self.scale), self.sums = exact, exact[0]
+        self.held_dtype, self.x_dtype, out_dtype = dtypes
+        # the x pass writes into the field, and the y pass runs there in
+        # place, unless the y sums widen the x pass's
+        self.x_scratch = self.kx is not None and self.ky is not None and self.x_dtype != out_dtype
+        self.hx = 0 if self.kx is None else self.kx.size // 2
+        # the z pass reads no plane at or below depth + hz
+        self.read_depth = min(volume.nz, depth + (0 if self.kz is None else self.kz.size // 2))
+        self.out = np.empty((volume.nx, volume.ny, depth), dtype=out_dtype)
+
+
+def convolve_fields(
+    volume: Volume | RawVolume,
+    kernels: Sequence[SeparableKernel],
+    threads: int = 1,
+    depth: int | None = None,
+) -> list[Volume]:
+    """Filter a volume with outer-product kernels in one pass over x-slabs,
+    returning one field per kernel.
+
+    Each slab is read once and runs, for each kernel, the z, x and y
+    correlations in that order, skipping an axis whose taps are [1.0], and
+    writes its planes straight into that kernel's field; each kernel's
+    z-filtered planes of the x halo are carried from one slab to the next,
+    and its x pass computes only the slab's own planes from them.  Threads
+    take contiguous x ranges, and each recomputes the halo at its start.
+    Every output sees the same neighbourhood and the same arithmetic as
+    whole-axis passes, so results are bitwise equal to them, and to one
+    pass per kernel, at any thread count and slab width.  With ``depth``,
+    only the planes z < depth are computed, reading the input at most
+    ``kz.size // 2`` planes below them.  The input is read one x-slab at a
+    time, as ``volume.data[x0:x1, :, :d]``, from a ``Volume`` or a
+    ``RawVolume`` alike, and each slab is used up before the thread reads
+    the next; a slab whose depth axis is strided, read in another file
+    order, is permuted once into scratch when more than one kernel reads
+    it.  Scaled integer samples are summed exactly as integers when
+    ``_exact_passes`` allows it, and the field is the last pass's sums
+    with their scale; else they are converted to their float32 values as
+    the z pass reads them.  Float values give a field of their dtype.  A
+    kernel longer than the volume along any axis is rejected.  Slabs are
+    as wide as ``_FILTER_SLAB_BYTES`` of the kernels' z-filtered planes
+    allow, and each thread reuses one set of buffers for all of its slabs.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    nx, ny, nz = volume.dims
+    depth = nz if depth is None else depth
+    if not 1 <= depth <= nz:
+        raise ValueError(f"depth must be between 1 and {nz}, got {depth}")
+    passes = [_KernelPass(volume, k, depth) for k in kernels]
+    hx = max(p.hx for p in passes)
+    read_depth = max(p.read_depth for p in passes)
+    width = max(1, _FILTER_SLAB_BYTES // (ny * depth * sum(p.held_dtype.itemsize for p in passes)))
+    chunks = _chunk_bounds(nx, min(threads, nx))
+
+    def run(lo: int, hi: int) -> None:
+        slab = min(width, hi - lo)
+        held = [np.empty((min(slab + p.hx + hx, nx), ny, depth), p.held_dtype) for p in passes]
+        xs = [np.empty((slab, ny, depth), p.x_dtype) if p.x_scratch else None for p in passes]
+        permuted = None
+        # held[i] keeps kernel i's z-filtered planes [starts[i], b) of the
+        # current slab's x neighbourhood; every plane below b has been read
+        starts, b = [0] * len(passes), 0
+        for s0 in range(lo, hi, width):
+            s1 = min(s0 + width, hi)
+            nb = min(nx, s1 + hx)
+            f = max(b, s0 - hx, 0)  # the first plane that a kernel has not read
+            if nb > f:
+                samples = volume.data[f:nb, :, :read_depth]
+                if len(passes) > 1 and samples.strides[2] != samples.itemsize:
+                    if permuted is None:
+                        shape = (min(slab + 2 * hx, nx), ny, read_depth)
+                        permuted = np.empty(shape, samples.dtype)
+                    np.copyto(permuted[: nb - f], samples)
+                    samples = permuted[: nb - f]
+            for i, (p, h, x_buf) in enumerate(zip(passes, held, xs)):
+                na = max(0, s0 - p.hx)
+                if b > na:
+                    h[: b - na] = h[na - starts[i] : b - starts[i]]
+                fresh = max(b, na)
+                if nb > fresh:
+                    into = h[fresh - na : nb - na]
+                    part = samples[fresh - f : nb - f]
+                    part = part if p.exact else volume.values_of(part)
+                    if p.kz is not None:
+                        _correlate1d(part, p.kz, 2, 0, depth, out=into, sums=p.sums[0])
+                    else:
+                        into[...] = part[:, :, :depth]
+                starts[i] = na
+                # the x pass reads the halo and writes only the slab's planes
+                target = p.out[s0:s1]
+                if p.kx is None:
+                    planes = h[s0 - na : s1 - na]
+                else:
+                    planes = x_buf[: s1 - s0] if p.x_scratch else target
+                    _correlate1d(h[: nb - na], p.kx, 0, s0 - na, s1 - na,
+                                 out=planes, sums=p.sums[1])
+                if p.ky is not None:
+                    _correlate1d(planes, p.ky, 1, out=target, sums=p.sums[2])
+                elif planes is not target:
+                    target[...] = planes
+            b = nb
+
+    _map_slabs(run, chunks, threads)
+    return [Volume(p.out, volume.spacing, p.scale) for p in passes]
 
 
 def convolve_separable(
@@ -339,81 +467,9 @@ def convolve_separable(
     threads: int = 1,
     depth: int | None = None,
 ) -> Volume:
-    """Filter a volume with an outer-product kernel in one pass over x-slabs.
-
-    Each slab runs the z, x and y correlations in that order, skipping an
-    axis whose taps are [1.0], and writes its planes straight into the
-    output; the z-filtered planes of the x halo are carried from one slab
-    to the next, and the x pass computes only the slab's own planes from
-    them.  Threads take contiguous x ranges, and each recomputes the halo
-    at its start.  Every output sees the same neighbourhood and the same
-    arithmetic as whole-axis passes, so results are bitwise equal to them
-    at any thread count.  With ``depth``, only the planes z < depth are
-    computed, reading the input at most ``kz.size // 2`` planes below
-    them.  The input is read one x-slab at a time, as ``volume.data[x0:x1,
-    :, :d]``, from a ``Volume`` or a ``RawVolume`` alike, and each slab is
-    used up before the thread reads the next.  Scaled integer samples are
-    summed exactly as integers when
-    ``_exact_passes`` allows it, and the field is the last pass's sums
-    with their scale; else they are converted to their float32 values as
-    the z pass reads them.  Float values give a field of their dtype.  A
-    kernel longer than the volume along any axis is rejected.
-    """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    nx, ny, nz = volume.dims
-    depth = nz if depth is None else depth
-    if not 1 <= depth <= nz:
-        raise ValueError(f"depth must be between 1 and {nz}, got {depth}")
-    _check_extents((kernel.kx.size, kernel.ky.size, kernel.kz.size), volume.dims)
-    taps = [None if t.tolist() == [1.0] else t for t in (kernel.kz, kernel.kx, kernel.ky)]
-    kz, kx, ky = taps
-    exact = _exact_passes(volume, taps)
-    if exact is None:  # the values, summed in their dtype
-        dtypes, scale, read = [volume.dtype] * 3, None, volume.values
-    else:  # the samples, summed exactly in each pass's dtype
-        (dtypes, scale), read = exact, volume.data.__getitem__
-    held_dtype, x_dtype, out_dtype = dtypes
-    zsums, xsums, ysums = [None] * 3 if exact is None else dtypes
-    hx = 0 if kx is None else kx.size // 2
-    # the z pass reads no plane at or below depth + hz
-    read_depth = min(nz, depth + (0 if kz is None else kz.size // 2))
-    out = np.empty((nx, ny, depth), dtype=out_dtype)
-    width = max(1, _FILTER_SLAB_VOXELS // (ny * depth))
-
-    def run(lo: int, hi: int) -> None:
-        # z-filtered planes [a, b) of the current slab's x neighbourhood
-        held = np.empty((min(width + 2 * hx, nx), ny, depth), dtype=held_dtype)
-        a = b = 0  # nothing held yet
-        for s0 in range(lo, hi, width):
-            s1 = min(s0 + width, hi)
-            na, nb = max(0, s0 - hx), min(nx, s1 + hx)
-            if b > na:
-                held[: b - na] = held[na - a : b - a]
-            fresh = max(b, na)
-            if nb > fresh:
-                into = held[fresh - na : nb - na]
-                samples = read(np.s_[fresh:nb, :, :read_depth])
-                if kz is not None:
-                    _correlate1d(samples, kz, 2, 0, depth, out=into, sums=zsums)
-                else:
-                    into[...] = samples
-            a, b = na, nb
-            # the x pass reads the halo and writes only the slab's planes,
-            # into scratch that dies with the slab when the y pass follows
-            target = out[s0:s1]
-            if kx is None:
-                planes = held[s0 - a : s1 - a]
-            else:
-                planes = target if ky is None else np.empty(target.shape, x_dtype)
-                _correlate1d(held[: b - a], kx, 0, s0 - a, s1 - a, out=planes, sums=xsums)
-            if ky is not None:
-                _correlate1d(planes, ky, 1, out=target, sums=ysums)
-            elif planes is not target:
-                target[...] = planes
-
-    _map_slabs(run, _chunk_bounds(nx, min(threads, nx)), threads)
-    return Volume(out, volume.spacing, scale)
+    """Filter a volume with one outer-product kernel: ``convolve_fields``
+    with that kernel alone."""
+    return convolve_fields(volume, [kernel], threads, depth)[0]
 
 
 def _crop_depth(arr: np.ndarray, depth: int) -> None:
@@ -453,8 +509,11 @@ class FilterBank:
     A kept field is handed back as it is.  ``plan`` lists what the bank's
     readers will ask for, one (derivative half-width, lateral width,
     smoothing radius) per reader; a planned field is dropped once its last
-    reader has taken it, and unplanned fields are kept.  Fields are shared
-    between callers, so their arrays are made read-only.
+    reader has taken it, and unplanned fields are kept.  A new planned field
+    is computed in one ``convolve_fields`` pass with the fields that the
+    first reader planning it also planned and that are not yet kept, and
+    those are kept for their readers.  Fields are shared between callers,
+    so their arrays are made read-only.
     """
 
     def __init__(
@@ -468,9 +527,12 @@ class FilterBank:
         self._fields: dict[tuple, Volume] = {}
         self._readers: Counter = Counter()
         self._depth = volume.nz  # no request reads a plane at or below this
-        for half_width, lateral, radius in plan:
-            self._readers[("derivative", half_width, lateral)] += 1
-            self._readers[("smoothing", radius)] += 1
+        self._plan = [
+            (("derivative", half_width, lateral), ("smoothing", radius))
+            for half_width, lateral, radius in plan
+        ]
+        for reader in self._plan:
+            self._readers.update(reader)
 
     def check_fits(self, half_width: int, lateral: int, radius: int) -> None:
         """Raise ValueError if a derivative or smoothing kernel of these
@@ -478,7 +540,25 @@ class FilterBank:
         for k in (make_derivative_kernel(half_width, lateral), make_smoothing_kernel(radius)):
             _check_extents((k.kx.size, k.ky.size, k.kz.size), self.volume.dims)
 
-    def _field(self, key: tuple, kernel: SeparableKernel, depth: int | None) -> Volume:
+    def _compute(self, key: tuple, depth: int) -> Volume:
+        """Compute a field with the planned fields that share its pass, keep
+        those, and return it."""
+        keys = [key]
+        if self._readers.get(key):
+            reader = next(r for r in self._plan if key in r)
+            keys += [k for k in reader if k != key and self._readers[k] and k not in self._fields]
+        kernels = [make_derivative_kernel(*k[1:]) if k[0] == "derivative"
+                   else make_smoothing_kernel(*k[1:]) for k in keys]
+        if len(kernels) == 1:
+            fields = [convolve_separable(self.volume, kernels[0], self.threads, depth)]
+        else:
+            fields = convolve_fields(self.volume, kernels, self.threads, depth)
+        for k, field in zip(keys, fields):
+            field.data.flags.writeable = False
+            self._fields[k] = field
+        return self._fields.pop(key)
+
+    def _field(self, key: tuple, depth: int | None) -> Volume:
         depth = self.volume.nz if depth is None else depth
         if depth < 1:
             raise ValueError(f"depth must be >= 1, got {depth}")
@@ -497,8 +577,7 @@ class FilterBank:
                     if sys.getrefcount(kept.data) > 2:
                         raise ValueError("a field still in use cannot be cut in place")
                     _crop_depth(kept.data, depth)
-            field = convolve_separable(self.volume, kernel, self.threads, depth)
-            field.data.flags.writeable = False
+            field = self._compute(key, depth)
         if left is None or left > 1:
             self._fields[key] = field
         if left:
@@ -508,14 +587,13 @@ class FilterBank:
     def smoothing(self, radius: int, depth: int | None = None) -> Volume:
         """Box-smoothed intensity; ``depth``: the caller reads the planes
         z < depth, and no later request may read deeper."""
-        return self._field(("smoothing", radius), make_smoothing_kernel(radius), depth)
+        return self._field(("smoothing", radius), depth)
 
     def derivative(self, half_width: int, lateral: int, depth: int | None = None) -> Volume:
         """Bright-above depth derivative, averaged over a lateral box;
         ``depth``: the caller reads the planes z < depth, and no later
         request may read deeper."""
-        kernel = make_derivative_kernel(half_width, lateral)
-        return self._field(("derivative", half_width, lateral), kernel, depth)
+        return self._field(("derivative", half_width, lateral), depth)
 
 
 def convolve_direct(volume: Volume, kernel: Kernel3D) -> Volume:

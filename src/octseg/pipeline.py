@@ -10,7 +10,9 @@ is raised as a PipelineError naming the boundary and the stage.  One
 ``FilterBank`` per volume computes each distinct field once; polarity is
 the sign ``enhance`` gives the bank's bright-above derivative, so ILM
 reuses RPE's.  ``segment_retina`` hands the bank the fields each boundary
-will read, so a field is freed after its last reader.  Each boundary asks
+will read, so a field is freed after its last reader; a boundary's
+derivative stage also computes its smoothed field when that is new, in
+the same pass, and its smoothing stage then takes it.  Each boundary asks
 for its fields down to the end of its search band, read before the
 derivative stage, and no band ends deeper than the one before it (IS/OS
 searches above RPE, ILM above IS/OS), so the bank computes a new field only
@@ -32,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import numbers
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -244,11 +247,11 @@ def segment_boundary(
         deriv = bank.derivative(profile.derivative_half_width, profile.lateral_width, depth)
     with _stage(report, "smoothing"):
         smooth = bank.smoothing(profile.smoothing_radius, depth)
+    passes = Counter()
     with _stage(report, "enhance"):
-        raw, report.degenerate = enhance(deriv, smooth, profile, mask, threads)
+        raw, report.degenerate = enhance(deriv, smooth, profile, mask, threads, passes)
     del deriv, smooth  # a field the bank no longer keeps is freed here
-    report.enhance_passes += 1
-    report.argmax_passes += 1
+    report.enhance_passes, report.argmax_passes = passes["enhance"], passes["argmax"]
     with _stage(report, "outlier_reject"):
         kept = reject_outliers(raw, profile.outlier_tau, profile.median_window)
     report.rejected_points = int(raw.valid.sum() - kept.valid.sum())

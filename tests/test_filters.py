@@ -26,7 +26,7 @@ from octseg.filters import (
 )
 from octseg.pipeline import BoundaryProfile
 from octseg.surfaces import SearchMask
-from octseg.volume import Volume, VolumeMeta, load_volume
+from octseg.volume import Volume, VolumeMeta, load_volume, open_volume
 
 
 def random_volume(rng, dims, dtype=np.float64):
@@ -273,9 +273,9 @@ class TestFilterBank:
     @given(st.integers(0, 2**31 - 1), st.sampled_from([np.float32, np.float64, np.uint8]),
            st.sampled_from([1, None]))
     @settings(max_examples=40, deadline=None)
-    def test_fields_bitwise_equal_convolve_separable(self, seed, dtype, slab_voxels):
+    def test_fields_bitwise_equal_convolve_separable(self, seed, dtype, slab_bytes):
         # the fused slab pass against whole-axis passes: threads 1 and 2,
-        # 1-plane slabs (slab_voxels=1) and the default, full and cut depths;
+        # 1-plane slabs (slab_bytes=1) and the default, full and cut depths;
         # u8 samples give their exact integer sums rounded once
         rng = np.random.default_rng(seed)
         dims = (int(rng.integers(4, 12)), int(rng.integers(3, 8)), int(rng.integers(5, 20)))
@@ -284,8 +284,8 @@ class TestFilterBank:
         half_width = int(rng.integers(1, (dims[2] - 1) // 2 + 1))
         laterals = [2 * int(rng.integers(0, (min(dims[:2]) + 1) // 2)) + 1 for _ in range(2)]
         depth = int(rng.integers(1, dims[2] + 1))
-        slab = filters._FILTER_SLAB_VOXELS if slab_voxels is None else slab_voxels
-        with mock.patch.object(filters, "_FILTER_SLAB_VOXELS", slab):
+        slab = filters._FILTER_SLAB_BYTES if slab_bytes is None else slab_bytes
+        with mock.patch.object(filters, "_FILTER_SLAB_BYTES", slab):
             for threads in (1, 2):
                 kernel = make_smoothing_kernel(radius)
                 ref = whole_axis_reference(v, kernel)
@@ -317,8 +317,10 @@ class TestFilterBank:
         ref = whole_axis_reference(v, make_derivative_kernel(3, 5), 10)
         assert only.nz == 10 and only.values().tobytes() == ref.tobytes()
         assert bank.derivative(3, 3, 7) is first and first.nz == 10  # handed back as it is
+        # computed with derivative(3, 3), its first reader's other field
         smooth = bank.smoothing(1, 7)
-        assert smooth.nz == 7
+        ref = whole_axis_reference(v, make_smoothing_kernel(1), 10)
+        assert smooth.nz == 10 and smooth.values().tobytes() == ref.tobytes()
         assert bank.smoothing(1, 7) is smooth and bank.smoothing(1, 5) is smooth
         fields = [weakref.ref(f) for f in (first, only, smooth)]
         del first, only, smooth
@@ -357,15 +359,15 @@ class TestFilterBank:
 
     def test_crop_frees_the_cut_planes_in_place(self):
         v = random_volume(np.random.default_rng(12), (64, 64, 128), np.uint8)
-        bank = FilterBank(v, plan=[(3, 3, 1), (3, 3, 1)])
+        bank = FilterBank(v, plan=[(3, 3, 1), (3, 5, 1)])
         crop, convolve = filters._crop_depth, filters.convolve_separable
-        seen = {}
+        seen = {"cut_peak": 0}
 
         def cut(arr, depth):
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
             crop(arr, depth)
-            seen["cut_peak"] = tracemalloc.get_traced_memory()[1] - start
+            seen["cut_peak"] = max(seen["cut_peak"], tracemalloc.get_traced_memory()[1] - start)
 
         def computed(*args):
             seen["computed_from"] = tracemalloc.get_traced_memory()[0]
@@ -373,25 +375,27 @@ class TestFilterBank:
 
         tracemalloc.start()
         try:
-            field = bank.smoothing(1, 128)  # kept for its second reader
+            # kept for its second reader, with derivative(3, 3) for its first
+            field = bank.smoothing(1, 128)
             with mock.patch.object(filters, "_crop_depth", cut), \
                     mock.patch.object(filters, "convolve_separable", computed):
                 before = tracemalloc.get_traced_memory()[0]
-                bank.derivative(3, 3, 32)
+                bank.derivative(3, 5, 32)
         finally:
             tracemalloc.stop()
         assert field.nz == 32  # the handed-out field shrank in place
-        # the cut planes were freed before the new field was computed
-        assert before - seen["computed_from"] >= 0.99 * 64 * 64 * (128 - 32) * field.data.itemsize
+        # the cut planes of both kept fields were freed before the new field
+        # was computed
+        assert before - seen["computed_from"] >= 0.99 * 2 * 64 * 64 * (128 - 32) * field.data.itemsize
         # no second copy: only one block of A-scans is buffered at a time
         assert seen["cut_peak"] <= 4 * filters._BLOCK_SAMPLES
 
     def test_crop_refuses_a_field_still_in_use(self):
         v = random_volume(np.random.default_rng(13), (8, 6, 24), np.float32)
-        bank = FilterBank(v, plan=[(3, 3, 1), (3, 3, 1)])
+        bank = FilterBank(v, plan=[(3, 3, 1), (3, 5, 1)])
         view = bank.smoothing(1).data[:, :, 4:]
         with pytest.raises(ValueError, match="still in use"):
-            bank.derivative(3, 3, 10)
+            bank.derivative(3, 5, 10)
         ref = whole_axis_reference(v, make_smoothing_kernel(1))
         assert view.tobytes() == np.ascontiguousarray(ref[:, :, 4:]).tobytes()
 
@@ -407,6 +411,67 @@ class TestFilterBank:
         for depth in (0, 9):
             with pytest.raises(ValueError, match="depth"):
                 convolve_separable(v, make_smoothing_kernel(1), depth=depth)
+
+
+class TestFusedPass:
+    """``convolve_fields`` runs several kernels in one pass over x-slabs."""
+
+    # an odd box and a box of other halos, a smoothing whose u8 y sums
+    # widen to int32 (its x pass needs scratch), and identity x and y taps
+    KERNELS = (make_derivative_kernel(2, 3), make_smoothing_kernel(3),
+               make_derivative_kernel(1, 1))
+
+    @pytest.mark.parametrize("slab_bytes", [1, 12000, None], ids=["one-plane", "few-planes", "default"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("fmt", ["u8-xyz", "f32-zxy"])
+    @pytest.mark.parametrize("source", ["volume", "opened"])
+    def test_bitwise_equal_to_one_kernel_passes(self, tmp_path, source, fmt, threads, slab_bytes):
+        rng = np.random.default_rng(21)
+        dims = (13, 9, 30)
+        dtype, order = fmt.split("-")
+        if dtype == "u8":
+            samples = rng.integers(0, 256, dims, dtype=np.uint8)
+        else:
+            samples = (rng.random(dims, dtype=np.float32) * 3 - 1).astype("<f4")
+        perm = tuple("xyz".index(ax) for ax in order)
+        raw = tmp_path / "v.raw"
+        np.ascontiguousarray(samples.transpose(perm)).tofile(raw)
+        meta = VolumeMeta(dims=tuple(dims[p] for p in perm), dtype=dtype, order=order)
+        volume = load_volume(raw, meta) if source == "volume" else open_volume(raw, meta)
+        slab = filters._FILTER_SLAB_BYTES if slab_bytes is None else slab_bytes
+        try:
+            with mock.patch.object(filters, "_FILTER_SLAB_BYTES", slab):
+                for depth in (30, 19):
+                    fused = filters.convolve_fields(volume, self.KERNELS, threads, depth)
+                    for kernel, field in zip(self.KERNELS, fused):
+                        alone = convolve_separable(volume, kernel, threads, depth)
+                        assert field.data.dtype == alone.data.dtype
+                        assert field.scale == alone.scale and field.nz == depth
+                        assert field.data.tobytes() == alone.data.tobytes()
+        finally:
+            if source == "opened":
+                volume.close()
+
+    def test_a_readers_planned_fields_come_from_one_pass(self):
+        v = random_volume(np.random.default_rng(22), (9, 7, 30), np.uint8)
+        # RPE and ILM read derivative(3, 3), IS/OS derivative(3, 5), all smoothing(1)
+        bank = FilterBank(v, plan=[(3, 3, 1), (3, 5, 1), (3, 3, 1)])
+        passes = []
+        fused = filters.convolve_fields
+
+        def counted(volume, kernels, threads=1, depth=None):
+            passes.append([(k.kx.size, k.kz.size) for k in kernels])
+            return fused(volume, kernels, threads, depth)
+
+        with mock.patch.object(filters, "convolve_fields", counted):
+            deriv, smooth = bank.derivative(3, 3, 20), bank.smoothing(1, 20)
+            assert passes == [[(3, 7), (3, 3)]]
+            bank.derivative(3, 5, 12)
+            assert passes[1:] == [[(5, 7)]]  # its smoothing is kept
+        for kernel, field in ((make_derivative_kernel(3, 3), deriv),
+                              (make_smoothing_kernel(1), smooth)):
+            ref = exact_u8_reference(v, kernel, 12)
+            assert field.values().tobytes() == np.ascontiguousarray(ref).tobytes()
 
 
 def stored_dtype(kernel):

@@ -148,6 +148,18 @@ class TestCascade:
             err = surface_error(res.surfaces[key], getattr(truth, key))
             assert err.rms <= 2.0, f"{key}: rms={err.rms}"
 
+    def test_pass_counters_count_the_sweeps_that_ran(self, monkeypatch):
+        # enhance called twice runs two score-and-pick sweeps
+        once = pipeline.enhance
+
+        def twice(*args):
+            once(*args)
+            return once(*args)
+
+        monkeypatch.setattr(pipeline, "enhance", twice)
+        res = segment_boundary(two_layer_volume()[0], BRIGHT_ABOVE)
+        assert res.report.enhance_passes == res.report.argmax_passes == 2
+
     def test_ordering_always_holds(self):
         spec = PhantomSpec.default(dims=(64, 16, 128), seed=1, speckle_looks=1)
         vol, _ = generate_phantom(spec)
@@ -185,24 +197,26 @@ class TestCascade:
         # two fields kept after RPE are cut once, to that band end
         fields, reads, cuts = [], [], []
         kernels = {}  # id of each field's array -> its kernel's x and z sizes
-        convolve, score, crop = filters.convolve_separable, pipeline.enhance, filters._crop_depth
+        convolve, score, crop = filters.convolve_fields, pipeline.enhance, filters._crop_depth
 
-        def counted(volume, kernel, threads=1, depth=None):
-            out = convolve(volume, kernel, threads, depth)
-            fields.append((kernel.kx.size, kernel.kz.size, out.nz))
-            kernels[id(out.data)] = (kernel.kx.size, kernel.kz.size)
+        def counted(volume, kernel_list, threads=1, depth=None):
+            out = convolve(volume, kernel_list, threads, depth)
+            for kernel, field in zip(kernel_list, out):
+                fields.append((kernel.kx.size, kernel.kz.size, field.nz))
+                kernels[id(field.data)] = (kernel.kx.size, kernel.kz.size)
             return out
 
         def cut(arr, depth):
             cuts.append((kernels[id(arr)], arr.shape[2], depth))
             crop(arr, depth)
 
-        def banded(diff, smooth, profile, mask, threads):
+        def banded(diff, smooth, profile, mask, *rest):
             z0, band = mask.to_band()
             reads.append((diff.nz, z0 + band.nz, len(cuts)))
-            return score(diff, smooth, profile, mask, threads)
+            return score(diff, smooth, profile, mask, *rest)
 
-        monkeypatch.setattr(filters, "convolve_separable", counted)
+        # every field, alone or with others, is computed by convolve_fields
+        monkeypatch.setattr(filters, "convolve_fields", counted)
         monkeypatch.setattr(filters, "_crop_depth", cut)
         monkeypatch.setattr(pipeline, "enhance", banded)
         vol, _ = generate_phantom(PhantomSpec.default(dims=(48, 12, 96)))
@@ -255,12 +269,13 @@ class TestCascade:
     def test_peak_memory_at_most_2_3_volumes_above_input(self, config):
         # fields live only while a reader needs them and only as deep as
         # they are read: the peak is RPE's, with its derivative and the
-        # smoothing at full depth plus scratch (2.14 volumes measured;
-        # keeping every field at full depth peaked at 5.04, and the two
-        # kept fields at full depth through IS/OS at 2.69).  When RPE or
-        # ILM reads fields of its own, some fields are read by RPE alone,
-        # and the reader plan frees them after RPE (2.13 and 2.14 measured;
-        # 2.35 and 2.24 with every field kept)
+        # smoothing at full depth plus scratch (2.10 volumes measured, 2.14
+        # with a pass per field and larger median blocks; keeping every
+        # field at full depth peaked at 5.04, and the two kept fields at
+        # full depth through IS/OS at 2.69).  When RPE or ILM reads fields
+        # of its own, some fields are read by RPE alone, and the reader plan
+        # frees them after RPE (2.08 and 2.10 measured; 2.35 and 2.24 with
+        # every field kept)
         vol, _ = generate_phantom(PhantomSpec.default(dims=(300, 99, 480), seed=0,
                                                       speckle_looks=4))
         cfg = None if config is None else PipelineConfig.from_dict(config)
@@ -269,8 +284,9 @@ class TestCascade:
     def test_peak_memory_at_most_1_7_float_volumes_above_u8_input(self):
         # the fields of u8 samples are their exact integer sums: the peak
         # is RPE's, with its int16 derivative and int32 smoothing at full
-        # depth (1.63 float volumes measured; 2.18 with float32 fields, and
-        # a float copy of the input adds one)
+        # depth (1.59 float volumes measured, 1.64 with a pass per field and
+        # larger median blocks; 2.18 with float32 fields, and a float copy
+        # of the input adds one)
         vol, _ = generate_phantom(PhantomSpec.default(dims=(300, 99, 480), seed=0,
                                                       speckle_looks=4))
         u8 = Volume(np.clip(np.rint(vol.data * 255.0), 0, 255).astype(np.uint8), scale=255)
@@ -286,7 +302,7 @@ class TestCascade:
         raw = tmp_path / "v.raw"
         np.ascontiguousarray(vol.data.transpose(2, 0, 1), dtype="<f4").tofile(raw)
         meta = VolumeMeta(dims=(128, 96, 24), dtype="f32", order="zxy")
-        with mock.patch.object(filters, "_FILTER_SLAB_VOXELS", 1):
+        with mock.patch.object(filters, "_FILTER_SLAB_BYTES", 1):
             tracemalloc.start()
             try:
                 segment_retina(load_volume(raw, meta))
@@ -358,11 +374,11 @@ def u8_phantom_file(tmp_path, dims, seed, order):
 class TestU8Input:
     @given(dims=st.tuples(st.integers(9, 20), st.integers(9, 11), st.integers(64, 96)),
            seed=st.integers(0, 2**16), order=st.sampled_from(FILE_ORDERS),
-           slab_voxels=st.sampled_from([1, None]),
+           slab_bytes=st.sampled_from([1, None]),
            dtype=st.sampled_from(["u8", "f32"]), endian=st.sampled_from(["le", "be"]))
     @settings(max_examples=16, deadline=None)
     def test_surfaces_bitwise_equal_across_file_orders_threads_and_slabs(
-            self, tmp_path_factory, dims, seed, order, slab_voxels, dtype, endian):
+            self, tmp_path_factory, dims, seed, order, slab_bytes, dtype, endian):
         # a u8 or f32 file of any order and byte order, loaded and opened,
         # against the same samples loaded from a little-endian xyz file:
         # threads 1 and 2, 1-voxel and default slabs
@@ -371,8 +387,8 @@ class TestU8Input:
         path, meta, _ = phantom_file(tmp, dims, seed, order, dtype, endian)
         loaded = load_volume(path, meta)
         assert loaded.data.dtype == (np.uint8 if dtype == "u8" else np.float32)
-        slab = filters._FILTER_SLAB_VOXELS if slab_voxels is None else slab_voxels
-        with mock.patch.object(filters, "_FILTER_SLAB_VOXELS", slab), \
+        slab = filters._FILTER_SLAB_BYTES if slab_bytes is None else slab_bytes
+        with mock.patch.object(filters, "_FILTER_SLAB_BYTES", slab), \
                 open_volume(path, meta) as opened:
             for volume in (loaded, opened):
                 for threads in (1, 2):

@@ -26,6 +26,10 @@ def run_script(name, *args):
     )
 
 
+# the stages of a boundary report, which the script's table lists
+STAGES = ("derivative", "smoothing", "enhance", "outlier_reject", "regularize")
+
+
 def run_benchmark(*args):
     return run_script("run_benchmark.py", *args)
 
@@ -73,6 +77,17 @@ def test_run_benchmark_prints_every_stage_of_the_reports():
     match = re.fullmatch(r"CLI segment peak RSS (\d+\.\d) MiB \(ru_maxrss of one `octseg segment` "
                          r"child on the phantom's u8 file\)", cli_row)
     assert match and float(match.group(1)) > 0
+    # then the stage its sampled VmRSS peaked in, where /proc can be read
+    stage_row = lines[lines.index(cli_row) + 1]
+    if os.path.exists("/proc/self/status"):
+        match = re.fullmatch(r"CLI segment RSS peaked in (.+) \(VmRSS (\d+\.\d) MiB, "
+                             r"sampled every 0\.5 ms\)", stage_row)
+        stages = "|".join(STAGES)
+        assert match and re.fullmatch(rf"start-up|(after )?(RPE|IS/OS|ILM) ({stages})",
+                                      match.group(1)), stage_row
+        assert float(match.group(2)) > 0
+    else:
+        assert stage_row == "CLI segment peak stage not sampled (no /proc/self/status)"
     # the start-up line gives the import child's CPU time next to its wall time
     startup_rows = [line for line in lines if line.startswith("CLI start-up ")]
     assert len(startup_rows) == 1

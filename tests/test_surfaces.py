@@ -157,6 +157,21 @@ class TestRejectOutliers:
         clean_kept = out.valid & ~spike_mask
         assert np.array_equal(out.z[clean_kept], spiked[clean_kept])
 
+    def test_peak_memory_bounded_by_grids_not_the_median_block(self):
+        # the median's block of 2**11 cells holds 25 taps of each: the peak
+        # is the grid-sized arrays around it (6.3 grids measured; 13.1 with
+        # blocks of 2**14 cells)
+        rng = np.random.default_rng(3)
+        z = rng.normal(60.0, 3.0, (640, 160))
+        surface = Surface.full(z)
+        tracemalloc.start()
+        try:
+            reject_outliers(surface, tau=15.0, window=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * z.nbytes
+
     @given(
         seed=st.integers(0, 2**32 - 1),
         nx=st.integers(1, 12),
