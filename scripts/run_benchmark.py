@@ -9,8 +9,9 @@ resident set size next to the cascade's own peak allocation (tracemalloc,
 from one more, untimed run), the peak resident set size of one
 ``octseg segment`` child run on those samples written as a u8 raw file
 with the pipeline stage in which its sampled VmRSS peaked (where
-/proc/self/status exists), and the cold-start cost that every CLI call pays: the wall and CPU time
-of a child process that only imports octseg.cli.
+/proc/self/status exists), and the cold-start cost that every CLI call
+pays: the wall and CPU time of a child process that only imports
+octseg.cli.
 """
 
 import argparse

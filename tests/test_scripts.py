@@ -26,10 +26,6 @@ def run_script(name, *args):
     )
 
 
-# the stages of a boundary report, which the script's table lists
-STAGES = ("derivative", "smoothing", "enhance", "outlier_reject", "regularize")
-
-
 def run_benchmark(*args):
     return run_script("run_benchmark.py", *args)
 
@@ -82,7 +78,7 @@ def test_run_benchmark_prints_every_stage_of_the_reports():
     if os.path.exists("/proc/self/status"):
         match = re.fullmatch(r"CLI segment RSS peaked in (.+) \(VmRSS (\d+\.\d) MiB, "
                              r"sampled every 0\.5 ms\)", stage_row)
-        stages = "|".join(STAGES)
+        stages = "|".join(rows)  # the table's stages
         assert match and re.fullmatch(rf"start-up|(after )?(RPE|IS/OS|ILM) ({stages})",
                                       match.group(1)), stage_row
         assert float(match.group(2)) > 0
