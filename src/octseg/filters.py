@@ -16,8 +16,7 @@ the samples straight into its padded scratch, permuting the axes of a
 slab read in another file order as it copies (or, with several kernels,
 once before them), and writes the planes above the depth into the x halo
 buffer, the x pass reads the halo but computes only the slab's own
-planes, into the field unless the y sums are wider, and the y pass writes
-the field, in place when it can.  Its
+planes, into the field, and the y pass runs in the field in place.  Its
 one-axis correlation sums float values in their dtype, box taps with a
 single multiply, in one order at any thread count.  The scaled integer
 samples of a u8 volume (``Volume.scale``) under box, odd-box or identity
@@ -209,8 +208,9 @@ def _correlate1d(
 
     With ``sums``, an integer dtype, ``arr`` holds integers and the taps
     must be box or odd-box: each output is the exact sum of its samples
-    counted +1, or +1 before the centre and -1 after it, computed and
-    written in ``sums``, which the caller makes wide enough.
+    counted +1, or +1 before the centre and -1 after it, computed in
+    ``sums``, which the caller makes wide enough, and written in ``sums``
+    or in the wider integer dtype of ``out``.
     """
     if sums is None:
         if arr.dtype.kind != "f":
@@ -226,8 +226,12 @@ def _correlate1d(
     shape = arr.shape[:axis] + (m,) + arr.shape[axis + 1 :]
     if out is None:
         out = np.empty(shape, dtype=dtype)
-    elif out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous {dtype} array of shape {shape}")
+    elif out.shape != shape or not out.flags.c_contiguous or not (
+        out.dtype == dtype or sums is not None and out.dtype.kind == "i"
+        and np.can_cast(dtype, out.dtype)
+    ):
+        raise ValueError(f"out must be a C-contiguous {dtype} array of shape {shape}"
+                         + ("" if sums is None else ", or of a wider integer dtype"))
     h, c = w.size // 2, w[0]
     form = _tap_form(w)
     if sums is not None and form is None:
@@ -292,7 +296,7 @@ def _exact_passes(
 ) -> tuple[list[np.dtype], float] | None:
     """How a volume of scaled integer samples is filtered in exact integer
     sums: for the z, x and y taps (None where they are identity), the dtype
-    each pass sums and writes in, and the scale of the last pass's sums.
+    each pass sums in, and the scale of the last pass's sums.
 
     A pass sums tap counts in int16 or int32, whichever holds its bound; an
     identity pass keeps the dtype before it, the samples' own at first.
@@ -342,8 +346,8 @@ _FILTER_SLAB_BYTES = 1 << 21
 
 class _KernelPass:
     """What one kernel of a filter pass needs: its z, x and y taps (None for
-    [1.0]), whether it sums scaled samples exactly, the dtype each axis pass
-    writes, its x halo, the planes its z pass reads, and its output."""
+    [1.0]), whether it sums scaled samples exactly, the dtype each axis
+    pass sums in, its x halo, the planes its z pass reads, and its output."""
 
     def __init__(self, volume: Volume | RawVolume, kernel: SeparableKernel, depth: int):
         _check_extents((kernel.kx.size, kernel.ky.size, kernel.kz.size), volume.dims)
@@ -355,10 +359,7 @@ class _KernelPass:
             dtypes, self.scale, self.sums = [volume.dtype] * 3, None, [None] * 3
         else:  # the samples, summed exactly in each pass's dtype
             (dtypes, self.scale), self.sums = exact, exact[0]
-        self.held_dtype, self.x_dtype, out_dtype = dtypes
-        # the x pass writes into the field, and the y pass runs there in
-        # place, unless the y sums widen the x pass's
-        self.x_scratch = self.kx is not None and self.ky is not None and self.x_dtype != out_dtype
+        self.held_dtype, _, out_dtype = dtypes
         self.hx = 0 if self.kx is None else self.kx.size // 2
         # the z pass reads no plane at or below depth + hz
         self.read_depth = min(volume.nz, depth + (0 if self.kz is None else self.kz.size // 2))
@@ -395,7 +396,7 @@ def convolve_fields(
     the z pass reads them.  Float values give a field of their dtype.  A
     kernel longer than the volume along any axis is rejected.  Slabs are
     as wide as ``_FILTER_SLAB_BYTES`` of the kernels' z-filtered planes
-    allow, and each thread reuses one set of buffers for all of its slabs.
+    allow, and each thread reuses its halo buffers for all of its slabs.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -412,7 +413,6 @@ def convolve_fields(
     def run(lo: int, hi: int) -> None:
         slab = min(width, hi - lo)
         held = [np.empty((min(slab + p.hx + hx, nx), ny, depth), p.held_dtype) for p in passes]
-        xs = [np.empty((slab, ny, depth), p.x_dtype) if p.x_scratch else None for p in passes]
         permuted = None
         # held[i] keeps kernel i's z-filtered planes [starts[i], b) of the
         # current slab's x neighbourhood; every plane below b has been read
@@ -429,7 +429,7 @@ def convolve_fields(
                         permuted = np.empty(shape, samples.dtype)
                     np.copyto(permuted[: nb - f], samples)
                     samples = permuted[: nb - f]
-            for i, (p, h, x_buf) in enumerate(zip(passes, held, xs)):
+            for i, (p, h) in enumerate(zip(passes, held)):
                 na = max(0, s0 - p.hx)
                 if b > na:
                     h[: b - na] = h[na - starts[i] : b - starts[i]]
@@ -443,12 +443,14 @@ def convolve_fields(
                     else:
                         into[...] = part[:, :, :depth]
                 starts[i] = na
-                # the x pass reads the halo and writes only the slab's planes
+                # the x pass reads the halo and writes only the slab's planes,
+                # into the field, whose dtype holds its sums too; the y pass
+                # then runs there in place
                 target = p.out[s0:s1]
                 if p.kx is None:
                     planes = h[s0 - na : s1 - na]
                 else:
-                    planes = x_buf[: s1 - s0] if p.x_scratch else target
+                    planes = target
                     _correlate1d(h[: nb - na], p.kx, 0, s0 - na, s1 - na,
                                  out=planes, sums=p.sums[1])
                 if p.ky is not None:

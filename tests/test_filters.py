@@ -702,3 +702,12 @@ class TestCorrelate1d:
                     np.empty((2, 4), np.float32).T):
             with pytest.raises(ValueError, match="out must be"):
                 filters._correlate1d(arr, taps, 1, 2, 4, out=out)
+        # integer sums may be written into a wider integer dtype, and only there
+        samples = np.arange(24, dtype=np.uint8).reshape(4, 6)
+        narrow = filters._correlate1d(samples, taps, 1, sums=np.int16)
+        wide = np.empty((4, 6), np.int32)
+        assert filters._correlate1d(samples, taps, 1, out=wide, sums=np.int16) is wide
+        assert np.array_equal(wide, narrow)
+        for out in (np.empty((4, 6), np.int8), np.empty((4, 6), np.float32)):
+            with pytest.raises(ValueError, match="or of a wider integer dtype"):
+                filters._correlate1d(samples, taps, 1, out=out, sums=np.int16)

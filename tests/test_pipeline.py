@@ -284,7 +284,7 @@ class TestCascade:
     def test_peak_memory_at_most_1_7_float_volumes_above_u8_input(self):
         # the fields of u8 samples are their exact integer sums: the peak
         # is RPE's, with its int16 derivative and int32 smoothing at full
-        # depth (1.59 float volumes measured, 1.64 with a pass per field and
+        # depth (1.58 float volumes measured, 1.64 with a pass per field and
         # larger median blocks; 2.18 with float32 fields, and a float copy
         # of the input adds one)
         vol, _ = generate_phantom(PhantomSpec.default(dims=(300, 99, 480), seed=0,
