@@ -8,11 +8,13 @@ import argparse
 import json
 import pathlib
 
+import numpy as np
+
 from octseg.analysis import (export_surface_mesh, save_thickness_csv,
                              save_thickness_pgm, thickness_map)
 from octseg.phantom import PhantomSpec, generate_phantom, surface_error
 from octseg.pipeline import segment_retina
-from octseg.render import render_bscan, write_ppm
+from octseg.render import draw_bscan, write_ppm
 from octseg.surfaces import save_surface
 from octseg.volume import save_volume
 
@@ -62,7 +64,7 @@ def main():
         print(f"{key} mesh: {n_verts} vertices, {n_faces} triangles -> {key}.ply")
 
     y_mid = dims[1] // 2
-    image = render_bscan(volume, result.surfaces, y_mid)
+    image = draw_bscan(volume.values(np.s_[:, y_mid, :]), volume.ny, result.surfaces, y_mid)
     write_ppm(image, out / f"bscan_y{y_mid}.ppm")
     print(f"overlay of slice y={y_mid} -> bscan_y{y_mid}.ppm")
 

@@ -1,10 +1,9 @@
 """octseg: depth-weighted 3D boundary segmentation for retinal OCT volumes.
 
 The public names are imported from their modules on first use (PEP 562),
-so ``import octseg.cli`` loads only the modules that the CLI itself
-imports.  ``enhance`` is the exception: the function shares its module's
-name, and the import system rebinds that name to the module whenever the
-module is first loaded, so the enhance names are bound here up front.
+so ``import octseg`` loads no octseg module and ``import octseg.cli`` loads
+only the modules that the CLI itself imports.  They are what the README,
+the scripts and the CLI use; the other names stay in their modules.
 
 octseg calls no BLAS routine (``--threads`` runs its own pool), so the
 package loads numpy with its OpenBLAS pool pinned to one thread: the
@@ -35,66 +34,41 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from .enhance import DegenerateNormalizationWarning, enhance  # noqa: E402
-
 __version__ = "0.1.0"
 
 _EXPORTS = {
     "analysis": ("ThicknessMap", "export_surface_mesh", "thickness_map"),
-    "filters": (
-        "FilterBank",
-        "Kernel3D",
-        "SeparableKernel",
-        "convolve_direct",
-        "convolve_separable",
-        "make_derivative_kernel",
-        "make_smoothing_kernel",
-    ),
+    "enhance": ("DegenerateNormalizationWarning",),
     "phantom": (
         "GroundTruth",
         "LayerIntensities",
         "LesionSpec",
         "PhantomSpec",
         "SurfaceSpec",
-        "add_speckle",
         "generate_phantom",
         "surface_error",
     ),
     "pipeline": (
         "BoundaryProfile",
         "BoundaryReport",
-        "BoundaryResult",
         "PipelineConfig",
         "PipelineError",
         "SegmentationResult",
-        "enforce_ordering",
-        "segment_boundary",
         "segment_retina",
     ),
-    "surfaces": (
-        "SearchMask",
-        "Surface",
-        "argmax_per_ascan",
-        "inpaint_and_smooth",
-        "load_surface",
-        "reject_outliers",
-        "save_surface",
-        "truncate_above_surface",
-    ),
+    "surfaces": ("Surface", "load_surface", "save_surface"),
     "volume": (
         "RawVolume",
         "SizeMismatchError",
         "Volume",
         "VolumeMeta",
-        "load_volume",
-        "normalize_intensities",
         "open_volume",
         "save_volume",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = sorted([*_MODULE_OF, "DegenerateNormalizationWarning", "enhance"])
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):

@@ -55,7 +55,7 @@ def cmd_segment(args) -> int:
         if args.config:
             config = PipelineConfig.from_json(args.config)
         else:
-            config = PipelineConfig.default()
+            config = PipelineConfig()
         threads = _resolve_threads(args.threads)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -29,8 +29,7 @@ fields that one reader plans in one pass, drops each after its last
 planned reader, and holds each request's depth as a
 promise that no later request reads deeper: a new field is computed only
 that deep, and the fields kept for later readers are first cut to it in
-place.  ``convolve_direct`` sums a dense kernel over its taps and exists
-as an independent reference for cross-checking the separable one.
+place.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import RawVolume, Volume
+from .volume import RawVolume, Volume, _non_finite
 
 
 def _check_taps(taps: np.ndarray, label: str) -> np.ndarray:
@@ -68,25 +67,6 @@ class SeparableKernel:
         object.__setattr__(self, "kx", _check_taps(self.kx, "kx"))
         object.__setattr__(self, "ky", _check_taps(self.ky, "ky"))
         object.__setattr__(self, "kz", _check_taps(self.kz, "kz"))
-
-    def to_dense(self) -> "Kernel3D":
-        coeffs = (
-            self.kx[:, None, None] * self.ky[None, :, None] * self.kz[None, None, :]
-        )
-        return Kernel3D(coeffs)
-
-
-@dataclass(frozen=True, eq=False)
-class Kernel3D:
-    """Dense 3D kernel with odd extent along every axis."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.float64)
-        if c.ndim != 3 or any(s % 2 == 0 for s in c.shape):
-            raise ValueError(f"dense kernel must be 3D with odd extents, got {c.shape}")
-        object.__setattr__(self, "coeffs", c)
 
 
 def make_derivative_kernel(half_width: int, lateral: int = 3) -> SeparableKernel:
@@ -203,8 +183,10 @@ def _correlate1d(
     output's terms are added in one order whatever the block, range or
     thread, so results are bitwise deterministic; they stay within
     ``(taps.size + 1) * eps * sum|taps| * max|arr|`` of the tests' float64
-    reference.  The axis is processed in blocks of about as many bytes as
-    ``_BLOCK_SAMPLES`` float32 samples.
+    reference, plus ``taps.size * smallest_subnormal / 2 * max|arr|``, as a
+    tap cast into the dtype's subnormal range is rounded by up to half that
+    spacing, not by a relative eps.  The axis is processed in blocks of
+    about as many bytes as ``_BLOCK_SAMPLES`` float32 samples.
 
     With ``sums``, an integer dtype, ``arr`` holds integers and the taps
     must be box or odd-box: each output is the exact sum of its samples
@@ -515,7 +497,9 @@ class FilterBank:
     is computed in one ``convolve_fields`` pass with the fields that the
     first reader planning it also planned and that are not yet kept, and
     those are kept for their readers.  Fields are shared between callers,
-    so their arrays are made read-only.
+    so their arrays are made read-only.  Float values in memory with a NaN
+    or infinite voxel raise ValueError; a ``RawVolume`` was checked when it
+    was opened, and scaled integer samples are finite.
     """
 
     def __init__(
@@ -524,6 +508,14 @@ class FilterBank:
         threads: int = 1,
         plan: Iterable[tuple[int, int, int]] = (),
     ):
+        if isinstance(volume, Volume) and volume.scale is None:
+            data = volume.data
+            # min and max propagate NaN and reach any infinity, so both are
+            # finite exactly when every voxel is
+            if not (np.isfinite(data.min()) and np.isfinite(data.max())):
+                bad = ~np.isfinite(data)
+                first = np.unravel_index(bad.argmax(), data.shape)
+                raise ValueError(_non_finite(int(bad.sum()), first))
         self.volume = volume
         self.threads = threads
         self._fields: dict[tuple, Volume] = {}
@@ -597,26 +589,3 @@ class FilterBank:
         request may read deeper."""
         return self._field(("derivative", half_width, lateral), depth)
 
-
-def convolve_direct(volume: Volume, kernel: Kernel3D) -> Volume:
-    """Reference dense correlation: pad with edge replication, sum over taps.
-
-    Accumulates in float64 regardless of input dtype, then casts back to
-    the dtype of the volume's values.  Intended for small volumes; cost
-    grows with kernel volume.
-    """
-    c = kernel.coeffs
-    _check_extents(c.shape, volume.dims)
-    hx, hy, hz = (s // 2 for s in c.shape)
-    nx, ny, nz = volume.dims
-    pad = np.pad(
-        volume.values().astype(np.float64),
-        ((hx, hx), (hy, hy), (hz, hz)),
-        mode="edge",
-    )
-    acc = np.zeros((nx, ny, nz), dtype=np.float64)
-    for a in range(c.shape[0]):
-        for b in range(c.shape[1]):
-            for d in range(c.shape[2]):
-                acc += c[a, b, d] * pad[a : a + nx, b : b + ny, d : d + nz]
-    return Volume(acc.astype(volume.dtype), volume.spacing)

@@ -129,10 +129,6 @@ class PipelineConfig(Record):
     isos: BoundaryProfile = _DEFAULT_PROFILES["isos"]
     ilm: BoundaryProfile = _DEFAULT_PROFILES["ilm"]
 
-    @classmethod
-    def default(cls) -> "PipelineConfig":
-        return cls()
-
 
 @dataclass
 class BoundaryReport:
@@ -309,7 +305,7 @@ def segment_retina(
     _check_threads(threads)
     t0 = time.perf_counter()
     if config is None:
-        config = PipelineConfig.default()
+        config = PipelineConfig()
     nx, ny, nz = volume.dims
     full = SearchMask.full(nx, ny, nz)
     profiles = (config.rpe, config.isos, config.ilm)

@@ -3,12 +3,9 @@ boundary polylines, written as binary PPM."""
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from .surfaces import Surface
-from .volume import Volume
 
 BOUNDARY_COLORS = {
     "ilm": (255, 64, 64),
@@ -18,26 +15,17 @@ BOUNDARY_COLORS = {
 _FALLBACK_COLORS = [(255, 255, 0), (255, 0, 255), (0, 255, 255)]
 
 
-def render_bscan(
-    volume: Volume, surfaces: dict[str, Surface], slice_index: int
-) -> np.ndarray:
-    """Rasterize B-scan y=slice_index as (nz, nx, 3) uint8 with overlays.
-
-    Rows are depth (shallow at the top), columns are x.  Each surface is
-    drawn as a connected polyline: consecutive columns whose rounded depths
-    differ by more than one pixel get a vertical joining segment.
-    """
-    ny = volume.ny
-    if not 0 <= slice_index < ny:
-        raise ValueError(f"slice index {slice_index} outside [0, {ny})")
-    return draw_bscan(volume.values(np.s_[:, slice_index, :]), ny, surfaces, slice_index)
-
-
 def draw_bscan(
     bscan: np.ndarray, ny: int, surfaces: dict[str, Surface], slice_index: int
 ) -> np.ndarray:
-    """``render_bscan`` of B-scan y=slice_index, given as its (nx, nz)
-    values, of a volume of ``ny`` B-scans; the index must lie in [0, ny)."""
+    """Rasterize B-scan y=slice_index of a volume of ``ny`` B-scans, given
+    as its (nx, nz) values, as (nz, nx, 3) uint8 with overlays.
+
+    Rows are depth (shallow at the top), columns are x.  Each surface is
+    drawn as a connected polyline: consecutive columns whose rounded depths
+    differ by more than one pixel get a vertical joining segment.  The
+    index must lie in [0, ny).
+    """
     if not 0 <= slice_index < ny:
         raise ValueError(f"slice index {slice_index} outside [0, {ny})")
     nx, nz = bscan.shape
@@ -79,16 +67,3 @@ def write_ppm(image: np.ndarray, path) -> None:
         f.write(f"P6\n{cols} {rows}\n255\n".encode("ascii"))
         f.write(np.ascontiguousarray(image).tobytes())
 
-
-def read_ppm(path) -> np.ndarray:
-    """Read back a binary PPM written by write_ppm."""
-    data = Path(path).read_bytes()
-    parts = data.split(b"\n", 3)
-    if len(parts) < 4 or parts[0] != b"P6":
-        raise ValueError(f"{path}: not a binary PPM")
-    cols, rows = (int(t) for t in parts[1].split())
-    maxval = int(parts[2])
-    if maxval != 255:
-        raise ValueError(f"{path}: unsupported max value {maxval}")
-    pixels = np.frombuffer(parts[3], dtype=np.uint8, count=rows * cols * 3)
-    return pixels.reshape(rows, cols, 3).copy()

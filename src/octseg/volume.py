@@ -180,21 +180,15 @@ class Volume(_Samples):
             )
 
 
-def normalize_intensities(arr: np.ndarray) -> np.ndarray:
-    """Map a float array into [0, 1].
+def _normalize(arr: np.ndarray, lo: float, hi: float, out: np.ndarray | None = None):
+    """Map a float32 array whose min and max are given into [0, 1], written
+    into ``out`` when it is rescaled and ``out`` is given.
 
     Values already inside [0, 1] pass through untouched, which makes the
     mapping idempotent and lets float volumes round-trip bit-exactly through
     save/load.  Anything else is min-max scaled; a constant out-of-range
     array collapses to zeros (no contrast to preserve).
     """
-    arr = np.asarray(arr, dtype=np.float32)
-    return _normalize(arr, float(arr.min()), float(arr.max()))
-
-
-def _normalize(arr: np.ndarray, lo: float, hi: float, out: np.ndarray | None = None):
-    """``normalize_intensities`` of a float32 array whose min and max are
-    given, written into ``out`` when it is rescaled and ``out`` is given."""
     if 0.0 <= lo and hi <= 1.0:
         return arr
     if hi == lo:
@@ -203,6 +197,13 @@ def _normalize(arr: np.ndarray, lo: float, hi: float, out: np.ndarray | None = N
         out.fill(0)
         return out
     return np.divide(np.subtract(arr, lo, out=out), np.float32(hi - lo), out=out)
+
+
+def _non_finite(count: int, first) -> str:
+    """The message that rejects a volume with ``count`` NaN or infinite
+    voxels, the first of which, in (x, y, z) order, is at ``first``."""
+    x, y, z = (int(i) for i in first)
+    return f"{count} non-finite voxel(s), first at (x, y, z) = ({x}, {y}, {z})"
 
 
 # a read takes as many runs of the file as start within this many bytes,
@@ -309,11 +310,8 @@ class RawSlabs:
             first = min(first, int(canonical.min()))
         self._check_unchanged()
         if bad:
-            x, y, z = np.unravel_index(first, self.shape)
-            raise ValueError(
-                f"{self.path}: {bad} non-finite voxel(s), "
-                f"first at (x, y, z) = ({x}, {y}, {z})"
-            )
+            first = np.unravel_index(first, self.shape)
+            raise ValueError(f"{self.path}: {_non_finite(bad, first)}")
         return lo, hi
 
     def __getitem__(self, index) -> np.ndarray:

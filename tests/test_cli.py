@@ -14,7 +14,7 @@ import octseg
 from octseg import cli
 from octseg.cli import ENV_THREADS, EXIT_OK, EXIT_PIPELINE, EXIT_USAGE, main, run
 from octseg.phantom import PhantomSpec
-from octseg.render import render_bscan, write_ppm
+from octseg.render import draw_bscan, write_ppm
 from octseg.surfaces import Surface, load_surface, save_surface
 from octseg.volume import VolumeMeta, load_volume
 
@@ -409,7 +409,8 @@ class TestRenderCmd:
             out = tmp_path / f"b{y}.ppm"
             assert main(["render", "--in", str(raw), "--meta", str(meta), "--surfaces", str(seg),
                          "--slice", str(y), "--out", str(out)]) == EXIT_OK
-            write_ppm(render_bscan(load_volume(raw, VolumeMeta.from_json(meta)), surfaces, y),
+            volume = load_volume(raw, VolumeMeta.from_json(meta))
+            write_ppm(draw_bscan(volume.values(np.s_[:, y, :]), volume.ny, surfaces, y),
                       tmp_path / "ref.ppm")
             assert out.read_bytes() == (tmp_path / "ref.ppm").read_bytes()
 
@@ -473,7 +474,8 @@ def test_no_command_imports_scipy(phantom_dir, tmp_path):
 
 def test_cli_import_loads_only_what_segment_runs():
     """``import octseg.cli`` leaves the phantom, analysis and render modules
-    and the thread pool unloaded; the package's public names resolve on use."""
+    and the thread pool unloaded; the package's public names resolve on use,
+    and ``octseg.enhance`` is the module, not a function of that name."""
     unused = ["octseg.phantom", "octseg.analysis", "octseg.render", "concurrent.futures"]
     code = (
         "import json, sys\n"
@@ -481,7 +483,7 @@ def test_cli_import_loads_only_what_segment_runs():
         f"loaded = [m for m in {unused!r} if m in sys.modules]\n"
         "import octseg\n"
         "missing = [n for n in octseg.__all__ if getattr(octseg, n, None) is None]\n"
-        "print(json.dumps([loaded, missing, callable(octseg.enhance)]))\n"
+        "print(json.dumps([loaded, missing, octseg.enhance is sys.modules['octseg.enhance']]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(octseg.__file__).resolve().parents[1]))
     p = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,

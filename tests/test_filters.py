@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -17,9 +17,7 @@ from octseg import filters
 from octseg.enhance import enhance
 from octseg.filters import (
     FilterBank,
-    Kernel3D,
     SeparableKernel,
-    convolve_direct,
     convolve_separable,
     make_derivative_kernel,
     make_smoothing_kernel,
@@ -27,6 +25,7 @@ from octseg.filters import (
 from octseg.pipeline import BoundaryProfile
 from octseg.surfaces import SearchMask
 from octseg.volume import Volume, VolumeMeta, load_volume, open_volume
+from reference import convolve_direct, outer_product
 
 
 def random_volume(rng, dims, dtype=np.float64):
@@ -68,10 +67,10 @@ class TestKernels:
 
     def test_dense_outer_product(self):
         k = SeparableKernel(kx=[1.0, 2.0, 1.0], ky=[1.0, 1.0, 1.0], kz=[0.0, 1.0, 0.0])
-        dense = k.to_dense()
-        assert dense.coeffs.shape == (3, 3, 3)
-        assert dense.coeffs[1, 1, 1] == 2.0
-        assert dense.coeffs[0, 0, 0] == 0.0
+        dense = outer_product(k)
+        assert dense.shape == (3, 3, 3)
+        assert dense[1, 1, 1] == 2.0
+        assert dense[0, 0, 0] == 0.0
 
     def test_even_length_taps_rejected(self):
         with pytest.raises(ValueError):
@@ -144,19 +143,24 @@ class TestDirectReference:
     def test_identity_1x1x1(self):
         rng = np.random.default_rng(5)
         v = random_volume(rng, (3, 4, 5), np.float32)
-        out = convolve_direct(v, Kernel3D(np.ones((1, 1, 1))))
+        out = convolve_direct(v, np.ones((1, 1, 1)))
         assert np.array_equal(out.data, v.data)
 
     def test_impulse_spreads_kernel(self):
         data = np.zeros((5, 5, 5))
         data[2, 2, 2] = 1.0
-        out = convolve_direct(Volume(data), Kernel3D(np.ones((3, 3, 3))))
+        out = convolve_direct(Volume(data), np.ones((3, 3, 3)))
         assert np.allclose(out.data[1:4, 1:4, 1:4], 1.0)
         assert np.allclose(out.data[0, :, :], 0.0)
 
     def test_oversized_kernel_rejected(self):
         with pytest.raises(ValueError):
-            convolve_direct(Volume(np.zeros((3, 3, 3))), Kernel3D(np.ones((5, 1, 1))))
+            convolve_direct(Volume(np.zeros((3, 3, 3))), np.ones((5, 1, 1)))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 2, 1)])
+    def test_kernel_without_odd_3d_extents_rejected(self, shape):
+        with pytest.raises(ValueError, match="dense kernel must be 3D with odd extents"):
+            convolve_direct(Volume(np.zeros((3, 3, 3))), np.ones(shape))
 
 
 class TestSeparableAgainstDirect:
@@ -175,7 +179,7 @@ class TestSeparableAgainstDirect:
             taps.append(rng.uniform(-1.0, 1.0, size=n))
         kernel = SeparableKernel(kx=taps[0], ky=taps[1], kz=taps[2])
         fast = convolve_separable(v, kernel)
-        ref = convolve_direct(v, kernel.to_dense())
+        ref = convolve_direct(v, outer_product(kernel))
         assert np.abs(fast.data - ref.data).max() <= 1e-5
 
     def test_detector_kernels_agree(self):
@@ -187,7 +191,7 @@ class TestSeparableAgainstDirect:
                 make_smoothing_kernel(2),
             ):
                 fast = convolve_separable(v, kernel)
-                ref = convolve_direct(v, kernel.to_dense())
+                ref = convolve_direct(v, outer_product(kernel))
                 assert fast.dtype == ref.dtype == v.dtype
                 assert np.abs(fast.values() - ref.data).max() <= 1e-5
 
@@ -398,6 +402,18 @@ class TestFilterBank:
             bank.derivative(3, 5, 10)
         ref = whole_axis_reference(v, make_smoothing_kernel(1))
         assert view.tobytes() == np.ascontiguousarray(ref[:, :, 4:]).tobytes()
+
+    def test_non_finite_check_reads_only_float_values_in_memory(self, tmp_path):
+        # an opened file was checked when it was opened, and scaled integer
+        # samples are finite, so neither takes another pass over the input
+        raw = tmp_path / "v.raw"
+        np.ones((4, 4, 8), "<f4").tofile(raw)
+        with open_volume(raw, VolumeMeta(dims=(4, 4, 8), dtype="f32")) as opened:
+            scaled = random_volume(np.random.default_rng(14), (4, 4, 8), np.uint8)
+            with mock.patch.object(np, "isfinite", side_effect=AssertionError("checked")):
+                FilterBank(opened), FilterBank(scaled)
+                with pytest.raises(AssertionError, match="checked"):
+                    FilterBank(Volume(np.ones((4, 4, 8), np.float32)))
 
     def test_u8_values_match_a_float32_cast_divided_by_255(self):
         u = Volume(np.arange(256, dtype=np.uint8).reshape(4, 8, 8), scale=255)
@@ -656,15 +672,20 @@ class TestCorrelate1d:
         assert out.tobytes() == ref.tobytes()
 
     @given(correlation_cases(), st.sampled_from([1, 5, 64, filters._BLOCK_SAMPLES]))
+    # a tap that rounds into float32's subnormal range, times |x| = 7
+    @example(case=(np.array([7.0], np.float32), 0, np.array([1.17549435e-41])), block=1)
     @settings(max_examples=300, deadline=None)
     def test_within_bound_of_reference(self, case, block):
         # sums in the input's dtype, against float64 sums in scipy's order.
         # Besides (taps.size + 1) * eps * sum|w| * max|x|, the bound allows
         # for the reference's own error, up to h * DBL_EPSILON * max|x|, as
         # its pairing rule weights both samples of a pair whose taps differ
-        # by up to DBL_EPSILON with one of them; and for a subnormal step
-        # per tap, the absolute error of results that underflow.  Blocks of
-        # any size give the same bits
+        # by up to DBL_EPSILON with one of them; for a subnormal step per
+        # tap, the absolute error of results that underflow; and for the
+        # taps' cast into the dtype, which rounds a tap in its subnormal
+        # range by up to half a subnormal step, an error that each of the
+        # taps.size terms multiplies by its |x|.  Blocks of any size give
+        # the same bits
         arr, axis, taps = case
         with mock.patch.object(filters, "_BLOCK_SAMPLES", block):
             out = filters._correlate1d(arr, taps, axis)
@@ -672,8 +693,9 @@ class TestCorrelate1d:
         assert out.tobytes() == filters._correlate1d(arr, taps, axis).tobytes()
         ref = reference_correlate1d(arr, taps, axis).astype(np.float64)
         info, pairing = np.finfo(arr.dtype), taps.size // 2 * np.finfo(np.float64).eps
-        bound = ((taps.size + 1) * (info.eps * np.abs(taps).sum() * np.abs(arr).max()
-                                    + info.smallest_subnormal) + pairing * np.abs(arr).max())
+        top, step = float(np.abs(arr).max()), float(info.smallest_subnormal)  # in float64
+        bound = ((taps.size + 1) * (info.eps * np.abs(taps).sum() * top + step)
+                 + pairing * top + taps.size * step / 2 * top)
         assert np.abs(out - ref).max() <= bound
 
     @given(correlation_cases(), st.sampled_from([1, 5, 64, filters._BLOCK_SAMPLES]), st.data())

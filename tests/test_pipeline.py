@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 import tracemalloc
 from unittest import mock
 
@@ -252,6 +253,23 @@ class TestCascade:
             segment_boundary(vol, BRIGHT_ABOVE, threads=threads)
         assert passes == []
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_voxel_rejected_before_any_stage(self, monkeypatch, bad):
+        # such a voxel once gave a flat derivative: a degenerate run with
+        # every surface at z=0, blamed on the derivative
+        passes = []
+        monkeypatch.setattr(filters, "_correlate1d", lambda *a: passes.append(a))
+        vol, _ = generate_phantom(PhantomSpec.default(dims=(48, 12, 96)))
+        data = vol.data.copy()
+        data[40, 2, 10] = data[30, 7, 50] = bad
+        vol = Volume(data)
+        message = re.escape("2 non-finite voxel(s), first at (x, y, z) = (30, 7, 50)")
+        with pytest.raises(ValueError, match=message):
+            segment_retina(vol)
+        with pytest.raises(ValueError, match=message):
+            segment_boundary(vol, BRIGHT_ABOVE)
+        assert passes == []
+
     @staticmethod
     def traced_peak(vol, config=None):
         tracemalloc.start()
@@ -405,7 +423,7 @@ class TestU8Input:
         values = Volume(loaded.values())
         exact, approx = FilterBank(loaded), FilterBank(values)
         eps = np.finfo(np.float32).eps
-        for profile in vars(PipelineConfig.default()).values():
+        for profile in vars(PipelineConfig()).values():
             half_width, lateral, radius = pipeline._filter_sizes(profile)
             for kernel, fields in (
                 (filters.make_derivative_kernel(half_width, lateral),
@@ -487,7 +505,7 @@ class TestEnforceOrdering:
 
 class TestConfig:
     def test_default_roundtrip(self):
-        cfg = PipelineConfig.default()
+        cfg = PipelineConfig()
         back = PipelineConfig.from_dict(cfg.to_dict())
         assert back == cfg
 
@@ -495,7 +513,7 @@ class TestConfig:
         cfg = PipelineConfig.from_dict({"rpe": {"outlier_tau": 7.5}})
         assert cfg.rpe.outlier_tau == 7.5
         assert cfg.rpe.polarity == "bright_above"  # untouched defaults remain
-        assert cfg.ilm == PipelineConfig.default().ilm
+        assert cfg.ilm == PipelineConfig().ilm
 
     def test_unknown_boundary_key_rejected(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ SIDECAR = {"dims": [8, 8, 16], "dtype": "u8", "endian": "le", "order": "zxy",
            "spacing_um": [7.0, 11.5, 11.5]}
 RECORDS = {
     "sidecar": (VolumeMeta, SIDECAR),
-    "config": (PipelineConfig, PipelineConfig.default().to_dict()),
+    "config": (PipelineConfig, PipelineConfig().to_dict()),
     "phantom spec": (PhantomSpec, PhantomSpec.default(dims=(32, 8, 64), speckle_looks=2,
                                                       with_lesion=True).to_dict()),
 }
@@ -79,7 +79,7 @@ class TestFromDict:
         d = RECORDS["phantom spec"][1] | {"intensities": None, "lesion": None}
         spec = PhantomSpec.from_dict(d)
         assert spec.intensities == LayerIntensities() and spec.lesion is None
-        assert PipelineConfig.from_dict({"rpe": None}) == PipelineConfig.default()
+        assert PipelineConfig.from_dict({"rpe": None}) == PipelineConfig()
 
 
 class TestFieldCheck:

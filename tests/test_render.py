@@ -5,9 +5,15 @@ import re
 import numpy as np
 import pytest
 
-from octseg.render import BOUNDARY_COLORS, draw_bscan, read_ppm, render_bscan, write_ppm
+from octseg.render import BOUNDARY_COLORS, draw_bscan, write_ppm
 from octseg.surfaces import Surface
 from octseg.volume import Volume
+from reference import read_ppm
+
+
+def draw_slice(volume, surfaces, slice_index):
+    """``draw_bscan`` of one B-scan of a volume, as the demo script calls it."""
+    return draw_bscan(volume.values(np.s_[:, slice_index, :]), volume.ny, surfaces, slice_index)
 
 
 def gradient_volume(nx=16, ny=4, nz=32):
@@ -18,7 +24,7 @@ def gradient_volume(nx=16, ny=4, nz=32):
 class TestRender:
     def test_shape_and_gray_base(self):
         vol = gradient_volume()
-        img = render_bscan(vol, {}, slice_index=1)
+        img = draw_slice(vol, {}, slice_index=1)
         assert img.shape == (32, 16, 3)
         assert img.dtype == np.uint8
         # grayscale: all channels equal, darker at the top
@@ -28,7 +34,7 @@ class TestRender:
     def test_flat_surface_draws_colored_row(self):
         vol = gradient_volume()
         surf = Surface.full(np.full((16, 4), 10.0))
-        img = render_bscan(vol, {"rpe": surf}, slice_index=2)
+        img = draw_slice(vol, {"rpe": surf}, slice_index=2)
         assert (img[10, :, :] == np.array(BOUNDARY_COLORS["rpe"], np.uint8)).all()
         # neighboring rows keep the gray base
         assert (img[12, :, 0] == img[12, :, 1]).all()
@@ -36,7 +42,7 @@ class TestRender:
     def test_steep_surface_drawn_connected(self):
         vol = gradient_volume(nx=4, ny=2, nz=40)
         z = np.tile(np.array([5.0, 25.0, 25.0, 5.0])[:, None], (1, 2))
-        img = render_bscan(vol, {"ilm": z_surface(z)}, slice_index=0)
+        img = draw_slice(vol, {"ilm": z_surface(z)}, slice_index=0)
         col = np.array(BOUNDARY_COLORS["ilm"], np.uint8)
         # the jump between x=0 (row 5) and x=1 (row 25) is bridged at x=1
         between = img[6:25, 1]
@@ -47,16 +53,17 @@ class TestRender:
         valid = np.ones((16, 4), dtype=bool)
         valid[5, 1] = False
         surf = Surface(z=np.full((16, 4), 8.0), valid=valid)
-        img = render_bscan(vol, {"isos": surf}, slice_index=1)
+        img = draw_slice(vol, {"isos": surf}, slice_index=1)
         col = np.array(BOUNDARY_COLORS["isos"], np.uint8)
         assert not (img[8, 5] == col).all()
         assert (img[8, 4] == col).all()
 
     def test_out_of_range_slice_rejected(self):
+        bscan = gradient_volume().values(np.s_[:, 0, :])
         with pytest.raises(ValueError):
-            render_bscan(gradient_volume(), {}, slice_index=4)
+            draw_bscan(bscan, 4, {}, slice_index=4)
         with pytest.raises(ValueError):
-            render_bscan(gradient_volume(), {}, slice_index=-1)
+            draw_bscan(bscan, 4, {}, slice_index=-1)
 
     @pytest.mark.parametrize("slice_index", [-1, 3])
     def test_draw_bscan_checks_the_slice_itself(self, slice_index):
@@ -72,7 +79,7 @@ class TestRender:
                     "isos": Surface.full(np.full(grid, 10.0))}
         message = f"surface 'isos' grid {grid} does not match the volume's (nx, ny) = (16, 4)"
         with pytest.raises(ValueError, match=re.escape(message)):
-            render_bscan(gradient_volume(), surfaces, slice_index=1)
+            draw_slice(gradient_volume(), surfaces, slice_index=1)
 
     def test_u8_volume_renders_like_its_float_values(self):
         # every u8 value, and surfaces drawn over them, in both volume forms
@@ -82,17 +89,17 @@ class TestRender:
         surfaces = {"ilm": z_surface(rng.uniform(0, 15, (16, 4))),
                     "rpe": z_surface(rng.uniform(0, 15, (16, 4)))}
         for y in range(4):
-            img = render_bscan(Volume(samples, scale=255), surfaces, slice_index=y)
-            ref = render_bscan(Volume(samples.astype(np.float32) / np.float32(255)), surfaces,
-                               slice_index=y)
+            img = draw_slice(Volume(samples, scale=255), surfaces, slice_index=y)
+            ref = draw_slice(Volume(samples.astype(np.float32) / np.float32(255)), surfaces,
+                             slice_index=y)
             assert img.tobytes() == ref.tobytes()
-        gray = render_bscan(Volume(samples, scale=255), {}, slice_index=0)[:, :, 0]
+        gray = draw_slice(Volume(samples, scale=255), {}, slice_index=0)[:, :, 0]
         assert np.array_equal(gray, samples[:, 0, :].T)
 
     def test_unknown_surface_name_gets_some_color(self):
         vol = gradient_volume()
         surf = Surface.full(np.full((16, 4), 20.0))
-        img = render_bscan(vol, {"bruch": surf}, slice_index=0)
+        img = draw_slice(vol, {"bruch": surf}, slice_index=0)
         assert not (img[20, 0, 0] == img[20, 0, 1] == img[20, 0, 2])
 
 

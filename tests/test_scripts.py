@@ -11,9 +11,9 @@ import pytest
 import octseg
 from octseg.phantom import PhantomSpec, generate_phantom
 from octseg.pipeline import segment_retina
-from octseg.render import read_ppm
 from octseg.surfaces import load_surface
 from octseg.volume import VolumeMeta, load_volume
+from reference import read_ppm
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 

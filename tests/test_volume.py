@@ -19,10 +19,14 @@ from octseg.volume import (
     VolumeMeta,
     load_bscan,
     load_volume,
-    normalize_intensities,
     open_volume,
     save_volume,
 )
+
+
+def normalize(arr):
+    """The reader's normalization of a float32 array by its own range."""
+    return volume._normalize(arr, float(arr.min()), float(arr.max()))
 
 
 def write_raw(path, arr):
@@ -177,7 +181,7 @@ class TestLoad:
         p = write_raw(tmp_path / "v.raw", file_arr)
         v = load_volume(p, VolumeMeta(dims=(5, 4, 3), dtype=dtype, endian=endian, order=order))
         arr = file_arr.transpose(tuple(order.index(ax) for ax in "xyz")).astype(np.float32)
-        ref = arr / np.float32(255.0) if dtype == "u8" else normalize_intensities(arr)
+        ref = arr / np.float32(255.0) if dtype == "u8" else normalize(arr)
         assert v.data.dtype == (np.uint8 if dtype == "u8" else np.float32)
         assert v.data.flags["C_CONTIGUOUS"] and v.dtype == np.float32
         assert v.values().tobytes() == np.ascontiguousarray(ref).tobytes()
@@ -336,18 +340,18 @@ class TestLoadBscan:
 class TestNormalization:
     def test_in_range_untouched(self):
         arr = np.array([0.0, 0.25, 1.0], dtype=np.float32)
-        out = normalize_intensities(arr)
+        out = normalize(arr)
         assert out is arr or np.array_equal(out, arr)
 
     def test_out_of_range_rescaled_to_unit(self):
         arr = np.array([-2.0, 0.0, 6.0], dtype=np.float32)
-        out = normalize_intensities(arr)
+        out = normalize(arr)
         assert out.min() == 0.0
         assert out.max() == 1.0
         assert np.allclose(out, [0.0, 0.25, 1.0])
 
     def test_constant_out_of_range_collapses_to_zero(self):
-        out = normalize_intensities(np.full(5, 7.0, dtype=np.float32))
+        out = normalize(np.full(5, 7.0, dtype=np.float32))
         assert np.array_equal(out, np.zeros(5, dtype=np.float32))
 
     @given(st.integers(0, 2**31 - 1))
@@ -355,8 +359,8 @@ class TestNormalization:
     def test_idempotent(self, seed):
         rng = np.random.default_rng(seed)
         arr = (rng.standard_normal((3, 4, 5)) * rng.uniform(0.1, 50)).astype(np.float32)
-        once = normalize_intensities(arr)
-        twice = normalize_intensities(once)
+        once = normalize(arr)
+        twice = normalize(once)
         assert np.array_equal(once, twice)
 
 
