@@ -33,10 +33,6 @@ from octseg.pipeline import segment_retina
 from octseg.surfaces import load_surface, save_surface
 from octseg.volume import Volume, save_volume
 
-# one row per key of a boundary report's stage_s ("enhance" scores and picks)
-STAGES = ("derivative", "smoothing", "enhance", "outlier_reject", "regularize")
-
-
 def parse_dims(text):
     parts = [int(p) for p in text.split("x")]
     if len(parts) != 3:
@@ -214,7 +210,7 @@ def main():
     header = f"{'stage':<16}" + "".join(f"{r.name:>10}" for r in best.reports)
     print(header)
     print("-" * len(header))
-    for stage in STAGES:
+    for stage in best.reports[0].stage_s:  # each boundary times the same stages
         cells = "".join(f"{r.stage_s[stage]:>10.3f}" for r in best.reports)
         print(f"{stage:<16}{cells}")
     print("-" * len(header))

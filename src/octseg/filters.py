@@ -24,9 +24,9 @@ taps (every kernel the pipeline builds) are summed as integers instead,
 exact in int16 or int32, and the field is those sums, with the scale
 that divides them into its values; under other taps they are read as the
 float32 values they stand for.  The pipeline
-reads fields through a ``FilterBank``, which computes each once, the
-fields that one reader plans in one pass, drops each after its last
-planned reader, and holds each request's depth as a
+asks a ``FilterBank`` for each boundary's two fields in one request; the
+bank computes each field once, a request's new fields in one pass, drops
+each after its last planned reader, and holds each request's depth as a
 promise that no later request reads deeper: a new field is computed only
 that deep, and the fields kept for later readers are first cut to it in
 place.
@@ -484,29 +484,26 @@ def _crop_depth(arr: np.ndarray, depth: int) -> None:
 class FilterBank:
     """The filtered fields of one volume, each computed once.
 
-    Every field is bitwise equal to ``convolve_separable`` with the matching
-    kernel, or to its first planes.  A request for the planes z < ``depth``
-    promises that no later request reads below them; a deeper one raises
-    ValueError.  A new field is computed only that deep, and just before it
-    is allocated the kept fields that are deeper are cut to that depth in
-    place, so a field handed out earlier and still held shrinks with them.
-    A kept field is handed back as it is.  ``plan`` lists what the bank's
-    readers will ask for, one (derivative half-width, lateral width,
-    smoothing radius) per reader; a planned field is dropped once its last
-    reader has taken it, and unplanned fields are kept.  A new planned field
-    is computed in one ``convolve_fields`` pass with the fields that the
-    first reader planning it also planned and that are not yet kept, and
-    those are kept for their readers.  Fields are shared between callers,
-    so their arrays are made read-only.  Float values in memory with a NaN
-    or infinite voxel raise ValueError; a ``RawVolume`` was checked when it
-    was opened, and scaled integer samples are finite.
+    ``plan`` lists the bank's readers, one (derivative half-width, lateral
+    width, smoothing radius) per read, and ``fields`` serves each read its
+    bright-above derivative and its box-smoothed intensity.  Every field is
+    bitwise equal to ``convolve_separable`` with the matching kernel, or to
+    its first planes.  A read of the planes z < ``depth`` promises that no
+    later read goes below them; a deeper one raises ValueError.  The fields
+    of a read that the bank does not keep are computed in one pass, only
+    that deep, and just before they are allocated the kept fields that are
+    deeper are cut to that depth in place, so a field handed out earlier
+    and still held shrinks with them.  A kept field is handed back as it
+    is.  A field is dropped once its last planned reader has taken it, and
+    a read that the plan does not hold, or no longer holds, raises
+    ValueError.  Fields are shared between callers, so their arrays are
+    made read-only.  Float values in memory with a NaN or infinite voxel
+    raise ValueError; a ``RawVolume`` was checked when it was opened, and
+    scaled integer samples are finite.
     """
 
     def __init__(
-        self,
-        volume: Volume | RawVolume,
-        threads: int = 1,
-        plan: Iterable[tuple[int, int, int]] = (),
+        self, volume: Volume | RawVolume, threads: int, plan: Iterable[tuple[int, int, int]]
     ):
         if isinstance(volume, Volume) and volume.scale is None:
             data = volume.data
@@ -518,42 +515,15 @@ class FilterBank:
                 raise ValueError(_non_finite(int(bad.sum()), first))
         self.volume = volume
         self.threads = threads
+        self._reads = Counter(plan)  # planned reads still to come
         self._fields: dict[tuple, Volume] = {}
-        self._readers: Counter = Counter()
-        self._depth = volume.nz  # no request reads a plane at or below this
-        self._plan = [
-            (("derivative", half_width, lateral), ("smoothing", radius))
-            for half_width, lateral, radius in plan
-        ]
-        for reader in self._plan:
-            self._readers.update(reader)
+        self._depth = volume.nz  # no read goes to a plane at or below this
 
-    def check_fits(self, half_width: int, lateral: int, radius: int) -> None:
-        """Raise ValueError if a derivative or smoothing kernel of these
-        sizes is longer than the volume along some axis."""
-        for k in (make_derivative_kernel(half_width, lateral), make_smoothing_kernel(radius)):
-            _check_extents((k.kx.size, k.ky.size, k.kz.size), self.volume.dims)
-
-    def _compute(self, key: tuple, depth: int) -> Volume:
-        """Compute a field with the planned fields that share its pass, keep
-        those, and return it."""
-        keys = [key]
-        if self._readers.get(key):
-            reader = next(r for r in self._plan if key in r)
-            keys += [k for k in reader if k != key and self._readers[k] and k not in self._fields]
-        kernels = [make_derivative_kernel(*k[1:]) if k[0] == "derivative"
-                   else make_smoothing_kernel(*k[1:]) for k in keys]
-        if len(kernels) == 1:
-            fields = [convolve_separable(self.volume, kernels[0], self.threads, depth)]
-        else:
-            fields = convolve_fields(self.volume, kernels, self.threads, depth)
-        for k, field in zip(keys, fields):
-            field.data.flags.writeable = False
-            self._fields[k] = field
-        return self._fields.pop(key)
-
-    def _field(self, key: tuple, depth: int | None) -> Volume:
-        depth = self.volume.nz if depth is None else depth
+    def fields(self, reader: tuple[int, int, int], depth: int) -> tuple[Volume, Volume]:
+        """The derivative and smoothed fields of one planned read, for a
+        caller that reads the planes z < depth."""
+        if not self._reads[reader]:
+            raise ValueError(f"no planned read of the fields {reader} is left")
         if depth < 1:
             raise ValueError(f"depth must be >= 1, got {depth}")
         if depth > self._depth:
@@ -561,9 +531,9 @@ class FilterBank:
                 f"planes z < {depth} requested from a filter bank limited to z < {self._depth}"
             )
         self._depth = depth
-        left = self._readers.get(key)  # planned reads still to come; None: unplanned
-        field = self._fields.pop(key, None)
-        if field is None:
+        keys = _field_keys(reader)
+        new = [key for key in keys if key not in self._fields]
+        if new:
             for kept in self._fields.values():
                 if kept.nz > depth:
                     # the Volume's reference and getrefcount's argument; any
@@ -571,21 +541,23 @@ class FilterBank:
                     if sys.getrefcount(kept.data) > 2:
                         raise ValueError("a field still in use cannot be cut in place")
                     _crop_depth(kept.data, depth)
-            field = self._compute(key, depth)
-        if left is None or left > 1:
-            self._fields[key] = field
-        if left:
-            self._readers[key] = left - 1
-        return field
+            kernels = [make(*sizes) for make, *sizes in new]
+            if len(kernels) == 1:
+                computed = [convolve_separable(self.volume, kernels[0], self.threads, depth)]
+            else:
+                computed = convolve_fields(self.volume, kernels, self.threads, depth)
+            for key, field in zip(new, computed):
+                field.data.flags.writeable = False
+                self._fields[key] = field
+        derivative, smoothed = (self._fields[key] for key in keys)
+        self._reads[reader] -= 1
+        planned = {key for r, left in self._reads.items() if left for key in _field_keys(r)}
+        self._fields = {key: f for key, f in self._fields.items() if key in planned}
+        return derivative, smoothed
 
-    def smoothing(self, radius: int, depth: int | None = None) -> Volume:
-        """Box-smoothed intensity; ``depth``: the caller reads the planes
-        z < depth, and no later request may read deeper."""
-        return self._field(("smoothing", radius), depth)
 
-    def derivative(self, half_width: int, lateral: int, depth: int | None = None) -> Volume:
-        """Bright-above depth derivative, averaged over a lateral box;
-        ``depth``: the caller reads the planes z < depth, and no later
-        request may read deeper."""
-        return self._field(("derivative", half_width, lateral), depth)
-
+def _field_keys(reader: tuple[int, int, int]) -> tuple[tuple, tuple]:
+    """A read's derivative and smoothing fields, each as its kernel maker
+    followed by the maker's arguments."""
+    half_width, lateral, radius = reader
+    return (make_derivative_kernel, half_width, lateral), (make_smoothing_kernel, radius)

@@ -63,9 +63,11 @@ class LesionSpec(Record):
     surface_shift: float = 0.0
     intensity_delta: float = 0.0
 
-    def profile(self, nx: int, ny: int) -> np.ndarray:
+    def check(self):
         if self.radius <= 0:
-            raise ValueError(f"lesion radius must be positive, got {self.radius}")
+            raise ValueError(f"radius must be positive, got {self.radius}")
+
+    def profile(self, nx: int, ny: int) -> np.ndarray:
         x = np.arange(nx, dtype=np.float64)[:, None]
         y = np.arange(ny, dtype=np.float64)[None, :]
         d2 = (x - self.center_x) ** 2 + (y - self.center_y) ** 2

@@ -1,25 +1,25 @@
 """Single-pass boundary segmentation and the three-boundary cascade.
 
-One boundary is found in one sweep: depth-derivative filtering, box
-smoothing, then depth-weighted fusion with a per-column argmax inside the
-current search window.  There is no iterative refinement of candidates;
-``enhance`` scores the depth band that the search windows span one x-slab
-at a time and picks each slab as it is scored, so no score volume is kept.
-Each stage's wall time goes to the boundary's report, and a failing stage
-is raised as a PipelineError naming the boundary and the stage.  One
-``FilterBank`` per volume computes each distinct field once; polarity is
-the sign ``enhance`` gives the bank's bright-above derivative, so ILM
-reuses RPE's.  ``segment_retina`` hands the bank the fields each boundary
-will read, so a field is freed after its last reader; a boundary's
-derivative stage also computes its smoothed field when that is new, in
-the same pass, and its smoothing stage then takes it.  Each boundary asks
-for its fields down to the end of its search band, read before the
-derivative stage, and no band ends deeper than the one before it (IS/OS
-searches above RPE, ILM above IS/OS), so the bank computes a new field only
-that deep and cuts the fields it keeps to it.  The cascade runs RPE first
-on the whole volume, then removes the RPE and everything below it from the
-search window (with a safety margin) before finding IS/OS, and repeats
-that truncation above IS/OS before finding ILM.  A final projection step
+One boundary is found in one sweep: a filters stage that reads the depth
+derivative and the box-smoothed intensity, then depth-weighted fusion with
+a per-column argmax inside the current search window.  There is no
+iterative refinement of candidates; ``enhance`` scores the depth band that
+the search windows span one x-slab at a time and picks each slab as it is
+scored, so no score volume is kept.  Each stage's wall time goes to the
+boundary's report, and a failing stage is raised as a PipelineError naming
+the boundary and the stage.  One ``FilterBank`` per volume computes each
+distinct field once; polarity is the sign ``enhance`` gives the bank's
+bright-above derivative, so ILM reuses RPE's.  ``segment_retina`` hands
+the bank the fields each boundary will read, so a field is freed after its
+last reader; a boundary's filters stage asks for both of its fields in one
+request, and those that are new are computed in one pass.  Each boundary
+asks for its fields down to the end of its search band, and no band ends
+deeper than the one before it (IS/OS searches above RPE, ILM above
+IS/OS), so the bank computes a new field only that deep and cuts the
+fields it keeps to it.  The cascade runs RPE first on the whole volume,
+then removes the RPE and everything below it from the search window (with
+a safety margin) before finding IS/OS, and repeats that truncation above
+IS/OS before finding ILM.  A final projection step
 restores the anatomical depth ordering in any column where the three
 estimates disagree.  The input is a ``Volume`` in memory or a
 ``RawVolume``, a raw file opened by ``open_volume``: the filter passes
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .enhance import enhance
-from .filters import FilterBank
+from .filters import FilterBank, _check_extents
 from .records import Record
 from .surfaces import (
     SearchMask,
@@ -215,11 +215,11 @@ def segment_boundary(
 ) -> BoundaryResult:
     """Locate one boundary surface in a single enhance pass.
 
-    Fields come from ``bank``, which must hold ``volume`` (None builds one),
-    down to the end of this boundary's search band.  That depth is a
-    promise to the bank, so a shared bank is read in order of
-    non-increasing band end: a band that ends deeper than an earlier
-    reader's fails in the derivative stage.
+    Fields come from ``bank``, which must hold ``volume`` and plan this
+    boundary's read (None builds one), down to the end of this boundary's
+    search band.  That depth is a promise to the bank, so a shared bank is
+    read in order of non-increasing band end: a band that ends deeper than
+    an earlier reader's fails in the filters stage.
     Returns a total surface (every column carries a depth) plus a report
     with per-stage wall times and counters; the ``enhance`` stage scores
     and picks.  A flat enhanced score (e.g. from constant input) is flagged
@@ -237,12 +237,10 @@ def segment_boundary(
     report.columns_total = nx * ny
     report.columns_searched = int(mask.column_valid().sum())
 
-    with _stage(report, "derivative"):
+    with _stage(report, "filters"):
         z0, band = mask.to_band()
         depth = z0 + band.nz  # enhance reads no plane below the search band
-        deriv = bank.derivative(profile.derivative_half_width, profile.lateral_width, depth)
-    with _stage(report, "smoothing"):
-        smooth = bank.smoothing(profile.smoothing_radius, depth)
+        deriv, smooth = bank.fields(_filter_sizes(profile), depth)
     passes = Counter()
     with _stage(report, "enhance"):
         raw, report.degenerate = enhance(deriv, smooth, profile, mask, threads, passes)
@@ -309,10 +307,13 @@ def segment_retina(
     nx, ny, nz = volume.dims
     full = SearchMask.full(nx, ny, nz)
     profiles = (config.rpe, config.isos, config.ilm)
-    bank = FilterBank(volume, threads, [_filter_sizes(p) for p in profiles])
-    for p in profiles:
+    plan = [_filter_sizes(p) for p in profiles]
+    bank = FilterBank(volume, threads, plan)
+    for p, (half_width, lateral, radius) in zip(profiles, plan):
         try:
-            bank.check_fits(*_filter_sizes(p))
+            # sizes alone: a kernel too long for the volume is never built
+            for extents in ((lateral, lateral, 2 * half_width + 1), (2 * radius + 1,) * 3):
+                _check_extents(extents, volume.dims)
         except ValueError as e:
             raise ValueError(f"{p.name}: {e}") from None
 

@@ -191,6 +191,21 @@ class TestSegmentCmd:
         assert "RPE: kernel extent 11 exceeds volume size 6 along z" in err
         assert not (tmp_path / "seg/report.json").exists()
 
+    def test_kernel_too_long_for_any_volume_is_usage_error(self, phantom_dir, tmp_path):
+        # its 2**41 + 1 depth taps are never built: only sizes are compared
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rpe": {"derivative_half_width": 2**40}}))
+        env = dict(os.environ, PYTHONPATH=str(Path(octseg.__file__).resolve().parents[1]))
+        p = subprocess.run([sys.executable, "-m", "octseg", "segment",
+                            "--in", str(phantom_dir / "volume.raw"),
+                            "--meta", str(phantom_dir / "volume.json"),
+                            "--config", str(cfg), "--out-dir", str(tmp_path / "x")],
+                           env=env, capture_output=True, text=True, timeout=300)
+        assert p.returncode == EXIT_USAGE
+        assert f"RPE: kernel extent {2**41 + 1} exceeds volume size 96 along z" in p.stderr
+        assert "Traceback" not in p.stderr
+        assert not (tmp_path / "x/report.json").exists()
+
     @pytest.mark.parametrize("key, value", [
         ("dims", 5), ("dims", [8.7, 8, 16]), ("dims", [True, 8, 16]),
         ("spacing_um", 3), ("spacing_um", [1.0, "2", 3.0]), ("order", 5),

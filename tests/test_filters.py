@@ -217,8 +217,7 @@ class TestStepResponse:
         # enhancing with sign -1 is enhancing the negated derivative
         rng = np.random.default_rng(7)
         v = Volume(rng.random((6, 5, 40)).astype(np.float32))
-        bank = FilterBank(v)
-        deriv, smooth = bank.derivative(4, 3), bank.smoothing(2)
+        deriv, smooth = FilterBank(v, 1, [(4, 3, 2)]).fields((4, 3, 2), 40)
         above = BoundaryProfile(name="test", polarity="bright_above",
                                 weight_direction="favor_shallow")
         mask = SearchMask.full(6, 5, 40)
@@ -294,50 +293,69 @@ class TestFilterBank:
                 kernel = make_smoothing_kernel(radius)
                 ref = whole_axis_reference(v, kernel)
                 assert convolve_separable(v, kernel, threads).values().tobytes() == ref.tobytes()
-                bank = FilterBank(v, threads)
-                assert bank.smoothing(radius).values().tobytes() == ref.tobytes()
-                for lateral in laterals:
-                    kernel = make_derivative_kernel(half_width, lateral)
-                    ref = whole_axis_reference(v, kernel, depth)
+                readers = [(half_width, lateral, radius) for lateral in laterals]
+                bank = FilterBank(v, threads, readers)
+                for reader in readers:
+                    deriv, smooth = bank.fields(reader, dims[2])
+                    assert smooth.values().tobytes() == ref.tobytes()
+                    kernel = make_derivative_kernel(*reader[:2])
+                    cut_ref = whole_axis_reference(v, kernel, depth)
                     cut = convolve_separable(v, kernel, threads, depth)
-                    assert cut.dtype == v.dtype and cut.values().tobytes() == ref.tobytes()
-                    full = bank.derivative(half_width, lateral).values()
-                    assert full[:, :, :depth].tobytes() == ref.tobytes()
+                    assert cut.dtype == v.dtype and cut.values().tobytes() == cut_ref.tobytes()
+                    assert deriv.values()[:, :, :depth].tobytes() == cut_ref.tobytes()
 
     def test_each_field_computed_once(self):
         v = random_volume(np.random.default_rng(8), (8, 6, 24), np.float32)
-        bank = FilterBank(v)
-        assert bank.smoothing(2) is bank.smoothing(2)
-        assert bank.derivative(3, 3) is bank.derivative(3, 3)
-        assert bank.derivative(3, 3) is not bank.derivative(3, 5)
+        plan = [(3, 3, 2), (3, 3, 2), (3, 5, 2)]
+        bank = FilterBank(v, 1, plan)
+        first, again, other = (bank.fields(reader, 24) for reader in plan)
+        assert again[0] is first[0] and again[1] is first[1]
+        assert other[0] is not first[0] and other[1] is first[1]
 
     def test_plan_drops_each_field_after_its_last_reader(self):
         v = random_volume(np.random.default_rng(9), (8, 6, 24), np.float32)
         # two readers of derivative(3, 3), one of derivative(3, 5), three of smoothing(1)
-        bank = FilterBank(v, plan=[(3, 3, 1), (3, 5, 1), (3, 3, 1)])
-        first = bank.derivative(3, 3, 10)
-        assert first.nz == 10  # read again, but no later request may read deeper
-        only = bank.derivative(3, 5, 10)
+        bank = FilterBank(v, 1, [(3, 3, 1), (3, 5, 1), (3, 3, 1)])
+        first, smooth = bank.fields((3, 3, 1), 10)
+        # computed together, and read again, but no later request may read deeper
+        ref = whole_axis_reference(v, make_smoothing_kernel(1), 10)
+        assert first.nz == smooth.nz == 10 and smooth.values().tobytes() == ref.tobytes()
+        only, again = bank.fields((3, 5, 1), 10)
         ref = whole_axis_reference(v, make_derivative_kernel(3, 5), 10)
         assert only.nz == 10 and only.values().tobytes() == ref.tobytes()
-        assert bank.derivative(3, 3, 7) is first and first.nz == 10  # handed back as it is
-        # computed with derivative(3, 3), its first reader's other field
-        smooth = bank.smoothing(1, 7)
-        ref = whole_axis_reference(v, make_smoothing_kernel(1), 10)
-        assert smooth.nz == 10 and smooth.values().tobytes() == ref.tobytes()
-        assert bank.smoothing(1, 7) is smooth and bank.smoothing(1, 5) is smooth
-        fields = [weakref.ref(f) for f in (first, only, smooth)]
-        del first, only, smooth
-        assert [f() for f in fields] == [None, None, None]
+        assert again is smooth
+        dropped = weakref.ref(only)
+        del only
+        assert dropped() is None  # its one reader has taken it
+        last = bank.fields((3, 3, 1), 7)
+        assert last[0] is first and last[1] is smooth and first.nz == 10  # handed back as it is
+        fields = [weakref.ref(f) for f in (first, smooth)]
+        del first, smooth, again, last
+        assert [f() for f in fields] == [None, None]
+
+    def test_reads_outside_the_plan_rejected(self):
+        # a field asked for beyond the plan would be kept for the bank's
+        # whole life, since no planned reader is left to drop it after
+        v = random_volume(np.random.default_rng(15), (8, 6, 24), np.float32)
+        bank = FilterBank(v, 1, [(3, 3, 1)])
+        with pytest.raises(ValueError, match=r"no planned read of the fields \(3, 5, 1\) is left"):
+            bank.fields((3, 5, 1), 24)
+        deriv, smooth = bank.fields((3, 3, 1), 24)
+        with pytest.raises(ValueError, match=r"no planned read of the fields \(3, 3, 1\) is left"):
+            bank.fields((3, 3, 1), 24)
+        fields = [weakref.ref(f) for f in (deriv, smooth)]
+        del deriv, smooth
+        assert [f() for f in fields] == [None, None]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.uint8])
     def test_crop_cuts_kept_fields_to_their_prefix(self, dtype):
         v = random_volume(np.random.default_rng(11), (9, 7, 30), dtype)
-        # derivative(3, 3) read twice, smoothing(1) three times, derivative(3, 5) once
-        bank = FilterBank(v, plan=[(3, 3, 1), (3, 5, 1), (3, 3, 1)])
+        # derivative(3, 3) read four times, smoothing(1) four times,
+        # derivative(3, 5) and smoothing(2) once each
+        bank = FilterBank(v, 1, [(3, 3, 1), (3, 5, 1), (3, 3, 1), (3, 3, 2), (3, 3, 1)])
         full = [whole_axis_reference(v, k) for k in (make_derivative_kernel(3, 3),
                                                       make_smoothing_kernel(1))]
-        kept = bank.derivative(3, 3, 20), bank.smoothing(1, 20)
+        kept = bank.fields((3, 3, 1), 20)
         assert [f.nz for f in kept] == [20, 20]
 
         def assert_prefix(depth):
@@ -347,23 +365,30 @@ class TestFilterBank:
 
         # a new field 12 deep first cuts the kept ones, which shrink in the
         # hands of their earlier reader too
-        assert bank.derivative(3, 5, 12).nz == 12
+        deriv, smooth = bank.fields((3, 5, 1), 12)
+        assert deriv.nz == 12 and smooth is kept[1]
         assert_prefix(12)
-        assert bank.smoothing(1, 5) is kept[1]  # a kept field is handed back uncut
+        again = bank.fields((3, 3, 1), 5)  # kept fields are handed back uncut
+        assert again[0] is kept[0] and again[1] is kept[1]
         assert_prefix(12)
         with pytest.raises(ValueError, match=r"planes z < 13 requested from a filter bank limited to z < 5"):
-            bank.derivative(3, 5, 13)
+            bank.fields((3, 3, 2), 13)
         with pytest.raises(ValueError, match="limited to z < 5"):
-            bank.smoothing(1)  # the whole depth
+            bank.fields((3, 3, 2), 30)  # the whole depth
         with pytest.raises(ValueError, match="depth must be >= 1, got 0"):
-            bank.smoothing(1, 0)
-        assert bank.smoothing(2, 4).nz == 4  # another new field: the kept ones go to 4
+            bank.fields((3, 3, 2), 0)
+        # another new field: the kept ones go to 4
+        deriv, smooth = bank.fields((3, 3, 2), 4)
+        assert deriv is kept[0] and smooth.nz == 4
         assert_prefix(4)
-        assert bank.derivative(3, 3, 4) is kept[0] and bank.smoothing(1, 3) is kept[1]
+        last = bank.fields((3, 3, 1), 3)
+        assert last[0] is kept[0] and last[1] is kept[1]
+        assert_prefix(4)
 
     def test_crop_frees_the_cut_planes_in_place(self):
         v = random_volume(np.random.default_rng(12), (64, 64, 128), np.uint8)
-        bank = FilterBank(v, plan=[(3, 3, 1), (3, 5, 1)])
+        # both fields of the first reader are kept for the third
+        bank = FilterBank(v, 1, [(3, 3, 1), (3, 5, 1), (3, 3, 1)])
         crop, convolve = filters._crop_depth, filters.convolve_separable
         seen = {"cut_peak": 0}
 
@@ -379,12 +404,11 @@ class TestFilterBank:
 
         tracemalloc.start()
         try:
-            # kept for its second reader, with derivative(3, 3) for its first
-            field = bank.smoothing(1, 128)
+            _, field = bank.fields((3, 3, 1), 128)
             with mock.patch.object(filters, "_crop_depth", cut), \
                     mock.patch.object(filters, "convolve_separable", computed):
                 before = tracemalloc.get_traced_memory()[0]
-                bank.derivative(3, 5, 32)
+                bank.fields((3, 5, 1), 32)  # its one new field is computed alone
         finally:
             tracemalloc.stop()
         assert field.nz == 32  # the handed-out field shrank in place
@@ -396,10 +420,10 @@ class TestFilterBank:
 
     def test_crop_refuses_a_field_still_in_use(self):
         v = random_volume(np.random.default_rng(13), (8, 6, 24), np.float32)
-        bank = FilterBank(v, plan=[(3, 3, 1), (3, 5, 1)])
-        view = bank.smoothing(1).data[:, :, 4:]
+        bank = FilterBank(v, 1, [(3, 3, 1), (3, 5, 1)])
+        view = bank.fields((3, 3, 1), 24)[1].data[:, :, 4:]
         with pytest.raises(ValueError, match="still in use"):
-            bank.derivative(3, 5, 10)
+            bank.fields((3, 5, 1), 10)
         ref = whole_axis_reference(v, make_smoothing_kernel(1))
         assert view.tobytes() == np.ascontiguousarray(ref[:, :, 4:]).tobytes()
 
@@ -411,9 +435,9 @@ class TestFilterBank:
         with open_volume(raw, VolumeMeta(dims=(4, 4, 8), dtype="f32")) as opened:
             scaled = random_volume(np.random.default_rng(14), (4, 4, 8), np.uint8)
             with mock.patch.object(np, "isfinite", side_effect=AssertionError("checked")):
-                FilterBank(opened), FilterBank(scaled)
+                FilterBank(opened, 1, []), FilterBank(scaled, 1, [])
                 with pytest.raises(AssertionError, match="checked"):
-                    FilterBank(Volume(np.ones((4, 4, 8), np.float32)))
+                    FilterBank(Volume(np.ones((4, 4, 8), np.float32)), 1, [])
 
     def test_u8_values_match_a_float32_cast_divided_by_255(self):
         u = Volume(np.arange(256, dtype=np.uint8).reshape(4, 8, 8), scale=255)
@@ -471,7 +495,7 @@ class TestFusedPass:
     def test_a_readers_planned_fields_come_from_one_pass(self):
         v = random_volume(np.random.default_rng(22), (9, 7, 30), np.uint8)
         # RPE and ILM read derivative(3, 3), IS/OS derivative(3, 5), all smoothing(1)
-        bank = FilterBank(v, plan=[(3, 3, 1), (3, 5, 1), (3, 3, 1)])
+        bank = FilterBank(v, 1, [(3, 3, 1), (3, 5, 1), (3, 3, 1)])
         passes = []
         fused = filters.convolve_fields
 
@@ -480,10 +504,12 @@ class TestFusedPass:
             return fused(volume, kernels, threads, depth)
 
         with mock.patch.object(filters, "convolve_fields", counted):
-            deriv, smooth = bank.derivative(3, 3, 20), bank.smoothing(1, 20)
+            deriv, smooth = bank.fields((3, 3, 1), 20)
             assert passes == [[(3, 7), (3, 3)]]
-            bank.derivative(3, 5, 12)
+            bank.fields((3, 5, 1), 12)
             assert passes[1:] == [[(5, 7)]]  # its smoothing is kept
+            bank.fields((3, 3, 1), 12)
+            assert len(passes) == 2  # both of its fields are kept
         for kernel, field in ((make_derivative_kernel(3, 3), deriv),
                               (make_smoothing_kernel(1), smooth)):
             ref = exact_u8_reference(v, kernel, 12)
@@ -531,12 +557,10 @@ class TestExactSums:
         lateral = data.draw(st.sampled_from(range(1, min(dims[:2]) + 1, 2)), label="lateral")
         depth = data.draw(st.integers(1, dims[2]), label="depth")
         for threads in (1, 2):
-            bank = FilterBank(v, threads)
-            for kernel, field in (
-                (make_derivative_kernel(half_width, lateral),
-                 bank.derivative(half_width, lateral, depth)),
-                (make_smoothing_kernel(radius), bank.smoothing(radius, depth)),
-            ):
+            reader = (half_width, lateral, radius)
+            fields = FilterBank(v, threads, [reader]).fields(reader, depth)
+            for kernel, field in zip((make_derivative_kernel(half_width, lateral),
+                                      make_smoothing_kernel(radius)), fields):
                 ref = exact_u8_reference(v, kernel, depth)
                 assert field.data.dtype == stored_dtype(kernel)
                 assert field.values().tobytes() == np.ascontiguousarray(ref).tobytes()

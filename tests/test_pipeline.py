@@ -56,9 +56,7 @@ class TestSegmentBoundary:
         assert res.report.argmax_passes == 1
         assert not res.report.degenerate
         assert res.report.wall_s > 0
-        assert set(res.report.stage_s) == {
-            "derivative", "smoothing", "enhance", "outlier_reject", "regularize",
-        }
+        assert list(res.report.stage_s) == ["filters", "enhance", "outlier_reject", "regularize"]
         assert res.report.columns_total == 48 * 12
         assert res.report.columns_searched == 48 * 12
 
@@ -102,11 +100,15 @@ class TestSegmentBoundary:
     def test_shared_bank_matches_one_off_bank(self):
         vol, _ = two_layer_volume()
         nx, ny, nz = vol.dims
-        bank = FilterBank(vol)
         below = dataclasses.replace(BRIGHT_ABOVE, polarity="bright_below")
-        for profile in (BRIGHT_ABOVE, below):
-            shared = segment_boundary(vol, profile, bank=bank).surface.z
-            assert np.array_equal(shared, segment_boundary(vol, profile).surface.z)
+        sizes = pipeline._filter_sizes(BRIGHT_ABOVE)
+        bank = FilterBank(vol, 1, [sizes, sizes])
+        shared = segment_boundary(vol, BRIGHT_ABOVE, bank=bank).surface.z
+        assert np.array_equal(shared, segment_boundary(vol, BRIGHT_ABOVE).surface.z)
+        # the step is bright above, so the clamped bright-below derivative is flat
+        with pytest.warns(DegenerateNormalizationWarning, match="derivative"):
+            shared = segment_boundary(vol, below, bank=bank).surface.z
+            assert np.array_equal(shared, segment_boundary(vol, below).surface.z)
 
         def band(end):  # windows [20, end) in every column
             return SearchMask(k_lo=np.full((nx, ny), 20, dtype=np.int32),
@@ -116,20 +118,21 @@ class TestSegmentBoundary:
         # is a new field and cuts the kept ones to 90, which are then read
         # again at 80 as they are
         wide = dataclasses.replace(BRIGHT_ABOVE, lateral_width=5)
-        bank = FilterBank(vol)
+        bank = FilterBank(vol, 1, [sizes, pipeline._filter_sizes(wide), sizes])
         for profile, end in ((BRIGHT_ABOVE, 110), (wide, 90), (BRIGHT_ABOVE, 80)):
             shared = segment_boundary(vol, profile, band(end), bank=bank).surface.z
             assert np.array_equal(shared, segment_boundary(vol, profile, band(end)).surface.z)
-        bank = FilterBank(vol)
+        bank = FilterBank(vol, 1, [sizes, sizes])
         segment_boundary(vol, BRIGHT_ABOVE, band(90), bank=bank)
-        with pytest.raises(PipelineError, match="step: stage 'derivative': planes z < 110"):
+        with pytest.raises(PipelineError, match="step: stage 'filters': planes z < 110"):
             segment_boundary(vol, BRIGHT_ABOVE, band(110), bank=bank)
 
     def test_filter_failure_names_boundary_and_stage(self):
         vol, _ = two_layer_volume(nx=8, ny=6, nz=64)
-        wide = dataclasses.replace(BRIGHT_ABOVE, smoothing_radius=4)  # 9 > ny
-        with pytest.raises(PipelineError, match="step.*'smoothing'"):
-            segment_boundary(vol, wide, bank=FilterBank(vol))
+        wide = dataclasses.replace(BRIGHT_ABOVE, smoothing_radius=4)  # 9 > nx
+        with pytest.raises(PipelineError, match="step: stage 'filters': kernel extent 9 exceeds "
+                                                "volume size 8 along x"):
+            segment_boundary(vol, wide)
 
 
 class TestCascade:
@@ -241,6 +244,28 @@ class TestCascade:
         # IS/OS has the widest lateral box (9) of the default profiles
         with pytest.raises(ValueError, match="IS/OS: kernel extent 9 exceeds volume size 8 along x"):
             segment_retina(Volume(np.zeros((8, 12, 40), dtype=np.float32)))
+
+    @pytest.mark.parametrize("role, override, message", [
+        ("rpe", {"derivative_half_width": 2**40}, f"RPE: kernel extent {2**41 + 1} exceeds "
+                                                  "volume size 96 along z"),
+        ("isos", {"lateral_width": 2**40 + 1}, f"IS/OS: kernel extent {2**40 + 1} exceeds "
+                                               "volume size 48 along x"),
+        ("ilm", {"smoothing_radius": 2**40}, f"ILM: kernel extent {2**41 + 1} exceeds "
+                                             "volume size 48 along x"),
+    ], ids=["half-width", "lateral", "radius"])
+    def test_kernel_sizes_rejected_before_any_kernel_is_built(self, monkeypatch, role,
+                                                              override, message):
+        # taps that long would not fit in memory, so only their sizes are compared
+        def unbuilt(*args):
+            raise AssertionError("a kernel was built")
+
+        monkeypatch.setattr(filters, "make_derivative_kernel", unbuilt)
+        monkeypatch.setattr(filters, "make_smoothing_kernel", unbuilt)
+        profile = dataclasses.replace(getattr(PipelineConfig(), role), **override)
+        config = dataclasses.replace(PipelineConfig(), **{role: profile})
+        vol, _ = generate_phantom(PhantomSpec.default(dims=(48, 12, 96)))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            segment_retina(vol, config)
 
     @pytest.mark.parametrize("threads", [0, -1, 1.5, True])
     def test_bad_thread_count_rejected_before_any_stage(self, monkeypatch, threads):
@@ -421,15 +446,13 @@ class TestU8Input:
         # most (taps.size + 1) * eps * sum|taps| * max|input| per pass
         loaded = u8_phantom_file(tmp_path, (24, 11, 96), seed, "zxy")
         values = Volume(loaded.values())
-        exact, approx = FilterBank(loaded), FilterBank(values)
+        plan = [pipeline._filter_sizes(p) for p in vars(PipelineConfig()).values()]
+        exact, approx = FilterBank(loaded, 1, plan), FilterBank(values, 1, plan)
         eps = np.finfo(np.float32).eps
-        for profile in vars(PipelineConfig()).values():
-            half_width, lateral, radius = pipeline._filter_sizes(profile)
-            for kernel, fields in (
-                (filters.make_derivative_kernel(half_width, lateral),
-                 [b.derivative(half_width, lateral) for b in (exact, approx)]),
-                (filters.make_smoothing_kernel(radius), [b.smoothing(radius) for b in (exact, approx)]),
-            ):
+        for half_width, lateral, radius in plan:
+            pairs = zip(*(b.fields((half_width, lateral, radius), 96) for b in (exact, approx)))
+            for kernel, fields in zip((filters.make_derivative_kernel(half_width, lateral),
+                                       filters.make_smoothing_kernel(radius)), pairs):
                 taps = (kernel.kz, kernel.kx, kernel.ky)
                 gain = np.prod([np.abs(t).sum() for t in taps])
                 bound = eps * gain * values.data.max() * (2 + sum(t.size + 1 for t in taps))

@@ -113,6 +113,16 @@ class TestFromJson:
         assert str(e.value).startswith(message)
         assert str(e.value).endswith(f"(in {p})")
 
+    def test_lesion_radius_must_be_positive(self, tmp_path):
+        # checked by the record, so the error names the file it came from
+        d = RECORDS["phantom spec"][1]
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(d | {"lesion": d["lesion"] | {"radius": 0}}))
+        with pytest.raises(ValueError) as e:
+            PhantomSpec.from_json(p)
+        assert str(e.value) == ("bad phantom spec entry for 'lesion': "
+                                f"radius must be positive, got 0 (in {p})")
+
     def test_undecodable_bytes_name_the_file(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_bytes(b"\xff\xfe{}")
