@@ -109,6 +109,15 @@ def _check_extents(kernel_shape, dims) -> None:
             )
 
 
+def _check_read(reader: tuple[int, int, int], dims) -> None:
+    """Raise ValueError when a read's derivative or smoothing kernel is
+    longer than the volume along an axis.  Only the sizes are compared, as
+    integers, so a kernel too long to fit in memory is never built."""
+    half_width, lateral, radius = reader
+    for extents in ((lateral, lateral, 2 * half_width + 1), (2 * radius + 1,) * 3):
+        _check_extents(extents, dims)
+
+
 def _chunk_bounds(n: int, parts: int) -> list[tuple[int, int]]:
     edges = np.linspace(0, n, parts + 1).astype(int)
     return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
@@ -496,7 +505,8 @@ class FilterBank:
     and still held shrinks with them.  A kept field is handed back as it
     is.  A field is dropped once its last planned reader has taken it, and
     a read that the plan does not hold, or no longer holds, raises
-    ValueError.  Fields are shared between callers, so their arrays are
+    ValueError, as does one whose kernels are longer than the volume
+    (``_check_read``, before any kernel is built).  Fields are shared between callers, so their arrays are
     made read-only.  Float values in memory with a NaN or infinite voxel
     raise ValueError; a ``RawVolume`` was checked when it was opened, and
     scaled integer samples are finite.
@@ -530,6 +540,7 @@ class FilterBank:
             raise ValueError(
                 f"planes z < {depth} requested from a filter bank limited to z < {self._depth}"
             )
+        _check_read(reader, self.volume.dims)
         self._depth = depth
         keys = _field_keys(reader)
         new = [key for key in keys if key not in self._fields]

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .enhance import enhance
-from .filters import FilterBank, _check_extents
+from .filters import FilterBank, _check_read
 from .records import Record
 from .surfaces import (
     SearchMask,
@@ -309,11 +309,9 @@ def segment_retina(
     profiles = (config.rpe, config.isos, config.ilm)
     plan = [_filter_sizes(p) for p in profiles]
     bank = FilterBank(volume, threads, plan)
-    for p, (half_width, lateral, radius) in zip(profiles, plan):
+    for p, reader in zip(profiles, plan):
         try:
-            # sizes alone: a kernel too long for the volume is never built
-            for extents in ((lateral, lateral, 2 * half_width + 1), (2 * radius + 1,) * 3):
-                _check_extents(extents, volume.dims)
+            _check_read(reader, volume.dims)
         except ValueError as e:
             raise ValueError(f"{p.name}: {e}") from None
 

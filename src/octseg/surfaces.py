@@ -56,7 +56,7 @@ class Surface:
         return self.z.shape[1]
 
     def copy(self) -> "Surface":
-        return Surface(z=self.z.copy(), valid=self.valid.copy())
+        return Surface(z=self.z, valid=self.valid.copy())  # which copies z
 
 
 @dataclass(eq=False)
@@ -120,61 +120,99 @@ def argmax_per_ascan(intensity: Volume) -> Surface:
     return Surface.full(intensity.data.argmax(axis=2))
 
 
-# cells per block of x rows in _local_median: its scratch is about 8 bytes
-# per tap and cell, so a block's, not the surface's, size bounds it (on a
-# 300x99 grid with 25 taps the median took 9.4 ms at 2**14 cells, 5.0 ms at
-# 2**11, where a block's scratch stays in cache)
-_MEDIAN_BLOCK_CELLS = 2**11
+# cells per block of x rows in reject_outliers: a block's tile extrema and
+# counts take a few block-sized arrays, and a block whose tiles are copied
+# whole takes 8 bytes per tap and cell, so a block's, not the surface's, size
+# bounds the scratch, and at 25 taps a copied block (1.6 MB) stays in cache
+_OUTLIER_BLOCK_CELLS = 2**13
+
+# a tile value this large in magnitude can overflow the sum of the middle
+# pair, which would put the median outside the tile's [min, max]
+_HUGE = 2.0**1023
 
 
-def _local_median(z: np.ndarray, window: int) -> np.ndarray:
-    """Median of the finite cells in each window x window tile (NaN outside
-    the grid); NaN where a tile has none.  Equals ``np.nanmedian``."""
+def _tile_reduce(ufunc, rows: np.ndarray, window: int, ny: int) -> np.ndarray:
+    """``ufunc`` reduced over each window x window tile whose corner cell
+    lies in ``rows``, separably: first along y, then along x."""
+    along_y = rows[:, :ny].copy()
+    for d in range(1, window):
+        ufunc(along_y, rows[:, d:d + ny], out=along_y)
+    n = rows.shape[0] - window + 1
+    out = along_y[:n].copy()
+    for d in range(1, window):
+        ufunc(out, along_y[d:d + n], out=out)
+    return out
+
+
+def _nanmedians(tiles: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``np.nanmedian`` of each row of ``tiles``, a scratch array sorted in
+    place, where row i holds k[i] values besides its NaNs."""
+    tiles.sort(axis=1)  # NaNs last: a row's k values lead it
+    i = np.arange(k.size)
+    return (tiles[i, (k - 1) // 2] + tiles[i, k // 2]) / 2
+
+
+def _inliers(surface: Surface, tau: float, window: int) -> np.ndarray:
+    """The valid cells of ``surface`` within tau of their tile's median."""
     h, taps = window // 2, window * window
-    padded = np.pad(z, h, mode="constant", constant_values=np.nan)
-    out = np.empty(z.shape, dtype=padded.dtype)
-    nx, ny = z.shape
-    # the finite cells n of each tile, from an integral image of the grid
-    acc = np.zeros((nx + 2 * h + 1, ny + 2 * h + 1), dtype=np.intp)
-    np.cumsum(np.cumsum(~np.isnan(padded), axis=0), axis=1, out=acc[1:, 1:])
-    n = (acc[window:, window:] - acc[:-window, window:]
-         - acc[window:, :-window] + acc[:-window, :-window])
-    rows = max(1, _MEDIAN_BLOCK_CELLS // ny)
+    nx, ny = surface.z.shape
+    padded = np.full((nx + 2 * h, ny + 2 * h), np.nan)
+    np.copyto(padded[h:h + nx, h:h + ny], surface.z, where=surface.valid)
+    tiles = sliding_window_view(padded, (window, window))
+    # a tile's cells as offsets from its corner in the flat padded grid
+    offsets = (np.arange(window)[:, None] * padded.shape[1] + np.arange(window)).ravel()
+    keep = surface.valid.copy()
+    rows = max(1, _OUTLIER_BLOCK_CELLS // ny)
     for x0 in range(0, nx, rows):
         x1 = min(x0 + rows, nx)
-        # one copy of the block's tiles, sorted in place: NaNs sort last, so
-        # the n finite values of a tile lead its row
-        ordered = np.empty((x1 - x0, ny, window, window), dtype=padded.dtype)
-        ordered[...] = sliding_window_view(padded[x0:x1 + 2 * h], (window, window))
-        ordered = ordered.reshape(x1 - x0, ny, taps)
-        ordered.sort(axis=-1)
-        block = out[x0:x1]
-        block[...] = ordered[..., taps // 2]  # the median of an all-finite tile
-        # tiles on the border or with holes; an all-NaN one reads two NaNs
-        hx, hy = np.nonzero(n[x0:x1] < taps)
-        if hx.size:
-            k = n[x0:x1][hx, hy]
-            lower = ordered[hx, hy, np.maximum(k - 1, 0) // 2]
-            block[hx, hy] = (lower + ordered[hx, hy, k // 2]) / 2
-    return out
+        block = padded[x0:x1 + 2 * h]
+        hi, lo = (_tile_reduce(f, block, window, ny) for f in (np.fmax, np.fmin))
+        # inf - inf reads NaN and huge values overflow; the test below holds
+        with np.errstate(invalid="ignore", over="ignore"):
+            candidate = (hi - lo > tau) | (hi >= _HUGE) | (lo <= -_HUGE)
+        candidate &= keep[x0:x1]
+        count = np.count_nonzero(candidate)
+        if not count:
+            continue
+        # most tiles can reject: one strided copy of all of them costs less
+        # than gathering the candidates
+        whole = 2 * count > candidate.size
+        at = np.s_[:] if whole else np.nonzero(candidate)
+        k = _tile_reduce(np.add, (~np.isnan(block)).astype(np.intp), window, ny)[at].ravel()
+        if whole:
+            median = _nanmedians(np.array(tiles[x0:x1]).reshape(-1, taps), k)
+        else:
+            corners = (at[0] + x0) * padded.shape[1] + at[1]
+            median = _nanmedians(padded.take(corners[:, None] + offsets), k)
+        inside = keep[x0:x1]
+        inside[at] &= ~(np.abs(surface.z[x0:x1][at] - median.reshape(inside[at].shape)) > tau)
+    return keep
 
 
 def reject_outliers(surface: Surface, tau: float, window: int = 5) -> Surface:
     """Invalidate cells deviating from their local median by more than tau.
 
     The median is taken over an odd window x window neighborhood (the cell
-    itself included; cells outside the grid or already invalid are ignored).
+    itself included; cells outside the grid or already invalid are ignored)
+    and equals ``np.nanmedian`` over it: the mean of the middle pair of the
+    tile's k values, sorted (the middle value twice when k is odd).
     Surviving cells keep their exact z; nothing is re-estimated here.
+
+    Most tiles cannot reject, and a spread pre-test finds them without a
+    median: a cell and its tile's median both lie in the tile's [min, max],
+    and float rounding is monotone, so the computed deviation is at most
+    the computed max - min.  Only valid cells whose tile spreads by more
+    than tau (or holds a value near the float range's end, where the
+    middle pair's sum can overflow) get a median, from their tiles sorted
+    with NaNs last.  The rest are kept, as the full test would keep them.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     window = int(window)
     if window < 3 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 3, got {window}")
-    z = np.where(surface.valid, surface.z, np.nan)
-    deviation = np.abs(z - _local_median(z, window))
-    keep = surface.valid & ~(deviation > tau)
-    return Surface(z=np.where(keep, surface.z, np.nan), valid=keep)
+    keep = _inliers(surface, tau, window)
+    return Surface(z=surface.z, valid=keep)  # which copies z and blanks the rest
 
 
 def fill_from_neighbors(z: np.ndarray) -> np.ndarray:
@@ -183,34 +221,28 @@ def fill_from_neighbors(z: np.ndarray) -> np.ndarray:
     Each sweep fills every hole that touches at least one finite cell with
     the mean of its finite neighbors, then repeats on the updated grid until
     nothing is left.  Sweeps update simultaneously, so the result does not
-    depend on traversal order.
+    depend on traversal order.  A sweep visits only the holes still open.
     """
     z = z.copy()
-    # one set of buffers serves every sweep
-    hole, fill, ok = (np.empty(z.shape, dtype=bool) for _ in range(3))
-    acc, cnt = np.empty_like(z), np.empty_like(z)
-    while True:
-        np.isnan(z, out=hole)
-        if not hole.any():
-            return z
-        acc.fill(0)
-        cnt.fill(0)
-        for src, dst in (
-            (np.s_[1:, :], np.s_[:-1, :]),
-            (np.s_[:-1, :], np.s_[1:, :]),
-            (np.s_[:, 1:], np.s_[:, :-1]),
-            (np.s_[:, :-1], np.s_[:, 1:]),
-        ):
-            nb, finite = z[src], ok[dst]
-            np.isnan(nb, out=finite)
-            np.logical_not(finite, out=finite)
-            np.add(acc[dst], nb, out=acc[dst], where=finite)
-            np.add(cnt[dst], 1.0, out=cnt[dst], where=finite)
-        np.greater(cnt, 0, out=fill)
-        fill &= hole
+    nx, ny = z.shape
+    flat = z.reshape(-1)
+    holes = np.flatnonzero(np.isnan(flat))
+    while holes.size:
+        x, y = np.divmod(holes, ny)
+        acc = np.zeros(holes.size, dtype=z.dtype)
+        cnt = np.zeros(holes.size, dtype=z.dtype)
+        # the neighbors at x+1, x-1, y+1 and y-1, summed in that order
+        for step, inside in ((ny, x + 1 < nx), (-ny, x > 0), (1, y + 1 < ny), (-1, y > 0)):
+            nb = flat.take(holes + step, mode="clip")
+            finite = inside & ~np.isnan(nb)
+            np.add(acc, nb, out=acc, where=finite)
+            cnt += finite
+        fill = cnt > 0
         if not fill.any():  # no finite cell anywhere
             raise ValueError("cannot inpaint: surface has no valid cells")
-        np.divide(acc, cnt, out=z, where=fill)
+        flat[holes[fill]] = acc[fill] / cnt[fill]
+        holes = holes[~fill]
+    return z
 
 
 def inpaint_and_smooth(
@@ -274,13 +306,21 @@ def _distinct_reprs(values: np.ndarray) -> tuple[list[str], np.ndarray]:
 
 def _write_rows(path, header: str, tails: list[str], index: np.ndarray) -> None:
     """Write the CSV rows "x,y,<tail>" of an (nx, ny) grid, y-major (all x
-    for y=0, then y=1, ...), where ``index[x, y]`` picks the cell's tail."""
-    table = np.array(tails, dtype=object)
-    xs = np.array([f"{x}," for x in range(index.shape[0])], dtype=object)
-    rows = ["".join((xs + f"{y}," + table[row]).tolist()) for y, row in enumerate(index.T)]
+    for y=0, then y=1, ...), where ``index[x, y]`` picks the cell's tail.
+
+    A row is three tokens of one table, "<x>," "<y>," and the tail, so the
+    file's text is a single join of the tokens that each cell picks.
+    """
+    nx, ny = index.shape
+    n = max(nx, ny)
+    table = np.array([f"{i}," for i in range(n)] + tails, dtype=object)
+    picks = np.empty((ny, nx, 3), dtype=np.intp)
+    picks[..., 0] = np.arange(nx)
+    picks[..., 1] = np.arange(ny)[:, None]
+    np.add(index.T, n, out=picks[..., 2])
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(header)
-        f.write("".join(rows))
+        f.write("".join(table.take(picks.ravel()).tolist()))
 
 
 def save_surface(surface: Surface, path, fmt: str = "csv") -> None:

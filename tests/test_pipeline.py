@@ -134,6 +134,19 @@ class TestSegmentBoundary:
                                                 "volume size 8 along x"):
             segment_boundary(vol, wide)
 
+    def test_lone_boundary_compares_kernel_sizes_before_building_any(self, monkeypatch):
+        # the one-off bank of a lone boundary must not build taps that long
+        def unbuilt(*args):
+            raise AssertionError("a kernel was built")
+
+        monkeypatch.setattr(filters, "make_derivative_kernel", unbuilt)
+        monkeypatch.setattr(filters, "make_smoothing_kernel", unbuilt)
+        vol, _ = two_layer_volume(nx=16, ny=8, nz=64)
+        huge = dataclasses.replace(BRIGHT_ABOVE, derivative_half_width=10**6)
+        with pytest.raises(PipelineError, match="^step: stage 'filters': kernel extent 2000001 "
+                                                "exceeds volume size 64 along z$"):
+            segment_boundary(vol, huge)
+
 
 class TestCascade:
     def test_noiseless_phantom_all_boundaries(self):

@@ -26,7 +26,6 @@ from octseg import surfaces
 from octseg.analysis import ThicknessMap, save_thickness_csv
 from octseg.enhance import enhance
 from octseg.pipeline import BoundaryProfile
-from octseg.surfaces import _local_median
 from octseg.volume import Volume
 
 
@@ -158,12 +157,28 @@ class TestRejectOutliers:
         assert np.array_equal(out.z[clean_kept], spiked[clean_kept])
 
     def test_peak_memory_bounded_by_grids_not_the_median_block(self):
-        # the median's block of 2**11 cells holds 25 taps of each: the peak
-        # is the grid-sized arrays around it (6.3 grids measured; 13.1 with
-        # blocks of 2**14 cells)
+        # a block of 2**13 cells holds the tile extrema, and the candidates'
+        # 25 taps: the peak is the grid-sized arrays around it (4.2 grids
+        # measured; 6.3 for the integral-image median of 2**11-cell blocks)
         rng = np.random.default_rng(3)
         z = rng.normal(60.0, 3.0, (640, 160))
         surface = Surface.full(z)
+        tracemalloc.start()
+        try:
+            reject_outliers(surface, tau=15.0, window=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * z.nbytes
+
+    def test_scratch_bounded_when_every_tile_is_a_candidate(self):
+        # the widefield surface with holes and a spread far above tau: every
+        # block's tiles are copied whole, 25 taps of every cell at once would
+        # take 20 grids
+        rng = np.random.default_rng(0)
+        z = rng.normal(60.0, 40.0, (640, 160))
+        valid = rng.random(z.shape) >= 0.3
+        surface = Surface(z=z, valid=valid)
         tracemalloc.start()
         try:
             reject_outliers(surface, tau=15.0, window=5)
@@ -179,43 +194,46 @@ class TestRejectOutliers:
         window=st.sampled_from([3, 5, 7]),
         holes=st.sampled_from(["random", "none", "interior"]),
         invalid=st.floats(0.0, 1.0),
-        integral=st.booleans(),
-        block=st.sampled_from([1, 7, 30, surfaces._MEDIAN_BLOCK_CELLS]),
+        values=st.sampled_from(["integral", "real", "huge"]),
+        infinite=st.booleans(),
+        tau=st.sampled_from([0.5, 1.0, 1.5, 15.0, "tie"]),
+        block=st.sampled_from([1, 7, surfaces._OUTLIER_BLOCK_CELLS]),
     )
-    @settings(max_examples=80, deadline=None)
-    def test_local_median_equals_nanmedian(self, seed, nx, ny, window, holes, invalid, integral,
-                                           block):
-        # all-finite grids and a few interior holes leave most tiles all
-        # finite, away from the border
+    @settings(max_examples=150, deadline=None)
+    def test_equals_nanmedian_reference(self, seed, nx, ny, window, holes, invalid, values,
+                                        infinite, tau, block):
+        # small grids are mostly border; "huge" values overflow the middle
+        # pair's sum, and a tau taken from the deviations makes exact ties
+        # |z - median| == tau, half-integral ones too for integral values
         rng = np.random.default_rng(seed)
-        z = rng.integers(0, 40, (nx, ny)).astype(np.float64) if integral \
-            else rng.random((nx, ny)) * 300.0
+        if values == "integral":
+            z = rng.integers(0, 40, (nx, ny)).astype(np.float64)
+        else:
+            z = rng.random((nx, ny)) * (300.0 if values == "real" else 1.5e308)
+        if infinite:
+            z[rng.random((nx, ny)) < 0.2] = rng.choice([-np.inf, np.inf])
+        valid = np.ones((nx, ny), dtype=bool)
         if holes == "random":
-            z[rng.random((nx, ny)) < invalid] = np.nan
+            valid = rng.random((nx, ny)) >= invalid
         elif holes == "interior" and min(nx, ny) > 2:
-            z[rng.integers(1, nx - 1, 3), rng.integers(1, ny - 1, 3)] = np.nan
+            valid[rng.integers(1, nx - 1, 3), rng.integers(1, ny - 1, 3)] = False
+        surface = Surface(z=z, valid=valid)
         h = window // 2
-        padded = np.pad(z, h, mode="constant", constant_values=np.nan)
+        padded = np.pad(surface.z, h, mode="constant", constant_values=np.nan)
         tiles = np.lib.stride_tricks.sliding_window_view(padded, (window, window))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN tiles
-            expected = np.nanmedian(tiles, axis=(-2, -1))
-        # small blocks make one surface span several blocks of x rows
-        with mock.patch.object(surfaces, "_MEDIAN_BLOCK_CELLS", block):
-            assert np.array_equal(_local_median(z, window), expected, equal_nan=True)
-
-    def test_local_median_scratch_is_bounded(self):
-        # the widefield surface: 25 taps of every cell at once would take 45 MB
-        rng = np.random.default_rng(0)
-        z = rng.random((640, 160)) * 100.0
-        z[rng.random(z.shape) < 0.3] = np.nan
-        tracemalloc.start()
-        try:
-            _local_median(z, 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16e6
+            # all-NaN tiles, and inf - inf or an overflowing sum, in both
+            warnings.simplefilter("ignore", RuntimeWarning)
+            deviation = np.abs(surface.z - np.nanmedian(tiles, axis=(-2, -1)))
+            if tau == "tie":
+                ties = deviation[np.isfinite(deviation) & (deviation > 0)]
+                tau = float(rng.choice(ties)) if ties.size else 1.0
+            expected = valid & ~(deviation > tau)
+            # small blocks make one surface span several blocks of x rows
+            with mock.patch.object(surfaces, "_OUTLIER_BLOCK_CELLS", block):
+                out = reject_outliers(surface, tau=tau, window=window)
+        assert np.array_equal(out.valid, expected)
+        assert np.array_equal(out.z, np.where(expected, surface.z, np.nan), equal_nan=True)
 
     def test_parameter_validation(self):
         s = Surface.full(np.zeros((3, 3)))
@@ -223,6 +241,12 @@ class TestRejectOutliers:
             reject_outliers(s, tau=0.0)
         with pytest.raises(ValueError):
             reject_outliers(s, tau=5.0, window=4)
+        # a NaN tau compares false with every deviation, so it would keep
+        # every cell, a spike 450 deep too
+        spiked = np.full((5, 5), 50.0)
+        spiked[2, 2] = 500.0
+        with pytest.raises(ValueError, match="tau must be positive, got nan"):
+            reject_outliers(Surface.full(spiked), tau=float("nan"))
 
 
 class TestInpaint:
