@@ -304,23 +304,32 @@ def _distinct_reprs(values: np.ndarray) -> tuple[list[str], np.ndarray]:
     return [repr(v) for v in bits.view(np.float64).tolist()], index.reshape(values.shape)
 
 
+# cells per write of _write_rows: a write holds about 100 bytes a cell (the
+# picks, their tokens and the text in two encodings), so a chunk, not the
+# grid, bounds the writer's memory
+_WRITE_CELLS = 2**14
+
+
 def _write_rows(path, header: str, tails: list[str], index: np.ndarray) -> None:
     """Write the CSV rows "x,y,<tail>" of an (nx, ny) grid, y-major (all x
     for y=0, then y=1, ...), where ``index[x, y]`` picks the cell's tail.
 
     A row is three tokens of one table, "<x>," "<y>," and the tail, so the
-    file's text is a single join of the tokens that each cell picks.
+    text of a chunk of rows is a single join of the tokens its cells pick.
     """
     nx, ny = index.shape
     n = max(nx, ny)
     table = np.array([f"{i}," for i in range(n)] + tails, dtype=object)
-    picks = np.empty((ny, nx, 3), dtype=np.intp)
-    picks[..., 0] = np.arange(nx)
-    picks[..., 1] = np.arange(ny)[:, None]
-    np.add(index.T, n, out=picks[..., 2])
+    rows = max(1, _WRITE_CELLS // nx)
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(header)
-        f.write("".join(table.take(picks.ravel()).tolist()))
+        for y0 in range(0, ny, rows):
+            y1 = min(y0 + rows, ny)
+            picks = np.empty((y1 - y0, nx, 3), dtype=np.intp)
+            picks[..., 0] = np.arange(nx)
+            picks[..., 1] = np.arange(y0, y1)[:, None]
+            np.add(index[:, y0:y1].T, n, out=picks[..., 2])
+            f.write("".join(table.take(picks.reshape(-1)).tolist()))
 
 
 def save_surface(surface: Surface, path, fmt: str = "csv") -> None:
