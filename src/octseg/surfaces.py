@@ -180,7 +180,7 @@ def _inliers(surface: Surface, tau: float, window: int) -> np.ndarray:
         at = np.s_[:] if whole else np.nonzero(candidate)
         k = _tile_reduce(np.add, (~np.isnan(block)).astype(np.intp), window, ny)[at].ravel()
         if whole:
-            median = _nanmedians(np.array(tiles[x0:x1]).reshape(-1, taps), k)
+            median = _nanmedians(np.array(tiles[x0:x1], order="C").reshape(-1, taps), k)
         else:
             corners = (at[0] + x0) * padded.shape[1] + at[1]
             median = _nanmedians(padded.take(corners[:, None] + offsets), k)

@@ -2,8 +2,9 @@
 
 Not collected by pytest; test modules import it by name.  ``convolve_direct``
 sums a dense kernel over its taps, apart from the separable slab pass it
-cross-checks, and ``read_ppm`` reads back the images that ``write_ppm``
-writes.
+cross-checks, ``read_ppm`` reads back the images that ``write_ppm``
+writes, and ``fill_sweeps`` inpaints with whole-grid sweeps where
+``fill_from_neighbors`` visits only the open holes.
 """
 
 from pathlib import Path
@@ -58,3 +59,22 @@ def read_ppm(path) -> np.ndarray:
         raise ValueError(f"{path}: unsupported max value {maxval}")
     pixels = np.frombuffer(parts[3], dtype=np.uint8, count=rows * cols * 3)
     return pixels.reshape(rows, cols, 3).copy()
+
+
+def fill_sweeps(z: np.ndarray) -> np.ndarray:
+    """Reference inpainting: every sweep averages, over the whole grid, the
+    finite 4-neighbors of each NaN cell (x+1, x-1, y+1, y-1, summed in that
+    order), and fills the holes that have one, until none is left."""
+    z = z.copy()
+    while np.isnan(z).any():
+        acc, cnt = np.zeros_like(z), np.zeros_like(z)
+        for src, dst in ((np.s_[1:, :], np.s_[:-1, :]), (np.s_[:-1, :], np.s_[1:, :]),
+                         (np.s_[:, 1:], np.s_[:, :-1]), (np.s_[:, :-1], np.s_[:, 1:])):
+            finite = ~np.isnan(z[src])
+            np.add(acc[dst], z[src], out=acc[dst], where=finite)
+            np.add(cnt[dst], 1.0, out=cnt[dst], where=finite)
+        fill = np.isnan(z) & (cnt > 0)
+        if not fill.any():
+            raise ValueError("cannot inpaint: surface has no valid cells")
+        np.divide(acc, cnt, out=z, where=fill)
+    return z

@@ -27,6 +27,7 @@ from octseg.analysis import ThicknessMap, save_thickness_csv
 from octseg.enhance import enhance
 from octseg.pipeline import BoundaryProfile
 from octseg.volume import Volume
+from reference import fill_sweeps
 
 
 def column_volume(*profiles):
@@ -264,6 +265,21 @@ class TestInpaint:
         filled = fill_from_neighbors(z)
         assert np.isfinite(filled).all()
         assert np.allclose(filled, 10.0)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nx=st.integers(1, 12),
+        ny=st.integers(1, 12),
+        holes=st.floats(0.0, 0.95),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_fill_equals_whole_grid_sweeps(self, seed, nx, ny, holes):
+        # holes on every border and in runs several sweeps deep
+        rng = np.random.default_rng(seed)
+        z = rng.random((nx, ny)) * 300.0
+        z[rng.random((nx, ny)) < holes] = np.nan
+        z.flat[rng.integers(z.size)] = rng.random() * 300.0  # one finite cell at least
+        assert fill_from_neighbors(z).tobytes() == fill_sweeps(z).tobytes()
 
     def test_no_valid_cells_rejected(self):
         s = Surface(z=np.zeros((3, 3)), valid=np.zeros((3, 3), dtype=bool))
