@@ -506,10 +506,10 @@ class FilterBank:
     is.  A field is dropped once its last planned reader has taken it, and
     a read that the plan does not hold, or no longer holds, raises
     ValueError, as does one whose kernels are longer than the volume
-    (``_check_read``, before any kernel is built).  Fields are shared between callers, so their arrays are
-    made read-only.  Float values in memory with a NaN or infinite voxel
-    raise ValueError; a ``RawVolume`` was checked when it was opened, and
-    scaled integer samples are finite.
+    (``_check_read``, before any kernel is built).  Fields are shared
+    between callers, so their arrays are made read-only.  Float values in
+    memory with a NaN or infinite voxel raise ValueError; a ``RawVolume``
+    was checked when it was opened, and scaled integer samples are finite.
     """
 
     def __init__(
