@@ -51,12 +51,11 @@ def _resolve_threads(cli_value: int | None) -> int:
 
 def cmd_segment(args) -> int:
     meta = VolumeMeta.from_json(args.meta)
+    # the usage checks come before open_volume, whose range pass reads a
+    # float input whole
+    config = PipelineConfig.from_json(args.config) if args.config else PipelineConfig()
+    threads = _resolve_threads(args.threads)
     with open_volume(args.input, meta) as volume:
-        if args.config:
-            config = PipelineConfig.from_json(args.config)
-        else:
-            config = PipelineConfig()
-        threads = _resolve_threads(args.threads)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -10,8 +10,9 @@ to prefer the deeper of two otherwise similar candidates (outer boundaries)
 or shrinks with depth to prefer the shallower one (inner boundaries).
 The score lives only one x-slab at a time: each slab is picked, one depth
 per column, as soon as it is scored, and ``enhance`` returns the picks.
-A slab's windows share a core of planes that every searched window holds,
-reduced as they are; only the thin ragged planes around it are masked.
+A window is the planes above its column's end, so a slab's windows share
+a core of the planes above their shallowest end, reduced as they are; only
+the thin ragged planes below it are masked.
 """
 
 from __future__ import annotations
@@ -41,28 +42,22 @@ _FLAT_MESSAGES = (
 )
 
 
-def _window_planes(k_lo: np.ndarray, k_hi: np.ndarray):
-    """Split the depth span of a block of columns' windows [k_lo, k_hi).
+def _window_planes(k_hi: np.ndarray):
+    """Split the depth span of a block of columns' windows [0, k_hi).
 
-    Returns None when no window is searched (k_lo < k_hi), else the
-    searched columns as an index (``...`` when every column is, so that
-    indexing with it is a view), the span [g0, g1) of their windows, the
-    core [c0, c1) that every searched window holds (empty when c0 >= c1),
-    and the ragged planes: each range [a, b) of the span outside the core,
-    with a map of the samples there outside a column's window.
+    Returns None when no window is searched (k_hi > 0), else the searched
+    columns as an index (``...`` when every column is, so that indexing
+    with it is a view), the deepest end g, the end c of the core [0, c)
+    that every searched window holds (c >= 1), and a map of the samples
+    of the ragged planes [c, g) below it that lie outside a column's
+    window.
     """
-    searched = k_lo < k_hi
+    searched = k_hi > 0
     if not searched.any():
         return None
-    g0, g1 = int(k_lo[searched].min()), int(k_hi[searched].max())
-    c0, c1 = int(k_lo[searched].max()), int(k_hi[searched].min())
-    spans = [(g0, c0), (c1, g1)] if c0 < c1 else [(g0, g1)]
-    ragged = []
-    for a, b in spans:
-        if a < b:
-            k = np.arange(a, b, dtype=k_lo.dtype)
-            ragged.append((a, b, (k < k_lo[..., None]) | (k >= k_hi[..., None])))
-    return ... if searched.all() else searched, (g0, g1), (c0, c1), ragged
+    g, c = int(k_hi.max()), int(k_hi[searched].min())
+    outside = np.arange(c, g, dtype=k_hi.dtype) >= k_hi[..., None]
+    return ... if searched.all() else searched, g, c, outside
 
 
 def _extrema(values: np.ndarray, split) -> tuple | None:
@@ -74,17 +69,14 @@ def _extrema(values: np.ndarray, split) -> tuple | None:
     """
     if split is None:
         return None
-    searched, _, (c0, c1), ragged = split
-    lows, highs = [], []
-    if c0 < c1:
-        core = values[..., c0:c1][searched]
-        lows.append(core.min())
-        highs.append(core.max())
-    for a, b, outside in ragged:
-        planes = values[..., a:b]
-        lows.append(np.where(outside, np.inf, planes).min())
-        highs.append(np.where(outside, -np.inf, planes).max())
-    return min(lows), max(highs)
+    searched, g, c, outside = split
+    core = values[..., :c][searched]
+    lo, hi = core.min(), core.max()
+    if c < g:
+        planes = values[..., c:g]
+        lo = min(lo, np.where(outside, np.inf, planes).min())
+        hi = max(hi, np.where(outside, -np.inf, planes).max())
+    return lo, hi
 
 
 def _merge(parts) -> tuple:
@@ -133,14 +125,14 @@ def enhance(
     comes back invalid.
 
     The fields may stop short of ``mask.nz``, at any depth that covers the
-    depth band [z0, z1) that holds every window (``mask.to_band()``).  Only
-    that band is scored, one x-slab of scratch at a time, on up to
-    ``threads`` threads, each slab only over the span of its own windows;
-    each voxel gets the same arithmetic at any thread count.  Extrema over
-    the planes that every searched window of a slab holds are plain
-    reductions; the ragged planes around them are masked with a +-inf
-    sentinel, a copy of them for the read-only fields and the score itself
-    in place, which then takes a plain argmax per column.  Fields of
+    band [0, ``mask.depth``) above the deepest window end.  Only that band
+    is scored, one x-slab of scratch at a time, on up to ``threads``
+    threads, each slab only down to its own deepest end; each voxel gets
+    the same arithmetic at any thread count.  Extrema over the planes
+    above a slab's shallowest searched end, which every searched window
+    holds, are plain reductions; the ragged planes below them are masked
+    with a +-inf sentinel, a copy of them for the read-only fields and the
+    score itself in place, which then takes a plain argmax per column.  Fields of
     scaled integer sums (``Volume.scale``) give their extrema as sums,
     divided once, and each slab of sums is divided into float32 scratch
     before it is scored, so they score bitwise as their values would.
@@ -153,24 +145,23 @@ def enhance(
     if diff.dims[:2] != smooth.dims[:2]:
         raise ValueError(f"dims mismatch: {diff.dims} vs {smooth.dims}")
     nx, ny, nz = diff.nx, diff.ny, mask.nz
-    if mask.k_lo.shape != (nx, ny) or max(diff.nz, smooth.nz) > nz:
+    if mask.k_hi.shape != (nx, ny) or max(diff.nz, smooth.nz) > nz:
         raise ValueError(
-            f"mask geometry {mask.k_lo.shape}x{nz} does not hold fields {diff.dims}, {smooth.dims}"
+            f"mask geometry {mask.k_hi.shape}x{nz} does not hold fields {diff.dims}, {smooth.dims}"
         )
-    z0, band = mask.to_band()
-    z1 = z0 + band.nz
-    if min(diff.nz, smooth.nz) < z1:
+    depth = mask.depth
+    if min(diff.nz, smooth.nz) < depth:
         raise ValueError(
-            f"fields of depth {diff.nz}, {smooth.nz} do not cover the search band [{z0}, {z1})"
+            f"fields of depth {diff.nz}, {smooth.nz} do not cover the search band [0, {depth})"
         )
     sign = 1 if profile.polarity == "bright_above" else -1
-    k = np.arange(z0, z1, dtype=np.float32)
+    k = np.arange(depth, dtype=np.float32)
     w = k + 1 if profile.weight_direction == "favor_deep" else np.float32(nz) - k
-    slabs = _slab_bounds((nx, ny, band.nz), threads)
+    slabs = _slab_bounds((nx, ny, depth), threads)
 
     def input_extrema(lo, hi):
-        split = _window_planes(band.k_lo[lo:hi], band.k_hi[lo:hi])
-        return split, tuple(_extrema(f.data[lo:hi, :, z0:z1], split) for f in (diff, smooth))
+        split = _window_planes(mask.k_hi[lo:hi])
+        return split, tuple(_extrema(f.data[lo:hi], split) for f in (diff, smooth))
 
     found = _map_slabs(input_extrema, slabs, threads)
     # each slab's split, made once for both sweeps
@@ -188,13 +179,13 @@ def enhance(
         split = splits[lo]
         if split is None:
             return None, np.full((hi - lo, ny), np.nan)
-        searched, (g0, g1), _, ragged = split
-        # the slab's score covers only the span of its windows
-        planes = np.s_[lo:hi, :, z0 + g0 : z0 + g1]
+        searched, g, c, outside = split
+        # the slab's score covers only the planes above its deepest end
+        planes = np.s_[lo:hi, :, :g]
         # scaled sums are divided into the float32 scratch first, by -scale
         # for a negative sign: IEEE division is sign-symmetric, so one pass
         # gives the bits of a divide and a negation
-        score = np.empty((hi - lo, ny, g1 - g0), dtype=diff.dtype)
+        score = np.empty((hi - lo, ny, g), dtype=diff.dtype)
         if sign == -1:
             values = np.divide(
                 diff.data[planes], -np.float32(diff.scale or 1), out=score, dtype=score.dtype
@@ -205,20 +196,18 @@ def enhance(
             values = np.maximum(values, 0, out=score)
         _rescale(values, d_lo, d_hi, out=score)
         # the rescaled smoothed field is added a block of x rows at a time
-        rows = max(1, _BLOCK_SAMPLES // (ny * (g1 - g0)))
-        smoothed = np.empty((min(rows, hi - lo), ny, g1 - g0), dtype=smooth.dtype)
+        rows = max(1, _BLOCK_SAMPLES // (ny * g))
+        smoothed = np.empty((min(rows, hi - lo), ny, g), dtype=smooth.dtype)
         for r0 in range(0, hi - lo, rows):
             r1 = min(r0 + rows, hi - lo)
-            block = smooth.values(np.s_[lo + r0 : lo + r1, :, z0 + g0 : z0 + g1],
-                                  out=smoothed[: r1 - r0])
+            block = smooth.values(np.s_[lo + r0 : lo + r1, :, :g], out=smoothed[: r1 - r0])
             _rescale(block, s_lo, s_hi, out=smoothed[: r1 - r0])
             score[r0:r1] += smoothed[: r1 - r0]
         del smoothed
-        score *= w[g0:g1]
+        score *= w[:g]
 
         def outside_windows(sentinel):  # the core planes need none
-            for a, b, outside in ragged:
-                np.copyto(score[:, :, a - g0 : b - g0], sentinel, where=outside)
+            np.copyto(score[:, :, c:], sentinel, where=outside)
 
         # +inf outside the windows for the min, then -inf for the pick,
         # whose values give the max
@@ -228,7 +217,7 @@ def enhance(
         z = argmax_per_ascan(Volume(score)).z
         best = np.take_along_axis(score, z.astype(np.intp)[..., None], axis=-1)
         # Surface makes the picks of unsearched columns NaN
-        return (e_lo, best[searched].max()), z + g0
+        return (e_lo, best[searched].max()), z
 
     parts = _map_slabs(score_and_pick, slabs, threads)
     if passes is not None:
@@ -239,6 +228,5 @@ def enhance(
     for is_flat, message in zip((not d_hi > d_lo, not s_hi > s_lo, flat), _FLAT_MESSAGES):
         if is_flat:
             warnings.warn(message, DegenerateNormalizationWarning, stacklevel=2)
-    # picks index the band; shift them back to volume depth
-    z = np.concatenate([z for _, z in parts]) + z0
+    z = np.concatenate([z for _, z in parts])
     return Surface(z=z, valid=mask.column_valid()), flat

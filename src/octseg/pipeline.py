@@ -2,30 +2,31 @@
 
 One boundary is found in one sweep: a filters stage that reads the depth
 derivative and the box-smoothed intensity, then depth-weighted fusion with
-a per-column argmax inside the current search window.  There is no
-iterative refinement of candidates; ``enhance`` scores the depth band that
-the search windows span one x-slab at a time and picks each slab as it is
-scored, so no score volume is kept.  Each stage's wall time goes to the
-boundary's report, and a failing stage is raised as a PipelineError naming
-the boundary and the stage.  One ``FilterBank`` per volume computes each
-distinct field once; polarity is the sign ``enhance`` gives the bank's
-bright-above derivative, so ILM reuses RPE's.  ``segment_retina`` hands
-the bank the fields each boundary will read, so a field is freed after its
-last reader; a boundary's filters stage asks for both of its fields in one
-request, and those that are new are computed in one pass.  Each boundary
-asks for its fields down to the end of its search band, and no band ends
-deeper than the one before it (IS/OS searches above RPE, ILM above
-IS/OS), so the bank computes a new field only that deep and cuts the
-fields it keeps to it.  The cascade runs RPE first on the whole volume,
-then removes the RPE and everything below it from the search window (with
-a safety margin) before finding IS/OS, and repeats that truncation above
-IS/OS before finding ILM.  A final projection step
-restores the anatomical depth ordering in any column where the three
-estimates disagree.  The input is a ``Volume`` in memory or a
-``RawVolume``, a raw file opened by ``open_volume``: the filter passes
-are all that read it, an x-slab at a time, so an opened file is never
-held whole, and a read that fails raises its OSError unchanged.
-``BoundaryProfile`` and ``PipelineConfig`` are checked
+a per-column argmax inside the current search window, the planes above
+a per-column end.  There is no iterative refinement of candidates;
+``enhance`` scores the depth band above the deepest window end one x-slab
+at a time, masking only the ragged planes below a slab's shallowest end,
+and picks each slab as it is scored, so no score volume is kept.  Each
+stage's wall time goes to the boundary's report, and a failing stage is
+raised as a PipelineError naming the boundary and the stage.  One
+``FilterBank`` per volume computes each distinct field once; polarity is
+the sign ``enhance`` gives the bank's bright-above derivative, so ILM
+reuses RPE's.  ``segment_retina`` hands the bank the fields each boundary
+will read, so a field is freed after its last reader; a boundary's
+filters stage asks for both of its fields in one request, and those that
+are new are computed in one pass.  Each boundary asks for its fields down
+to the end of its search band, and no band ends deeper than the one
+before it (IS/OS searches above RPE, ILM above IS/OS), so the bank
+computes a new field only that deep and cuts the fields it keeps to it.
+The cascade runs RPE first on the whole volume, then removes the RPE and
+everything below it from the search window (with a safety margin) before
+finding IS/OS, and repeats that truncation above IS/OS before finding
+ILM.  A final projection step restores the anatomical depth ordering in
+any column where the three estimates disagree.  The input is a ``Volume``
+in memory or a ``RawVolume``, a raw file opened by ``open_volume``: the
+filter passes are all that read it, an x-slab at a time, so an opened
+file is never held whole, and a read that fails raises its OSError
+unchanged.  ``BoundaryProfile`` and ``PipelineConfig`` are checked
 ``records.Record``s.
 """
 
@@ -238,9 +239,8 @@ def segment_boundary(
     report.columns_searched = int(mask.column_valid().sum())
 
     with _stage(report, "filters"):
-        z0, band = mask.to_band()
-        depth = z0 + band.nz  # enhance reads no plane below the search band
-        deriv, smooth = bank.fields(_filter_sizes(profile), depth)
+        # enhance reads no plane below the deepest window end
+        deriv, smooth = bank.fields(_filter_sizes(profile), mask.depth)
     passes = Counter()
     with _stage(report, "enhance"):
         raw, report.degenerate = enhance(deriv, smooth, profile, mask, threads, passes)
@@ -319,12 +319,12 @@ def segment_retina(
     if rpe_res.report.degenerate:
         isos_mask = full
     else:
-        isos_mask = truncate_above_surface(full, rpe_res.surface, config.isos.truncation_margin)
+        isos_mask = truncate_above_surface(rpe_res.surface, config.isos.truncation_margin, nz)
     isos_res = segment_boundary(volume, config.isos, isos_mask, threads, bank)
     if isos_res.report.degenerate:
         ilm_mask = isos_mask
     else:
-        ilm_mask = truncate_above_surface(full, isos_res.surface, config.ilm.truncation_margin)
+        ilm_mask = truncate_above_surface(isos_res.surface, config.ilm.truncation_margin, nz)
     ilm_res = segment_boundary(volume, config.ilm, ilm_mask, threads, bank)
 
     ilm_s, isos_s, rpe_s, n_fixed = enforce_ordering(

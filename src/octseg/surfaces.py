@@ -1,12 +1,13 @@
 """Boundary surfaces over the (x, y) grid and the operators that clean them.
 
 A surface stores one depth value per A-scan column plus a validity flag;
-invalid cells carry NaN.  A SearchMask holds each column's depth window;
-extraction is a per-column argmax of a boundary score that ``enhance`` has
-already confined to those windows.  Cleanup is a
-median-deviation outlier test, diffusion inpainting of the holes, and a
-small lateral box smoothing.  File formats: CSV with an x,y,z,valid header,
-or a raw little-endian float32 grid with NaN marking invalid cells.
+invalid cells carry NaN.  A SearchMask holds each column's depth window,
+the planes above a per-column end; extraction is a per-column argmax of a
+boundary score that ``enhance`` has already confined to those windows.
+Cleanup is a median-deviation outlier test, diffusion inpainting of the
+holes, and a small lateral box smoothing.  File formats: CSV with an
+x,y,z,valid header, or a raw little-endian float32 grid with NaN marking
+invalid cells.
 """
 
 from __future__ import annotations
@@ -61,54 +62,46 @@ class Surface:
 
 @dataclass(eq=False)
 class SearchMask:
-    """Per-column half-open depth window [k_lo, k_hi) within nz planes.
+    """Per-column search window: the planes z < k_hi of nz.
 
-    Columns with k_lo >= k_hi are excluded from extraction entirely.
+    Each boundary is searched above the one found before it, so every
+    window starts at plane 0.  Columns with k_hi == 0 are excluded from
+    extraction entirely.
     """
 
-    k_lo: np.ndarray
     k_hi: np.ndarray
     nz: int
 
     def __post_init__(self):
-        k_lo = np.asarray(self.k_lo, dtype=np.int32)
         k_hi = np.asarray(self.k_hi, dtype=np.int32)
-        if k_lo.ndim != 2 or k_lo.shape != k_hi.shape:
-            raise ValueError("k_lo and k_hi must be matching 2D arrays")
+        if k_hi.ndim != 2:
+            raise ValueError("k_hi must be a 2D array")
         if self.nz < 1:
             raise ValueError(f"nz must be >= 1, got {self.nz}")
-        if k_lo.min() < 0 or k_hi.max() > self.nz:
+        if k_hi.min() < 0 or k_hi.max() > self.nz:
             raise ValueError(f"window bounds must lie within [0, {self.nz}]")
-        self.k_lo = k_lo
         self.k_hi = k_hi
 
     @classmethod
     def full(cls, nx: int, ny: int, nz: int) -> "SearchMask":
-        return cls(
-            k_lo=np.zeros((nx, ny), dtype=np.int32),
-            k_hi=np.full((nx, ny), nz, dtype=np.int32),
-            nz=nz,
-        )
+        return cls(k_hi=np.full((nx, ny), nz, dtype=np.int32), nz=nz)
+
+    @property
+    def k_lo(self) -> np.ndarray:
+        # every window's start, read by perfbench's tracer until its
+        # change (ROADMAP item 1)
+        return np.zeros_like(self.k_hi)
 
     def column_valid(self) -> np.ndarray:
-        return self.k_lo < self.k_hi
+        return self.k_hi > 0
 
-    def to_band(self) -> tuple[int, "SearchMask"]:
-        """The depth band [z0, z1) that holds every non-empty window.
-
-        Returns z0 and this mask shifted into the band: a mask of depth
-        z1 - z0 whose windows are these minus z0 (empty ones stay empty).
-        """
-        searched = self.column_valid()
-        if not searched.any():
+    @property
+    def depth(self) -> int:
+        """The deepest window end: planes [0, depth) hold every window."""
+        depth = int(self.k_hi.max())
+        if depth == 0:
             raise ValueError("search mask has no non-empty window")
-        z0 = int(self.k_lo[searched].min())
-        depth = int(self.k_hi[searched].max()) - z0
-        return z0, SearchMask(
-            k_lo=np.clip(self.k_lo - z0, 0, depth),
-            k_hi=np.clip(self.k_hi - z0, 0, depth),
-            nz=depth,
-        )
+        return depth
 
 
 def argmax_per_ascan(intensity: Volume) -> Surface:
@@ -268,24 +261,20 @@ def inpaint_and_smooth(
     return Surface(z=z, valid=np.ones_like(surface.valid))
 
 
-def truncate_above_surface(mask: SearchMask, surface: Surface, margin: int) -> SearchMask:
-    """Narrow a search mask to the part above an already-extracted surface.
+def truncate_above_surface(surface: Surface, margin: int, nz: int) -> SearchMask:
+    """The search mask above an already-extracted surface, in nz planes.
 
-    Each column is capped at round(z) - margin (exclusive), removing the
-    reference boundary and everything below it.  The window only ever
-    narrows.  The reference surface must be total (all cells valid).
+    Each column's window ends at round(z) - margin (exclusive), removing
+    the reference boundary and everything below it.  The reference surface
+    must be total (all cells valid).
     """
     if not surface.valid.all():
         raise ValueError("reference surface must be fully valid")
-    if surface.z.shape != mask.k_lo.shape:
-        raise ValueError(
-            f"surface shape {surface.z.shape} != mask shape {mask.k_lo.shape}"
-        )
     margin = int(margin)
     if margin < 0:
         raise ValueError(f"margin must be >= 0, got {margin}")
-    cap = np.clip(np.rint(surface.z).astype(np.int64) - margin, 0, mask.nz).astype(np.int32)
-    return SearchMask(k_lo=mask.k_lo.copy(), k_hi=np.minimum(mask.k_hi, cap), nz=mask.nz)
+    cap = np.clip(np.rint(surface.z).astype(np.int64) - margin, 0, nz)
+    return SearchMask(k_hi=cap, nz=nz)
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,36 @@ class TestSegmentCmd:
                    "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("flags, env, message", [
+        (["--config", "cfg.json"], None, "unknown rpe keys: ['wavelength']"),
+        (["--threads", "0"], None, "thread count must be >= 1, got 0"),
+        ([], "many", f"{ENV_THREADS} must be an integer, got 'many'"),
+    ])
+    def test_usage_checked_before_the_input_is_opened(self, tmp_path, capsys, monkeypatch,
+                                                      flags, env, message):
+        # a non-finite f32 input: opening it would read it whole and report
+        # its NaN in place of the usage error
+        data = np.ones((8, 8, 16), dtype="<f4")
+        data[1, 2, 3] = np.nan
+        data.tofile(tmp_path / "v.raw")
+        VolumeMeta(dims=(8, 8, 16), dtype="f32", order="xyz").save(tmp_path / "v.json")
+        (tmp_path / "cfg.json").write_text(json.dumps({"rpe": {"wavelength": 840}}))
+        monkeypatch.chdir(tmp_path)
+        if env is None:
+            monkeypatch.delenv(ENV_THREADS, raising=False)
+        else:
+            monkeypatch.setenv(ENV_THREADS, env)
+
+        def opened(*args, **kwargs):
+            raise AssertionError("open_volume called before the usage checks")
+
+        monkeypatch.setattr(cli, "open_volume", opened)
+        rc = main(["segment", "--in", "v.raw", "--meta", "v.json", "--out-dir", "seg", *flags])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "seg").exists()
+
     def test_f32_surface_format(self, phantom_dir, tmp_path):
         out = tmp_path / "seg"
         rc = main(["segment", "--in", str(phantom_dir / "volume.raw"),

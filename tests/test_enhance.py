@@ -79,7 +79,7 @@ class TestDepthWeight:
         # depths 0 and 3 by 10 and 7, so the 1 at depth 3 beats the .5 at
         # depth 0 (a weight of the fields' depth, 4 and 1, would not)
         d = column(0.5, 0.0, 0.0, 1.0)
-        mask = SearchMask(k_lo=np.array([[0]]), k_hi=np.array([[4]]), nz=10)
+        mask = SearchMask(k_hi=np.array([[4]]), nz=10)
         assert pick(d, d, "favor_shallow", mask)[0][0, 0] == 3.0
 
     def test_bad_direction_rejected(self):
@@ -118,17 +118,17 @@ class TestUnitScale:
         assert z[0, 0] == 0.0 and not flat
 
     def test_selection_controls_extrema(self):
-        # extrema over the window [1, 3) only: both fields span [0, 1] there,
-        # so weights 2, 3 make depth 2 win.  A large value outside the window
+        # extrema over the window [0, 2) only: both fields span [0, 1] there,
+        # so weights 1, 2 make depth 1 win.  A large value below the window
         # would squeeze the window's smoothed values (first case) or its
-        # derivative values (second case) to ~0, and depth 1 would win.
-        mask = SearchMask(k_lo=np.array([[1]]), k_hi=np.array([[3]]), nz=4)
+        # derivative values (second case) to ~0, and depth 0 would win.
+        mask = SearchMask(k_hi=np.array([[2]]), nz=4)
         for d, s in (
-            (column(0.0, 1.0, 0.0, 0.0), column(1000.0, 0.0, 1.0, 0.0)),
-            (column(1000.0, 0.0, 1.0, 0.0), column(0.0, 1.0, 0.0, 0.0)),
+            (column(1.0, 0.0, 0.0, 0.0), column(0.0, 1.0, 1000.0, 0.0)),
+            (column(0.0, 1.0, 1000.0, 0.0), column(1.0, 0.0, 0.0, 0.0)),
         ):
             z, flat = pick(d, s, mask=mask)
-            assert z[0, 0] == 2.0 and not flat
+            assert z[0, 0] == 1.0 and not flat
 
 
 class TestEnhance:
@@ -183,11 +183,11 @@ class TestEnhance:
         # picks the top of its window, and all three steps warn
         d = np.zeros((2, 2, 5))
         s = np.full((2, 2, 5), 0.5)
-        mask = SearchMask(k_lo=np.array([[0, 1], [2, 3]]), k_hi=np.full((2, 2), 5), nz=5)
+        mask = SearchMask(k_hi=np.array([[1, 2], [4, 5]]), nz=5)
         with pytest.warns(DegenerateNormalizationWarning) as rec:
             z, flat = pick(d, s, mask=mask)
         assert flat
-        assert np.array_equal(z, mask.k_lo)
+        assert np.array_equal(z, np.zeros((2, 2)))
         assert [str(w.message).split()[0] for w in rec] == ["derivative", "smoothed", "enhanced"]
 
     def test_dims_mismatch_rejected(self):
@@ -218,13 +218,12 @@ class TestEnhance:
         assert np.array_equal(z_a, z_b) and flat_a == flat_b
 
 
-def reference_score_and_extract(diff, smooth, rule, k_lo, k_hi):
+def reference_score_and_extract(diff, smooth, rule, k_hi):
     """Full-volume enhance + extract by ``rule``'s sign, clamp and depth
-    weight: rescale extrema gathered through a boolean (nx, ny, nz) window
-    mask, argmax over the masked volume."""
+    weight: rescale extrema gathered through a boolean (nx, ny, nz) mask of
+    the windows [0, k_hi), argmax over the masked volume."""
     nz = diff.shape[2]
-    k = np.arange(nz)
-    inside = (k >= k_lo[:, :, None]) & (k < k_hi[:, :, None])
+    inside = np.arange(nz) < k_hi[:, :, None]
     planes = np.arange(nz, dtype=np.float32)
     if rule.weight_direction == "favor_deep":
         weights = planes + 1
@@ -254,7 +253,7 @@ def reference_score_and_extract(diff, smooth, rule, k_lo, k_hi):
     score *= weights[None, None, :]
     flat.append(is_flat(score))
     z = np.where(inside, score, -np.inf).argmax(axis=2).astype(np.float64)
-    valid = k_lo < k_hi
+    valid = k_hi > 0
     z[~valid] = np.nan
     return z, valid, flat
 
@@ -281,33 +280,18 @@ def scoring_cases(draw):
     scales = st.sampled_from([None, 255 / 45, 255 / 343, 255 / 405])
     diff = field(draw(st.booleans()), draw(scales))
     smooth = field(draw(st.booleans()), draw(scales))
-    windows = draw(st.sampled_from(["random", "shared_core", "no_core"]))
-    c = draw(st.integers(0, nx * ny - 1))  # at least one searched column
-    if windows == "shared_core":
-        # the cascade's windows: one top (0 for IS/OS and ILM) and ends a
-        # few planes apart, so most planes are core and a few ragged;
-        # unsearched columns may sit beside the core
-        top = draw(st.sampled_from([0, int(rng.integers(0, nz))]))
-        end = int(rng.integers(top, nz)) + 1
-        k_lo = np.full((nx, ny), top)
-        k_hi = np.clip(end - rng.integers(0, 3, (nx, ny)), top, nz)
-        k_hi[rng.random((nx, ny)) < 0.2] = top  # some empty columns
-        k_hi.flat[c] = end
+    end = draw(st.integers(1, nz))  # at least one searched column ends here
+    if draw(st.booleans()):
+        # the cascade's windows: ends a few planes apart, so most planes
+        # are core and a few ragged (none when every end is equal)
+        k_hi = np.clip(end - rng.integers(0, 3, (nx, ny)), 0, nz)
     else:
-        a = rng.integers(0, nz + 1, (nx, ny))
-        b = rng.integers(0, nz + 1, (nx, ny))
-        k_lo, k_hi = np.minimum(a, b), np.maximum(a, b)
-        k_hi[rng.random((nx, ny)) < 0.2] = 0  # some empty columns
-        k_lo.flat[c], k_hi.flat[c] = draw(st.integers(0, nz - 1)), nz
-        k_hi.flat[c] -= draw(st.integers(0, nz - 1 - k_lo.flat[c]))
-    if windows == "no_core" and nx * ny > 1 and k_lo.flat[c] > 0:
-        # a second window ends where the first starts: no plane is in both
-        other = (c + 1) % (nx * ny)
-        k_lo.flat[other] = draw(st.integers(0, k_lo.flat[c] - 1))
-        k_hi.flat[other] = k_lo.flat[c]
+        k_hi = rng.integers(0, nz + 1, (nx, ny))
+    k_hi[rng.random((nx, ny)) < 0.2] = 0  # some empty columns
+    k_hi.flat[draw(st.integers(0, nx * ny - 1))] = end
     rule = profile(draw(st.sampled_from(["favor_deep", "favor_shallow"])),
                    draw(st.sampled_from(["bright_above", "bright_below"])), draw(st.booleans()))
-    return diff, smooth, rule, k_lo, k_hi
+    return diff, smooth, rule, k_hi
 
 
 class TestBandScoring:
@@ -318,11 +302,11 @@ class TestBandScoring:
     @settings(max_examples=60, deadline=None)
     def test_bitwise_equal_to_full_volume_reference(self, threads, slab_voxels, case):
         # scaled integer fields score as their float32 values do
-        diff, smooth, rule, k_lo, k_hi = case
+        diff, smooth, rule, k_hi = case
         z_ref, valid_ref, flat_ref = reference_score_and_extract(
-            diff.values().copy(), smooth.values().copy(), rule, k_lo, k_hi
+            diff.values().copy(), smooth.values().copy(), rule, k_hi
         )
-        mask = SearchMask(k_lo=k_lo, k_hi=k_hi, nz=diff.nz)
+        mask = SearchMask(k_hi=k_hi, nz=diff.nz)
         slab = filters._SLAB_VOXELS if slab_voxels is None else slab_voxels
         with mock.patch.object(filters, "_SLAB_VOXELS", slab), \
                 warnings.catch_warnings(record=True) as rec:
@@ -342,12 +326,12 @@ class TestBandScoring:
         d = rng.standard_normal((4, 3, 10)).astype(np.float32)
         s = rng.random((4, 3, 10)).astype(np.float32)
         d0, s0 = d.copy(), s.copy()
-        mask = SearchMask(k_lo=np.full((4, 3), 2), k_hi=np.full((4, 3), 7), nz=10)
+        mask = SearchMask(k_hi=np.full((4, 3), 7), nz=10)
         enhance(Volume(d), Volume(s), profile(polarity="bright_below"), mask, 2)
         assert np.array_equal(d, d0) and np.array_equal(s, s0)
 
     def test_no_window_rejected(self):
-        mask = SearchMask(k_lo=np.zeros((2, 2)), k_hi=np.zeros((2, 2)), nz=3)
+        mask = SearchMask(k_hi=np.zeros((2, 2)), nz=3)
         with pytest.raises(ValueError, match="no non-empty window"):
             enhance(Volume(np.zeros((2, 2, 3))), Volume(np.zeros((2, 2, 3))), profile(), mask)
 
@@ -372,7 +356,7 @@ class TestBandScoring:
         diff = Volume(rng.standard_normal((nx, ny, nz), dtype=np.float32))
         smooth = Volume(rng.random((nx, ny, nz), dtype=np.float32))
         k_hi = rng.integers(nz // 4, nz // 2 + 1, (nx, ny))
-        mask = SearchMask(k_lo=np.zeros((nx, ny)), k_hi=k_hi, nz=nz)
+        mask = SearchMask(k_hi=k_hi, nz=nz)
         tracemalloc.start()
         try:
             enhance(diff, smooth, profile(polarity="bright_below"), mask)

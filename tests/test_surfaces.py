@@ -1,6 +1,7 @@
 """Surface extraction, outlier rejection, inpainting, masks, and file formats."""
 
 import csv
+import dataclasses
 import re
 import tracemalloc
 import warnings
@@ -57,13 +58,15 @@ class TestArgmax:
     # windowed extraction is enhance's: it picks inside each column's window
 
     def test_mask_restricts_search(self):
-        v = column_volume([9.0, 0.0, 1.0, 0.5])
-        mask = SearchMask(k_lo=np.array([[2]]), k_hi=np.array([[4]]), nz=4)
-        assert extract(v, mask).z[0, 0] == 2.0
+        # the window [0, 2) leaves out the peak at depth 2
+        v = column_volume([1.0, 2.0, 9.0, 0.0])
+        assert extract(v, SearchMask.full(1, 1, 4)).z[0, 0] == 2.0
+        mask = SearchMask(k_hi=np.array([[2]]), nz=4)
+        assert extract(v, mask).z[0, 0] == 1.0
 
     def test_empty_window_invalid(self):
         v = column_volume([1.0, 2.0, 3.0], [3.0, 1.0, 0.0])
-        mask = SearchMask(k_lo=np.array([[2], [0]]), k_hi=np.array([[2], [3]]), nz=3)
+        mask = SearchMask(k_hi=np.array([[0], [3]]), nz=3)
         s = extract(v, mask)
         assert not s.valid[0, 0]
         assert np.isnan(s.z[0, 0])
@@ -73,39 +76,47 @@ class TestArgmax:
 class TestSearchMask:
     def test_full_covers_everything(self):
         m = SearchMask.full(3, 2, 7)
-        assert (m.k_lo == 0).all() and (m.k_hi == 7).all()
+        assert (m.k_hi == 7).all() and m.k_hi.dtype == np.int32
         assert m.column_valid().all()
-        z0, band = m.to_band()
-        assert z0 == 0 and band.nz == 7
-        assert np.array_equal(band.k_lo, m.k_lo) and np.array_equal(band.k_hi, m.k_hi)
+        assert m.depth == 7
+
+    def test_holds_only_window_ends(self):
+        m = SearchMask(k_hi=np.array([[3, 0]]), nz=4)
+        assert [f.name for f in dataclasses.fields(SearchMask)] == ["k_hi", "nz"]
+        # every window starts at plane 0; the start cannot be set
+        assert np.array_equal(m.k_lo, [[0, 0]]) and m.k_lo.shape == m.k_hi.shape
+        with pytest.raises(AttributeError):
+            m.k_lo = np.array([[1, 0]])
+        with pytest.raises(TypeError):
+            SearchMask(k_lo=np.array([[1]]), k_hi=np.array([[3]]), nz=4)
 
     def test_bounds_validated(self):
-        with pytest.raises(ValueError):
-            SearchMask(k_lo=np.array([[-1]]), k_hi=np.array([[3]]), nz=3)
-        with pytest.raises(ValueError):
-            SearchMask(k_lo=np.array([[0]]), k_hi=np.array([[4]]), nz=3)
+        with pytest.raises(ValueError, match=r"within \[0, 3\]"):
+            SearchMask(k_hi=np.array([[-1]]), nz=3)
+        with pytest.raises(ValueError, match=r"within \[0, 3\]"):
+            SearchMask(k_hi=np.array([[4]]), nz=3)
+        with pytest.raises(ValueError, match="2D"):
+            SearchMask(k_hi=np.array([3]), nz=3)
+        with pytest.raises(ValueError, match="nz must be >= 1"):
+            SearchMask(k_hi=np.zeros((1, 1)), nz=0)
 
     def test_band_half_open(self):
-        m = SearchMask(k_lo=np.array([[1]]), k_hi=np.array([[3]]), nz=4)
-        z0, band = m.to_band()
-        # the window holds depths 1 and 2, not 3
-        assert (z0, band.nz) == (1, 2)
-        assert (band.k_lo[0, 0], band.k_hi[0, 0]) == (0, 2)
+        # the window [0, 3) holds depths 0 to 2, not 3
+        m = SearchMask(k_hi=np.array([[3]]), nz=4)
+        assert m.depth == 3
         v = column_volume([0.0, 1.0, 2.0, 3.0])
         assert extract(v, m).z[0, 0] == 2.0
 
     def test_band_spans_searched_columns_only(self):
-        m = SearchMask(k_lo=np.array([[3], [5], [0]]), k_hi=np.array([[6], [9], [0]]), nz=12)
-        z0, band = m.to_band()
-        assert (z0, band.nz) == (3, 6)
-        assert np.array_equal(band.k_lo[:, 0], [0, 2, 0])
-        assert np.array_equal(band.k_hi[:, 0], [3, 6, 0])
-        assert np.array_equal(band.column_valid(), m.column_valid())
+        m = SearchMask(k_hi=np.array([[6], [9], [0]]), nz=12)
+        assert m.depth == 9
+        assert np.array_equal(m.column_valid()[:, 0], [True, True, False])
 
     def test_band_of_empty_mask_rejected(self):
-        m = SearchMask(k_lo=np.array([[2]]), k_hi=np.array([[2]]), nz=4)
-        with pytest.raises(ValueError, match="no non-empty window"):
-            m.to_band()
+        m = SearchMask(k_hi=np.zeros((2, 3)), nz=4)
+        assert not m.column_valid().any()
+        with pytest.raises(ValueError, match="^search mask has no non-empty window$"):
+            m.depth
 
 
 class TestRejectOutliers:
@@ -314,37 +325,33 @@ class TestInpaint:
 
 class TestTruncate:
     def test_keep_above_excludes_reference_minus_margin(self):
-        mask = SearchMask.full(1, 1, 480)
         ref = Surface.full(np.array([[200.0]]))
-        out = truncate_above_surface(mask, ref, margin=3)
-        assert out.k_hi[0, 0] == 197
-        assert out.k_lo[0, 0] == 0
+        out = truncate_above_surface(ref, margin=3, nz=480)
+        assert out.nz == 480 and out.k_hi[0, 0] == 197
 
     def test_margin_zero_still_excludes_reference_row(self):
-        mask = truncate_above_surface(
-            SearchMask.full(1, 1, 4), Surface.full(np.array([[2.0]])), margin=0
-        )
+        mask = truncate_above_surface(Surface.full(np.array([[2.0]])), margin=0, nz=4)
         # k_hi is exclusive: the reference depth itself is out of range
-        assert (mask.k_lo[0, 0], mask.k_hi[0, 0]) == (0, 2)
+        assert mask.k_hi[0, 0] == 2
 
-    def test_never_widens(self):
-        mask = SearchMask(k_lo=np.array([[10]]), k_hi=np.array([[20]]), nz=100)
-        ref = Surface.full(np.array([[90.0]]))
-        out = truncate_above_surface(mask, ref, margin=1)
-        assert out.k_hi[0, 0] == 20  # cap above the window leaves it alone
-        assert out.k_lo[0, 0] == 10
+    def test_end_clipped_to_the_volume(self):
+        ref = Surface.full(np.array([[90.0], [60.4], [60.6]]))
+        out = truncate_above_surface(ref, margin=1, nz=50)
+        assert np.array_equal(out.k_hi[:, 0], [50, 50, 50])
+        out = truncate_above_surface(ref, margin=1, nz=100)
+        assert np.array_equal(out.k_hi[:, 0], [89, 59, 60])  # round(z) - margin
 
     def test_surface_near_top_empties_window(self):
-        mask = SearchMask.full(1, 1, 50)
         ref = Surface.full(np.array([[2.0]]))
-        out = truncate_above_surface(mask, ref, margin=10)
+        out = truncate_above_surface(ref, margin=10, nz=50)
         assert not out.column_valid()[0, 0]
 
     def test_partial_surface_rejected(self):
-        mask = SearchMask.full(2, 1, 50)
         s = Surface(z=np.array([[10.0], [20.0]]), valid=np.array([[True], [False]]))
-        with pytest.raises(ValueError):
-            truncate_above_surface(mask, s, margin=3)
+        with pytest.raises(ValueError, match="fully valid"):
+            truncate_above_surface(s, margin=3, nz=50)
+        with pytest.raises(ValueError, match="margin must be >= 0"):
+            truncate_above_surface(Surface.full(s.z[:1]), margin=-1, nz=50)
 
 
 class TestSurfaceFiles:
