@@ -1,4 +1,4 @@
-"""End-to-end tour: phantom -> segmentation -> thickness, mesh, render.
+"""End-to-end tour: phantom -> segmentation -> thickness, render.
 
 Writes every artifact the library produces into one output directory so
 the file formats can be inspected by hand.
@@ -10,8 +10,7 @@ import pathlib
 
 import numpy as np
 
-from octseg.analysis import (export_surface_mesh, save_thickness_csv,
-                             save_thickness_pgm, thickness_map)
+from octseg.analysis import save_thickness_csv, save_thickness_pgm, thickness_map
 from octseg.phantom import PhantomSpec, generate_phantom, surface_error
 from octseg.pipeline import segment_retina
 from octseg.render import draw_bscan, write_ppm
@@ -48,20 +47,12 @@ def main():
     report = result.report_dict(dims=dims)
     (out / "report.json").write_text(json.dumps(report, indent=2))
 
-    spacing_um = (12.0, 60.0, 3.9)  # plausible lateral/frame/axial pitch
-    tm = thickness_map(result.surfaces["ilm"], result.surfaces["rpe"],
-                       dz_um=spacing_um[2])
+    # 3.9 um is a plausible axial pitch
+    tm = thickness_map(result.surfaces["ilm"], result.surfaces["rpe"], dz_um=3.9)
     save_thickness_csv(tm, out / "thickness.csv")
     save_thickness_pgm(tm, out / "thickness.pgm")
     print(f"thickness map mean {tm.px.mean():.1f} px "
           f"({tm.um.mean():.1f} um) -> thickness.csv / thickness.pgm")
-
-    for key in ("ilm", "rpe"):
-        n_verts, n_faces = export_surface_mesh(
-            result.surfaces[key], out / f"{key}.ply",
-            stride=2, spacing=spacing_um,
-        )
-        print(f"{key} mesh: {n_verts} vertices, {n_faces} triangles -> {key}.ply")
 
     y_mid = dims[1] // 2
     image = draw_bscan(volume.values(np.s_[:, y_mid, :]), volume.ny, result.surfaces, y_mid)

@@ -37,7 +37,7 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "analysis": ("ThicknessMap", "export_surface_mesh", "thickness_map"),
+    "analysis": ("ThicknessMap", "thickness_map"),
     "enhance": ("DegenerateNormalizationWarning",),
     "phantom": (
         "GroundTruth",

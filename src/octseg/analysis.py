@@ -1,9 +1,7 @@
-"""Derived products: thickness maps and surface meshes.
+"""Derived products: thickness maps and their files.
 
 Thickness is the plain per-column depth difference between two total
-surfaces, optionally scaled to microns by the axial voxel pitch.  Meshes
-triangulate the surface grid (optionally subsampled) into an ASCII polygon
-file readable by standard viewers.
+surfaces, optionally scaled to microns by the axial voxel pitch.
 """
 
 from __future__ import annotations
@@ -86,58 +84,3 @@ def save_thickness_pgm(tm: ThicknessMap, path) -> None:
     with open(f"{path}.json", "w", encoding="utf-8") as f:
         json.dump(sidecar, f, indent=2)
         f.write("\n")
-
-
-def export_surface_mesh(
-    surface: Surface,
-    path,
-    stride: int = 1,
-    spacing: tuple[float, float, float] | None = None,
-) -> tuple[int, int]:
-    """Write a total surface as an ASCII triangle mesh (PLY layout).
-
-    Grid cells are sampled every ``stride`` columns; each sampled quad
-    becomes two triangles.  Vertex coordinates are (x*dx, y*dy, z*dz) using
-    unit pitch when ``spacing`` is omitted.  Returns (vertex_count,
-    face_count).
-    """
-    if not surface.valid.all():
-        raise ValueError("mesh export needs a total surface (all cells valid)")
-    stride = int(stride)
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    dx, dy, dz = spacing if spacing is not None else (1.0, 1.0, 1.0)
-    xs = np.arange(0, surface.nx, stride)
-    ys = np.arange(0, surface.ny, stride)
-    ncols = xs.size
-    nrows = ys.size
-    n_verts = ncols * nrows
-    n_faces = 2 * (ncols - 1) * (nrows - 1)
-    lines = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {n_verts}",
-        "property float x",
-        "property float y",
-        "property float z",
-        f"element face {n_faces}",
-        "property list uchar int vertex_indices",
-        "end_header",
-    ]
-    for iy in ys:
-        for ix in xs:
-            lines.append(
-                f"{ix * dx:.8g} {iy * dy:.8g} {float(surface.z[ix, iy]) * dz:.8g}"
-            )
-    for r in range(nrows - 1):
-        for c in range(ncols - 1):
-            v00 = r * ncols + c
-            v01 = v00 + 1
-            v10 = v00 + ncols
-            v11 = v10 + 1
-            lines.append(f"3 {v00} {v01} {v11}")
-            lines.append(f"3 {v00} {v11} {v10}")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines))
-        f.write("\n")
-    return n_verts, n_faces

@@ -6,14 +6,15 @@ report), ``phantom`` (spec JSON -> synthetic volume with ground truth),
 (volume + surfaces -> annotated B-scan PPM).
 
 Exit codes: 0 success, 1 pipeline failure (including degenerate
-enhancement), 2 usage or input errors, among them an input file that
-cannot be read in full.  The OCTSEG_THREADS environment variable
-supplies the default worker count when --threads is omitted.  ``segment``
-opens its input and the filter passes read it an x-slab at a time, so the
-whole input is never in memory.  The phantom, analysis and render modules
-are imported by the commands that use them, so a call that does not run
-them does not compile them.  ``run`` is ``main`` as the ``octseg``
-program and ``python -m octseg`` call it.
+enhancement, whose boundaries are written with every cell invalid), 2
+usage or input errors, among them an input file that cannot be read in
+full.  The OCTSEG_THREADS environment variable supplies the default
+worker count when --threads is omitted.  ``segment`` opens its input and
+the filter passes read it an x-slab at a time, so the whole input is never
+in memory.  The phantom, analysis and render modules are imported by the
+commands that use them, so a call that does not run them does not compile
+them.  ``run`` is ``main`` as the ``octseg`` program and ``python -m
+octseg`` call it.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .pipeline import PipelineConfig, PipelineError, segment_retina
-from .surfaces import load_surface, save_surface
+from .surfaces import Surface, load_surface, save_surface
 from .volume import VolumeMeta, load_bscan, open_volume, save_volume
 
 EXIT_OK = 0
@@ -63,9 +66,14 @@ def cmd_segment(args) -> int:
 
     ext = args.format
     files = {}
+    # a degenerate boundary's depths carry no information: its file says so
+    degenerate = {k for k, r in zip(("rpe", "isos", "ilm"), result.reports) if r.degenerate}
     for key in ("ilm", "isos", "rpe"):
         fname = f"{key}.{ext}"
-        save_surface(result.surfaces[key], out_dir / fname, fmt=args.format)
+        surface = result.surfaces[key]
+        if key in degenerate:
+            surface = Surface(surface.z, valid=np.zeros_like(surface.valid))
+        save_surface(surface, out_dir / fname, fmt=args.format)
         files[key] = fname
     report = result.report_dict(dims=volume.dims)
     report["input"] = str(args.input)

@@ -4,9 +4,9 @@ Boundary contrast alone does not separate retinal interfaces that share
 similar gradient strength, so the detector combines the (signed, rectified,
 rescaled) depth derivative with the rescaled smoothed intensity and then
 multiplies by a depth weight.  One ``BoundaryProfile`` states the whole
-rule: its polarity gives the derivative's sign, ``clamp_negative`` the
-rectification and ``weight_direction`` the weight, which grows with depth
-to prefer the deeper of two otherwise similar candidates (outer boundaries)
+rule: its polarity gives the derivative's sign, which is then clamped at
+zero, and ``weight_direction`` the weight, which grows with depth to
+prefer the deeper of two otherwise similar candidates (outer boundaries)
 or shrinks with depth to prefer the shallower one (inner boundaries).
 The score lives only one x-slab at a time: each slab is picked, one depth
 per column, as soon as it is scored, and ``enhance`` returns the picks.
@@ -115,10 +115,10 @@ def enhance(
 
     Each input is min-max rescaled (the bright-above derivative after
     negating it for a "bright_below" polarity, and clamping its negative
-    responses if ``profile.clamp_negative``), summed and multiplied by the
-    depth weight of ``profile.weight_direction``: k + 1 at depth k for
-    "favor_deep", nz - k for "favor_shallow", both positive at every depth
-    k of the volume's nz = ``mask.nz`` planes.  All rescale extrema come
+    responses at zero), summed and multiplied by the depth weight of
+    ``profile.weight_direction``: k + 1 at depth k for "favor_deep", nz - k
+    for "favor_shallow", both positive at every depth k of the volume's
+    nz = ``mask.nz`` planes.  All rescale extrema come
     from the voxels inside ``mask``'s per-column windows, so excluded
     regions cannot distort the scaling.  Each column picks the first
     maximum of its score inside its window; a column with an empty window
@@ -170,8 +170,7 @@ def enhance(
     # sign and clamp are monotone maps, so they carry the derivative's
     # extrema over exactly (a negative sign swaps which one is the min)
     d_range = _value_range(diff, (d for d, _ in extrema)) * sign
-    if profile.clamp_negative:
-        np.maximum(d_range, 0, out=d_range)
+    np.maximum(d_range, 0, out=d_range)
     d_lo, d_hi = d_range.min(), d_range.max()
     s_lo, s_hi = _value_range(smooth, (s for _, s in extrema))
 
@@ -192,9 +191,8 @@ def enhance(
             )
         else:
             values = diff.values(planes, out=score)
-        if profile.clamp_negative:
-            values = np.maximum(values, 0, out=score)
-        _rescale(values, d_lo, d_hi, out=score)
+        np.maximum(values, 0, out=score)
+        _rescale(score, d_lo, d_hi, out=score)
         # the rescaled smoothed field is added a block of x rows at a time
         rows = max(1, _BLOCK_SAMPLES // (ny * g))
         smoothed = np.empty((min(rows, hi - lo), ny, g), dtype=smooth.dtype)

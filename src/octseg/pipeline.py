@@ -19,7 +19,7 @@ to the end of its search band, and no band ends deeper than the one
 before it (IS/OS searches above RPE, ILM above IS/OS), so the bank
 computes a new field only that deep and cuts the fields it keeps to it.
 The cascade runs RPE first on the whole volume, then removes the RPE and
-everything below it from the search window (with a safety margin) before
+everything below it from the search window (with a clearance) before
 finding IS/OS, and repeats that truncation above IS/OS before finding
 ILM.  A final projection step restores the anatomical depth ordering in
 any column where the three estimates disagree.  The input is a ``Volume``
@@ -65,9 +65,7 @@ class BoundaryProfile(Record):
 
     polarity describes the intensity step at the boundary ("bright_above"
     means brighter tissue on the shallow side); weight_direction picks which
-    of two similar candidates wins (deeper or shallower).  truncation_margin
-    is how many voxels of clearance this boundary's search window keeps from
-    the previously found surface.
+    of two similar candidates wins (deeper or shallower).
     """
 
     name: str
@@ -76,11 +74,9 @@ class BoundaryProfile(Record):
     derivative_half_width: int = 5
     lateral_width: int = 3
     smoothing_radius: int = 3
-    clamp_negative: bool = True
     outlier_tau: float = 15.0
     median_window: int = 5
     surface_smooth_radius: int = 2
-    truncation_margin: int = 10
 
     def check(self):
         if self.polarity not in ("bright_above", "bright_below"):
@@ -99,8 +95,6 @@ class BoundaryProfile(Record):
             raise ValueError("median_window must be odd and >= 3")
         if self.surface_smooth_radius < 0:
             raise ValueError("surface_smooth_radius must be >= 0")
-        if self.truncation_margin < 0:
-            raise ValueError("truncation_margin must be >= 0")
 
 
 _DEFAULT_PROFILES = {
@@ -121,14 +115,23 @@ _DEFAULT_PROFILES = {
 
 @dataclass(frozen=True)
 class PipelineConfig(Record):
-    """Profiles for the three boundaries, keyed by their cascade role; in
-    JSON each holds overrides of that boundary's default profile."""
+    """Profiles for the three boundaries, keyed by their cascade role (in
+    JSON each holds overrides of that boundary's default profile), and the
+    cascade's clearances: how many voxels IS/OS's search window keeps
+    above the RPE, and ILM's above IS/OS."""
 
     _label = "config"
 
     rpe: BoundaryProfile = _DEFAULT_PROFILES["rpe"]
     isos: BoundaryProfile = _DEFAULT_PROFILES["isos"]
     ilm: BoundaryProfile = _DEFAULT_PROFILES["ilm"]
+    isos_clearance: int = 10
+    ilm_clearance: int = 10
+
+    def check(self):
+        for name in ("isos_clearance", "ilm_clearance"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -292,13 +295,14 @@ def segment_retina(
     """Run the full cascade: RPE, then IS/OS above it, then ILM above that.
 
     Each later boundary searches only the part of the volume strictly above
-    the previously found surface minus its truncation margin, which removes
-    the strong already-found step from the candidate set.  Truncation is
-    skipped after a degenerate (flat) result since the surface carries no
-    information.  All three draw on one filter bank.  Returns surfaces keyed
-    "ilm", "isos", "rpe" (depth order restored in every column) and
-    per-boundary reports in execution order.  A volume smaller than one of
-    the profiles' kernels raises ValueError before any stage runs.
+    the previously found surface minus its clearance (``isos_clearance``,
+    ``ilm_clearance``), which removes the strong already-found step from
+    the candidate set.  Truncation is skipped after a degenerate (flat)
+    result since the surface carries no information.  All three draw on one
+    filter bank.  Returns surfaces keyed "ilm", "isos", "rpe" (depth order
+    restored in every column) and per-boundary reports in execution order.
+    A volume smaller than one of the profiles' kernels raises ValueError
+    before any stage runs.
     """
     _check_threads(threads)
     t0 = time.perf_counter()
@@ -319,12 +323,12 @@ def segment_retina(
     if rpe_res.report.degenerate:
         isos_mask = full
     else:
-        isos_mask = truncate_above_surface(rpe_res.surface, config.isos.truncation_margin, nz)
+        isos_mask = truncate_above_surface(rpe_res.surface, config.isos_clearance, nz)
     isos_res = segment_boundary(volume, config.isos, isos_mask, threads, bank)
     if isos_res.report.degenerate:
         ilm_mask = isos_mask
     else:
-        ilm_mask = truncate_above_surface(isos_res.surface, config.ilm.truncation_margin, nz)
+        ilm_mask = truncate_above_surface(isos_res.surface, config.ilm_clearance, nz)
     ilm_res = segment_boundary(volume, config.ilm, ilm_mask, threads, bank)
 
     ilm_s, isos_s, rpe_s, n_fixed = enforce_ordering(

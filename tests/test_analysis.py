@@ -1,35 +1,12 @@
-"""Thickness maps, their file outputs, and mesh export."""
+"""Thickness maps and their file outputs."""
 
 import json
 
 import numpy as np
 import pytest
 
-from octseg.analysis import (
-    ThicknessMap,
-    export_surface_mesh,
-    save_thickness_csv,
-    save_thickness_pgm,
-    thickness_map,
-)
+from octseg.analysis import ThicknessMap, save_thickness_csv, save_thickness_pgm, thickness_map
 from octseg.surfaces import Surface
-
-
-def parse_ply(path):
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "ply"
-    n_v = n_f = None
-    for i, ln in enumerate(lines):
-        if ln.startswith("element vertex"):
-            n_v = int(ln.split()[-1])
-        elif ln.startswith("element face"):
-            n_f = int(ln.split()[-1])
-        elif ln == "end_header":
-            body = i + 1
-            break
-    verts = np.array([[float(t) for t in lines[body + j].split()] for j in range(n_v)])
-    faces = [[int(t) for t in lines[body + n_v + j].split()][1:] for j in range(n_f)]
-    return verts, faces
 
 
 class TestThickness:
@@ -125,63 +102,3 @@ class TestThicknessFiles:
         rest = p.read_bytes().split(b"255\n", 1)[1]
         assert set(rest) == {0}
 
-
-class TestMesh:
-    def test_vertex_face_counts(self, tmp_path):
-        s = Surface.full(np.zeros((3, 3)))
-        n_v, n_f = export_surface_mesh(s, tmp_path / "m.ply")
-        assert (n_v, n_f) == (9, 8)
-        verts, faces = parse_ply(tmp_path / "m.ply")
-        assert len(verts) == 9
-        assert len(faces) == 8
-        assert all(len(f) == 3 for f in faces)
-
-    def test_two_by_two_minimal(self, tmp_path):
-        s = Surface.full(np.zeros((2, 2)))
-        n_v, n_f = export_surface_mesh(s, tmp_path / "m.ply")
-        assert (n_v, n_f) == (4, 2)
-
-    def test_stride_subsamples_ceiling(self, tmp_path):
-        s = Surface.full(np.zeros((5, 4)))
-        n_v, n_f = export_surface_mesh(s, tmp_path / "m.ply", stride=2)
-        assert n_v == 3 * 2  # ceil(5/2) * ceil(4/2)
-        assert n_f == 2 * (3 - 1) * (2 - 1)
-
-    def test_planar_surface_has_parallel_normals(self, tmp_path):
-        xx, yy = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
-        s = Surface.full(10.0 + 2.0 * xx + 1.0 * yy)
-        export_surface_mesh(s, tmp_path / "m.ply")
-        verts, faces = parse_ply(tmp_path / "m.ply")
-        normals = []
-        for f in faces:
-            a, b, c = (verts[i] for i in f)
-            n = np.cross(b - a, c - a)
-            normals.append(n / np.linalg.norm(n))
-        ref = normals[0]
-        for n in normals[1:]:
-            assert abs(abs(np.dot(n, ref)) - 1.0) <= 1e-9
-
-    def test_spacing_scales_coordinates(self, tmp_path):
-        s = Surface.full(np.full((2, 2), 3.0))
-        export_surface_mesh(s, tmp_path / "m.ply", spacing=(10.0, 20.0, 7.0))
-        verts, _ = parse_ply(tmp_path / "m.ply")
-        assert [10.0, 0.0, 21.0] in verts.tolist()
-        assert [10.0, 20.0, 21.0] in verts.tolist()
-
-    def test_indices_in_range(self, tmp_path):
-        rng = np.random.default_rng(16)
-        s = Surface.full(rng.random((7, 5)) * 40)
-        n_v, _ = export_surface_mesh(s, tmp_path / "m.ply", stride=2)
-        _, faces = parse_ply(tmp_path / "m.ply")
-        flat = [i for f in faces for i in f]
-        assert min(flat) >= 0
-        assert max(flat) < n_v
-
-    def test_partial_surface_rejected(self, tmp_path):
-        s = Surface(z=np.zeros((3, 3)), valid=np.eye(3, dtype=bool))
-        with pytest.raises(ValueError):
-            export_surface_mesh(s, tmp_path / "m.ply")
-
-    def test_bad_stride_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            export_surface_mesh(Surface.full(np.zeros((3, 3))), tmp_path / "m.ply", stride=0)

@@ -146,7 +146,7 @@ class TestSegmentCmd:
         assert err.startswith(f"error: {raw}: the file changed after it was opened: ")
         assert err.count("\n") == 1
 
-    def test_constant_volume_is_pipeline_error(self, tmp_path):
+    def test_constant_volume_is_pipeline_error(self, tmp_path, capsys):
         raw = tmp_path / "flat.raw"
         raw.write_bytes(bytes([77]) * (24 * 12 * 40))
         VolumeMeta(dims=(24, 12, 40), dtype="u8", order="xyz").save(tmp_path / "flat.json")
@@ -157,11 +157,22 @@ class TestSegmentCmd:
         # the run report still lands, flagged degenerate
         report = json.loads((tmp_path / "seg/report.json").read_text())
         assert report["degenerate"] is True
+        # and each degenerate boundary is written with every cell invalid,
+        # so no later step reads its depths as found
+        assert all(b["degenerate"] for b in report["boundaries"])
+        for name in ("ilm", "isos", "rpe"):
+            rows = np.loadtxt(tmp_path / f"seg/{name}.csv", delimiter=",", skiprows=1)
+            assert rows.shape == (24 * 12, 4)
+            assert (rows[:, 3] == 0).all() and np.isnan(rows[:, 2]).all()
+        rc = main(["thickness", "--ilm", str(tmp_path / "seg/ilm.csv"),
+                   "--rpe", str(tmp_path / "seg/rpe.csv"), "--out", str(tmp_path / "t")])
+        assert rc == EXIT_USAGE
+        assert "thickness needs total surfaces" in capsys.readouterr().err
 
     def test_empty_search_window_is_pipeline_error(self, phantom_dir, tmp_path, capsys):
-        # a margin deeper than the volume leaves IS/OS no window above the RPE
+        # a clearance deeper than the volume leaves IS/OS no window above the RPE
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"isos": {"truncation_margin": 500}}))
+        cfg.write_text(json.dumps({"isos_clearance": 500}))
         rc = main(["segment", "--in", str(phantom_dir / "volume.raw"),
                    "--meta", str(phantom_dir / "volume.json"),
                    "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
@@ -220,8 +231,7 @@ class TestSegmentCmd:
         assert f"error: {key} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [
-        ("derivative_half_width", 2.5), ("truncation_margin", 3.7), ("lateral_width", 2.5),
-        ("smoothing_radius", True), ("clamp_negative", "no"), ("clamp_negative", 1),
+        ("derivative_half_width", 2.5), ("lateral_width", 2.5), ("smoothing_radius", True),
         ("outlier_tau", "15"), ("outlier_tau", False), ("name", 7),
     ])
     def test_config_type_error_is_usage_error(self, phantom_dir, tmp_path, capsys, field, value):
@@ -232,6 +242,26 @@ class TestSegmentCmd:
                    "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
         assert rc == EXIT_USAGE
         assert f"bad config entry for 'isos': {field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "x/report.json").exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ({"ilm_clearance": 3.7}, "error: ilm_clearance must be an integer, got 3.7"),
+        ({"isos_clearance": -1}, "error: isos_clearance must be >= 0"),
+        # a clearance is the cascade's, not a profile's
+        ({"rpe": {"truncation_margin": 5}}, "unknown rpe keys: ['truncation_margin']"),
+        # the derivative is always clamped
+        ({"isos": {"clamp_negative": False}}, "unknown isos keys: ['clamp_negative']"),
+    ], ids=["ilm_clearance-3.7", "isos_clearance--1", "rpe-truncation_margin",
+            "isos-clamp_negative"])
+    def test_bad_or_removed_config_key_is_usage_error(self, phantom_dir, tmp_path, capsys,
+                                                      config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        rc = main(["segment", "--in", str(phantom_dir / "volume.raw"),
+                   "--meta", str(phantom_dir / "volume.json"),
+                   "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
+        assert rc == EXIT_USAGE
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "x/report.json").exists()
 
     def test_config_override_echoed(self, phantom_dir, tmp_path):

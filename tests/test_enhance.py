@@ -16,10 +16,9 @@ from octseg.surfaces import SearchMask
 from octseg.volume import Volume
 
 
-def profile(direction="favor_deep", polarity="bright_above", clamp_negative=True):
+def profile(direction="favor_deep", polarity="bright_above"):
     """A boundary profile that sets only what enhance reads."""
-    return BoundaryProfile(name="test", polarity=polarity, weight_direction=direction,
-                           clamp_negative=clamp_negative)
+    return BoundaryProfile(name="test", polarity=polarity, weight_direction=direction)
 
 
 def pick(d, s, direction="favor_deep", mask=None, **rule):
@@ -170,13 +169,12 @@ class TestEnhance:
         assert pick(d, s, "favor_shallow")[0][0, 0] == 10.0
 
     def test_negative_derivative_clamped(self):
-        # with clamping the -5 cell only sets the floor at zero, and the
-        # joint peak at depth 1 wins; without it the zero background sits
-        # 5/6 above the floor and the growing weights pick the deepest plane
+        # the -5 cell only sets the floor at zero, and the joint peak at
+        # depth 1 wins; unclamped, the zero background would sit 5/6 above
+        # the floor and the growing weights would pick the deepest plane
         d = column(-5.0, 1.0, 0, 0, 0, 0, 0, 0)
         s = column(0.0, 1.0, 0, 0, 0, 0, 0, 0)
-        assert pick(d, s, clamp_negative=True)[0][0, 0] == 1.0
-        assert pick(d, s, clamp_negative=False)[0][0, 0] == 7.0
+        assert pick(d, s)[0][0, 0] == 1.0
 
     def test_flat_inputs_warn_and_zero(self):
         # both fields flat contribute zero: the score is flat, each column
@@ -219,9 +217,10 @@ class TestEnhance:
 
 
 def reference_score_and_extract(diff, smooth, rule, k_hi):
-    """Full-volume enhance + extract by ``rule``'s sign, clamp and depth
-    weight: rescale extrema gathered through a boolean (nx, ny, nz) mask of
-    the windows [0, k_hi), argmax over the masked volume."""
+    """Full-volume enhance + extract by ``rule``'s sign and depth weight,
+    the signed derivative clamped at zero: rescale extrema gathered through
+    a boolean (nx, ny, nz) mask of the windows [0, k_hi), argmax over the
+    masked volume."""
     nz = diff.shape[2]
     inside = np.arange(nz) < k_hi[:, :, None]
     planes = np.arange(nz, dtype=np.float32)
@@ -242,9 +241,7 @@ def reference_score_and_extract(diff, smooth, rule, k_hi):
         v -= lo
         v /= hi - lo
 
-    score = sign * diff
-    if rule.clamp_negative:
-        np.maximum(score, 0, out=score)
+    score = np.maximum(sign * diff, 0)
     smoothed = smooth.copy()
     flat = [is_flat(score), is_flat(smoothed)]
     rescale(score)
@@ -290,7 +287,7 @@ def scoring_cases(draw):
     k_hi[rng.random((nx, ny)) < 0.2] = 0  # some empty columns
     k_hi.flat[draw(st.integers(0, nx * ny - 1))] = end
     rule = profile(draw(st.sampled_from(["favor_deep", "favor_shallow"])),
-                   draw(st.sampled_from(["bright_above", "bright_below"])), draw(st.booleans()))
+                   draw(st.sampled_from(["bright_above", "bright_below"])))
     return diff, smooth, rule, k_hi
 
 

@@ -387,7 +387,7 @@ class TestCascade:
         assert d["total_wall_s"] > 0
         assert len(d["boundaries"]) == 3
         assert d["config"]["rpe"]["polarity"] == "bright_above"
-        assert list(d["config"]) == ["rpe", "isos", "ilm"]
+        assert list(d["config"]) == ["rpe", "isos", "ilm", "isos_clearance", "ilm_clearance"]
         for b in d["boundaries"]:
             assert list(b) == [
                 "name", "wall_s", "stage_s", "rejected_points", "enhance_passes",
@@ -402,9 +402,10 @@ class TestCascade:
 @st.composite
 def cascade_cases(draw):
     """A small default phantom as u8 samples or f32 values, and a config
-    that overrides a few fields of each profile.  IS/OS's and ILM's margins
-    may come near the depth of the surface found before them, where their
-    window ends reach the top of some columns, or of all of them."""
+    that overrides a few fields of each profile and the clearances.  IS/OS's
+    and ILM's clearances may come near the depth of the surface found before
+    them, where their window ends reach the top of some columns, or of all
+    of them."""
     dims = draw(st.integers(10, 20)), draw(st.integers(9, 12)), draw(st.integers(80, 112))
     spec = PhantomSpec.default(dims=dims, seed=draw(st.integers(0, 2**16)),
                                speckle_looks=draw(st.sampled_from([None, 1, 4])),
@@ -414,22 +415,22 @@ def cascade_cases(draw):
         vol = Volume(np.clip(np.rint(vol.data * 255.0), 0, 255).astype(np.uint8), scale=255)
     truth = spec.truth_surfaces()
     defaults = PipelineConfig()
-    profiles = {}
-    for role, above in (("rpe", None), ("isos", truth.rpe.z), ("ilm", truth.isos.z)):
-        margins = st.integers(0, dims[2] // 2)
-        if above is not None:
-            margins |= st.integers(int(above.min()) - 1, int(above.max()) + 1)
+    config = {}
+    for role in ("rpe", "isos", "ilm"):
         overrides = st.fixed_dictionaries({}, optional={
-            "truncation_margin": margins,
             "lateral_width": st.sampled_from([1, 3, 5, 9]),
             "median_window": st.sampled_from([3, 5, 7]),
             "outlier_tau": st.sampled_from([0.5, 4.0, 15.0]),
             "derivative_half_width": st.integers(1, 8),
-            "clamp_negative": st.booleans(),
             "weight_direction": st.sampled_from(["favor_deep", "favor_shallow"]),
         })
-        profiles[role] = dataclasses.replace(getattr(defaults, role), **draw(overrides))
-    return vol, PipelineConfig(**profiles)
+        config[role] = dataclasses.replace(getattr(defaults, role), **draw(overrides))
+    for clearance, above in (("isos_clearance", truth.rpe.z), ("ilm_clearance", truth.isos.z)):
+        clearances = (st.integers(0, dims[2] // 2)
+                      | st.integers(int(above.min()) - 1, int(above.max()) + 1))
+        if draw(st.booleans()):
+            config[clearance] = draw(clearances)
+    return vol, PipelineConfig(**config)
 
 
 class TestCascadeInvariants:
@@ -527,7 +528,8 @@ class TestU8Input:
         # most (taps.size + 1) * eps * sum|taps| * max|input| per pass
         loaded = u8_phantom_file(tmp_path, (24, 11, 96), seed, "zxy")
         values = Volume(loaded.values())
-        plan = [pipeline._filter_sizes(p) for p in vars(PipelineConfig()).values()]
+        config = PipelineConfig()
+        plan = [pipeline._filter_sizes(p) for p in (config.rpe, config.isos, config.ilm)]
         exact, approx = FilterBank(loaded, 1, plan), FilterBank(values, 1, plan)
         eps = np.finfo(np.float32).eps
         for half_width, lateral, radius in plan:
@@ -632,7 +634,7 @@ class TestConfig:
             PipelineConfig.from_dict({"ilm": {"median_window": 4}})
 
     def test_json_roundtrip(self, tmp_path):
-        cfg = PipelineConfig.from_dict({"isos": {"truncation_margin": 12}})
+        cfg = PipelineConfig.from_dict({"isos": {"median_window": 7}, "isos_clearance": 12})
         p = tmp_path / "cfg.json"
         import json
 
@@ -641,11 +643,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, value, message", [
         ("derivative_half_width", 2.5, "derivative_half_width must be an integer, got 2.5"),
-        ("truncation_margin", 3.7, "truncation_margin must be an integer, got 3.7"),
         ("lateral_width", 2.5, "lateral_width must be an integer, got 2.5"),
         ("median_window", True, "median_window must be an integer, got True"),
-        ("clamp_negative", "no", "clamp_negative must be true or false, got 'no'"),
-        ("clamp_negative", 0, "clamp_negative must be true or false, got 0"),
         ("outlier_tau", "15", "outlier_tau must be a number, got '15'"),
         ("outlier_tau", True, "outlier_tau must be a number, got True"),
         ("outlier_tau", float("nan"), "outlier_tau must be positive"),
@@ -654,6 +653,16 @@ class TestConfig:
     def test_field_types_checked(self, field, value, message):
         with pytest.raises(ValueError, match=f"^bad config entry for 'rpe': {message}$"):
             PipelineConfig.from_dict({"rpe": {field: value}})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("isos_clearance", 3.7, "isos_clearance must be an integer, got 3.7"),
+        ("ilm_clearance", True, "ilm_clearance must be an integer, got True"),
+        ("isos_clearance", -1, "isos_clearance must be >= 0"),
+        ("ilm_clearance", -3, "ilm_clearance must be >= 0"),
+    ])
+    def test_clearances_checked(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PipelineConfig.from_dict({field: value})
 
     def test_integral_and_real_values_accepted(self):
         cfg = PipelineConfig.from_dict({"rpe": {"outlier_tau": 9, "smoothing_radius": np.int64(2)}})

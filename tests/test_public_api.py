@@ -1,7 +1,8 @@
 """The public surface: the root namespace holds what the README, the scripts
-and the CLI use, ``import octseg`` loads no octseg module, and the
-README's Python quick start runs as written."""
+and the CLI use, ``import octseg`` loads no octseg module, the README's
+Python quick start runs as written, and its defaults are the code's."""
 
+import dataclasses
 import json
 import os
 import re
@@ -18,7 +19,7 @@ SRC = Path(octseg.__file__).resolve().parents[1]
 README = SRC.parent / "README.md"
 
 PUBLIC = [
-    "ThicknessMap", "export_surface_mesh", "thickness_map",
+    "ThicknessMap", "thickness_map",
     "GroundTruth", "LayerIntensities", "LesionSpec", "PhantomSpec", "SurfaceSpec",
     "generate_phantom", "surface_error",
     "BoundaryProfile", "BoundaryReport", "PipelineConfig", "PipelineError",
@@ -38,7 +39,7 @@ def run_child(code):
 
 
 def test_root_namespace_is_what_the_readme_scripts_and_cli_use():
-    assert octseg.__all__ == sorted(PUBLIC) and len(PUBLIC) == 26
+    assert octseg.__all__ == sorted(PUBLIC) and len(PUBLIC) == 25
 
 
 def test_bare_import_loads_no_octseg_module():
@@ -75,3 +76,25 @@ def test_readme_python_quick_start_runs():
     assert blocks and "from octseg import" in blocks[0]
     rms = float(run_child(blocks[0]).strip().splitlines()[-1])
     assert 0 <= rms < 1.0
+
+
+def test_readme_defaults_are_the_configs():
+    text = README.read_text()
+    lines = text[text.index("| parameter "):].splitlines()
+    header = [c.strip() for c in lines[0].strip("|").split("|")]
+    assert header == ["parameter", "rpe", "isos", "ilm"]
+    rows = []
+    for line in lines[2:]:
+        if not line.startswith("|"):
+            break
+        name, *values = (c.strip() for c in line.strip("|").split("|"))
+        rows.append((name, values))
+    config = pipeline.PipelineConfig()
+    fields = [f.name for f in dataclasses.fields(pipeline.BoundaryProfile)]
+    assert sorted(name for name, _ in rows) == sorted(set(fields) - {"name"})
+    for name, values in rows:
+        shown = [v if isinstance(v, str) else json.dumps(v)
+                 for v in (getattr(getattr(config, role), name) for role in header[1:])]
+        assert values == shown, name
+    for name in ("isos_clearance", "ilm_clearance"):
+        assert f"`{name}` (default {getattr(config, name)})" in text

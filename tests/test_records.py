@@ -144,8 +144,8 @@ class TestTypeHintsResolvedOncePerClass:
         try:
             built = [VolumeMeta(dims=(1, 2, 3)) for _ in range(5)]
             built += [VolumeMeta.from_dict({"dims": [1, 2, 3]}) for _ in range(5)]
-            configs = [PipelineConfig.from_dict({"ilm": {"truncation_margin": 4}})
-                       for _ in range(3)]
+            configs = [PipelineConfig.from_dict({"ilm": {"median_window": 7},
+                                                 "ilm_clearance": 4}) for _ in range(3)]
             errors = []
             for _ in range(3):
                 with pytest.raises(ValueError) as e:
@@ -156,5 +156,5 @@ class TestTypeHintsResolvedOncePerClass:
         assert sorted(c.__name__ for c in calls) == [
             "BoundaryProfile", "PipelineConfig", "VolumeMeta"]
         assert all(b == VolumeMeta(dims=(1, 2, 3)) for b in built)
-        assert all(c == configs[0] and c.ilm.truncation_margin == 4 for c in configs)
+        assert all(c == configs[0] and c.ilm_clearance == 4 for c in configs)
         assert errors == ["dtype must be a string, got 8"] * 3

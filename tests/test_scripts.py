@@ -34,10 +34,10 @@ def test_run_demo_writes_every_file_it_reports(tmp_path):
     p = run_script("run_demo.py", "--out-dir", str(tmp_path))
     assert p.returncode == 0, p.stderr
     reported = [Path(token) for token in p.stdout.split()
-                if Path(token).suffix in {".raw", ".csv", ".pgm", ".ply", ".ppm"}]
+                if Path(token).suffix in {".raw", ".csv", ".pgm", ".ppm"}]
     paths = {path.name: path if path.is_absolute() else tmp_path / path for path in reported}
-    assert sorted(paths) == ["bscan_y24.ppm", "ilm.csv", "ilm.ply", "isos.csv", "rpe.csv",
-                             "rpe.ply", "thickness.csv", "thickness.pgm", "volume.raw"]
+    assert sorted(paths) == ["bscan_y24.ppm", "ilm.csv", "isos.csv", "rpe.csv",
+                             "thickness.csv", "thickness.pgm", "volume.raw"]
     assert all(path.parent == tmp_path and path.stat().st_size > 0 for path in paths.values())
     # the volume comes with its sidecar, and the files read back
     volume = load_volume(paths["volume.raw"], VolumeMeta.from_json(tmp_path / "volume.raw.json"))
