@@ -12,15 +12,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surfaces import Surface, _distinct_reprs, _write_rows
+from .surfaces import Surface, _distinct, _write_rows
 
 
 @dataclass(frozen=True, eq=False)
 class ThicknessMap:
-    """Per-column thickness in voxels, and in microns when pitch is known."""
+    """Per-column thickness in voxels (float64), and the axial pitch in
+    microns when it is known."""
 
     px: np.ndarray
-    um: np.ndarray | None = None
+    dz_um: float | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "px", np.asarray(self.px, dtype=np.float64))
+        if self.dz_um is not None and not 0 < self.dz_um < math.inf:
+            raise ValueError(f"dz_um must be positive and finite, got {self.dz_um}")
+
+    @property
+    def um(self) -> np.ndarray | None:
+        return None if self.dz_um is None else self.px * self.dz_um
 
     @property
     def nx(self) -> int:
@@ -37,26 +47,18 @@ def thickness_map(ilm: Surface, rpe: Surface, dz_um: float | None = None) -> Thi
         raise ValueError(f"surface shapes differ: {ilm.z.shape} vs {rpe.z.shape}")
     if not (ilm.valid.all() and rpe.valid.all()):
         raise ValueError("thickness needs total surfaces (all cells valid)")
-    px = rpe.z - ilm.z
-    um = None
-    if dz_um is not None:
-        if not 0 < dz_um < math.inf:
-            raise ValueError(f"dz_um must be positive and finite, got {dz_um}")
-        um = px * float(dz_um)
-    return ThicknessMap(px=px, um=um)
+    return ThicknessMap(px=rpe.z - ilm.z, dz_um=dz_um)
 
 
 def save_thickness_csv(tm: ThicknessMap, path) -> None:
     """CSV dump, y-major rows; a thickness_um column appears when available."""
-    px_tokens, index = _distinct_reprs(tm.px)
-    if tm.um is None:
-        _write_rows(path, "x,y,thickness_px\n", [t + "\n" for t in px_tokens], index)
-        return
-    um_tokens, um_index = _distinct_reprs(tm.um)
-    pairs, index = np.unique(index * len(um_tokens) + um_index, return_inverse=True)
-    tails = [f"{px_tokens[p]},{um_tokens[u]}\n"
-             for p, u in zip(*(a.tolist() for a in np.divmod(pairs, len(um_tokens))))]
-    _write_rows(path, "x,y,thickness_px,thickness_um\n", tails, index.reshape(tm.px.shape))
+    px, index = _distinct(tm.px)
+    if tm.dz_um is None:
+        header, tails = "x,y,thickness_px\n", [f"{p!r}\n" for p in px.tolist()]
+    else:  # the microns of each distinct voxel value, as tm.um holds them
+        header = "x,y,thickness_px,thickness_um\n"
+        tails = [f"{p!r},{u!r}\n" for p, u in zip(px.tolist(), (px * tm.dz_um).tolist())]
+    _write_rows(path, header, tails, index)
 
 
 def save_thickness_pgm(tm: ThicknessMap, path) -> None:

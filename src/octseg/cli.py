@@ -72,7 +72,7 @@ def cmd_segment(args) -> int:
         fname = f"{key}.{ext}"
         surface = result.surfaces[key]
         if key in degenerate:
-            surface = Surface(surface.z, valid=np.zeros_like(surface.valid))
+            surface = Surface(np.full_like(surface.z, np.nan))
         save_surface(surface, out_dir / fname, fmt=args.format)
         files[key] = fname
     report = result.report_dict(dims=volume.dims)

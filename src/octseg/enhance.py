@@ -122,7 +122,7 @@ def enhance(
     from the voxels inside ``mask``'s per-column windows, so excluded
     regions cannot distort the scaling.  Each column picks the first
     maximum of its score inside its window; a column with an empty window
-    comes back invalid.
+    comes back NaN, a hole.
 
     The fields may stop short of ``mask.nz``, at any depth that covers the
     band [0, ``mask.depth``) above the deepest window end.  Only that band
@@ -214,7 +214,7 @@ def enhance(
         outside_windows(-np.inf)
         z = argmax_per_ascan(Volume(score)).z
         best = np.take_along_axis(score, z.astype(np.intp)[..., None], axis=-1)
-        # Surface makes the picks of unsearched columns NaN
+        # the picks of unsearched columns are made NaN below
         return (e_lo, best[searched].max()), z
 
     parts = _map_slabs(score_and_pick, slabs, threads)
@@ -227,4 +227,4 @@ def enhance(
         if is_flat:
             warnings.warn(message, DegenerateNormalizationWarning, stacklevel=2)
     z = np.concatenate([z for _, z in parts])
-    return Surface(z=z, valid=mask.column_valid()), flat
+    return Surface(np.where(mask.column_valid(), z, np.nan)), flat

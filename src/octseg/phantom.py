@@ -96,7 +96,7 @@ class LayerIntensities(Record):
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """The three exact interface surfaces (all cells valid)."""
+    """The three exact interface surfaces (no holes)."""
 
     ilm: Surface
     isos: Surface

@@ -272,7 +272,7 @@ def enforce_ordering(
     takes its sorted triple.  Returns the fixed surfaces and the count of
     violating columns.
     """
-    surfs = [ilm.copy(), isos.copy(), rpe.copy()]
+    surfs = [Surface(s.z) for s in (ilm, isos, rpe)]
     for s in surfs:
         if not s.valid.all():
             raise ValueError("ordering projection expects total surfaces")

@@ -12,7 +12,6 @@ BOUNDARY_COLORS = {
     "isos": (64, 220, 64),
     "rpe": (80, 128, 255),
 }
-_FALLBACK_COLORS = [(255, 255, 0), (255, 0, 255), (0, 255, 255)]
 
 
 def draw_bscan(
@@ -22,33 +21,34 @@ def draw_bscan(
     as its (nx, nz) values, as (nz, nx, 3) uint8 with overlays.
 
     Rows are depth (shallow at the top), columns are x.  Each surface is
-    drawn as a connected polyline: consecutive columns whose rounded depths
-    differ by more than one pixel get a vertical joining segment.  The
-    index must lie in [0, ny).
+    drawn as a connected polyline in its ``BOUNDARY_COLORS`` colour:
+    consecutive columns whose rounded depths differ by more than one pixel
+    get a vertical joining segment.  The surfaces must be named ilm, isos
+    or rpe, and the index must lie in [0, ny).
     """
     if not 0 <= slice_index < ny:
         raise ValueError(f"slice index {slice_index} outside [0, {ny})")
     nx, nz = bscan.shape
     gray = np.clip(np.rint(bscan * 255.0), 0, 255)
     img = np.repeat(gray.T.astype(np.uint8)[:, :, None], 3, axis=2)
-    fallback = 0
     for name, surf in surfaces.items():
         if surf.z.shape != (nx, ny):
             raise ValueError(
                 f"surface {name!r} grid {surf.z.shape} does not match the volume's "
                 f"(nx, ny) = {(nx, ny)}"
             )
-        color = BOUNDARY_COLORS.get(name.lower())
-        if color is None:
-            color = _FALLBACK_COLORS[fallback % len(_FALLBACK_COLORS)]
-            fallback += 1
-        col = np.array(color, dtype=np.uint8)
+        if name not in BOUNDARY_COLORS:
+            raise ValueError(f"no colour for surface {name!r}: expected one of "
+                             f"{', '.join(BOUNDARY_COLORS)}")
+        col = np.array(BOUNDARY_COLORS[name], dtype=np.uint8)
+        depths = surf.z[:, slice_index]
+        holes = np.isnan(depths)
         prev_r = None
         for x in range(nx):
-            if not surf.valid[x, slice_index]:
+            if holes[x]:
                 prev_r = None
                 continue
-            r = int(np.clip(np.rint(surf.z[x, slice_index]), 0, nz - 1))
+            r = int(np.clip(np.rint(depths[x]), 0, nz - 1))
             img[r, x] = col
             if prev_r is not None and abs(r - prev_r) > 1:
                 lo, hi = sorted((r, prev_r))

@@ -1,13 +1,14 @@
 """Boundary surfaces over the (x, y) grid and the operators that clean them.
 
-A surface stores one depth value per A-scan column plus a validity flag;
-invalid cells carry NaN.  A SearchMask holds each column's depth window,
-the planes above a per-column end; extraction is a per-column argmax of a
-boundary score that ``enhance`` has already confined to those windows.
+A surface stores one depth value per A-scan column, NaN where the column
+has none (a hole); a cell is valid exactly when it is not NaN.  A
+SearchMask holds each column's depth window, the planes above a
+per-column end; extraction is a per-column argmax of a boundary score
+that ``enhance`` has already confined to those windows.
 Cleanup is a median-deviation outlier test, diffusion inpainting of the
 holes, and a small lateral box smoothing.  File formats: CSV with an
 x,y,z,valid header, or a raw little-endian float32 grid with NaN marking
-invalid cells.
+holes.
 """
 
 from __future__ import annotations
@@ -26,27 +27,28 @@ from .volume import Volume
 
 @dataclass(eq=False)
 class Surface:
-    """Depth z(x, y) in voxels (float, NaN where invalid) plus validity."""
+    """Depth z(x, y) in voxels, NaN where the column has no depth (a hole)."""
 
     z: np.ndarray
-    valid: np.ndarray
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=np.float64)
+        z = np.array(self.z, dtype=np.float64)
         if z.ndim != 2 or min(z.shape) < 1:
             raise ValueError(f"surface z must be 2D and non-empty, got shape {z.shape}")
-        valid = np.asarray(self.valid, dtype=bool)
-        if valid.shape != z.shape:
-            raise ValueError(f"valid shape {valid.shape} != z shape {z.shape}")
-        z = z.copy()
-        z[~valid] = np.nan
+        if np.isinf(z).any():
+            raise ValueError("surface depths must be finite, or NaN for a hole")
         self.z = z
-        self.valid = valid
 
     @classmethod
     def full(cls, z: np.ndarray) -> "Surface":
-        z = np.asarray(z, dtype=np.float64)
-        return cls(z=z, valid=np.ones(z.shape, dtype=bool))
+        surface = cls(z)
+        if np.isnan(surface.z).any():
+            raise ValueError("a full surface has no NaN depths")
+        return surface
+
+    @property
+    def valid(self) -> np.ndarray:
+        return ~np.isnan(self.z)
 
     @property
     def nx(self) -> int:
@@ -55,9 +57,6 @@ class Surface:
     @property
     def ny(self) -> int:
         return self.z.shape[1]
-
-    def copy(self) -> "Surface":
-        return Surface(z=self.z, valid=self.valid.copy())  # which copies z
 
 
 @dataclass(eq=False)
@@ -150,11 +149,11 @@ def _inliers(surface: Surface, tau: float, window: int) -> np.ndarray:
     h, taps = window // 2, window * window
     nx, ny = surface.z.shape
     padded = np.full((nx + 2 * h, ny + 2 * h), np.nan)
-    np.copyto(padded[h:h + nx, h:h + ny], surface.z, where=surface.valid)
+    padded[h:h + nx, h:h + ny] = surface.z
     tiles = sliding_window_view(padded, (window, window))
     # a tile's cells as offsets from its corner in the flat padded grid
     offsets = (np.arange(window)[:, None] * padded.shape[1] + np.arange(window)).ravel()
-    keep = surface.valid.copy()
+    keep = surface.valid
     rows = max(1, _OUTLIER_BLOCK_CELLS // ny)
     for x0 in range(0, nx, rows):
         x1 = min(x0 + rows, nx)
@@ -204,8 +203,7 @@ def reject_outliers(surface: Surface, tau: float, window: int = 5) -> Surface:
     window = int(window)
     if window < 3 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 3, got {window}")
-    keep = _inliers(surface, tau, window)
-    return Surface(z=surface.z, valid=keep)  # which copies z and blanks the rest
+    return Surface(np.where(_inliers(surface, tau, window), surface.z, np.nan))
 
 
 def fill_from_neighbors(z: np.ndarray) -> np.ndarray:
@@ -251,14 +249,14 @@ def inpaint_and_smooth(
         raise ValueError("cannot inpaint: surface has no valid cells")
     if smooth_radius < 0:
         raise ValueError(f"smooth_radius must be >= 0, got {smooth_radius}")
-    z = fill_from_neighbors(np.where(surface.valid, surface.z, np.nan))
+    z = fill_from_neighbors(surface.z)
     if smooth_radius > 0:
         n = 2 * smooth_radius + 1
         box = np.full(n, 1.0 / n, dtype=np.float64)
         z = _correlate1d(_correlate1d(z, box, 0), box, 1)
     if max_z is not None:
         z = np.clip(z, 0.0, max_z)
-    return Surface(z=z, valid=np.ones_like(surface.valid))
+    return Surface(z)
 
 
 def truncate_above_surface(surface: Surface, margin: int, nz: int) -> SearchMask:
@@ -281,16 +279,17 @@ def truncate_above_surface(surface: Surface, margin: int, nz: int) -> SearchMask
 # surface file formats
 
 
-def _distinct_reprs(values: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """The repr of each distinct value of a float64 array, and each element's
-    index into them.
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a float64 array, and each element's index into
+    them.
 
     Values are told apart by bit pattern, so NaN and -0.0 keep their own
-    tokens; repr round-trips every float exactly and runs once per value.
+    tokens; a writer renders each with repr, which round-trips every float
+    exactly, once per distinct value.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     bits, index = np.unique(values.view(np.int64), return_inverse=True)
-    return [repr(v) for v in bits.view(np.float64).tolist()], index.reshape(values.shape)
+    return bits.view(np.float64), index.reshape(values.shape)
 
 
 # cells per write of _write_rows: a write holds about 100 bytes a cell (the
@@ -325,19 +324,18 @@ def save_surface(surface: Surface, path, fmt: str = "csv") -> None:
     """Write a surface as CSV (x,y,z,valid) or a raw float32 grid.
 
     CSV rows are ordered y-major (all x for y=0, then y=1, ...); z is
-    rendered with repr so values round-trip exactly, and invalid cells get
-    z "nan" and valid 0.  The f32 grid holds nx*ny little-endian floats in
-    the same y-major order with NaN at invalid cells; the grid shape is not
-    self-describing and must be supplied again at load time.
+    rendered with repr so values round-trip exactly, and holes get z "nan"
+    and valid 0.  The f32 grid holds nx*ny little-endian floats in the same
+    y-major order with NaN at holes; the grid shape is not self-describing
+    and must be supplied again at load time.
     """
     path = Path(path)
     if fmt == "csv":
-        tokens, index = _distinct_reprs(surface.z)
-        tails = [f"{t},{v}\n" for t in tokens for v in (0, 1)]
-        _write_rows(path, "x,y,z,valid\n", tails, 2 * index + surface.valid)
+        values, index = _distinct(surface.z)
+        tails = [f"{v!r},{int(v == v)}\n" for v in values.tolist()]  # NaN != NaN
+        _write_rows(path, "x,y,z,valid\n", tails, index)
     elif fmt == "f32":
-        grid = np.where(surface.valid, surface.z, np.nan).astype("<f4")
-        np.ascontiguousarray(grid.T).tofile(path)
+        np.ascontiguousarray(surface.z.T, dtype="<f4").tofile(path)
     else:
         raise ValueError(f"fmt must be 'csv' or 'f32', got {fmt!r}")
 
@@ -436,10 +434,8 @@ def load_surface(path, fmt: str = "csv", dims: tuple[int, int] | None = None) ->
         if len(xs) != nx * ny:
             raise ValueError(f"{path}: expected {nx * ny} rows, got {len(xs)}")
         z = np.full((nx, ny), np.nan)
-        valid = np.zeros((nx, ny), dtype=bool)
-        z[xs, ys] = zs
-        valid[xs, ys] = vs == 1
-        return Surface(z=z, valid=valid)
+        z[xs, ys] = np.where(vs == 1, zs, np.nan)
+        return Surface(z)
     if fmt == "f32":
         if dims is None:
             raise ValueError("f32 grid loading requires dims=(nx, ny)")
@@ -450,5 +446,5 @@ def load_surface(path, fmt: str = "csv", dims: tuple[int, int] | None = None) ->
                 f"{path}: expected {nx * ny} float32 values, found {flat.size}"
             )
         z = flat.reshape(ny, nx).T.astype(np.float64)
-        return Surface(z=z, valid=np.isfinite(z))
+        return Surface(np.where(np.isinf(z), np.nan, z))
     raise ValueError(f"fmt must be 'csv' or 'f32', got {fmt!r}")

@@ -11,8 +11,7 @@ the sidecar, is a checked ``records.Record``.  One reader serves every
 use: ``open_volume`` holds the file open and reads it a box at a time,
 each box into a buffer that the reading thread reuses, returned as the
 canonical-axis view of the file's order, so the reader of a box does the
-permutation as it copies.  ``load_volume`` reads every x-slab of it into
-one array, and ``load_bscan`` reads one B-scan.
+permutation as it copies.  ``load_bscan`` reads one B-scan of it.
 
 A volume holds its samples as stored, under one rule: float data are the
 values, while integer data with a ``scale`` stand for
@@ -216,12 +215,12 @@ _RANGE_BYTES = 1 << 18
 class RawSlabs:
     """The samples of a raw volume file, read one box at a time.
 
-    Indexed like the (nx, ny, nz) array that ``load_volume`` returns, with
-    unit-step slices: ``data[x0:x1]`` is an x-slab, ``data[x0:x1, :, :d]``
-    its planes z < d.  A read fills a buffer that the calling thread
-    reuses with the box as the file stores it, one read per file run (or
-    per ``_READ_BYTES`` of short runs), and returns the canonical-axis view
-    of that buffer, which holds until the same thread reads again.  u8
+    Indexed like a canonical (nx, ny, nz) array, with unit-step slices:
+    ``data[x0:x1]`` is an x-slab, ``data[x0:x1, :, :d]`` its planes z < d.
+    A read fills a buffer that the calling thread reuses with the box as
+    the file stores it, one read per file run (or per ``_READ_BYTES`` of
+    short runs), and returns the canonical-axis view of that buffer, which
+    holds until the same thread reads again.  u8
     samples are returned as stored; f32 ones as native float32, normalized
     into [0, 1] by the range that the opening pass found.  ``shape``,
     ``dtype``, ``size`` and ``nbytes`` describe the whole volume so read.
@@ -426,25 +425,6 @@ def open_volume(path, meta: VolumeMeta) -> RawVolume:
     if meta.spacing_um is not None:
         spacing = tuple(float(meta.spacing_um[p]) for p in data.perm)
     return RawVolume(data, spacing, 255.0 if meta.dtype == "u8" else None)
-
-
-# load_volume reads x-slabs of about this many voxels
-_LOAD_SLAB_VOXELS = 1 << 19
-
-
-def load_volume(path, meta: VolumeMeta) -> Volume:
-    """Read a raw volume file into the canonical (nx, ny, nz) layout.
-
-    Opens it with ``open_volume``, then reads every x-slab into one array:
-    u8 samples stay uint8 with scale 255, and float samples become float32,
-    normalized into [0, 1] only if they fall outside that range.
-    """
-    with open_volume(path, meta) as raw:
-        data = np.empty(raw.dims, dtype=raw.data.dtype)
-        width = max(1, _LOAD_SLAB_VOXELS // (raw.ny * raw.nz))
-        for x0 in range(0, raw.nx, width):
-            data[x0 : x0 + width] = raw.data[x0 : x0 + width]
-    return Volume(data, raw.spacing, raw.scale)
 
 
 def load_bscan(path, meta: VolumeMeta, y: int) -> np.ndarray:

@@ -4,7 +4,8 @@ Not collected by pytest; test modules import it by name.  ``convolve_direct``
 sums a dense kernel over its taps, apart from the separable slab pass it
 cross-checks, ``read_ppm`` reads back the images that ``write_ppm``
 writes, and ``fill_sweeps`` inpaints with whole-grid sweeps where
-``fill_from_neighbors`` visits only the open holes.
+``fill_from_neighbors`` visits only the open holes, and ``read_volume``
+reads a raw file whole where the pipeline reads it a slab at a time.
 """
 
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from octseg import filters
-from octseg.volume import Volume
+from octseg.volume import Volume, open_volume
 
 
 def outer_product(kernel: filters.SeparableKernel) -> np.ndarray:
@@ -78,3 +79,13 @@ def fill_sweeps(z: np.ndarray) -> np.ndarray:
             raise ValueError("cannot inpaint: surface has no valid cells")
         np.divide(acc, cnt, out=z, where=fill)
     return z
+
+
+def read_volume(path, meta) -> Volume:
+    """A raw volume file read whole, one x-plane at a time through
+    ``open_volume``, into the canonical (nx, ny, nz) layout."""
+    with open_volume(path, meta) as raw:
+        data = np.empty(raw.dims, dtype=raw.data.dtype)
+        for x in range(raw.nx):
+            data[x : x + 1] = raw.data[x : x + 1]
+    return Volume(data, raw.spacing, raw.scale)

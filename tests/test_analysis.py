@@ -1,5 +1,6 @@
 """Thickness maps and their file outputs."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -36,7 +37,7 @@ class TestThickness:
 
     def test_partial_surface_rejected(self):
         a = Surface.full(np.zeros((2, 2)))
-        b = Surface(z=np.zeros((2, 2)), valid=np.array([[True, False], [True, True]]))
+        b = Surface(np.array([[0.0, np.nan], [0.0, 0.0]]))
         with pytest.raises(ValueError):
             thickness_map(a, b)
 
@@ -50,6 +51,16 @@ class TestThickness:
         s = Surface.full(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="dz_um must be positive and finite"):
             thickness_map(s, s, dz_um=dz_um)
+
+    def test_microns_are_voxels_times_the_pitch(self):
+        assert [f.name for f in dataclasses.fields(ThicknessMap)] == ["px", "dz_um"]
+        px = np.array([[1.5, -0.0], [7.0, 1e300]])
+        with np.errstate(over="ignore"):
+            assert ThicknessMap(px, 3.9).um.tobytes() == (px * 3.9).tobytes()
+        assert ThicknessMap(px).um is None
+        for dz_um in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="dz_um must be positive and finite"):
+                ThicknessMap(px, dz_um)
 
 
 class TestThicknessFiles:
@@ -68,14 +79,13 @@ class TestThicknessFiles:
     def test_csv_bytes_equal_per_cell_reference(self, tmp_path, with_um, dtype):
         rng = np.random.default_rng(3)
         px = (rng.standard_normal((5, 3)) * 1e3).astype(dtype)
-        um = px * np.float32(3.9) if with_um else None
-        tm = ThicknessMap(px=px, um=um)
+        tm = ThicknessMap(px=px, dz_um=np.float32(3.9) if with_um else None)
         p = tmp_path / "t.csv"
         save_thickness_csv(tm, p)
         ref = ["x,y,thickness_px" + (",thickness_um" if with_um else "") + "\n"]
         for y in range(3):
             for x in range(5):
-                cells = [float(px[x, y])] + ([float(um[x, y])] if with_um else [])
+                cells = [float(px[x, y])] + ([float(tm.um[x, y])] if with_um else [])
                 ref.append(f"{x},{y}," + ",".join(repr(c) for c in cells) + "\n")
         assert p.read_text() == "".join(ref)
 

@@ -16,7 +16,8 @@ from octseg.cli import ENV_THREADS, EXIT_OK, EXIT_PIPELINE, EXIT_USAGE, main, ru
 from octseg.phantom import PhantomSpec
 from octseg.render import draw_bscan, write_ppm
 from octseg.surfaces import Surface, load_surface, save_surface
-from octseg.volume import VolumeMeta, load_volume
+from octseg.volume import VolumeMeta
+from reference import read_volume
 
 
 @pytest.fixture()
@@ -472,7 +473,7 @@ class TestRenderCmd:
         seg = tmp_path / "seg"
         main(["segment", "--in", str(phantom_dir / "volume.raw"),
               "--meta", str(phantom_dir / "volume.json"), "--out-dir", str(seg)])
-        data = load_volume(phantom_dir / "volume.raw",
+        data = read_volume(phantom_dir / "volume.raw",
                            VolumeMeta.from_json(phantom_dir / "volume.json")).values()
         perm = tuple("xyz".index(ax) for ax in order)
         samples = np.rint(data * 255).astype("u1") if dtype == "u8" else data * 2 - 0.5
@@ -484,7 +485,7 @@ class TestRenderCmd:
             out = tmp_path / f"b{y}.ppm"
             assert main(["render", "--in", str(raw), "--meta", str(meta), "--surfaces", str(seg),
                          "--slice", str(y), "--out", str(out)]) == EXIT_OK
-            volume = load_volume(raw, VolumeMeta.from_json(meta))
+            volume = read_volume(raw, VolumeMeta.from_json(meta))
             write_ppm(draw_bscan(volume.values(np.s_[:, y, :]), volume.ny, surfaces, y),
                       tmp_path / "ref.ppm")
             assert out.read_bytes() == (tmp_path / "ref.ppm").read_bytes()

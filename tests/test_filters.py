@@ -24,8 +24,8 @@ from octseg.filters import (
 )
 from octseg.pipeline import BoundaryProfile
 from octseg.surfaces import SearchMask
-from octseg.volume import Volume, VolumeMeta, load_volume, open_volume
-from reference import convolve_direct, outer_product
+from octseg.volume import Volume, VolumeMeta, open_volume
+from reference import convolve_direct, outer_product, read_volume
 
 
 def random_volume(rng, dims, dtype=np.float64):
@@ -477,7 +477,7 @@ class TestFusedPass:
         raw = tmp_path / "v.raw"
         np.ascontiguousarray(samples.transpose(perm)).tofile(raw)
         meta = VolumeMeta(dims=tuple(dims[p] for p in perm), dtype=dtype, order=order)
-        volume = load_volume(raw, meta) if source == "volume" else open_volume(raw, meta)
+        volume = read_volume(raw, meta) if source == "volume" else open_volume(raw, meta)
         slab = filters._FILTER_SLAB_BYTES if slab_bytes is None else slab_bytes
         try:
             with mock.patch.object(filters, "_FILTER_SLAB_BYTES", slab):
@@ -550,7 +550,7 @@ class TestExactSums:
         perm = tuple("xyz".index(ax) for ax in order)
         raw = tmp_path_factory.mktemp("u8") / "v.raw"
         np.ascontiguousarray(samples.transpose(perm)).tofile(raw)
-        v = load_volume(raw, VolumeMeta(dims=tuple(dims[p] for p in perm), order=order))
+        v = read_volume(raw, VolumeMeta(dims=tuple(dims[p] for p in perm), order=order))
         assert v.scale == 255 and v.data.tobytes() == samples.tobytes()
         radius = data.draw(st.integers(0, (min(dims) - 1) // 2), label="radius")
         half_width = data.draw(st.integers(1, (dims[2] - 1) // 2), label="half_width")

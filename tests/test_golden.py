@@ -17,7 +17,7 @@ import pytest
 
 from octseg.phantom import PhantomSpec, generate_phantom
 from octseg.pipeline import segment_retina
-from octseg.volume import load_volume, save_volume
+from octseg.volume import open_volume, save_volume
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 DIMS = (48, 12, 96)
@@ -37,7 +37,8 @@ def segment_digests(phantom: str, dtype: str, threads: int, tmp: Path) -> dict:
     volume, _ = generate_phantom(PHANTOMS[phantom])
     path = tmp / f"{phantom}.{dtype}.raw"
     meta = save_volume(volume, path, dtype=dtype)
-    result = segment_retina(load_volume(path, meta), threads=threads)
+    with open_volume(path, meta) as opened:
+        result = segment_retina(opened, threads=threads)
     counters = {"ordering_fixed_columns": result.ordering_fixed_columns}
     for report in result.reports:
         counters[report.name] = {key: getattr(report, key) for key in COUNTERS}

@@ -172,7 +172,7 @@ class TestSpecJson:
 class TestSurfaceError:
     def test_identical_surfaces_zero(self):
         s = Surface.full(np.random.default_rng(11).random((6, 5)) * 100)
-        err = surface_error(s, s.copy())
+        err = surface_error(s, Surface(s.z))
         assert err.rms == err.mean == 0.0
         assert err.max_abs == 0.0
         assert err.frac_within(0.0) == 1.0
@@ -199,6 +199,6 @@ class TestSurfaceError:
 
     def test_partial_surface_rejected(self):
         good = Surface.full(np.zeros((2, 2)))
-        bad = Surface(z=np.zeros((2, 2)), valid=np.array([[True, False], [True, True]]))
+        bad = Surface(np.array([[0.0, np.nan], [0.0, 0.0]]))
         with pytest.raises(ValueError):
             surface_error(bad, good)

@@ -25,7 +25,8 @@ from octseg.pipeline import (
     segment_retina,
 )
 from octseg.surfaces import SearchMask, Surface
-from octseg.volume import Volume, VolumeMeta, load_volume, open_volume
+from octseg.volume import Volume, VolumeMeta, open_volume
+from reference import read_volume
 
 
 def two_layer_volume(nx=48, ny=12, nz=128, hi=0.8, lo=0.2):
@@ -350,7 +351,7 @@ class TestCascade:
 
     def test_an_opened_f32_file_is_never_held_whole(self, tmp_path):
         # segment_retina reads an opened file an x-slab at a time, so its
-        # peak is one input volume below that of load_volume followed by
+        # peak is one input volume below that of read_volume followed by
         # segment_retina, but for the buffer of its widest read: one
         # x-plane with IS/OS's lateral halo of 4 on either side
         vol, _ = generate_phantom(PhantomSpec.default(dims=(96, 24, 128), seed=0,
@@ -361,7 +362,7 @@ class TestCascade:
         with mock.patch.object(filters, "_FILTER_SLAB_BYTES", 1):
             tracemalloc.start()
             try:
-                segment_retina(load_volume(raw, meta))
+                segment_retina(read_volume(raw, meta))
                 loaded = tracemalloc.get_traced_memory()[1]
                 tracemalloc.reset_peak()
                 with open_volume(raw, meta) as opened:
@@ -491,7 +492,7 @@ def u8_phantom_file(tmp_path, dims, seed, order):
     """A speckled phantom quantised to u8 samples, written in ``order`` and
     loaded back; the loaded volume keeps the samples u8."""
     raw, meta, samples = phantom_file(tmp_path, dims, seed, order)
-    loaded = load_volume(raw, meta)
+    loaded = read_volume(raw, meta)
     assert loaded.data.dtype == np.uint8 and np.array_equal(loaded.data, samples)
     return loaded
 
@@ -508,9 +509,9 @@ class TestU8Input:
         # against the same samples loaded from a little-endian xyz file:
         # threads 1 and 2, 1-voxel and default slabs
         tmp = tmp_path_factory.mktemp("in")
-        ref = segment_retina(load_volume(*phantom_file(tmp, dims, seed, "xyz", dtype)[:2]))
+        ref = segment_retina(read_volume(*phantom_file(tmp, dims, seed, "xyz", dtype)[:2]))
         path, meta, _ = phantom_file(tmp, dims, seed, order, dtype, endian)
-        loaded = load_volume(path, meta)
+        loaded = read_volume(path, meta)
         assert loaded.data.dtype == (np.uint8 if dtype == "u8" else np.float32)
         slab = filters._FILTER_SLAB_BYTES if slab_bytes is None else slab_bytes
         with mock.patch.object(filters, "_FILTER_SLAB_BYTES", slab), \
@@ -602,9 +603,9 @@ class TestEnforceOrdering:
             assert np.array_equal(s.z[in_order], zi[in_order])
 
     def test_partial_surface_rejected(self):
-        valid = np.ones((3, 3), dtype=bool)
-        valid[0, 0] = False
-        s = Surface(z=np.zeros((3, 3)), valid=valid)
+        z = np.zeros((3, 3))
+        z[0, 0] = np.nan
+        s = Surface(z)
         with pytest.raises(ValueError):
             enforce_ordering(s, Surface.full(np.ones((3, 3))), Surface.full(np.ones((3, 3))))
 

@@ -50,9 +50,9 @@ class TestRender:
 
     def test_invalid_cells_not_drawn(self):
         vol = gradient_volume()
-        valid = np.ones((16, 4), dtype=bool)
-        valid[5, 1] = False
-        surf = Surface(z=np.full((16, 4), 8.0), valid=valid)
+        z = np.full((16, 4), 8.0)
+        z[5, 1] = np.nan
+        surf = Surface(z)
         img = draw_slice(vol, {"isos": surf}, slice_index=1)
         col = np.array(BOUNDARY_COLORS["isos"], np.uint8)
         assert not (img[8, 5] == col).all()
@@ -96,11 +96,11 @@ class TestRender:
         gray = draw_slice(Volume(samples, scale=255), {}, slice_index=0)[:, :, 0]
         assert np.array_equal(gray, samples[:, 0, :].T)
 
-    def test_unknown_surface_name_gets_some_color(self):
-        vol = gradient_volume()
+    def test_unknown_surface_name_rejected(self):
         surf = Surface.full(np.full((16, 4), 20.0))
-        img = draw_slice(vol, {"bruch": surf}, slice_index=0)
-        assert not (img[20, 0, 0] == img[20, 0, 1] == img[20, 0, 2])
+        for name in ("bruch", "ILM"):
+            with pytest.raises(ValueError, match=f"no colour for surface '{name}'"):
+                draw_slice(gradient_volume(), {name: surf}, slice_index=0)
 
 
 def z_surface(z):

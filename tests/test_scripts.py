@@ -12,8 +12,8 @@ import octseg
 from octseg.phantom import PhantomSpec, generate_phantom
 from octseg.pipeline import segment_retina
 from octseg.surfaces import load_surface
-from octseg.volume import VolumeMeta, load_volume
-from reference import read_ppm
+from octseg.volume import VolumeMeta
+from reference import read_ppm, read_volume
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -40,7 +40,7 @@ def test_run_demo_writes_every_file_it_reports(tmp_path):
                              "thickness.csv", "thickness.pgm", "volume.raw"]
     assert all(path.parent == tmp_path and path.stat().st_size > 0 for path in paths.values())
     # the volume comes with its sidecar, and the files read back
-    volume = load_volume(paths["volume.raw"], VolumeMeta.from_json(tmp_path / "volume.raw.json"))
+    volume = read_volume(paths["volume.raw"], VolumeMeta.from_json(tmp_path / "volume.raw.json"))
     assert volume.dims == (160, 48, 256)
     for key in ("ilm", "isos", "rpe"):
         surface = load_surface(paths[f"{key}.csv"])

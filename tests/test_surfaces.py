@@ -44,6 +44,33 @@ def extract(v, mask):
     return enhance(v, v, rule, mask)[0]
 
 
+class TestSurface:
+    def test_holes_are_nans(self):
+        assert [f.name for f in dataclasses.fields(Surface)] == ["z"]
+        s = Surface(np.array([[1.0, np.nan]]))
+        assert s.valid.tolist() == [[True, False]]
+        with pytest.raises(TypeError):
+            Surface(z=np.array([[1.0, np.nan]]), valid=np.ones((1, 2), dtype=bool))
+
+    def test_copies_its_depths(self):
+        z = np.zeros((2, 2))
+        s = Surface(z)
+        z[0, 0] = 5.0
+        assert s.z[0, 0] == 0.0 and Surface(s.z).z is not s.z
+
+    @pytest.mark.parametrize("z", [[[np.inf]], [[1.0, -np.inf]], [[np.nan, np.inf]]])
+    def test_infinite_depth_rejected(self, z):
+        message = "surface depths must be finite, or NaN for a hole"
+        for make in (Surface, Surface.full):
+            with pytest.raises(ValueError, match=message):
+                make(np.array(z))
+
+    def test_full_rejects_holes(self):
+        assert Surface.full([[1.0, 2.0]]).valid.all()
+        with pytest.raises(ValueError, match="NaN"):
+            Surface.full(np.array([[1.0, np.nan]]))
+
+
 class TestArgmax:
     def test_picks_peak(self):
         v = column_volume([0.1, 0.9, 0.3])
@@ -146,9 +173,8 @@ class TestRejectOutliers:
 
     def test_already_invalid_cells_ignored(self):
         z = np.full((5, 5), 50.0)
-        valid = np.ones((5, 5), dtype=bool)
-        valid[0, 0] = False
-        out = reject_outliers(Surface(z=z, valid=valid), tau=15.0)
+        z[0, 0] = np.nan
+        out = reject_outliers(Surface(z), tau=15.0)
         assert not out.valid[0, 0]
         assert out.valid.sum() == 24
 
@@ -189,8 +215,8 @@ class TestRejectOutliers:
         # of every cell at once would take 20 grids
         rng = np.random.default_rng(0)
         z = rng.normal(60.0, 40.0, (640, 160))
-        valid = rng.random(z.shape) >= 0.3
-        surface = Surface(z=z, valid=valid)
+        z[rng.random(z.shape) < 0.3] = np.nan
+        surface = Surface(z)
         tracemalloc.start()
         try:
             reject_outliers(surface, tau=15.0, window=5)
@@ -207,13 +233,12 @@ class TestRejectOutliers:
         holes=st.sampled_from(["random", "none", "interior"]),
         invalid=st.floats(0.0, 1.0),
         values=st.sampled_from(["integral", "real", "huge"]),
-        infinite=st.booleans(),
         tau=st.sampled_from([0.5, 1.0, 1.5, 15.0, "tie"]),
         block=st.sampled_from([1, 7, surfaces._OUTLIER_BLOCK_CELLS]),
     )
     @settings(max_examples=150, deadline=None)
     def test_equals_nanmedian_reference(self, seed, nx, ny, window, holes, invalid, values,
-                                        infinite, tau, block):
+                                        tau, block):
         # small grids are mostly border; "huge" values overflow the middle
         # pair's sum, and a tau taken from the deviations makes exact ties
         # |z - median| == tau, half-integral ones too for integral values
@@ -222,19 +247,17 @@ class TestRejectOutliers:
             z = rng.integers(0, 40, (nx, ny)).astype(np.float64)
         else:
             z = rng.random((nx, ny)) * (300.0 if values == "real" else 1.5e308)
-        if infinite:
-            z[rng.random((nx, ny)) < 0.2] = rng.choice([-np.inf, np.inf])
         valid = np.ones((nx, ny), dtype=bool)
         if holes == "random":
             valid = rng.random((nx, ny)) >= invalid
         elif holes == "interior" and min(nx, ny) > 2:
             valid[rng.integers(1, nx - 1, 3), rng.integers(1, ny - 1, 3)] = False
-        surface = Surface(z=z, valid=valid)
+        surface = Surface(np.where(valid, z, np.nan))
         h = window // 2
         padded = np.pad(surface.z, h, mode="constant", constant_values=np.nan)
         tiles = np.lib.stride_tricks.sliding_window_view(padded, (window, window))
         with warnings.catch_warnings():
-            # all-NaN tiles, and inf - inf or an overflowing sum, in both
+            # all-NaN tiles, and an overflowing sum, in both
             warnings.simplefilter("ignore", RuntimeWarning)
             deviation = np.abs(surface.z - np.nanmedian(tiles, axis=(-2, -1)))
             if tau == "tie":
@@ -264,9 +287,8 @@ class TestRejectOutliers:
 class TestInpaint:
     def test_single_hole_gets_neighbor_mean(self):
         z = np.full((5, 5), 50.0)
-        valid = np.ones((5, 5), dtype=bool)
-        valid[2, 2] = False
-        out = inpaint_and_smooth(Surface(z=z, valid=valid), smooth_radius=0)
+        z[2, 2] = np.nan
+        out = inpaint_and_smooth(Surface(z), smooth_radius=0)
         assert out.valid.all()
         assert out.z[2, 2] == 50.0
 
@@ -293,7 +315,7 @@ class TestInpaint:
         assert fill_from_neighbors(z).tobytes() == fill_sweeps(z).tobytes()
 
     def test_no_valid_cells_rejected(self):
-        s = Surface(z=np.zeros((3, 3)), valid=np.zeros((3, 3), dtype=bool))
+        s = Surface(np.full((3, 3), np.nan))
         with pytest.raises(ValueError):
             inpaint_and_smooth(s)
 
@@ -347,7 +369,7 @@ class TestTruncate:
         assert not out.column_valid()[0, 0]
 
     def test_partial_surface_rejected(self):
-        s = Surface(z=np.array([[10.0], [20.0]]), valid=np.array([[True], [False]]))
+        s = Surface(np.array([[10.0], [np.nan]]))
         with pytest.raises(ValueError, match="fully valid"):
             truncate_above_surface(s, margin=3, nz=50)
         with pytest.raises(ValueError, match="margin must be >= 0"):
@@ -358,10 +380,10 @@ class TestSurfaceFiles:
     @given(st.integers(1, 7), st.integers(1, 7), st.data())
     @settings(max_examples=40, deadline=None)
     def test_csv_bytes_equal_per_cell_reference(self, tmp_path_factory, nx, ny, data):
-        depths = st.one_of(st.floats(allow_nan=False), st.sampled_from([-0.0, 1e-300, 2.0**60]))
+        depths = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from([-0.0, 1e-300, 2.0**60, np.nan]))
         z = np.array(data.draw(st.lists(depths, min_size=nx * ny, max_size=nx * ny)))
-        valid = np.array(data.draw(st.lists(st.booleans(), min_size=nx * ny, max_size=nx * ny)))
-        s = Surface(z=z.reshape(nx, ny), valid=valid.reshape(nx, ny))
+        s = Surface(z.reshape(nx, ny))
         p = tmp_path_factory.mktemp("csv") / "s.csv"
         save_surface(s, p)
         ref = "x,y,z,valid\n" + "".join(
@@ -379,7 +401,7 @@ class TestSurfaceFiles:
         rng = np.random.default_rng(10)
         z = rng.random((6, 4)) * 137.0
         valid = rng.random((6, 4)) > 0.2
-        s = Surface(z=z, valid=valid)
+        s = Surface(np.where(valid, z, np.nan))
         p = tmp_path / "s.csv"
         save_surface(s, p)
         back = load_surface(p)
@@ -388,7 +410,7 @@ class TestSurfaceFiles:
         assert np.isnan(back.z[~valid]).all()
 
     def test_csv_invalid_cell_marked(self, tmp_path):
-        s = Surface(z=np.array([[1.0, np.nan]]), valid=np.array([[True, False]]))
+        s = Surface(np.array([[1.0, np.nan]]))
         p = tmp_path / "s.csv"
         save_surface(s, p)
         lines = p.read_text().strip().split("\n")
@@ -406,11 +428,10 @@ class TestSurfaceFiles:
 
     def test_f32_nan_for_invalid_and_roundtrip(self, tmp_path):
         z = np.array([[10.0, np.nan], [30.0, 40.0]])
-        valid = np.array([[True, False], [True, True]])
         p = tmp_path / "s.f32"
-        save_surface(Surface(z=z, valid=valid), p, fmt="f32")
+        save_surface(Surface(z), p, fmt="f32")
         back = load_surface(p, fmt="f32", dims=(2, 2))
-        assert np.array_equal(back.valid, valid)
+        assert back.valid.tolist() == [[True, False], [True, True]]
         assert back.z[0, 0] == 10.0
         assert np.isnan(back.z[0, 1])
 
@@ -510,7 +531,8 @@ class TestSurfaceFiles:
     def test_csv_written_file_parsed_without_the_row_loop(self, tmp_path):
         # the row-by-row parser is only the fallback for files np.loadtxt rejects
         rng = np.random.default_rng(11)
-        s = Surface(z=rng.random((9, 4)) * 300.0, valid=rng.random((9, 4)) > 0.3)
+        z = rng.random((9, 4)) * 300.0
+        s = Surface(np.where(rng.random((9, 4)) > 0.3, z, np.nan))
         p = tmp_path / "s.csv"
         save_surface(s, p)
         with mock.patch.object(surfaces, "_parse_rows", side_effect=AssertionError):
@@ -603,10 +625,8 @@ def reference_load_surface(path):
     if len(xs) != nx * ny:
         raise ValueError(f"{path}: expected {nx * ny} rows, got {len(xs)}")
     z = np.full((nx, ny), np.nan)
-    valid = np.zeros((nx, ny), dtype=bool)
-    z[xs, ys] = zs
-    valid[xs, ys] = vs == 1
-    return Surface(z=z, valid=valid)
+    z[xs, ys] = np.where(vs == 1, zs, np.nan)
+    return Surface(z)
 
 
 # values whose repr is easy to get wrong: signed zeros, NaN, infinities,
@@ -699,20 +719,21 @@ class TestCsvCodecMatchesReference:
     @settings(max_examples=150, deadline=None)
     def test_writers_byte_equal_reference(self, tmp_path_factory, z, data):
         valid = np.array(data.draw(st.lists(st.booleans(), min_size=z.size, max_size=z.size)))
-        s = Surface(z=z, valid=valid.reshape(z.shape))
+        # a surface holds no infinity: the drawn ones become holes
+        s = Surface(np.where(valid.reshape(z.shape) & ~np.isinf(z), z, np.nan))
         d = tmp_path_factory.mktemp("w")
         save_surface(s, d / "new.csv")
         reference_save_surface(s, d / "ref.csv")
         assert (d / "new.csv").read_bytes() == (d / "ref.csv").read_bytes()
-        # thickness columns keep NaN, -0.0 and infinities; um is either
-        # tied to px, as thickness_map makes it, or drawn independently
+        # the file reads back to the same bits, holes as the one NaN
+        back = load_surface(d / "new.csv")
+        assert back.z.tobytes() == np.where(s.valid, s.z, np.nan).tobytes()
+        # thickness columns keep NaN, -0.0 and infinities
         dz = data.draw(st.sampled_from([3.9, 1e-310, 1e300]))
-        with np.errstate(over="ignore"):
-            um_tied = z * dz
-        for um in (None, um_tied, z[::-1, ::-1].copy()):
-            tm = ThicknessMap(px=z, um=um)
-            save_thickness_csv(tm, d / "new_t.csv")
-            reference_save_thickness_csv(tm, d / "ref_t.csv")
+        for tm in (ThicknessMap(px=z), ThicknessMap(px=z, dz_um=dz)):
+            with np.errstate(over="ignore"):
+                save_thickness_csv(tm, d / "new_t.csv")
+                reference_save_thickness_csv(tm, d / "ref_t.csv")
             assert (d / "new_t.csv").read_bytes() == (d / "ref_t.csv").read_bytes()
 
     @given(text=surface_csv_texts())

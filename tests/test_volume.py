@@ -18,10 +18,10 @@ from octseg.volume import (
     Volume,
     VolumeMeta,
     load_bscan,
-    load_volume,
     open_volume,
     save_volume,
 )
+from reference import read_volume
 
 
 def normalize(arr):
@@ -83,7 +83,7 @@ class TestLoad:
         arr = np.array([0, 255, 128, 51], dtype=np.uint8).reshape(1, 2, 2)
         p = write_raw(tmp_path / "v.raw", arr)
         meta = VolumeMeta(dims=(1, 2, 2), order="xyz")
-        v = load_volume(p, meta)
+        v = read_volume(p, meta)
         assert v.data.dtype == np.uint8 and v.scale == 255 and v.values().dtype == np.float32
         assert v.values()[0, 0, 0] == 0.0
         assert v.values()[0, 0, 1] == 1.0
@@ -94,18 +94,16 @@ class TestLoad:
         p = tmp_path / "v.raw"
         p.write_bytes(b"\x00" * 7)
         meta = VolumeMeta(dims=(2, 2, 2), order="xyz")
-        for read in (load_volume, open_volume):
-            with pytest.raises(SizeMismatchError) as exc:
-                read(p, meta)
-            assert exc.value.expected == 8
-            assert exc.value.actual == 7
-            assert str(exc.value) == f"{p}: declared dims need 8 bytes, file has 7"
+        with pytest.raises(SizeMismatchError) as exc:
+            open_volume(p, meta)
+        assert exc.value.expected == 8
+        assert exc.value.actual == 7
+        assert str(exc.value) == f"{p}: declared dims need 8 bytes, file has 7"
 
     def test_missing_file_raises_oserror(self, tmp_path):
         meta = VolumeMeta(dims=(2, 2, 2), order="xyz")
-        for read in (load_volume, open_volume):
-            with pytest.raises(OSError, match="absent.raw"):
-                read(tmp_path / "absent.raw", meta)
+        with pytest.raises(OSError, match="absent.raw"):
+            open_volume(tmp_path / "absent.raw", meta)
 
     def test_non_finite_samples_rejected(self, tmp_path):
         arr = np.zeros((5, 3, 4), dtype="<f4")  # file order zxy: (nz, nx, ny)
@@ -122,9 +120,8 @@ class TestLoad:
                    r"first at \(x, y, z\) = \(1, 3, 2\)$")
         for range_bytes in (8, volume._RANGE_BYTES):
             with mock.patch.object(volume, "_RANGE_BYTES", range_bytes):
-                for read in (load_volume, open_volume):
-                    with pytest.raises(ValueError, match=message):
-                        read(p, meta)
+                with pytest.raises(ValueError, match=message):
+                    open_volume(p, meta)
 
     def test_axis_permutation_zxy(self, tmp_path):
         # file stores depth slowest; loader must land values at [x, y, z]
@@ -132,7 +129,7 @@ class TestLoad:
         file_arr = rng.integers(0, 256, size=(5, 3, 2), dtype=np.uint8)  # (z, x, y)
         p = write_raw(tmp_path / "v.raw", file_arr)
         meta = VolumeMeta(dims=(5, 3, 2), order="zxy")
-        v = load_volume(p, meta)
+        v = read_volume(p, meta)
         assert v.dims == (3, 2, 5)
         for z in range(5):
             for x in range(3):
@@ -144,7 +141,7 @@ class TestLoad:
         file_arr = rng.integers(0, 256, size=(4, 6, 5), dtype=np.uint8)
         p = write_raw(tmp_path / "v.raw", file_arr)
         for order, dims in [("zxy", (4, 6, 5)), ("yzx", (4, 6, 5)), ("xyz", (4, 6, 5))]:
-            v = load_volume(p, VolumeMeta(dims=dims, order=order))
+            v = read_volume(p, VolumeMeta(dims=dims, order=order))
             assert np.array_equal(
                 np.sort(v.values(), axis=None),
                 np.sort(file_arr.astype(np.float32).ravel() / 255),
@@ -154,7 +151,7 @@ class TestLoad:
         arr = np.zeros((5, 3, 2), dtype=np.uint8)
         p = write_raw(tmp_path / "v.raw", arr)
         meta = VolumeMeta(dims=(5, 3, 2), order="zxy", spacing_um=(7.0, 11.0, 13.0))
-        v = load_volume(p, meta)
+        v = read_volume(p, meta)
         # file axes are (z, x, y): dz=7, dx=11, dy=13
         assert v.spacing == (11.0, 13.0, 7.0)
 
@@ -162,7 +159,7 @@ class TestLoad:
         # depth-major file at clinical scale lands depth on the last axis
         arr = np.zeros((480, 30, 9), dtype=np.uint8)
         p = write_raw(tmp_path / "v.raw", arr)
-        v = load_volume(p, VolumeMeta(dims=(480, 30, 9), order="zxy"))
+        v = read_volume(p, VolumeMeta(dims=(480, 30, 9), order="zxy"))
         assert v.dims == (30, 9, 480)
         assert v.data[0, 0].flags["C_CONTIGUOUS"]
 
@@ -179,7 +176,7 @@ class TestLoad:
         else:
             file_arr = (rng.standard_normal((5, 4, 3)) * 3).astype(code)
         p = write_raw(tmp_path / "v.raw", file_arr)
-        v = load_volume(p, VolumeMeta(dims=(5, 4, 3), dtype=dtype, endian=endian, order=order))
+        v = read_volume(p, VolumeMeta(dims=(5, 4, 3), dtype=dtype, endian=endian, order=order))
         arr = file_arr.transpose(tuple(order.index(ax) for ax in "xyz")).astype(np.float32)
         ref = arr / np.float32(255.0) if dtype == "u8" else normalize(arr)
         assert v.data.dtype == (np.uint8 if dtype == "u8" else np.float32)
@@ -216,7 +213,7 @@ class TestOpenVolume:
         p = random_file(tmp_path / "v.raw", dims, dtype, endian, wide)
         meta = VolumeMeta(dims=dims, dtype=dtype, endian=endian, order=order,
                           spacing_um=(1.0, 2.0, 3.0))
-        loaded = load_volume(p, meta)
+        loaded = read_volume(p, meta)
         nx, _, nz = loaded.dims
         with mock.patch.object(volume, "_READ_BYTES", read_bytes), open_volume(p, meta) as raw:
             assert (raw.dims, raw.spacing, raw.scale, raw.dtype) == (
@@ -236,7 +233,7 @@ class TestOpenVolume:
         dims = (5, 6, 7)
         p = random_file(tmp_path / "v.raw", dims, "f32", wide=True)
         meta = VolumeMeta(dims=dims, dtype="f32", order="zxy")
-        loaded = load_volume(p, meta)
+        loaded = read_volume(p, meta)
         preadv = os.preadv
         monkeypatch.setattr(volume.os, "preadv",
                             lambda fd, bufs, offset: preadv(fd, [bufs[0][:3]], offset))
@@ -300,7 +297,7 @@ class TestLoadBscan:
             file_arr = (rng.standard_normal(dims) * 3).astype("<f4")
         p = write_raw(tmp_path / "v.raw", file_arr)
         meta = VolumeMeta(dims=dims, dtype=dtype, order=order)
-        full = load_volume(p, meta)
+        full = read_volume(p, meta)
         with mock.patch.object(volume, "_READ_BYTES", read_bytes):
             for y in range(full.ny):
                 bscan = load_bscan(p, meta, y)
@@ -373,7 +370,7 @@ class TestSave:
         v = Volume(data, spacing=(10.0, 10.0, 7.0))
         meta = save_volume(v, tmp_path / "v.raw")
         assert meta.dims == (4, 3, 5)
-        back = load_volume(tmp_path / "v.raw", VolumeMeta.from_json(tmp_path / "v.raw.json"))
+        back = read_volume(tmp_path / "v.raw", VolumeMeta.from_json(tmp_path / "v.raw.json"))
         assert np.array_equal(back.data, data)
         assert back.spacing == (10.0, 10.0, 7.0)
 
@@ -381,7 +378,7 @@ class TestSave:
         data = (np.arange(24, dtype=np.float32) % 256 / 255).reshape(2, 3, 4)
         v = Volume(data)
         save_volume(v, tmp_path / "v.raw", dtype="u8")
-        back = load_volume(tmp_path / "v.raw", VolumeMeta.from_json(tmp_path / "v.raw.json"))
+        back = read_volume(tmp_path / "v.raw", VolumeMeta.from_json(tmp_path / "v.raw.json"))
         assert np.array_equal(back.values(), data)
 
     def test_u8_volume_saves_its_samples_and_values(self, tmp_path):
@@ -390,7 +387,7 @@ class TestSave:
         save_volume(v, tmp_path / "u.raw", dtype="u8")
         assert (tmp_path / "u.raw").read_bytes() == samples.tobytes()
         save_volume(v, tmp_path / "f.raw")
-        back = load_volume(tmp_path / "f.raw", VolumeMeta.from_json(tmp_path / "f.raw.json"))
+        back = read_volume(tmp_path / "f.raw", VolumeMeta.from_json(tmp_path / "f.raw.json"))
         assert back.data.tobytes() == (samples.astype(np.float32) / np.float32(255)).tobytes()
         assert back.spacing == (1.0, 2.0, 3.0)
         # the float route quantizes every u8 value back to itself
