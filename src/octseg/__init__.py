@@ -38,7 +38,6 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "analysis": ("ThicknessMap", "thickness_map"),
-    "enhance": ("DegenerateNormalizationWarning",),
     "phantom": (
         "GroundTruth",
         "LayerIntensities",

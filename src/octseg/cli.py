@@ -8,13 +8,14 @@ report), ``phantom`` (spec JSON -> synthetic volume with ground truth),
 Exit codes: 0 success, 1 pipeline failure (including degenerate
 enhancement, whose boundaries are written with every cell invalid), 2
 usage or input errors, among them an input file that cannot be read in
-full.  The OCTSEG_THREADS environment variable supplies the default
-worker count when --threads is omitted.  ``segment`` opens its input and
-the filter passes read it an x-slab at a time, so the whole input is never
-in memory.  The phantom, analysis and render modules are imported by the
-commands that use them, so a call that does not run them does not compile
-them.  ``run`` is ``main`` as the ``octseg`` program and ``python -m
-octseg`` call it.
+full; ``segment`` names on stderr each boundary whose report lists flat
+parts, then the degenerate ones.  The OCTSEG_THREADS environment variable
+supplies the default worker count when --threads is omitted.  ``segment``
+opens its input and the filter passes read it an x-slab at a time, so the
+whole input is never in memory.  The phantom, analysis and render modules
+are imported by the commands that use them, so a call that does not run
+them does not compile them.  ``run`` is ``main`` as the ``octseg`` program
+and ``python -m octseg`` call it.
 """
 
 from __future__ import annotations
@@ -82,11 +83,12 @@ def cmd_segment(args) -> int:
     with open(out_dir / "report.json", "w", encoding="utf-8") as f:
         json.dump(report, f, indent=2)
         f.write("\n")
+    for r in result.reports:
+        if r.flat:
+            print(f"{r.name}: flat over its search window: {', '.join(r.flat)}", file=sys.stderr)
     if result.degenerate:
-        print(
-            "segmentation degenerate: no usable contrast in the search region",
-            file=sys.stderr,
-        )
+        names = ", ".join(r.name for r in result.reports if r.degenerate)
+        print(f"segmentation degenerate: {names}", file=sys.stderr)
         return EXIT_PIPELINE
     return EXIT_OK
 

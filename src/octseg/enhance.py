@@ -17,7 +17,6 @@ the thin ragged planes below it are masked.
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from typing import TYPE_CHECKING
 
@@ -29,17 +28,6 @@ from .volume import Volume
 
 if TYPE_CHECKING:  # pipeline imports enhance
     from .pipeline import BoundaryProfile
-
-
-class DegenerateNormalizationWarning(RuntimeWarning):
-    """Warned when an input field or the weighted score is flat (max == min)."""
-
-
-_FLAT_MESSAGES = (
-    "derivative volume is flat over the search region; its contribution is zero",
-    "smoothed volume is flat over the search region; its contribution is zero",
-    "enhanced volume is flat over the search region",
-)
 
 
 def _window_planes(k_hi: np.ndarray):
@@ -109,7 +97,7 @@ def enhance(
     mask: SearchMask,
     threads: int = 1,
     passes: Counter | None = None,
-) -> tuple[Surface, bool]:
+) -> tuple[Surface, list[str]]:
     """Score a derivative and a smoothed volume by ``profile``'s rule and
     pick one depth per column.
 
@@ -136,11 +124,12 @@ def enhance(
     scaled integer sums (``Volume.scale``) give their extrema as sums,
     divided once, and each slab of sums is divided into float32 scratch
     before it is scored, so they score bitwise as their values would.
-    Returns the surface in volume depth and whether the score is flat over
-    the windows (then each column picks the top of its window).  A flat
-    field at any step triggers DegenerateNormalizationWarning; a flat input
-    contributes zero.  ``passes``, when given, counts the work that ran:
-    "enhance" once per call and "argmax" once per score-and-pick sweep.
+    Returns the surface in volume depth and the names of the parts that
+    are flat (max == min) over the windows, in the order "derivative",
+    "smoothed", "score": a flat input contributes zero, and under a flat
+    score each column picks the top of its window.  ``passes``, when given,
+    counts the work that ran: "enhance" once per call and "argmax" once per
+    score-and-pick sweep.
     """
     if diff.dims[:2] != smooth.dims[:2]:
         raise ValueError(f"dims mismatch: {diff.dims} vs {smooth.dims}")
@@ -222,9 +211,7 @@ def enhance(
         passes["enhance"] += 1
         passes["argmax"] += 1  # the score-and-pick sweep
     e_lo, e_hi = _merge(e for e, _ in parts)
-    flat = not e_hi > e_lo
-    for is_flat, message in zip((not d_hi > d_lo, not s_hi > s_lo, flat), _FLAT_MESSAGES):
-        if is_flat:
-            warnings.warn(message, DegenerateNormalizationWarning, stacklevel=2)
+    ranges = {"derivative": (d_lo, d_hi), "smoothed": (s_lo, s_hi), "score": (e_lo, e_hi)}
+    flat = [name for name, (lo, hi) in ranges.items() if not hi > lo]
     z = np.concatenate([z for _, z in parts])
     return Surface(np.where(mask.column_valid(), z, np.nan)), flat

@@ -136,7 +136,8 @@ class PipelineConfig(Record):
 
 @dataclass
 class BoundaryReport:
-    """Counters and timings for one boundary's segmentation pass."""
+    """Counters and timings for one boundary's segmentation pass; ``flat``
+    names what ``enhance`` found flat, and ``degenerate`` is "score" in it."""
 
     name: str
     wall_s: float = 0.0
@@ -145,6 +146,7 @@ class BoundaryReport:
     enhance_passes: int = 0
     argmax_passes: int = 0
     degenerate: bool = False
+    flat: list = field(default_factory=list)
     columns_total: int = 0
     columns_searched: int = 0
 
@@ -226,9 +228,9 @@ def segment_boundary(
     an earlier reader's fails in the filters stage.
     Returns a total surface (every column carries a depth) plus a report
     with per-stage wall times and counters; the ``enhance`` stage scores
-    and picks.  A flat enhanced score (e.g. from constant input) is flagged
-    degenerate rather than raised; any stage failure raises PipelineError
-    naming the boundary and stage.
+    and picks.  What was flat goes to ``report.flat``; a flat score (e.g.
+    from constant input) is flagged degenerate rather than raised; any
+    stage failure raises PipelineError naming the boundary and stage.
     """
     _check_threads(threads)
     t0 = time.perf_counter()
@@ -246,7 +248,8 @@ def segment_boundary(
         deriv, smooth = bank.fields(_filter_sizes(profile), mask.depth)
     passes = Counter()
     with _stage(report, "enhance"):
-        raw, report.degenerate = enhance(deriv, smooth, profile, mask, threads, passes)
+        raw, report.flat = enhance(deriv, smooth, profile, mask, threads, passes)
+    report.degenerate = "score" in report.flat
     del deriv, smooth  # a field the bank no longer keeps is freed here
     report.enhance_passes, report.argmax_passes = passes["enhance"], passes["argmax"]
     with _stage(report, "outlier_reject"):
@@ -309,7 +312,6 @@ def segment_retina(
     if config is None:
         config = PipelineConfig()
     nx, ny, nz = volume.dims
-    full = SearchMask.full(nx, ny, nz)
     profiles = (config.rpe, config.isos, config.ilm)
     plan = [_filter_sizes(p) for p in profiles]
     bank = FilterBank(volume, threads, plan)
@@ -319,24 +321,19 @@ def segment_retina(
         except ValueError as e:
             raise ValueError(f"{p.name}: {e}") from None
 
-    rpe_res = segment_boundary(volume, config.rpe, full, threads, bank)
-    if rpe_res.report.degenerate:
-        isos_mask = full
-    else:
-        isos_mask = truncate_above_surface(rpe_res.surface, config.isos_clearance, nz)
-    isos_res = segment_boundary(volume, config.isos, isos_mask, threads, bank)
-    if isos_res.report.degenerate:
-        ilm_mask = isos_mask
-    else:
-        ilm_mask = truncate_above_surface(isos_res.surface, config.ilm_clearance, nz)
-    ilm_res = segment_boundary(volume, config.ilm, ilm_mask, threads, bank)
+    mask, results = SearchMask.full(nx, ny, nz), []
+    for p, clearance in zip(profiles, (config.isos_clearance, config.ilm_clearance, None)):
+        results.append(segment_boundary(volume, p, mask, threads, bank))
+        if clearance is not None and not results[-1].report.degenerate:
+            mask = truncate_above_surface(results[-1].surface, clearance, nz)
+    rpe_res, isos_res, ilm_res = results
 
     ilm_s, isos_s, rpe_s, n_fixed = enforce_ordering(
         ilm_res.surface, isos_res.surface, rpe_res.surface
     )
     return SegmentationResult(
         surfaces={"ilm": ilm_s, "isos": isos_s, "rpe": rpe_s},
-        reports=[rpe_res.report, isos_res.report, ilm_res.report],
+        reports=[r.report for r in results],
         total_wall_s=time.perf_counter() - t0,
         ordering_fixed_columns=n_fixed,
         threads=threads,

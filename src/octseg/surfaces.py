@@ -115,8 +115,10 @@ def argmax_per_ascan(intensity: Volume) -> Surface:
 # cells per block of x rows in reject_outliers: a block's tile extrema and
 # counts take a few block-sized arrays, and a block whose tiles are copied
 # whole takes 8 bytes per tap and cell, so a block's, not the surface's, size
-# bounds the scratch, and at 25 taps a copied block (1.6 MB) stays in cache
+# bounds the scratch, and at 25 taps a copied block (1.6 MB) stays in cache;
+# a wider window's block takes fewer cells, so that its copy fits the bytes
 _OUTLIER_BLOCK_CELLS = 2**13
+_OUTLIER_TILE_BYTES = 2**23
 
 # a tile value this large in magnitude can overflow the sum of the middle
 # pair, which would put the median outside the tile's [min, max]
@@ -154,7 +156,7 @@ def _inliers(surface: Surface, tau: float, window: int) -> np.ndarray:
     # a tile's cells as offsets from its corner in the flat padded grid
     offsets = (np.arange(window)[:, None] * padded.shape[1] + np.arange(window)).ravel()
     keep = surface.valid
-    rows = max(1, _OUTLIER_BLOCK_CELLS // ny)
+    rows = max(1, min(_OUTLIER_BLOCK_CELLS, _OUTLIER_TILE_BYTES // (8 * taps)) // ny)
     for x0 in range(0, nx, rows):
         x1 = min(x0 + rows, nx)
         block = padded[x0:x1 + 2 * h]
@@ -243,17 +245,22 @@ def inpaint_and_smooth(
 
     Smoothing is a separable (2r+1)^2 lateral box average with replicated
     edges; radius 0 skips it.  When ``max_z`` is given the result is clamped
-    into [0, max_z].  Requires at least one valid cell.
+    into [0, max_z].  Requires at least one valid cell; depths whose
+    neighbour or box sums overflow float64 raise ValueError.
     """
     if not surface.valid.any():
         raise ValueError("cannot inpaint: surface has no valid cells")
     if smooth_radius < 0:
         raise ValueError(f"smooth_radius must be >= 0, got {smooth_radius}")
-    z = fill_from_neighbors(surface.z)
-    if smooth_radius > 0:
-        n = 2 * smooth_radius + 1
-        box = np.full(n, 1.0 / n, dtype=np.float64)
-        z = _correlate1d(_correlate1d(z, box, 0), box, 1)
+    try:
+        with np.errstate(over="raise"):
+            z = fill_from_neighbors(surface.z)
+            if smooth_radius > 0:
+                n = 2 * smooth_radius + 1
+                box = np.full(n, 1.0 / n, dtype=np.float64)
+                z = _correlate1d(_correlate1d(z, box, 0), box, 1)
+    except FloatingPointError:
+        raise ValueError("cannot inpaint and smooth: a sum of depths overflows float64") from None
     if max_z is not None:
         z = np.clip(z, 0.0, max_z)
     return Surface(z)
@@ -271,7 +278,9 @@ def truncate_above_surface(surface: Surface, margin: int, nz: int) -> SearchMask
     margin = int(margin)
     if margin < 0:
         raise ValueError(f"margin must be >= 0, got {margin}")
-    cap = np.clip(np.rint(surface.z).astype(np.int64) - margin, 0, nz)
+    # a margin of nz already empties the window above any depth in the
+    # volume, and a larger one need not fit int64
+    cap = np.clip(np.rint(surface.z).astype(np.int64) - min(margin, nz), 0, nz)
     return SearchMask(k_hi=cap, nz=nz)
 
 

@@ -186,7 +186,8 @@ def _normalize(arr: np.ndarray, lo: float, hi: float, out: np.ndarray | None = N
     Values already inside [0, 1] pass through untouched, which makes the
     mapping idempotent and lets float volumes round-trip bit-exactly through
     save/load.  Anything else is min-max scaled; a constant out-of-range
-    array collapses to zeros (no contrast to preserve).
+    array collapses to zeros (no contrast to preserve).  A range wider than
+    float32 holds is scaled from halved values and bounds, which is exact.
     """
     if 0.0 <= lo and hi <= 1.0:
         return arr
@@ -195,6 +196,9 @@ def _normalize(arr: np.ndarray, lo: float, hi: float, out: np.ndarray | None = N
             return np.zeros_like(arr)
         out.fill(0)
         return out
+    if hi - lo > float(np.finfo(np.float32).max):
+        arr = out = np.multiply(arr, np.float32(0.5), out=out)
+        lo, hi = lo / 2, hi / 2
     return np.divide(np.subtract(arr, lo, out=out), np.float32(hi - lo), out=out)
 
 

@@ -6,6 +6,8 @@ cross-checks, ``read_ppm`` reads back the images that ``write_ppm``
 writes, and ``fill_sweeps`` inpaints with whole-grid sweeps where
 ``fill_from_neighbors`` visits only the open holes, and ``read_volume``
 reads a raw file whole where the pipeline reads it a slab at a time.
+``FLAT_CASES`` are inputs with the parts of each boundary's score that
+are flat on them.
 """
 
 from pathlib import Path
@@ -89,3 +91,20 @@ def read_volume(path, meta) -> Volume:
         for x in range(raw.nx):
             data[x : x + 1] = raw.data[x : x + 1]
     return Volume(data, raw.spacing, raw.scale)
+
+
+def _one_step() -> np.ndarray:
+    step = np.full((32, 12, 96), 40, dtype=np.uint8)
+    step[:, :, :60] = (150 + np.arange(32))[:, None, None]
+    return step
+
+
+# u8 samples in xyz order, and the flat parts that RPE, IS/OS and ILM (in
+# cascade order) name: a constant volume is flat everywhere, and one step
+# that is brighter above (150 + x above z = 60, 40 below) leaves the two
+# bright-below boundaries a clamped derivative that is zero throughout
+FLAT_CASES = {
+    "constant": (np.full((24, 12, 40), 77, dtype=np.uint8),
+                 [["derivative", "smoothed", "score"]] * 3),
+    "one_step": (_one_step(), [[], ["derivative"], ["derivative"]]),
+}

@@ -13,11 +13,11 @@ import pytest
 import octseg
 from octseg import cli
 from octseg.cli import ENV_THREADS, EXIT_OK, EXIT_PIPELINE, EXIT_USAGE, main, run
-from octseg.phantom import PhantomSpec
+from octseg.phantom import PhantomSpec, generate_phantom, surface_error
 from octseg.render import draw_bscan, write_ppm
 from octseg.surfaces import Surface, load_surface, save_surface
 from octseg.volume import VolumeMeta
-from reference import read_volume
+from reference import FLAT_CASES, read_volume
 
 
 @pytest.fixture()
@@ -151,10 +151,10 @@ class TestSegmentCmd:
         raw = tmp_path / "flat.raw"
         raw.write_bytes(bytes([77]) * (24 * 12 * 40))
         VolumeMeta(dims=(24, 12, 40), dtype="u8", order="xyz").save(tmp_path / "flat.json")
-        with pytest.warns(Warning):
-            rc = main(["segment", "--in", str(raw), "--meta", str(tmp_path / "flat.json"),
-                       "--out-dir", str(tmp_path / "seg")])
+        rc = main(["segment", "--in", str(raw), "--meta", str(tmp_path / "flat.json"),
+                   "--out-dir", str(tmp_path / "seg")])
         assert rc == EXIT_PIPELINE
+        assert capsys.readouterr().err.endswith("segmentation degenerate: RPE, IS/OS, ILM\n")
         # the run report still lands, flagged degenerate
         report = json.loads((tmp_path / "seg/report.json").read_text())
         assert report["degenerate"] is True
@@ -170,16 +170,64 @@ class TestSegmentCmd:
         assert rc == EXIT_USAGE
         assert "thickness needs total surfaces" in capsys.readouterr().err
 
-    def test_empty_search_window_is_pipeline_error(self, phantom_dir, tmp_path, capsys):
-        # a clearance deeper than the volume leaves IS/OS no window above the RPE
+    @pytest.mark.parametrize("key,clearance,name", [
+        ("isos_clearance", 500, "IS/OS"),
+        ("isos_clearance", 10**30, "IS/OS"),
+        ("ilm_clearance", 2**63, "ILM"),
+    ], ids=["500", "1e30", "2**63"])
+    def test_empty_search_window_is_pipeline_error(self, phantom_dir, tmp_path, capsys,
+                                                   key, clearance, name):
+        # a clearance deeper than the volume leaves no window above the
+        # surface before, however far past int64 it goes
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"isos_clearance": 500}))
+        cfg.write_text(json.dumps({key: clearance}))
         rc = main(["segment", "--in", str(phantom_dir / "volume.raw"),
                    "--meta", str(phantom_dir / "volume.json"),
                    "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
         assert rc == EXIT_PIPELINE
         err = capsys.readouterr().err
-        assert err.startswith("error: IS/OS: ") and "no non-empty window" in err
+        assert err == f"error: {name}: stage 'filters': search mask has no non-empty window\n"
+
+    @pytest.mark.parametrize("case", sorted(FLAT_CASES))
+    def test_flat_parts_named_on_stderr_without_warnings(self, tmp_path, case):
+        # one line per boundary with a flat part, from the report, and no
+        # Python warning even when warnings are errors
+        samples, flats = FLAT_CASES[case]
+        samples.tofile(tmp_path / "v.raw")
+        VolumeMeta(dims=samples.shape, dtype="u8", order="xyz").save(tmp_path / "v.json")
+        env = dict(os.environ, PYTHONPATH=str(Path(octseg.__file__).resolve().parents[1]))
+        p = subprocess.run([sys.executable, "-W", "error", "-m", "octseg", "segment",
+                            "--in", str(tmp_path / "v.raw"), "--meta", str(tmp_path / "v.json"),
+                            "--out-dir", str(tmp_path / "seg")],
+                           env=env, capture_output=True, text=True, timeout=300)
+        names = ["RPE", "IS/OS", "ILM"]
+        expected = [f"{n}: flat over its search window: {', '.join(f)}"
+                    for n, f in zip(names, flats) if f]
+        degenerate = [n for n, f in zip(names, flats) if "score" in f]
+        if degenerate:
+            expected.append(f"segmentation degenerate: {', '.join(degenerate)}")
+        assert p.stderr.splitlines() == expected
+        assert p.returncode == (EXIT_PIPELINE if degenerate else EXIT_OK)
+        report = json.loads((tmp_path / "seg/report.json").read_text())
+        assert [b["flat"] for b in report["boundaries"]] == flats
+        assert [b["degenerate"] for b in report["boundaries"]] == [n in degenerate for n in names]
+
+    @pytest.mark.filterwarnings("error")
+    def test_f32_range_wider_than_float32_segments(self, tmp_path):
+        # the phantom spread over about +-3e38: a range that float32 cannot
+        # hold is still scaled exactly, with no overflow to NaN
+        spec = PhantomSpec.default(dims=(48, 12, 96), speckle_looks=4)
+        vol, truth = generate_phantom(spec)
+        v = vol.data.astype(np.float64)
+        v = (v - v.min()) / (v.max() - v.min()) * 6e38 - 3e38
+        v.astype("<f4").tofile(tmp_path / "v.raw")
+        VolumeMeta(dims=(48, 12, 96), dtype="f32", order="xyz").save(tmp_path / "v.json")
+        rc = main(["segment", "--in", str(tmp_path / "v.raw"), "--meta", str(tmp_path / "v.json"),
+                   "--out-dir", str(tmp_path / "seg")])
+        assert rc == EXIT_OK
+        for name in ("ilm", "isos", "rpe"):
+            found = load_surface(tmp_path / f"seg/{name}.csv")
+            assert surface_error(found, getattr(truth, name)).rms <= 2.0
 
     def test_non_finite_voxel_is_usage_error(self, tmp_path, capsys):
         data = np.random.default_rng(0).random((64, 16, 128), dtype=np.float32)

@@ -1,7 +1,6 @@
 """Depth weighting and the derivative+intensity fusion."""
 
 import tracemalloc
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octseg import filters
-from octseg.enhance import DegenerateNormalizationWarning, enhance
+from octseg.enhance import enhance
 from octseg.pipeline import BoundaryProfile
 from octseg.surfaces import SearchMask
 from octseg.volume import Volume
@@ -23,7 +22,7 @@ def profile(direction="favor_deep", polarity="bright_above"):
 
 def pick(d, s, direction="favor_deep", mask=None, **rule):
     """Run enhance on plain arrays (None: every column searched at full
-    depth); return the picked depths and the flat flag."""
+    depth); return the picked depths and the names of the flat parts."""
     if mask is None:
         mask = SearchMask.full(*d.shape)
     surface, flat = enhance(Volume(d), Volume(s), profile(direction, **rule), mask)
@@ -105,16 +104,14 @@ class TestUnitScale:
         # Unscaled, the derivative's thousands would drown the smoothed field
         # (pick 1), and an unscaled smoothed field would lose to it (pick 1).
         z, flat = pick(column(0.0, 2000.0, 1000.0), column(0.0, 0.0, 1e-3))
-        assert z[0, 0] == 2.0 and not flat
+        assert z[0, 0] == 2.0 and flat == []
 
     def test_flat_input_flagged(self):
         # a flat derivative contributes zero: (1, .4, 0) weighted 1, 2, 3
         # scores (1, .8, 0); a contribution of 1 would make it (2, 2.8, 3)
         d = np.full((1, 1, 3), 4.0)
-        with pytest.warns(DegenerateNormalizationWarning, match="derivative") as rec:
-            z, flat = pick(d, column(1.0, 0.4, 0.0))
-        assert len(rec) == 1  # only the derivative was flat
-        assert z[0, 0] == 0.0 and not flat
+        z, flat = pick(d, column(1.0, 0.4, 0.0))
+        assert z[0, 0] == 0.0 and flat == ["derivative"]
 
     def test_selection_controls_extrema(self):
         # extrema over the window [0, 2) only: both fields span [0, 1] there,
@@ -127,7 +124,7 @@ class TestUnitScale:
             (column(0.0, 1.0, 1000.0, 0.0), column(1.0, 0.0, 0.0, 0.0)),
         ):
             z, flat = pick(d, s, mask=mask)
-            assert z[0, 0] == 1.0 and not flat
+            assert z[0, 0] == 1.0 and flat == []
 
 
 class TestEnhance:
@@ -149,7 +146,7 @@ class TestEnhance:
         # alone: 1 or 2)
         d, s = self._volumes([0, 0.6, 0, 0.2, 0], [0, 0, 0.35, 0.15, 0])
         z, flat = pick(d, s)
-        assert z[1, 1] == 3.0 and not flat
+        assert z[1, 1] == 3.0 and flat == []
 
     def test_plane_zero_not_erased(self):
         # w(0) = 1: the fused 2 at depth 0 beats 2 * .8 at depth 1
@@ -176,17 +173,15 @@ class TestEnhance:
         s = column(0.0, 1.0, 0, 0, 0, 0, 0, 0)
         assert pick(d, s)[0][0, 0] == 1.0
 
-    def test_flat_inputs_warn_and_zero(self):
+    def test_flat_inputs_named_and_zero(self):
         # both fields flat contribute zero: the score is flat, each column
-        # picks the top of its window, and all three steps warn
+        # picks the top of its window, and all three parts are named
         d = np.zeros((2, 2, 5))
         s = np.full((2, 2, 5), 0.5)
         mask = SearchMask(k_hi=np.array([[1, 2], [4, 5]]), nz=5)
-        with pytest.warns(DegenerateNormalizationWarning) as rec:
-            z, flat = pick(d, s, mask=mask)
-        assert flat
+        z, flat = pick(d, s, mask=mask)
+        assert flat == ["derivative", "smoothed", "score"]
         assert np.array_equal(z, np.zeros((2, 2)))
-        assert [str(w.message).split()[0] for w in rec] == ["derivative", "smoothed", "enhanced"]
 
     def test_dims_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dims mismatch"):
@@ -305,18 +300,11 @@ class TestBandScoring:
         )
         mask = SearchMask(k_hi=k_hi, nz=diff.nz)
         slab = filters._SLAB_VOXELS if slab_voxels is None else slab_voxels
-        with mock.patch.object(filters, "_SLAB_VOXELS", slab), \
-                warnings.catch_warnings(record=True) as rec:
-            warnings.simplefilter("always")
+        with mock.patch.object(filters, "_SLAB_VOXELS", slab):
             surface, flat = enhance(diff, smooth, rule, mask, threads)
         assert np.array_equal(surface.z, z_ref, equal_nan=True)
         assert np.array_equal(surface.valid, valid_ref)
-        flagged = [str(w.message) for w in rec
-                   if issubclass(w.category, DegenerateNormalizationWarning)]
-        expected = [m for m, f in zip(
-            ["derivative", "smoothed", "enhanced"], flat_ref) if f]
-        assert [m.split()[0] for m in flagged] == expected
-        assert flat == flat_ref[2]
+        assert flat == [n for n, f in zip(["derivative", "smoothed", "score"], flat_ref) if f]
 
     def test_inputs_left_untouched(self):
         rng = np.random.default_rng(3)

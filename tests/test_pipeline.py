@@ -4,7 +4,6 @@ import dataclasses
 import itertools
 import re
 import tracemalloc
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -13,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octseg import filters, pipeline
-from octseg.enhance import DegenerateNormalizationWarning
 from octseg.filters import FilterBank
 from octseg.phantom import PhantomSpec, generate_phantom, surface_error
 from octseg.pipeline import (
@@ -26,7 +24,7 @@ from octseg.pipeline import (
 )
 from octseg.surfaces import SearchMask, Surface
 from octseg.volume import Volume, VolumeMeta, open_volume
-from reference import read_volume
+from reference import FLAT_CASES, read_volume
 
 
 def two_layer_volume(nx=48, ny=12, nz=128, hi=0.8, lo=0.2):
@@ -64,8 +62,8 @@ class TestSegmentBoundary:
 
     def test_constant_volume_flagged_degenerate(self):
         vol = Volume(np.full((24, 12, 40), 0.5, dtype=np.float32))
-        with pytest.warns(DegenerateNormalizationWarning):
-            res = segment_boundary(vol, BRIGHT_ABOVE)
+        res = segment_boundary(vol, BRIGHT_ABOVE)
+        assert res.report.flat == ["derivative", "smoothed", "score"]
         assert res.report.degenerate
         assert res.surface.valid.all()  # still a total surface, not a crash
 
@@ -109,9 +107,9 @@ class TestSegmentBoundary:
         shared = segment_boundary(vol, BRIGHT_ABOVE, bank=bank).surface.z
         assert np.array_equal(shared, segment_boundary(vol, BRIGHT_ABOVE).surface.z)
         # the step is bright above, so the clamped bright-below derivative is flat
-        with pytest.warns(DegenerateNormalizationWarning, match="derivative"):
-            shared = segment_boundary(vol, below, bank=bank).surface.z
-            assert np.array_equal(shared, segment_boundary(vol, below).surface.z)
+        shared = segment_boundary(vol, below, bank=bank)
+        assert shared.report.flat == ["derivative"] and not shared.report.degenerate
+        assert np.array_equal(shared.surface.z, segment_boundary(vol, below).surface.z)
 
         def band(end):  # windows [0, end) in every column
             return SearchMask(k_hi=np.full((nx, ny), end, dtype=np.int32), nz=nz)
@@ -374,10 +372,19 @@ class TestCascade:
 
     def test_degenerate_cascade_returns_flagged_result(self):
         vol = Volume(np.full((24, 12, 40), 0.25, dtype=np.float32))
-        with pytest.warns(DegenerateNormalizationWarning):
-            res = segment_retina(vol)
+        res = segment_retina(vol)
         assert res.degenerate
         assert all(r.degenerate for r in res.reports)
+        assert all(r.flat == ["derivative", "smoothed", "score"] for r in res.reports)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", sorted(FLAT_CASES))
+    def test_flat_parts_reported_without_warnings(self, case):
+        samples, flats = FLAT_CASES[case]
+        for threads in (1, 2):
+            res = segment_retina(Volume(samples, scale=255), threads=threads)
+            assert [r.flat for r in res.reports] == flats
+            assert [r.degenerate for r in res.reports] == ["score" in f for f in flats]
 
     def test_report_dict_shape(self):
         vol, _ = generate_phantom(PhantomSpec.default(dims=(48, 12, 96)))
@@ -392,7 +399,7 @@ class TestCascade:
         for b in d["boundaries"]:
             assert list(b) == [
                 "name", "wall_s", "stage_s", "rejected_points", "enhance_passes",
-                "argmax_passes", "degenerate", "columns_total", "columns_searched",
+                "argmax_passes", "degenerate", "flat", "columns_total", "columns_searched",
             ]
             assert b["enhance_passes"] == 1
             assert b["argmax_passes"] == 1
@@ -442,15 +449,13 @@ class TestCascadeInvariants:
         runs = []
         for threads in (1, 2):
             # a flat score is a degenerate result, not a failure
-            with warnings.catch_warnings(record=True) as rec:
-                warnings.simplefilter("always", DegenerateNormalizationWarning)
-                try:
-                    res = segment_retina(vol, config, threads=threads)
-                except (ValueError, PipelineError) as e:
-                    runs.append(f"{type(e).__name__}: {e}")
-                    continue
-            flat_scores = [w for w in rec if str(w.message).startswith("enhanced")]
-            assert len(flat_scores) == sum(r.degenerate for r in res.reports)
+            try:
+                res = segment_retina(vol, config, threads=threads)
+            except (ValueError, PipelineError) as e:
+                runs.append(f"{type(e).__name__}: {e}")
+                continue
+            for r in res.reports:
+                assert r.degenerate == ("score" in r.flat)
             runs.append(res)
         if isinstance(runs[0], str):
             assert runs[1] == runs[0]
@@ -465,7 +470,7 @@ class TestCascadeInvariants:
         assert a.ordering_fixed_columns == b.ordering_fixed_columns
         for ra, rb in zip(a.reports, b.reports):
             assert ra.enhance_passes == ra.argmax_passes == 1
-            for counter in ("rejected_points", "degenerate", "columns_searched"):
+            for counter in ("rejected_points", "degenerate", "flat", "columns_searched"):
                 assert getattr(ra, counter) == getattr(rb, counter)
 
 

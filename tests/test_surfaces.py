@@ -209,6 +209,22 @@ class TestRejectOutliers:
             tracemalloc.stop()
         assert peak <= 6.5 * z.nbytes
 
+    def test_scratch_bounded_for_a_wide_window(self):
+        # 2601 taps: blocks of the default 2**13 cells would copy 170 MB of
+        # tiles, so wide windows take fewer rows a block
+        rng = np.random.default_rng(7)
+        z = rng.normal(100.0, 2.0, (300, 99))
+        spikes = rng.random(z.shape) < 0.05
+        z[spikes] += 40.0
+        tracemalloc.start()
+        try:
+            out = reject_outliers(Surface.full(z), tau=15.0, window=51)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+        assert not out.valid[spikes].any() and out.valid[~spikes].all()
+
     def test_scratch_bounded_when_every_tile_is_a_candidate(self):
         # the widefield surface with holes and a spread far above tau: every
         # block's tiles are copied whole (3.8 grids measured), while 25 taps
@@ -318,6 +334,16 @@ class TestInpaint:
         s = Surface(np.full((3, 3), np.nan))
         with pytest.raises(ValueError):
             inpaint_and_smooth(s)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("hole,radius", [(False, 1), (True, 0)])
+    def test_overflowing_sum_named(self, hole, radius):
+        # depths this large overflow the box sum, or a hole's neighbour sum
+        z = np.full((3, 3), 1.7e308)
+        if hole:
+            z[1, 1] = np.nan
+        with pytest.raises(ValueError, match="a sum of depths overflows float64"):
+            inpaint_and_smooth(Surface(z), smooth_radius=radius)
 
     def test_smoothing_flattens_jitter(self):
         rng = np.random.default_rng(8)
