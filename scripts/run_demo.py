@@ -1,21 +1,21 @@
 """End-to-end tour: phantom -> segmentation -> thickness, render.
 
 Writes every artifact the library produces into one output directory so
-the file formats can be inspected by hand.
+the file formats can be inspected by hand.  The phantom is saved as a u8
+raw file first, and the surfaces and the overlay come from that file, so
+they are what ``octseg segment`` and ``octseg render`` give on it.
 """
 
 import argparse
 import json
 import pathlib
 
-import numpy as np
-
 from octseg.analysis import save_thickness_csv, save_thickness_pgm, thickness_map
 from octseg.phantom import PhantomSpec, generate_phantom, surface_error
 from octseg.pipeline import segment_retina
 from octseg.render import draw_bscan, write_ppm
 from octseg.surfaces import save_surface
-from octseg.volume import save_volume
+from octseg.volume import load_bscan, open_volume, save_volume
 
 
 def main():
@@ -35,11 +35,12 @@ def main():
     spec = PhantomSpec.default(dims=dims, seed=args.seed, speckle_looks=looks,
                                with_lesion=args.lesion)
     volume, truth = generate_phantom(spec)
-    save_volume(volume, out / "volume.raw", dtype="u8")
+    meta = save_volume(volume, out / "volume.raw", dtype="u8")
     print(f"wrote {out / 'volume.raw'} (+ sidecar) "
           f"{dims[0]}x{dims[1]}x{dims[2]} looks={looks}")
 
-    result = segment_retina(volume)
+    with open_volume(out / "volume.raw", meta) as raw:
+        result = segment_retina(raw)
     for key, surf in result.surfaces.items():
         save_surface(surf, out / f"{key}.csv")
         err = surface_error(surf, getattr(truth, key))
@@ -55,7 +56,8 @@ def main():
           f"({tm.um.mean():.1f} um) -> thickness.csv / thickness.pgm")
 
     y_mid = dims[1] // 2
-    image = draw_bscan(volume.values(np.s_[:, y_mid, :]), volume.ny, result.surfaces, y_mid)
+    bscan = load_bscan(out / "volume.raw", meta, y_mid)
+    image = draw_bscan(bscan, volume.ny, result.surfaces, y_mid)
     write_ppm(image, out / f"bscan_y{y_mid}.ppm")
     print(f"overlay of slice y={y_mid} -> bscan_y{y_mid}.ppm")
 

@@ -7,8 +7,9 @@ a per-column end.  There is no iterative refinement of candidates;
 ``enhance`` scores the depth band above the deepest window end one x-slab
 at a time, masking only the ragged planes below a slab's shallowest end,
 and picks each slab as it is scored, so no score volume is kept.  Each
-stage's wall time goes to the boundary's report, and a failing stage is
-raised as a PipelineError naming the boundary and the stage.  One
+stage's wall time, and how far it raised the process's peak resident set,
+go to the boundary's report, and a failing stage is raised as a
+PipelineError naming the boundary and the stage.  One
 ``FilterBank`` per volume computes each distinct field once; polarity is
 the sign ``enhance`` gives the bank's bright-above derivative, so ILM
 reuses RPE's.  ``segment_retina`` hands the bank the fields each boundary
@@ -38,6 +39,7 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from resource import RUSAGE_SELF, getrusage
 
 import numpy as np
 
@@ -137,11 +139,14 @@ class PipelineConfig(Record):
 @dataclass
 class BoundaryReport:
     """Counters and timings for one boundary's segmentation pass; ``flat``
-    names what ``enhance`` found flat, and ``degenerate`` is "score" in it."""
+    names what ``enhance`` found flat, and ``degenerate`` is "score" in it.
+    ``stage_peak_rise_mb`` holds the MiB each stage raised the process's
+    peak resident set by (ru_maxrss): 0 for one under an earlier peak."""
 
     name: str
     wall_s: float = 0.0
     stage_s: dict = field(default_factory=dict)
+    stage_peak_rise_mb: dict = field(default_factory=dict)
     rejected_points: int = 0
     enhance_passes: int = 0
     argmax_passes: int = 0
@@ -167,9 +172,10 @@ def _check_threads(threads) -> None:
 
 @contextmanager
 def _stage(report: BoundaryReport, name: str):
-    """Time one stage into ``report.stage_s[name]``; re-raise its failure as
-    a PipelineError naming the boundary and the stage."""
-    t = time.perf_counter()
+    """Time one stage into ``report.stage_s[name]`` and its rise of the
+    peak resident set into ``report.stage_peak_rise_mb[name]``; re-raise
+    its failure as a PipelineError naming the boundary and the stage."""
+    t, peak = time.perf_counter(), getrusage(RUSAGE_SELF).ru_maxrss
     try:
         yield
     except (PipelineError, OSError):
@@ -177,6 +183,7 @@ def _stage(report: BoundaryReport, name: str):
     except Exception as e:
         raise PipelineError(f"{report.name}: stage {name!r}: {e}") from e
     report.stage_s[name] = time.perf_counter() - t
+    report.stage_peak_rise_mb[name] = (getrusage(RUSAGE_SELF).ru_maxrss - peak) / 1024
 
 
 @dataclass

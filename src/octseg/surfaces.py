@@ -113,10 +113,10 @@ def argmax_per_ascan(intensity: Volume) -> Surface:
 
 
 # cells per block of x rows in reject_outliers: a block's tile extrema and
-# counts take a few block-sized arrays, and a block whose tiles are copied
-# whole takes 8 bytes per tap and cell, so a block's, not the surface's, size
-# bounds the scratch, and at 25 taps a copied block (1.6 MB) stays in cache;
-# a wider window's block takes fewer cells, so that its copy fits the bytes
+# counts take a few block-sized arrays, so a block's, not the surface's, size
+# bounds the scratch; its tiles are copied for medians (8 bytes per tap and
+# cell) in parts of at most the bytes below, so at 25 taps a block (1.6 MB)
+# is one part that stays in cache, and a wide window splits only its copies
 _OUTLIER_BLOCK_CELLS = 2**13
 _OUTLIER_TILE_BYTES = 2**23
 
@@ -156,7 +156,7 @@ def _inliers(surface: Surface, tau: float, window: int) -> np.ndarray:
     # a tile's cells as offsets from its corner in the flat padded grid
     offsets = (np.arange(window)[:, None] * padded.shape[1] + np.arange(window)).ravel()
     keep = surface.valid
-    rows = max(1, min(_OUTLIER_BLOCK_CELLS, _OUTLIER_TILE_BYTES // (8 * taps)) // ny)
+    rows, part = max(1, _OUTLIER_BLOCK_CELLS // ny), max(1, _OUTLIER_TILE_BYTES // (8 * taps))
     for x0 in range(0, nx, rows):
         x1 = min(x0 + rows, nx)
         block = padded[x0:x1 + 2 * h]
@@ -173,11 +173,15 @@ def _inliers(surface: Surface, tau: float, window: int) -> np.ndarray:
         whole = 2 * count > candidate.size
         at = np.s_[:] if whole else np.nonzero(candidate)
         k = _tile_reduce(np.add, (~np.isnan(block)).astype(np.intp), window, ny)[at].ravel()
-        if whole:
-            median = _nanmedians(np.array(tiles[x0:x1], order="C").reshape(-1, taps), k)
+        if whole:  # a part is whole rows of the block
+            n = max(1, part // ny) * ny
+            copy = lambda i: np.array(tiles[x0:x1][i // ny:(i + n) // ny], order="C")
         else:
-            corners = (at[0] + x0) * padded.shape[1] + at[1]
-            median = _nanmedians(padded.take(corners[:, None] + offsets), k)
+            n, corners = part, (at[0] + x0) * padded.shape[1] + at[1]
+            copy = lambda i: padded.take(corners[i:i + n, None] + offsets)
+        # one part's copy at a time is alive
+        median = np.concatenate([_nanmedians(copy(i).reshape(-1, taps), k[i:i + n])
+                                 for i in range(0, k.size, n)])
         inside = keep[x0:x1]
         inside[at] &= ~(np.abs(surface.z[x0:x1][at] - median.reshape(inside[at].shape)) > tau)
     return keep

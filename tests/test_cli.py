@@ -16,7 +16,7 @@ from octseg.cli import ENV_THREADS, EXIT_OK, EXIT_PIPELINE, EXIT_USAGE, main, ru
 from octseg.phantom import PhantomSpec, generate_phantom, surface_error
 from octseg.render import draw_bscan, write_ppm
 from octseg.surfaces import Surface, load_surface, save_surface
-from octseg.volume import VolumeMeta
+from octseg.volume import VolumeMeta, save_volume
 from reference import FLAT_CASES, read_volume
 
 
@@ -98,6 +98,28 @@ class TestSegmentCmd:
         surfaces = {k: load_surface(out / f"{k}.csv") for k in ("ilm", "isos", "rpe")}
         assert (surfaces["ilm"].z <= surfaces["isos"].z).all()
         assert (surfaces["isos"].z <= surfaces["rpe"].z).all()
+
+    def test_report_records_how_far_each_stage_raised_the_peak(self, tmp_path):
+        # RPE's fields of a 96x24x160 u8 phantom take more than the start-up
+        # peak of a fresh process.  Linux folds the peak of the address space
+        # a process leaves at exec into its ru_maxrss, and a vfork child
+        # leaves its parent's, so the segment child is spawned from a small
+        # Python process rather than from this one
+        vol, _ = generate_phantom(PhantomSpec.default(dims=(96, 24, 160), speckle_looks=4))
+        save_volume(vol, tmp_path / "v.raw", dtype="u8")
+        hop = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+        env = dict(os.environ, PYTHONPATH=str(Path(octseg.__file__).resolve().parents[1]))
+        p = subprocess.run([sys.executable, "-c", hop, sys.executable, "-m", "octseg", "segment",
+                            "--in", str(tmp_path / "v.raw"), "--meta", str(tmp_path / "v.raw.json"),
+                            "--out-dir", str(tmp_path / "seg")],
+                           env=env, capture_output=True, text=True, timeout=300)
+        assert p.returncode == EXIT_OK, p.stderr
+        report = json.loads((tmp_path / "seg/report.json").read_text())
+        for b in report["boundaries"]:
+            assert list(b["stage_peak_rise_mb"]) == list(b["stage_s"])
+            assert all(v >= 0 for v in b["stage_peak_rise_mb"].values())
+        assert report["boundaries"][0]["name"] == "RPE"
+        assert report["boundaries"][0]["stage_peak_rise_mb"]["filters"] > 0
 
     def test_threads_do_not_change_bytes(self, phantom_dir, tmp_path):
         outs = []

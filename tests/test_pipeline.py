@@ -398,13 +398,16 @@ class TestCascade:
         assert list(d["config"]) == ["rpe", "isos", "ilm", "isos_clearance", "ilm_clearance"]
         for b in d["boundaries"]:
             assert list(b) == [
-                "name", "wall_s", "stage_s", "rejected_points", "enhance_passes",
-                "argmax_passes", "degenerate", "flat", "columns_total", "columns_searched",
+                "name", "wall_s", "stage_s", "stage_peak_rise_mb", "rejected_points",
+                "enhance_passes", "argmax_passes", "degenerate", "flat", "columns_total",
+                "columns_searched",
             ]
             assert b["enhance_passes"] == 1
             assert b["argmax_passes"] == 1
             assert b["wall_s"] >= 0
             assert b["rejected_points"] >= 0
+            assert list(b["stage_peak_rise_mb"]) == list(b["stage_s"])
+            assert all(v >= 0 for v in b["stage_peak_rise_mb"].values())
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """The public surface: the root namespace holds what the README, the scripts
 and the CLI use, ``import octseg`` loads no octseg module, the README's
-Python quick start runs as written, and its defaults are the code's."""
+Python quick start runs as written, its defaults are the code's, and its
+run report paragraph names every key of ``report.json``."""
 
 import dataclasses
 import json
@@ -97,3 +98,19 @@ def test_readme_defaults_are_the_configs():
         assert values == shown, name
     for name in ("isos_clearance", "ilm_clearance"):
         assert f"`{name}` (default {getattr(config, name)})" in text
+
+
+def test_readme_run_report_names_every_report_key(tmp_path):
+    from octseg.cli import main
+    from octseg.phantom import PhantomSpec, generate_phantom
+
+    vol, _ = generate_phantom(PhantomSpec.default(dims=(48, 12, 96)))
+    volume.save_volume(vol, tmp_path / "v.raw", dtype="u8")
+    assert main(["segment", "--in", str(tmp_path / "v.raw"), "--meta",
+                 str(tmp_path / "v.raw.json"), "--out-dir", str(tmp_path / "seg")]) == 0
+    report = json.loads((tmp_path / "seg/report.json").read_text())
+    text = README.read_text()
+    paragraph = text[text.index("**Run report.**"):].split("\n\n")[0]
+    named = set(re.findall(r"`([^`]+)`", paragraph))
+    keys = set(report) | {k for b in report["boundaries"] for k in b}
+    assert sorted(keys - named) == []

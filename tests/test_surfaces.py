@@ -225,6 +225,20 @@ class TestRejectOutliers:
         assert peak <= 16 * 2**20
         assert not out.valid[spikes].any() and out.valid[~spikes].all()
 
+    def test_wide_window_reduces_each_block_once(self):
+        # a window of 101 gives a tile a halo of 100 rows, so blocks are
+        # sized by cells, not by the median copy: each block's max, min and
+        # count run once, and only the copied tiles are split into parts
+        rng = np.random.default_rng(7)
+        z = rng.normal(100.0, 2.0, (300, 99))
+        spikes = rng.random(z.shape) < 0.05
+        z[spikes] += 40.0
+        with mock.patch.object(surfaces, "_tile_reduce", wraps=surfaces._tile_reduce) as spy:
+            out = reject_outliers(Surface.full(z), tau=15.0, window=101)
+        blocks = -(-300 // (surfaces._OUTLIER_BLOCK_CELLS // 99))
+        assert [c.args[0] for c in spy.call_args_list] == [np.fmax, np.fmin, np.add] * blocks
+        assert not out.valid[spikes].any() and out.valid[~spikes].all()
+
     def test_scratch_bounded_when_every_tile_is_a_candidate(self):
         # the widefield surface with holes and a spread far above tau: every
         # block's tiles are copied whole (3.8 grids measured), while 25 taps
@@ -251,10 +265,11 @@ class TestRejectOutliers:
         values=st.sampled_from(["integral", "real", "huge"]),
         tau=st.sampled_from([0.5, 1.0, 1.5, 15.0, "tie"]),
         block=st.sampled_from([1, 7, surfaces._OUTLIER_BLOCK_CELLS]),
+        tile_bytes=st.sampled_from([1, 8 * 49 * 5, surfaces._OUTLIER_TILE_BYTES]),
     )
     @settings(max_examples=150, deadline=None)
     def test_equals_nanmedian_reference(self, seed, nx, ny, window, holes, invalid, values,
-                                        tau, block):
+                                        tau, block, tile_bytes):
         # small grids are mostly border; "huge" values overflow the middle
         # pair's sum, and a tau taken from the deviations makes exact ties
         # |z - median| == tau, half-integral ones too for integral values
@@ -280,8 +295,10 @@ class TestRejectOutliers:
                 ties = deviation[np.isfinite(deviation) & (deviation > 0)]
                 tau = float(rng.choice(ties)) if ties.size else 1.0
             expected = valid & ~(deviation > tau)
-            # small blocks make one surface span several blocks of x rows
-            with mock.patch.object(surfaces, "_OUTLIER_BLOCK_CELLS", block):
+            # small blocks make one surface span several blocks of x rows,
+            # and few tile bytes split a block's copied tiles into parts
+            with mock.patch.multiple(surfaces, _OUTLIER_BLOCK_CELLS=block,
+                                     _OUTLIER_TILE_BYTES=tile_bytes):
                 out = reject_outliers(surface, tau=tau, window=window)
         assert np.array_equal(out.valid, expected)
         assert np.array_equal(out.z, np.where(expected, surface.z, np.nan), equal_nan=True)
